@@ -14,26 +14,37 @@
 //! this matches the paper's normalisation ("the message delay and the slot
 //! length are of the same order of magnitude").
 //!
-//! Like the synchronous engine, the hot path is allocation-free in steady
-//! state, for `Copy` **and** heap-carrying payloads: in-flight payloads live
-//! in a reference-counted slab with a free list, a broadcast interns its
-//! payload **once** (each in-flight copy is a slab handle, each delivery a
-//! reference-count decrement), deliveries hand the protocol a `&Msg` rather
-//! than a clone, and retired heap payloads are parked in a graveyard that
-//! [`AsyncCtx::recycle_payload`] hands back to senders.  Callback send
-//! buffers are pooled, channel writes are tracked through a writers list,
-//! and quiescence is O(1) via a done-node counter.
+//! # Slot boundaries
 //!
 //! The multiaccess medium is a [`ChannelSet`]: each slot boundary resolves
-//! one slot per channel and delivers every outcome through
-//! [`AsyncProtocol::on_slot_on`] (default: route channel 0 to
-//! [`AsyncProtocol::on_slot`]).  A `Success` slot **moves** the winning
-//! message into its outcome — never cloned — and parks it in the graveyard
-//! afterwards, mirroring the synchronous engine's handle-based outcomes.
+//! one message slot and one lane sub-slot per channel into two pooled
+//! slices and hands every dispatched node **one** borrowed callback,
+//! [`AsyncProtocol::on_boundary`] — one slot's feedback is one broadcast
+//! every station hears, not a private copy per station.  Its default body
+//! fans out to the per-channel [`AsyncProtocol::on_lanes_on`] /
+//! [`AsyncProtocol::on_slot_on`] callbacks (the order is pinned in its
+//! docs).  A `Success` slot **moves** the winning message into its outcome —
+//! never cloned — and parks it in the graveyard after the boundary.
+//!
+//! # Pooled staging
+//!
+//! The hot path is allocation-free in steady state, for `Copy` **and**
+//! heap-carrying payloads: in-flight payloads live in a reference-counted
+//! slab with a free list, a broadcast interns its payload **once** (each
+//! in-flight copy is a slab handle, each delivery a reference-count
+//! decrement), deliveries hand the protocol a `&Msg`, and retired heap
+//! payloads are parked in a graveyard that [`AsyncCtx::recycle_payload`]
+//! hands back to senders.  A callback stages its sends and writes into
+//! engine-owned buffers the [`AsyncCtx`] borrows in place — no engine state
+//! is moved out per callback — and adapters replaying a synchronous
+//! [`Protocol`](crate::Protocol) ([`Lockstep`](crate::Lockstep)) borrow one
+//! engine-owned [`OutboxBuffer`] the same way instead of keeping per-node
+//! buffers.  Quiescence is O(1) via a done-node counter.
 
-use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome};
+use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome, MAX_CHANNELS};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::metrics::CostAccount;
+use crate::node::OutboxBuffer;
 use netsim_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +74,13 @@ impl Default for AsyncConfig {
 }
 
 /// Per-node handler interface of the asynchronous engine.
+///
+/// A slot boundary reaches a node as **one** [`on_boundary`](Self::on_boundary)
+/// call over the engine's pooled outcome slices.  Protocols that think per
+/// channel implement [`on_slot`](Self::on_slot) / [`on_slot_on`](Self::on_slot_on)
+/// / [`on_lanes_on`](Self::on_lanes_on) and inherit the fan-out; adapters that
+/// consume a whole boundary at once (the [`Lockstep`](crate::Lockstep) replay)
+/// override `on_boundary` and never see a per-channel copy.
 pub trait AsyncProtocol {
     /// Message type used on both media.
     type Msg: Clone;
@@ -78,24 +96,49 @@ pub trait AsyncProtocol {
     /// [`AsyncCtx::recycle_payload`]).
     fn on_message(&mut self, from: NodeId, msg: &Self::Msg, ctx: &mut AsyncCtx<'_, Self::Msg>);
 
-    /// Called at every slot boundary with the slot outcome of the
-    /// **default** channel (all attached nodes hear it).
+    /// Called once per slot boundary with **every** channel's outcome:
+    /// `slots[c]` / `lanes[c]` are channel `c`'s message slot and lane
+    /// sub-slot, borrowed from the engine's pooled slices for the duration
+    /// of the call (winners are never cloned) and **not** gated by this
+    /// node's attachment — an override gates with [`AsyncCtx::is_attached`].
     ///
-    /// Defaults to ignoring the outcome, so protocols that listen per
-    /// channel through [`AsyncProtocol::on_slot_on`] (or do not use the
-    /// channel at all) need no dead stub.
+    /// The default body owns the per-channel callback-order contract: all
+    /// [`on_lanes_on`](Self::on_lanes_on) calls in ascending channel order,
+    /// then all [`on_slot_on`](Self::on_slot_on) calls in ascending channel
+    /// order (so a protocol acting on its last slot callback has seen the
+    /// boundary's lanes), a channel the node is not attached to being heard
+    /// as `Idle` on both.
+    fn on_boundary(
+        &mut self,
+        slots: &[SlotOutcome<Self::Msg>],
+        lanes: &[LaneOutcome],
+        ctx: &mut AsyncCtx<'_, Self::Msg>,
+    ) {
+        let (idle, lane_idle) = (SlotOutcome::Idle, LaneOutcome::Idle);
+        for (c, word) in lanes.iter().enumerate() {
+            let chan = ChannelId(c as u16);
+            let on = ctx.is_attached(chan);
+            self.on_lanes_on(chan, if on { word } else { &lane_idle }, ctx);
+        }
+        for (c, outcome) in slots.iter().enumerate() {
+            let chan = ChannelId(c as u16);
+            let on = ctx.is_attached(chan);
+            self.on_slot_on(chan, if on { outcome } else { &idle }, ctx);
+        }
+    }
+
+    /// The default channel's slot outcome, via the default
+    /// [`on_slot_on`](Self::on_slot_on).  Defaults to ignoring it, so
+    /// protocols that listen per channel (or not at all) need no dead stub.
     fn on_slot(&mut self, outcome: &SlotOutcome<Self::Msg>, ctx: &mut AsyncCtx<'_, Self::Msg>) {
         let _ = (outcome, ctx);
     }
 
-    /// Called at every slot boundary once **per channel** of the engine's
-    /// [`ChannelSet`], in ascending channel order (a node not attached to a
-    /// channel observes [`SlotOutcome::Idle`] on it).
-    ///
-    /// The default implementation routes the default channel's outcome to
-    /// [`AsyncProtocol::on_slot`] and ignores the rest, so single-channel
-    /// protocols run unchanged on any channel set; multi-channel protocols
-    /// override this method instead.
+    /// Channel `chan`'s message-slot outcome, via the default
+    /// [`on_boundary`](Self::on_boundary).  The default routes the default
+    /// channel to [`on_slot`](Self::on_slot) and ignores the rest, so
+    /// single-channel protocols run unchanged on any channel set;
+    /// multi-channel protocols override this method instead.
     fn on_slot_on(
         &mut self,
         chan: ChannelId,
@@ -107,14 +150,10 @@ pub trait AsyncProtocol {
         }
     }
 
-    /// Called at every slot boundary once **per channel** with the channel's
-    /// lane sub-slot outcome (the word-wide OR-merge surface; see
-    /// [`RoundIo::prev_lanes_on`](crate::RoundIo::prev_lanes_on)), in
-    /// ascending channel order and **before** any of the boundary's
-    /// [`AsyncProtocol::on_slot_on`] calls, so adapters that step on the
-    /// last message-slot callback observe the boundary's lanes too.  A node
-    /// not attached to a channel observes [`LaneOutcome::Idle`].  Defaults
-    /// to ignoring the outcome.
+    /// Channel `chan`'s lane sub-slot outcome (the word-wide OR-merge
+    /// surface; see [`RoundIo::prev_lanes_on`](crate::RoundIo::prev_lanes_on)),
+    /// via the default [`on_boundary`](Self::on_boundary).  Defaults to
+    /// ignoring the outcome.
     fn on_lanes_on(
         &mut self,
         chan: ChannelId,
@@ -143,7 +182,7 @@ pub trait AsyncProtocol {
 /// unicasts and broadcasts is preserved so delivery tie-breaks (event
 /// sequence numbers) match the order the protocol issued them in.
 #[derive(Debug)]
-enum StagedSend<M> {
+pub(crate) enum StagedSend<M> {
     /// `send(to, msg)`.
     One(NodeId, M),
     /// `send_all(msg)` — interned once, fanned out as slab handles.
@@ -152,26 +191,34 @@ enum StagedSend<M> {
 
 /// Output collector handed to the [`AsyncProtocol`] callbacks.
 ///
-/// The send buffer is pooled by the engine and drained after every callback,
-/// so callbacks do not allocate in steady state.
+/// Every buffer behind it is engine-owned, borrowed for the one callback and
+/// folded into the engine afterwards, so callbacks do not allocate in steady
+/// state.  The `pub(crate)` fields are the [`Lockstep`](crate::Lockstep)
+/// adapter's staging surface.
 #[derive(Debug)]
 pub struct AsyncCtx<'a, M> {
     node: NodeId,
     tick: u64,
     neighbors: netsim_graph::Neighbors<'a>,
-    sends: &'a mut Vec<StagedSend<M>>,
-    graveyard: &'a mut Vec<M>,
-    /// Channel writes staged by this callback (pooled engine scratch).
-    chan_writes: &'a mut Vec<(ChannelId, M)>,
-    /// Lane writes staged by this callback (pooled engine scratch).
-    lane_writes: &'a mut Vec<(ChannelId, u64)>,
+    pub(crate) sends: &'a mut Vec<StagedSend<M>>,
+    pub(crate) graveyard: &'a mut Vec<M>,
+    /// Channel writes staged by this callback.
+    pub(crate) chan_writes: &'a mut Vec<(ChannelId, M)>,
+    /// Lane writes staged by this callback.
+    pub(crate) lane_writes: &'a mut Vec<(ChannelId, u64)>,
+    /// The engine's one pooled round-staging buffer, empty between callbacks.
+    pub(crate) outbox: &'a mut OutboxBuffer<M>,
+    /// The engine's pooled per-channel outcome slices: the boundary's
+    /// outcomes during [`AsyncProtocol::on_boundary`], all idle otherwise.
+    pub(crate) slots: &'a [SlotOutcome<M>],
+    pub(crate) lanes: &'a [LaneOutcome],
     /// Channel count of the engine's [`ChannelSet`].
     k: u16,
     /// Attachment bitmask of this node.
-    attached: u64,
+    pub(crate) attached: u64,
     /// Set by [`AsyncCtx::wake_me`]; the engine folds it into the sparse
     /// boundary-dispatch set (ignored under dense dispatch).
-    woken: &'a mut bool,
+    pub(crate) woken: &'a mut bool,
 }
 
 impl<'a, M: Clone> AsyncCtx<'a, M> {
@@ -389,6 +436,27 @@ impl<M> PayloadSlab<M> {
     }
 }
 
+/// The in-flight point-to-point queue and the delay adversary feeding it,
+/// grouped so the send fold schedules deliveries while the engine's other
+/// fields (fault session, slab, send scratch) are borrowed side by side.
+struct Flight {
+    rng: StdRng,
+    /// Min-heap of in-flight messages, ordered by `(tick, sequence)`.
+    heap: BinaryHeap<FlightEvent>,
+    seq: u64,
+}
+
+impl Flight {
+    /// Queues one delivery of the payload in `slot` from `from` to `to`, a
+    /// freshly drawn adversarial delay of `1..=max_delay` ticks after `now`.
+    fn schedule(&mut self, now: u64, max_delay: u64, from: NodeId, to: NodeId, slot: usize) {
+        let when = now + self.rng.gen_range(1..=max_delay);
+        self.seq += 1;
+        self.heap
+            .push(Reverse((when, self.seq, to.index(), from.index(), slot)));
+    }
+}
+
 /// The asynchronous executor.
 pub struct AsyncEngine<'g, P: AsyncProtocol> {
     graph: &'g Graph,
@@ -396,12 +464,9 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     config: AsyncConfig,
     /// The multiaccess channel substrate: `K` channels + per-node attachment.
     channels: ChannelSet,
-    rng: StdRng,
-    /// Min-heap of in-flight messages, ordered by `(tick, sequence)`.
-    in_flight: BinaryHeap<FlightEvent>,
+    flight: Flight,
     /// Slab of in-flight payloads, indexed by the events' payload slots.
     slab: PayloadSlab<P::Msg>,
-    seq: u64,
     /// Channel writes queued for the current slot: at most one per node and
     /// channel, at `slot_writes[v * K + c]`.
     slot_writes: Vec<Option<P::Msg>>,
@@ -419,14 +484,19 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     chan_write_scratch: Vec<(ChannelId, P::Msg)>,
     /// Pooled callback lane-write buffer.
     lane_write_scratch: Vec<(ChannelId, u64)>,
-    /// Pooled per-boundary lane outcomes, one per channel.
+    /// The one round-staging buffer lent to replay adapters through
+    /// [`AsyncCtx`]; unallocated unless a callback uses it.
+    outbox: OutboxBuffer<P::Msg>,
+    /// Pooled per-boundary lane outcomes, one per channel; all idle outside
+    /// a boundary.
     lane_scratch: Vec<LaneOutcome>,
     /// Pooled per-channel lane writer counters; length `K`.
     lane_counts: Vec<u32>,
-    /// Pooled per-boundary slot outcomes, one per channel.  The winners are
-    /// **moved** in from `slot_writes` (never cloned) and parked in the slab
-    /// graveyard after the boundary's callbacks, so heap payloads written to
-    /// a channel are recycled like any delivered message.
+    /// Pooled per-boundary slot outcomes, one per channel; all idle outside
+    /// a boundary.  The winners are **moved** in from `slot_writes` (never
+    /// cloned) and parked in the slab graveyard after the boundary's
+    /// callbacks, so heap payloads written to a channel are recycled like
+    /// any delivered message.
     outcome_scratch: Vec<SlotOutcome<P::Msg>>,
     /// Pooled per-channel writer counters; length `K`.
     chan_counts: Vec<u32>,
@@ -509,6 +579,17 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 graph.node_count()
             );
         }
+        // Validated once here (and kept by `ChannelSet::reattach`), so the
+        // per-callback windows — `AsyncCtx`, the lockstep adapter's
+        // `RoundIo` — never re-check K range, mask fit or lane length.
+        let full = ChannelSet::full_mask(channels.channels());
+        assert!(
+            (1..=MAX_CHANNELS).contains(&channels.channels())
+                && channels
+                    .masks_table()
+                    .is_none_or(|t| t.iter().all(|m| m & !full == 0)),
+            "channel set must have 1..={MAX_CHANNELS} channels and masks within them"
+        );
         let nodes: Vec<P> = graph.nodes().map(&mut init).collect();
         let done_count = nodes.iter().filter(|p| p.is_done()).count();
         let k = channels.channels() as usize;
@@ -516,10 +597,12 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             graph,
             nodes,
             config,
-            rng: StdRng::seed_from_u64(config.seed),
-            in_flight: BinaryHeap::new(),
+            flight: Flight {
+                rng: StdRng::seed_from_u64(config.seed),
+                heap: BinaryHeap::new(),
+                seq: 0,
+            },
             slab: PayloadSlab::new(),
-            seq: 0,
             slot_writes: std::iter::repeat_with(|| None)
                 .take(graph.node_count() * k)
                 .collect(),
@@ -529,6 +612,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             send_scratch: Vec::new(),
             chan_write_scratch: Vec::new(),
             lane_write_scratch: Vec::new(),
+            outbox: OutboxBuffer::new(),
             lane_scratch: vec![LaneOutcome::Idle; k],
             lane_counts: vec![0; k],
             outcome_scratch: (0..k).map(|_| SlotOutcome::Idle).collect(),
@@ -775,18 +859,15 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         (self.nodes, self.cost)
     }
 
-    /// Runs one protocol callback on node `v` with a pooled context, then
-    /// folds its outputs (sends, channel write, done transition) back into
-    /// the engine.
+    /// Runs one protocol callback on node `v` over the engine's pooled
+    /// buffers (borrowed in place, nothing moved out), then folds its
+    /// outputs (sends, channel and lane writes, done transition, wakeup)
+    /// back into the engine.
     fn dispatch<F>(&mut self, v: NodeId, f: F)
     where
         F: FnOnce(&mut P, &mut AsyncCtx<'_, P::Msg>),
     {
-        let mut sends = std::mem::take(&mut self.send_scratch);
-        let mut chan_writes = std::mem::take(&mut self.chan_write_scratch);
-        let mut lane_writes = std::mem::take(&mut self.lane_write_scratch);
-        let mut graveyard = std::mem::take(&mut self.slab.graveyard);
-        let k = self.channels.channels();
+        let k = self.channels.channels() as usize;
         let node = &mut self.nodes[v.index()];
         let was_done = node.is_done();
         let mut woken = false;
@@ -794,16 +875,18 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             node: v,
             tick: self.tick,
             neighbors: self.graph.neighbors(v),
-            sends: &mut sends,
-            graveyard: &mut graveyard,
-            chan_writes: &mut chan_writes,
-            lane_writes: &mut lane_writes,
-            k,
+            sends: &mut self.send_scratch,
+            graveyard: &mut self.slab.graveyard,
+            chan_writes: &mut self.chan_write_scratch,
+            lane_writes: &mut self.lane_write_scratch,
+            outbox: &mut self.outbox,
+            slots: &self.outcome_scratch,
+            lanes: &self.lane_scratch,
+            k: k as u16,
             attached: self.channels.mask(v),
             woken: &mut woken,
         };
         f(node, &mut ctx);
-        self.slab.graveyard = graveyard;
         let now_done = node.is_done();
         self.done_count = self
             .done_count
@@ -819,76 +902,53 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         // reference count only.  The drop coin is keyed by the sending tick
         // and the directed edge — under the lockstep configuration the tick
         // is the round, giving bit-identical drops to the round engines.
-        // (The session is moved out for the fold so the schedule calls can
-        // borrow `self` mutably; it is moved back right after.)
-        let faults = self.faults.take();
-        for staged in sends.drain(..) {
+        let (tick, max_delay) = (self.tick, self.config.max_delay_ticks);
+        let faults = self.faults.as_ref();
+        let drops = |to: NodeId| faults.is_some_and(|s| s.drops_message(tick, v, to));
+        for staged in self.send_scratch.drain(..) {
             match staged {
                 StagedSend::One(to, msg) => {
-                    if faults
-                        .as_ref()
-                        .is_some_and(|s| s.drops_message(self.tick, v, to))
-                    {
-                        self.cost.add_messages(1);
+                    self.cost.add_messages(1);
+                    if drops(to) {
                         self.cost.add_dropped_messages(1);
-                        let k = self.channels.channels() as usize;
                         self.slab.park(msg, k);
                     } else {
                         let slot = self.slab.intern(msg, 1);
-                        self.schedule(v, to, slot);
+                        self.flight.schedule(tick, max_delay, v, to, slot);
                     }
                 }
                 StagedSend::All(msg) => {
                     let targets = self.graph.neighbors(v).targets();
                     debug_assert!(!targets.is_empty());
-                    let surviving = match &faults {
-                        Some(s) => targets
-                            .iter()
-                            .filter(|&&to| !s.drops_message(self.tick, v, to))
-                            .count(),
-                        None => targets.len(),
-                    };
-                    let dropped = (targets.len() - surviving) as u64;
-                    if dropped > 0 {
-                        self.cost.add_messages(dropped);
-                        self.cost.add_dropped_messages(dropped);
-                    }
+                    let surviving = targets.iter().filter(|&&to| !drops(to)).count();
+                    self.cost.add_messages(targets.len() as u64);
+                    self.cost
+                        .add_dropped_messages((targets.len() - surviving) as u64);
                     if surviving == 0 {
-                        let k = self.channels.channels() as usize;
                         self.slab.park(msg, k);
                     } else {
                         let slot = self.slab.intern(msg, surviving as u32);
-                        for &to in targets {
-                            if faults
-                                .as_ref()
-                                .is_some_and(|s| s.drops_message(self.tick, v, to))
-                            {
-                                continue;
-                            }
-                            self.schedule(v, to, slot);
+                        for &to in targets.iter().filter(|&&to| !drops(to)) {
+                            self.flight.schedule(tick, max_delay, v, to, slot);
                         }
                     }
                 }
             }
         }
-        self.faults = faults;
-        self.send_scratch = sends;
 
         // Fold the staged channel writes into the per-(node, channel) queue;
         // only the last request per channel per slot counts, a replaced
         // payload retires to the graveyard for recycling.
-        let k = k as usize;
-        for (chan, msg) in chan_writes.drain(..) {
+        for (chan, msg) in self.chan_write_scratch.drain(..) {
             let queued = &mut self.slot_writes[v.index() * k + chan.index()];
             match queued.replace(msg) {
                 Some(old) => self.slab.park(old, k),
                 None => self.writers.push((v, chan)),
             }
         }
-        self.chan_write_scratch = chan_writes;
 
         // Lane words OR-merge per (node, channel) instead of replacing.
-        for (chan, word) in lane_writes.drain(..) {
+        for (chan, word) in self.lane_write_scratch.drain(..) {
             let queued = &mut self.lane_slot_writes[v.index() * k + chan.index()];
             match queued {
                 Some(w) => *w |= word,
@@ -898,18 +958,6 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 }
             }
         }
-        self.lane_write_scratch = lane_writes;
-    }
-
-    /// Queues one delivery of the payload in `slot` from `from` to `to`
-    /// after a freshly drawn adversarial delay.
-    fn schedule(&mut self, from: NodeId, to: NodeId, slot: usize) {
-        let delay = self.rng.gen_range(1..=self.config.max_delay_ticks);
-        let when = self.tick + delay;
-        self.seq += 1;
-        self.in_flight
-            .push(Reverse((when, self.seq, to.index(), from.index(), slot)));
-        self.cost.add_messages(1);
     }
 
     /// Returns `true` when every node is done, nothing is in flight, and no
@@ -918,17 +966,17 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// can never take another callback.
     pub fn is_quiescent(&self) -> bool {
         self.done_count + self.undone_exempt == self.nodes.len()
-            && self.in_flight.is_empty()
+            && self.flight.heap.is_empty()
             && self.writers.is_empty()
             && self.lane_writers.is_empty()
     }
 
     fn deliver_due(&mut self) {
-        while let Some(&Reverse((when, _, _, _, _))) = self.in_flight.peek() {
+        while let Some(&Reverse((when, _, _, _, _))) = self.flight.heap.peek() {
             if when > self.tick {
                 break;
             }
-            let Reverse((_, _, to, from, slot)) = self.in_flight.pop().expect("peeked");
+            let Reverse((_, _, to, from, slot)) = self.flight.heap.pop().expect("peeked");
             // Check the payload out of the slab for the duration of the
             // callback (the callback may intern new payloads into the same
             // slab), then check it back in: it stays in its slot while other
@@ -957,8 +1005,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         // counterpart delivers a handle); colliding payloads retire straight
         // to the graveyard.  Everything here is pooled.
         let k = self.channels.channels() as usize;
-        let mut outcomes = std::mem::take(&mut self.outcome_scratch);
-        debug_assert!(outcomes.iter().all(SlotOutcome::is_idle));
+        debug_assert!(self.outcome_scratch.iter().all(SlotOutcome::is_idle));
         self.chan_counts.fill(0);
         for i in 0..self.writers.len() {
             let (v, chan) = self.writers[i];
@@ -967,8 +1014,10 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 .take()
                 .expect("queued write");
             self.chan_counts[c] += 1;
-            match std::mem::replace(&mut outcomes[c], SlotOutcome::Collision) {
-                SlotOutcome::Idle => outcomes[c] = SlotOutcome::Success { from: v, msg },
+            match std::mem::replace(&mut self.outcome_scratch[c], SlotOutcome::Collision) {
+                SlotOutcome::Idle => {
+                    self.outcome_scratch[c] = SlotOutcome::Success { from: v, msg }
+                }
                 SlotOutcome::Success { msg: prev, .. } => {
                     self.slab.park(prev, k);
                     self.slab.park(msg, k);
@@ -981,8 +1030,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         self.writers.clear();
         // Lane sub-slots fold the same way, except words OR together instead
         // of colliding.
-        let mut lane_outcomes = std::mem::take(&mut self.lane_scratch);
-        debug_assert!(lane_outcomes.iter().all(LaneOutcome::is_idle));
+        debug_assert!(self.lane_scratch.iter().all(LaneOutcome::is_idle));
         self.lane_counts.fill(0);
         for i in 0..self.lane_writers.len() {
             let (v, chan) = self.lane_writers[i];
@@ -991,7 +1039,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 .take()
                 .expect("queued lane write");
             self.lane_counts[c] += 1;
-            lane_outcomes[c] = match lane_outcomes[c] {
+            self.lane_scratch[c] = match self.lane_scratch[c] {
                 LaneOutcome::Idle => LaneOutcome::Word(word),
                 LaneOutcome::Word(w) => LaneOutcome::Word(w | word),
                 LaneOutcome::Erased => unreachable!("erasure happens post-fold"),
@@ -1022,7 +1070,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 // The winner's payload (if any) is discarded at the resolve
                 // boundary and recycled like any retired message.
                 if let SlotOutcome::Success { msg, .. } =
-                    std::mem::replace(&mut outcomes[c], SlotOutcome::Erased)
+                    std::mem::replace(&mut self.outcome_scratch[c], SlotOutcome::Erased)
                 {
                     self.slab.park(msg, k);
                 }
@@ -1046,7 +1094,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 .as_ref()
                 .is_some_and(|s| s.erases_slot(erase_round, chan))
             {
-                lane_outcomes[c] = LaneOutcome::Erased;
+                self.lane_scratch[c] = LaneOutcome::Erased;
                 self.cost.add_erased_lanes(u64::from(count));
                 self.chan_cost[c].add_erased_lanes(u64::from(count));
             } else {
@@ -1055,7 +1103,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                     .as_ref()
                     .and_then(|s| s.corrupts_lane(erase_round, chan))
                 {
-                    if let LaneOutcome::Word(w) = &mut lane_outcomes[c] {
+                    if let LaneOutcome::Word(w) = &mut self.lane_scratch[c] {
                         *w ^= 1u64 << bit;
                     }
                     self.cost.add_corrupted_payloads(1);
@@ -1071,8 +1119,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         // (uniform attachment short-circuits to a dispatch-all boundary).
         if self.sparse {
             let mut nonidle_mask = 0u64;
-            for (c, outcome) in outcomes.iter().enumerate() {
-                if !outcome.is_idle() || !lane_outcomes[c].is_idle() {
+            for (c, outcome) in self.outcome_scratch.iter().enumerate() {
+                if !outcome.is_idle() || !self.lane_scratch[c].is_idle() {
                     nonidle_mask |= 1 << c;
                 }
             }
@@ -1092,50 +1140,24 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             }
         }
 
-        // Dispatch the boundary.  Dense (or a dispatch-all wake): every node
-        // hears every channel it is attached to, in ascending channel order
-        // (unattached channels observe `Idle`) — one dispatch per node, so
-        // the per-callback bookkeeping (buffer swaps, done tracking, send
-        // draining) is not multiplied by K.  Non-operational nodes hear
-        // nothing.  Sparse: only the marked nodes, in ascending node index —
-        // identical to dense for boundary-safe protocols, because a skipped
-        // callback would have observed only idle outcomes and staged
-        // nothing (in particular, no RNG draws are skipped).
-        let idle = SlotOutcome::Idle;
-        let lane_idle = LaneOutcome::Idle;
+        // Dispatch the boundary: one `on_boundary` call per node over the
+        // pooled outcome slices, so the per-callback bookkeeping (done
+        // tracking, send draining) is not multiplied by K.  Dense (or a
+        // dispatch-all wake): every operational node.  Sparse: only the
+        // marked nodes, in ascending node index — identical to dense for
+        // boundary-safe protocols, because a skipped callback would have
+        // observed only idle outcomes and staged nothing (in particular, no
+        // RNG draws are skipped).
         if self.sparse && !self.wake_all {
             // Wakes raised *during* these callbacks are self-wakes of the
             // node being dispatched (its bit is already cleared below), so
             // they accumulate cleanly for the next boundary.
-            let wake_list = std::mem::take(&mut self.wake_list);
-            let mut list = wake_list;
+            let mut list = std::mem::take(&mut self.wake_list);
             list.sort_unstable();
             for &vi in &list {
                 let v = vi as usize;
                 self.wake_bits[v >> 6] &= !(1u64 << (v & 63));
-                let v = NodeId(v);
-                if !self.is_node_operational(v) {
-                    continue;
-                }
-                let attached = self.channels.mask(v);
-                self.dispatch(v, |node, ctx| {
-                    for (c, lanes) in lane_outcomes.iter().enumerate() {
-                        let heard = if attached & (1 << c) != 0 {
-                            lanes
-                        } else {
-                            &lane_idle
-                        };
-                        node.on_lanes_on(ChannelId(c as u16), heard, ctx);
-                    }
-                    for (c, outcome) in outcomes.iter().enumerate() {
-                        let heard = if attached & (1 << c) != 0 {
-                            outcome
-                        } else {
-                            &idle
-                        };
-                        node.on_slot_on(ChannelId(c as u16), heard, ctx);
-                    }
-                });
+                self.dispatch_boundary(NodeId(v));
             }
             // Hand the (drained) buffer back without clobbering wakes the
             // callbacks just accumulated into `self.wake_list`.
@@ -1150,41 +1172,26 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 self.wake_list.clear();
             }
             for v in self.graph.nodes() {
-                if !self.is_node_operational(v) {
-                    continue;
-                }
-                let attached = self.channels.mask(v);
-                self.dispatch(v, |node, ctx| {
-                    for (c, lanes) in lane_outcomes.iter().enumerate() {
-                        let heard = if attached & (1 << c) != 0 {
-                            lanes
-                        } else {
-                            &lane_idle
-                        };
-                        node.on_lanes_on(ChannelId(c as u16), heard, ctx);
-                    }
-                    for (c, outcome) in outcomes.iter().enumerate() {
-                        let heard = if attached & (1 << c) != 0 {
-                            outcome
-                        } else {
-                            &idle
-                        };
-                        node.on_slot_on(ChannelId(c as u16), heard, ctx);
-                    }
-                });
+                self.dispatch_boundary(v);
             }
         }
 
         // Retire the boundary's winning payloads for recycling.
-        for outcome in &mut outcomes {
+        for outcome in &mut self.outcome_scratch {
             if let SlotOutcome::Success { msg, .. } = std::mem::replace(outcome, SlotOutcome::Idle)
             {
                 self.slab.park(msg, k);
             }
         }
-        self.outcome_scratch = outcomes;
-        lane_outcomes.fill(LaneOutcome::Idle);
-        self.lane_scratch = lane_outcomes;
+        self.lane_scratch.fill(LaneOutcome::Idle);
+    }
+
+    /// Hands node `v` the boundary resolved into the pooled outcome slices;
+    /// non-operational nodes hear nothing.
+    fn dispatch_boundary(&mut self, v: NodeId) {
+        if self.is_node_operational(v) {
+            self.dispatch(v, |node, ctx| node.on_boundary(ctx.slots, ctx.lanes, ctx));
+        }
     }
 
     /// Runs until quiescence or until `max_ticks` ticks have elapsed.
@@ -1532,6 +1539,177 @@ mod tests {
         assert_eq!(eng.cost().slots_collision, 0);
         assert_eq!(eng.cost().erased_slots, 1);
         assert_eq!(eng.cost().channel_writes, 5);
+    }
+
+    /// One per-channel observation of a boundary, as a node heard it.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Heard {
+        Lanes(ChannelId, LaneOutcome),
+        Slot(ChannelId, SlotOutcome<u8>),
+    }
+
+    /// State shared by the two recording twins: node `id` keys its own
+    /// channel on a fixed schedule for `left` more boundaries, re-arming
+    /// itself so sparse dispatch keeps calling it.
+    struct Tape {
+        id: NodeId,
+        left: u32,
+        heard: Vec<Heard>,
+    }
+    impl Tape {
+        fn act(&mut self, ctx: &mut AsyncCtx<'_, u8>) {
+            if self.left == 0 {
+                return;
+            }
+            let own = ChannelId((self.id.index() % usize::from(ctx.channels())) as u16);
+            assert!(ctx.is_attached(own));
+            // One member of the channel's shard keys it per boundary (a
+            // success) except when the whole shard does (a collision).
+            let turn = self.id.index() as u32 / u32::from(ctx.channels()) + self.left;
+            if turn.is_multiple_of(4) || self.left.is_multiple_of(5) {
+                ctx.write_channel_on(own, self.id.index() as u8);
+            }
+            if turn.is_multiple_of(2) {
+                ctx.write_lanes_on(own, 1 << self.id.index());
+            }
+            self.left -= 1;
+            ctx.wake_me();
+        }
+    }
+
+    /// Implements only the per-channel callbacks: everything it hears comes
+    /// through `on_boundary`'s default fan-out.
+    struct PerChannel(Tape);
+    impl AsyncProtocol for PerChannel {
+        type Msg = u8;
+        fn on_start(&mut self, ctx: &mut AsyncCtx<'_, u8>) {
+            self.0.act(ctx);
+        }
+        fn on_message(&mut self, _f: NodeId, _m: &u8, _c: &mut AsyncCtx<'_, u8>) {}
+        fn on_lanes_on(&mut self, chan: ChannelId, lanes: &LaneOutcome, _c: &mut AsyncCtx<'_, u8>) {
+            self.0.heard.push(Heard::Lanes(chan, *lanes));
+        }
+        fn on_slot_on(&mut self, chan: ChannelId, o: &SlotOutcome<u8>, ctx: &mut AsyncCtx<'_, u8>) {
+            self.0.heard.push(Heard::Slot(chan, o.clone()));
+            if chan.0 + 1 == ctx.channels() {
+                self.0.act(ctx);
+            }
+        }
+        fn is_done(&self) -> bool {
+            self.0.left == 0
+        }
+    }
+
+    /// The twin that overrides `on_boundary` and gates by attachment itself.
+    struct Batched(Tape);
+    impl AsyncProtocol for Batched {
+        type Msg = u8;
+        fn on_start(&mut self, ctx: &mut AsyncCtx<'_, u8>) {
+            self.0.act(ctx);
+        }
+        fn on_message(&mut self, _f: NodeId, _m: &u8, _c: &mut AsyncCtx<'_, u8>) {}
+        fn on_boundary(
+            &mut self,
+            slots: &[SlotOutcome<u8>],
+            lanes: &[LaneOutcome],
+            ctx: &mut AsyncCtx<'_, u8>,
+        ) {
+            assert_eq!((slots.len(), lanes.len()), (3, 3), "one entry per channel");
+            for c in 0..ctx.channels() {
+                let word = lanes[usize::from(c)];
+                let on = ctx.is_attached(ChannelId(c));
+                let heard = if on { word } else { LaneOutcome::Idle };
+                self.0.heard.push(Heard::Lanes(ChannelId(c), heard));
+            }
+            for c in 0..ctx.channels() {
+                let outcome = slots[usize::from(c)].clone();
+                let on = ctx.is_attached(ChannelId(c));
+                let heard = if on { outcome } else { SlotOutcome::Idle };
+                self.0.heard.push(Heard::Slot(ChannelId(c), heard));
+            }
+            self.0.act(ctx);
+        }
+        fn is_done(&self) -> bool {
+            self.0.left == 0
+        }
+    }
+
+    /// Runs a twin on a 12-node ring sharded over 3 channels and returns
+    /// every node's tape.
+    fn record<P: AsyncProtocol<Msg = u8>>(
+        wrap: fn(Tape) -> P,
+        tape: fn(&P) -> &Tape,
+        sparse: bool,
+        plan: Option<FaultPlan>,
+    ) -> Vec<Vec<Heard>> {
+        let g = generators::ring(12);
+        let channels = ChannelSet::sharded(3, 12, |v| ChannelId((v.index() % 3) as u16));
+        let mut eng = AsyncEngine::with_channels(&g, AsyncConfig::default(), channels, |id| {
+            wrap(Tape {
+                id,
+                left: 10,
+                heard: Vec::new(),
+            })
+        });
+        if sparse {
+            eng.enable_sparse_boundaries();
+        }
+        if let Some(plan) = plan {
+            eng.set_fault_plan(plan);
+        }
+        assert!(eng.run(1_000));
+        eng.nodes().iter().map(|p| tape(p).heard.clone()).collect()
+    }
+
+    #[test]
+    fn default_boundary_fan_out_contract() {
+        let erasures = || Some(FaultPlan::from_rates(5, 0.4, 0.0, 0.0, 0.0));
+        for plan in [None, erasures()] {
+            let faulted = plan.is_some();
+            let dense = record(PerChannel, |p| &p.0, false, plan.clone());
+            // Per boundary: K lane callbacks ascending, then K slot callbacks
+            // ascending; a channel the node is not attached to reads idle.
+            for (v, heard) in dense.iter().enumerate() {
+                assert_eq!(heard.len(), 10 * 6, "node {v} heard every boundary");
+                for boundary in heard.chunks(6) {
+                    for (c, h) in boundary.iter().enumerate() {
+                        let chan = ChannelId((c % 3) as u16);
+                        let idle = match h {
+                            Heard::Lanes(at, o) => {
+                                assert!(c < 3 && *at == chan, "lanes first, ascending");
+                                o.is_idle()
+                            }
+                            Heard::Slot(at, o) => {
+                                assert!(c >= 3 && *at == chan, "then slots, ascending");
+                                o.is_idle()
+                            }
+                        };
+                        assert!(idle || c % 3 == v % 3, "unattached channel heard busy");
+                    }
+                }
+            }
+            let all = dense.concat();
+            assert!(all
+                .iter()
+                .any(|h| matches!(h, Heard::Slot(_, o) if o.is_success())));
+            assert!(all
+                .iter()
+                .any(|h| matches!(h, Heard::Slot(_, o) if o.is_collision())));
+            assert!(all
+                .iter()
+                .any(|h| matches!(h, Heard::Lanes(_, LaneOutcome::Word(_)))));
+            assert_eq!(
+                faulted,
+                all.iter()
+                    .any(|h| matches!(h, Heard::Slot(_, o) if o.is_erased())),
+                "the erasure plan (and only it) erases slots"
+            );
+            // Sparse dispatch and the `on_boundary`-overriding twin observe
+            // exactly the same tapes.
+            assert_eq!(dense, record(PerChannel, |p| &p.0, true, plan.clone()));
+            assert_eq!(dense, record(Batched, |p| &p.0, false, plan.clone()));
+            assert_eq!(dense, record(Batched, |p| &p.0, true, plan));
+        }
     }
 
     #[test]

@@ -412,10 +412,9 @@ impl<'g> EngineBuilder<'g> {
         &self,
         mut init: F,
     ) -> AsyncEngine<'g, Lockstep<P>> {
-        let k = self.channels.channels();
         let mut eng =
             AsyncEngine::with_channels(self.graph, lockstep_config(), self.channels.clone(), |v| {
-                Lockstep::new(init(v), k)
+                Lockstep::new(init(v))
             });
         if self.sparse {
             eng.enable_sparse_boundaries();

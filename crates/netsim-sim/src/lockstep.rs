@@ -25,9 +25,9 @@
 //! wire-format sibling of this adapter's slot-boundary discipline, and the
 //! fourth substrate of the conformance matrix.
 
-use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncProtocol};
-use crate::channel::{ChannelId, LaneOutcome, SlotOutcome};
-use crate::node::{Inbox, OutboxBuffer, Protocol, RoundIo};
+use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncProtocol, StagedSend};
+use crate::channel::{LaneOutcome, SlotOutcome};
+use crate::node::{Inbox, Protocol, RoundIo, Slots};
 use netsim_graph::NodeId;
 
 /// The [`AsyncConfig`] under which [`Lockstep`] replays the synchronous
@@ -94,9 +94,14 @@ pub fn reconciled_cost_faulted(
 
 /// Adapter that replays a synchronous [`Protocol`] on the
 /// [`AsyncEngine`](crate::AsyncEngine) in lockstep (see the module docs).
-/// The engine delivers every channel's outcome per boundary (ascending
-/// channel order, per node); the adapter buffers them and steps the inner
-/// protocol after the last one.
+///
+/// The adapter owns **no buffers** besides the round's inbox: it overrides
+/// [`AsyncProtocol::on_boundary`] and builds the inner protocol's
+/// [`RoundIo`] directly over the engine's pooled per-channel outcome slices
+/// (one borrowed broadcast per boundary — a slot winner is never cloned per
+/// node) and over the one [`OutboxBuffer`](crate::OutboxBuffer) the engine
+/// lends through [`AsyncCtx`], whose staged outputs it forwards onto the
+/// context before returning.
 #[derive(Debug)]
 pub struct Lockstep<P: Protocol> {
     inner: P,
@@ -104,24 +109,14 @@ pub struct Lockstep<P: Protocol> {
     /// by sender index (stably — preserving per-sender send order) before
     /// each step to reproduce the synchronous inbox contract.
     inbox: Vec<(NodeId, P::Msg)>,
-    /// Per-channel outcomes of the boundary being delivered.
-    slots: Vec<SlotOutcome<P::Msg>>,
-    /// Per-channel lane words of the boundary being delivered (the engine
-    /// fires `on_lanes_on` for every channel before any `on_slot_on`, so
-    /// these are complete by the time the last slot callback steps us).
-    lanes: Vec<LaneOutcome>,
-    outbox: OutboxBuffer<P::Msg>,
 }
 
 impl<P: Protocol> Lockstep<P> {
-    /// Wraps a protocol instance for a `k`-channel engine.
-    pub fn new(inner: P, k: u16) -> Self {
+    /// Wraps a protocol instance.
+    pub fn new(inner: P) -> Self {
         Lockstep {
             inner,
             inbox: Vec::new(),
-            slots: (0..k).map(|_| SlotOutcome::Idle).collect(),
-            lanes: vec![LaneOutcome::Idle; usize::from(k)],
-            outbox: OutboxBuffer::new(),
         }
     }
 
@@ -142,47 +137,53 @@ impl<P: Protocol> Lockstep<P> {
         self.inner
     }
 
-    fn step_sync(&mut self, ctx: &mut AsyncCtx<'_, P::Msg>) {
+    /// Steps the inner protocol once over the given per-channel outcomes.
+    fn step_sync(
+        &mut self,
+        slots: &[SlotOutcome<P::Msg>],
+        lanes: &[LaneOutcome],
+        ctx: &mut AsyncCtx<'_, P::Msg>,
+    ) {
         self.inbox.sort_by_key(|&(from, _)| from.index());
-        // Replay the node's real attachment so is_attached / the
-        // write_channel_on gate behave exactly as on the synchronous
-        // engines, sharded channel sets included.
-        let attached = (0..ctx.channels())
-            .filter(|&c| ctx.is_attached(ChannelId(c)))
-            .fold(0u64, |mask, c| mask | 1 << c);
-        // The round index is the engine's tick, not a local counter: under
-        // the lockstep configuration boundary `t` steps round `t`, and a
-        // node that missed steps while crashed must resume at the *current*
-        // round, not where its own count left off.
-        let mut io = RoundIo::detached_multi(
-            ctx.id(),
-            ctx.tick(),
-            ctx.neighbors(),
-            Inbox::direct(&self.inbox),
-            &self.slots,
-            &mut self.outbox,
-        )
-        .with_attachment(attached)
-        .with_lanes(&self.lanes);
+        // The inner protocol recycles from the staging arena, the engine
+        // retires payloads to its own graveyard: bridge one across.
+        if ctx.outbox.arena.recyclable() == 0 {
+            if let Some(dead) = ctx.graveyard.pop() {
+                ctx.outbox.arena.donate(dead);
+            }
+        }
+        // The window replays the node's real attachment (sharded channel
+        // sets included) and trusts the K range / mask fit / lane length the
+        // engine validated at construction.  The round index is the engine's
+        // tick, not a local counter: under the lockstep configuration
+        // boundary `t` steps round `t`, and a node that missed steps while
+        // crashed must resume at the *current* round.
+        let mut io = RoundIo {
+            node: ctx.id(),
+            round: ctx.tick(),
+            neighbors: ctx.neighbors(),
+            inbox: Inbox::direct(&self.inbox),
+            slots: Slots::Direct(slots),
+            lanes,
+            attached: ctx.attached,
+            outbox: &mut *ctx.outbox,
+        };
         self.inner.step(&mut io);
         self.inbox.clear();
-        // Forward the inner protocol's wakeup requests onto the engine's
-        // boundary-wake substrate, so a `wake_me`-adopting protocol keeps
-        // its self-arming semantics under sparse boundary dispatch.
-        let mut woken = false;
-        self.outbox.take_wakes(|_| woken = true);
-        if woken {
-            ctx.wake_me();
-        }
-        // Channel writes move out before the sends: draining the sends
-        // retires the payload epoch the write handles point into.
-        self.outbox
-            .take_channel_writes(|chan, _, msg| ctx.write_channel_on(chan, msg));
-        self.outbox
-            .take_lane_writes(|chan, _, word| ctx.write_lanes_on(chan, word));
-        for (to, msg) in self.outbox.drain_sends() {
-            ctx.send(to, msg);
-        }
+        // Forward the staged outputs onto the context (the window already
+        // applied the neighbour / attachment / K checks).  A wakeup request
+        // keeps a `wake_me`-adopting protocol self-arming under sparse
+        // boundary dispatch; channel writes move out before the sends,
+        // whose drain retires the payload epoch the write handles point into.
+        let outbox = &mut *ctx.outbox;
+        outbox.take_wakes(|_| *ctx.woken = true);
+        outbox.take_channel_writes(|chan, _, msg| ctx.chan_writes.push((chan, msg)));
+        outbox.take_lane_writes(|chan, _, word| ctx.lane_writes.push((chan, word)));
+        ctx.sends.extend(
+            outbox
+                .drain_sends()
+                .map(|(to, msg)| StagedSend::One(to, msg)),
+        );
     }
 }
 
@@ -190,37 +191,22 @@ impl<P: Protocol> AsyncProtocol for Lockstep<P> {
     type Msg = P::Msg;
 
     fn on_start(&mut self, ctx: &mut AsyncCtx<'_, Self::Msg>) {
-        // Round 0 observes the axiomatic all-idle slots preceding time 0.
-        for slot in &mut self.slots {
-            *slot = SlotOutcome::Idle;
-        }
-        self.lanes.fill(LaneOutcome::Idle);
-        self.step_sync(ctx);
+        // Round 0 observes the axiomatic all-idle slots preceding time 0:
+        // outside a boundary the pooled outcome slices are exactly that.
+        self.step_sync(ctx.slots, ctx.lanes, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: &Self::Msg, _ctx: &mut AsyncCtx<'_, Self::Msg>) {
         self.inbox.push((from, msg.clone()));
     }
 
-    fn on_lanes_on(
+    fn on_boundary(
         &mut self,
-        chan: ChannelId,
-        lanes: &LaneOutcome,
-        _ctx: &mut AsyncCtx<'_, Self::Msg>,
-    ) {
-        self.lanes[chan.index()] = *lanes;
-    }
-
-    fn on_slot_on(
-        &mut self,
-        chan: ChannelId,
-        outcome: &SlotOutcome<Self::Msg>,
+        slots: &[SlotOutcome<Self::Msg>],
+        lanes: &[LaneOutcome],
         ctx: &mut AsyncCtx<'_, Self::Msg>,
     ) {
-        self.slots[chan.index()] = outcome.clone();
-        if chan.index() + 1 == self.slots.len() {
-            self.step_sync(ctx);
-        }
+        self.step_sync(slots, lanes, ctx);
     }
 
     fn is_done(&self) -> bool {
@@ -229,10 +215,8 @@ impl<P: Protocol> AsyncProtocol for Lockstep<P> {
 
     fn on_recover(&mut self) {
         // Forward the lifecycle hook to the wrapped synchronous protocol.
-        // The adapter's own buffers need no reset: the inbox is always empty
-        // outside a tick (deliveries to a crashed node are gated by the
-        // engine), and every slot buffer entry is overwritten at the next
-        // boundary before the inner protocol steps again.
+        // The inbox needs no reset: it is always empty outside a tick
+        // (deliveries to a crashed node are gated by the engine).
         self.inner.on_recover();
     }
 }
@@ -281,7 +265,7 @@ mod tests {
         assert!(sync.run(100).is_completed());
         let mut lock =
             AsyncEngine::with_channels(&g, lockstep_config(), ChannelSet::single(), |v| {
-                Lockstep::new(init(v), 1)
+                Lockstep::new(init(v))
             });
         assert!(lock.run(100));
         for v in g.nodes() {

@@ -15,6 +15,12 @@
 //!    [`SyncEngine`], through the payload arena's intern + recycle loop;
 //! 5. the same for the [`AsyncEngine`]'s refcounted payload slab.
 //!
+//! A second test pins the lockstep substrate (`EngineBuilder::build_lockstep`):
+//! construction allocations independent of `n`, 0 allocations per
+//! steady-state round for `u64` and `Vec<u8>`-frame payloads, and **zero**
+//! clones of slot winners — a boundary is one borrowed broadcast, not a
+//! private copy per node.
+//!
 //! A separate test covers the arena-reuse property: over a 1 000-round run
 //! the payload slab's capacity and high-water mark stay at one round's
 //! traffic (handles freed by the expiry of round `r` are reissued in round
@@ -22,8 +28,9 @@
 
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
-    protocols::TreeBroadcast, AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, ChannelId,
-    ChannelSet, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
+    protocols::{ChannelShardedSum, TreeBroadcast},
+    AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, ChannelId, ChannelSet, EngineBuilder,
+    EngineControl, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -33,6 +40,7 @@ use std::cell::Cell;
 // it inside the allocator cannot recurse into lazy TLS initialisation.
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static FRAME_CLONES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bump() {
@@ -73,6 +81,23 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
+}
+
+/// A `Vec<u8>` frame that counts its clones on the current thread, so a
+/// substrate that copies slot winners per listener is caught even when the
+/// copies happen not to allocate.
+#[derive(Default)]
+struct CountedFrame(Vec<u8>);
+
+impl Clone for CountedFrame {
+    fn clone(&self) -> Self {
+        FRAME_CLONES.with(|c| c.set(c.get() + 1));
+        CountedFrame(self.0.clone())
+    }
+}
+
+fn frame_clones() -> u64 {
+    FRAME_CLONES.with(Cell::get)
 }
 
 /// Constant-traffic heartbeat: every node sends its running accumulator to
@@ -217,8 +242,8 @@ struct ChannelFrameHeartbeat {
 }
 
 impl Protocol for ChannelFrameHeartbeat {
-    type Msg = Vec<u8>;
-    fn step(&mut self, io: &mut RoundIo<'_, Vec<u8>>) {
+    type Msg = CountedFrame;
+    fn step(&mut self, io: &mut RoundIo<'_, CountedFrame>) {
         assert!(
             io.prev_slot().is_idle(),
             "nothing ever writes the default channel"
@@ -227,15 +252,15 @@ impl Protocol for ChannelFrameHeartbeat {
             self.acc = self
                 .acc
                 .wrapping_add(from.index() as u64)
-                .wrapping_add(u64::from(msg[0]))
-                .wrapping_add(msg.len() as u64);
+                .wrapping_add(u64::from(msg.0[0]))
+                .wrapping_add(msg.0.len() as u64);
         }
         if self.rounds_left > 0 {
             self.rounds_left -= 1;
             if io.round() % self.n as u64 == self.id.index() as u64 {
                 let mut frame = io.recycle_payload().unwrap_or_default();
-                frame.clear();
-                frame.resize(64, (self.acc & 0xff) as u8);
+                frame.0.clear();
+                frame.0.resize(64, (self.acc & 0xff) as u8);
                 io.write_channel_on(ChannelId(1), frame);
             }
         }
@@ -466,6 +491,81 @@ fn engines_meet_their_allocation_contracts() {
          non-default-channel Vec<u8> slots"
     );
     assert!(async_chan_frames.cost().slots_success > 100);
+}
+
+/// Allocations and winner clones of `rounds` lockstep rounds.
+fn lockstep_rounds<P: Protocol>(eng: &mut impl EngineControl<P>, rounds: u32) -> (u64, u64) {
+    let before = (allocs(), frame_clones());
+    for _ in 0..rounds {
+        eng.step_round();
+    }
+    (allocs() - before.0, frame_clones() - before.1)
+}
+
+/// The lockstep substrate keeps no per-node buffers: its adapters step over
+/// the async engine's pooled boundary slices and one lent staging buffer.
+#[test]
+fn lockstep_substrate_is_pooled_and_clone_free() {
+    // Construction plus the `on_start` round: O(1) allocations whatever n.
+    let build_allocs = |n: usize| {
+        let ring = generators::ring(n);
+        let builder = EngineBuilder::new(&ring).channels(ChannelShardedSum::channel_set(n, 4));
+        let before = allocs();
+        let mut eng = builder.build_lockstep(|v| ChannelShardedSum::new(v, n, 4, 1));
+        eng.step_round();
+        allocs() - before
+    };
+    let small = build_allocs(256);
+    assert_eq!(
+        small,
+        build_allocs(2048),
+        "lockstep construction allocations grow with n"
+    );
+    assert!(small < 40, "lockstep construction made {small} allocations");
+
+    // `u64` payloads: the sharded sum at 0 allocations per round.
+    let n = 512;
+    let ring = generators::ring(n);
+    let mut sum = EngineBuilder::new(&ring)
+        .channels(ChannelShardedSum::channel_set(n, 4))
+        .build_lockstep(|v| ChannelShardedSum::new(v, n, 4, v.index() as u64));
+    lockstep_rounds(&mut sum, 16);
+    let (sum_allocs, _) = lockstep_rounds(&mut sum, 40);
+    assert_eq!(
+        sum_allocs, 0,
+        "lockstep ChannelShardedSum allocated {sum_allocs} times over 40 steady-state rounds"
+    );
+    assert!(
+        !sum.is_quiescent(),
+        "the sum finished during the measurement"
+    );
+    assert!(sum.cost().slots_success >= 40);
+
+    // `Vec<u8>` frames over a non-default channel: every node hears the
+    // round's winner, nobody clones it, and its buffer comes back to the
+    // next writer through the engine's graveyard.
+    let grid = generators::Family::Grid.generate(64, 7);
+    let n = grid.node_count();
+    let mut frames = EngineBuilder::new(&grid)
+        .channels(ChannelSet::uniform(2))
+        .build_lockstep(|id| ChannelFrameHeartbeat {
+            id,
+            n,
+            acc: 1,
+            rounds_left: 64,
+        });
+    lockstep_rounds(&mut frames, 8);
+    let (frame_allocs, winner_clones) = lockstep_rounds(&mut frames, 40);
+    assert_eq!(
+        frame_allocs, 0,
+        "lockstep allocated {frame_allocs} times over 40 steady-state Vec<u8> channel rounds"
+    );
+    assert_eq!(
+        winner_clones, 0,
+        "lockstep cloned slot winners {winner_clones} times over 40 rounds"
+    );
+    assert!(frames.cost().slots_success >= 40);
+    assert!(frames.nodes().iter().all(|p| p.inner().acc > 1));
 }
 
 /// `TreeBroadcast` steady state: once a node has forwarded, its step must

@@ -339,7 +339,7 @@ where
     let cfg = lockstep_config();
     let k = channels.channels();
     let mut eng = AsyncEngine::with_channels(g, cfg, channels.clone(), |v| {
-        Lockstep::new(Traced::new(init(v)), k)
+        Lockstep::new(Traced::new(init(v)))
     });
     if sparse {
         eng.enable_sparse_boundaries();
@@ -539,7 +539,7 @@ pub fn assert_conformant_reattach<P, F>(
     let lockstep = {
         let k = channels.channels();
         let mut eng = AsyncEngine::with_channels(g, lockstep_config(), channels.clone(), |v| {
-            Lockstep::new(Traced::new(init(v)), k)
+            Lockstep::new(Traced::new(init(v)))
         });
         let mut next = 0;
         let mut tick = 0u64;

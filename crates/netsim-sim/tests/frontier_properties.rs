@@ -356,7 +356,7 @@ proptest! {
         let run_async = |sparse: bool| {
             let mut eng =
                 AsyncEngine::with_channels(&g, lockstep_config(), channels.clone(), |v| {
-                    Lockstep::new(init(v), k)
+                    Lockstep::new(init(v))
                 });
             if sparse {
                 eng.enable_sparse_boundaries();
