@@ -43,6 +43,33 @@
 //! What is *not* deterministic: wall-clock timing, datagram order on the
 //! wire, and `bytes_sent` if the frame layout changes between versions.
 //!
+//! ## Round shape and datagram layout
+//!
+//! A host runs a round the way the flat engine does: **stage the whole
+//! round, then translate once**.  [`WireHost::begin_round`] steps every
+//! owned node into one [`OutboxBuffer`] and then makes a single pass over
+//! it, appending frames to one batch per destination host:
+//!
+//! 1. every `Slot` frame (channel writes, staging order), to every host;
+//! 2. every `Lanes` frame (staging order), to every host;
+//! 3. the `P2p` frames in staging order — `seq` is the staging index, so a
+//!    message the fault plan drops keeps its number and is simply never
+//!    encoded — each to the host owning its receiver;
+//! 4. the `Barrier`, to every host.
+//!
+//! A batch leaves as one datagram when the round closes, or earlier each
+//! time it reaches 60 000 bytes, so a quiet round is one datagram per
+//! destination and a heavy one is a few.  **Receivers depend on none of
+//! this**: frames are self-describing, completeness is counted from the
+//! barriers, inboxes are sorted by `(from, seq)` and slot/lane resolution
+//! is order-independent, so any interleaving or reordering of the same
+//! frames yields the same round.  [`WireHost::finish_round`] closes the
+//! round in O(traffic): arrivals land in one flat arena sorted by
+//! `(to, from, seq)`, and only the nodes that received something get their
+//! epoch-stamped inbox range rewritten — a node nothing arrived for is not
+//! visited.  Every frame, self-delivery included, crosses the codec and a
+//! socket.
+//!
 //! [`WireNet`] drives `H` in-process hosts from one thread (the loopback
 //! analogue of `SyncEngine::run`, used by conformance and bench);
 //! [`WireHost`] is the per-process building block the two-process
@@ -77,9 +104,13 @@ pub fn owner_of(hosts: u16, v: NodeId) -> u16 {
     (v.index() % hosts as usize) as u16
 }
 
-/// Per-peer barrier bookkeeping for the round being collected.
-#[derive(Clone, Debug)]
+/// Per-peer barrier bookkeeping for the round being collected.  One per
+/// host for the life of the run: `heard` is the per-round presence flag, and
+/// `sent_to` keeps its storage across rounds (see
+/// [`Frame::decode_reusing`]).
+#[derive(Clone, Debug, Default)]
 struct BarrierInfo {
+    heard: bool,
     staged: u32,
     dropped: u32,
     slot_frames: u32,
@@ -100,13 +131,19 @@ where
     graph: &'g Graph,
     host: u16,
     hosts: u16,
-    socket: UdpSocket,
-    peers: Vec<SocketAddr>,
+    endpoint: Endpoint,
     channels: ChannelSet,
     /// Owned node ids, ascending; `nodes` is parallel.
     local: Vec<NodeId>,
     nodes: Vec<P>,
     session: Option<FaultSession>,
+    /// Owned nodes that are done or fault-exempt, kept current around each
+    /// `step` and lifecycle transition (the engine's `done_count +
+    /// undone_exempt`); [`recount_settled`](Self::recount_settled) re-seeds
+    /// it wherever states or lifecycles change wholesale.
+    settled: u32,
+    /// The whole round's staging: every owned node steps into this one
+    /// buffer, then `begin_round` translates it to frames in one pass.
     outbox: OutboxBuffer<P::Msg>,
     round: u64,
     cost: CostAccount,
@@ -117,21 +154,37 @@ where
     chan_cost: Vec<CostAccount>,
     prev_slots: Vec<SlotOutcome<P::Msg>>,
     prev_lanes: Vec<LaneOutcome>,
-    /// Per local node: messages delivered to the *next* step, sorted by
-    /// (sender index, sequence) at `finish_round`.
-    inbox_now: Vec<Vec<(NodeId, P::Msg)>>,
-    /// Per local node: raw arrivals for the round being collected.
-    inbox_next: Vec<Vec<(NodeId, u32, P::Msg)>>,
+    /// Flat delivery arena for the round about to step: every owned node's
+    /// inbox back to back, each in (sender index, sequence) order.
+    inbox: Vec<(NodeId, P::Msg)>,
+    /// Per local node: its `(start, len)` range of `inbox`, valid only in
+    /// the round `inbox_epoch` names — a stale stamp *is* the empty inbox,
+    /// so `finish_round` touches only the nodes that received something.
+    inbox_ranges: Vec<(u32, u32)>,
+    inbox_epoch: Vec<u64>,
+    /// Raw p2p arrivals for the round being collected, as
+    /// `(local slot of the receiver, sender, sequence, payload)`.
+    arrivals: Vec<(u32, NodeId, u32, P::Msg)>,
     /// Slot writes heard this round (the broadcast bus contents).
     slot_writes: Vec<(ChannelId, NodeId, P::Msg)>,
     /// Lane words heard this round (already per-node OR-merged at senders).
     lane_writes: Vec<(ChannelId, NodeId, u64)>,
-    barriers: Vec<Option<BarrierInfo>>,
+    /// Pooled per-channel writer counts for `finish_round`.
+    slot_counts: Vec<u32>,
+    lane_counts: Vec<u64>,
+    barriers: Vec<BarrierInfo>,
+    /// The `sent_to` table of the barrier this host is about to send.
+    sent_to: Vec<u32>,
+    /// Storage for the next decoded barrier's `sent_to` table.
+    spare_sent_to: Vec<u32>,
     got_p2p: u32,
     got_slots: u32,
     got_lanes: u32,
     /// Frames that belong to a round we have not finished collecting yet.
     pending: Vec<Frame<P::Msg>>,
+    /// `pending`'s double buffer: `finish_round` swaps the two so replaying
+    /// early arrivals keeps both capacities.
+    replay: Vec<Frame<P::Msg>>,
     hello_seen: Vec<bool>,
     /// Latest known settled (done or fault-exempt) count per host.
     settled_remote: Vec<u32>,
@@ -145,8 +198,6 @@ where
     q_inflight: u64,
     /// Non-idle slots resolved in the last finished round.
     q_nonidle: u32,
-    bytes_sent: u64,
-    tx: Vec<Vec<u8>>,
     recv_buf: Box<[u8]>,
 }
 
@@ -159,10 +210,12 @@ where
     /// `v % hosts == host`.  `init` is called for owned nodes in ascending
     /// id order.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `host >= hosts`, `hosts == 0`, or the channel set's
-    /// attachment table does not cover the graph.
+    /// [`io::ErrorKind::InvalidInput`] if `hosts == 0`, `host >= hosts`, or
+    /// the channel set's attachment table does not cover the graph (`K` and
+    /// the masks themselves are valid by [`ChannelSet`]'s construction);
+    /// otherwise whatever binding the socket returns.
     pub fn bind<A: ToSocketAddrs, F: FnMut(NodeId) -> P>(
         graph: &'g Graph,
         channels: ChannelSet,
@@ -171,36 +224,49 @@ where
         bind_addr: A,
         mut init: F,
     ) -> io::Result<Self> {
-        assert!(hosts > 0, "at least one host required");
-        assert!(host < hosts, "host index {host} out of range 0..{hosts}");
-        if let Some(len) = channels.table_len() {
-            assert_eq!(
-                len,
-                graph.node_count(),
+        if hosts == 0 {
+            return Err(invalid_input("at least one host required".into()));
+        }
+        if host >= hosts {
+            return Err(invalid_input(format!(
+                "host index {host} out of range 0..{hosts}"
+            )));
+        }
+        if let Some(len) = channels.table_len().filter(|&l| l != graph.node_count()) {
+            return Err(invalid_input(format!(
                 "channel attachment table covers {len} nodes, graph has {}",
                 graph.node_count()
-            );
+            )));
         }
         let socket = UdpSocket::bind(bind_addr)?;
         socket.set_nonblocking(true)?;
-        let local: Vec<NodeId> = graph
-            .nodes()
-            .filter(|&v| owner_of(hosts, v) == host)
+        // `host, host + hosts, ..`: exactly the nodes `owner_of` maps here,
+        // from an exact-size iterator so the table is one allocation.
+        let local: Vec<NodeId> = (host as usize..graph.node_count())
+            .step_by(hosts as usize)
+            .map(NodeId)
             .collect();
         let nodes: Vec<P> = local.iter().map(|&v| init(v)).collect();
         let k = channels.channels() as usize;
-        Ok(WireHost {
+        let mut bound = WireHost {
             graph,
             host,
             hosts,
-            socket,
-            peers: Vec::new(),
+            endpoint: Endpoint {
+                socket,
+                peers: Vec::new(),
+                bufs: vec![Vec::new(); hosts as usize],
+                bytes_sent: 0,
+            },
             channels,
-            inbox_now: vec![Vec::new(); local.len()],
-            inbox_next: vec![Vec::new(); local.len()],
+            inbox: Vec::new(),
+            inbox_ranges: vec![(0, 0); local.len()],
+            inbox_epoch: vec![0; local.len()],
+            arrivals: Vec::new(),
             local,
             nodes,
             session: None,
+            settled: 0,
             outbox: OutboxBuffer::new(),
             round: 0,
             cost: CostAccount::default(),
@@ -209,26 +275,31 @@ where
             prev_lanes: vec![LaneOutcome::Idle; k],
             slot_writes: Vec::new(),
             lane_writes: Vec::new(),
-            barriers: vec![None; hosts as usize],
+            slot_counts: vec![0; k],
+            lane_counts: vec![0; k],
+            barriers: vec![BarrierInfo::default(); hosts as usize],
+            sent_to: vec![0; hosts as usize],
+            spare_sent_to: Vec::new(),
             got_p2p: 0,
             got_slots: 0,
             got_lanes: 0,
             pending: Vec::new(),
+            replay: Vec::new(),
             hello_seen: vec![false; hosts as usize],
             settled_remote: vec![0; hosts as usize],
             settled_from_barrier: vec![false; hosts as usize],
             in_round: false,
             q_inflight: 0,
             q_nonidle: 0,
-            bytes_sent: 0,
-            tx: vec![Vec::new(); hosts as usize],
             recv_buf: vec![0u8; 65536].into_boxed_slice(),
-        })
+        };
+        bound.settled = bound.recount_settled();
+        Ok(bound)
     }
 
     /// The socket address this host is listening on.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.socket.local_addr()
+        self.endpoint.socket.local_addr()
     }
 
     /// Installs the full peer address table, indexed by host id (this
@@ -240,7 +311,7 @@ where
             "peer table must cover all {} hosts",
             self.hosts
         );
-        self.peers = peers;
+        self.endpoint.peers = peers;
     }
 
     /// Installs a deterministic [`FaultPlan`]; every host of a run must
@@ -249,6 +320,7 @@ where
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert_eq!(self.round, 0, "fault plan must be installed before round 0");
         self.session = Some(FaultSession::new(plan, self.graph.node_count()));
+        self.settled = self.recount_settled();
     }
 
     /// The live fault session, when a plan is installed.
@@ -259,6 +331,11 @@ where
     /// Number of owned nodes that are done or fault-exempt right now — this
     /// host's contribution to the distributed quiescence condition.
     pub fn local_settled(&self) -> u32 {
+        self.settled
+    }
+
+    /// The every-node scan `settled` is the running value of.
+    fn recount_settled(&self) -> u32 {
         self.local
             .iter()
             .zip(&self.nodes)
@@ -280,12 +357,10 @@ where
             hosts: self.hosts,
             nodes: self.graph.node_count() as u32,
             k: self.channels.channels(),
-            settled: self.local_settled(),
+            settled: self.settled,
         };
-        for dest in 0..self.hosts as usize {
-            hello.encode(&mut self.tx[dest]);
-        }
-        self.flush_all()
+        self.endpoint.broadcast(&hello)?;
+        self.endpoint.flush_all()
     }
 
     /// `true` once a `Hello` from every host (self included) has been
@@ -298,7 +373,7 @@ where
     /// Non-blocking: returns once the socket would block.
     pub fn poll(&mut self) -> io::Result<()> {
         loop {
-            let len = match self.socket.recv_from(&mut self.recv_buf) {
+            let len = match self.endpoint.socket.recv_from(&mut self.recv_buf) {
                 Ok((len, _src)) => len,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
                 Err(e) => return Err(e),
@@ -315,8 +390,11 @@ where
                 if frame_len > remaining {
                     return Err(bad_frame("frame length exceeds datagram"));
                 }
-                let frame = Frame::decode(&self.recv_buf[off..off + frame_len])
-                    .map_err(|e| bad_frame(&format!("undecodable frame: {e}")))?;
+                let frame = Frame::decode_reusing(
+                    &self.recv_buf[off..off + frame_len],
+                    &mut self.spare_sent_to,
+                )
+                .map_err(|e| bad_frame(&format!("undecodable frame: {e}")))?;
                 off += frame_len;
                 self.dispatch(frame)?;
             }
@@ -373,7 +451,7 @@ where
                             return Err(bad_frame("p2p frame misrouted"));
                         }
                         let slot = to.index() / self.hosts as usize;
-                        self.inbox_next[slot].push((from, seq, payload));
+                        self.arrivals.push((slot as u32, from, seq, payload));
                         self.got_p2p += 1;
                     }
                     Frame::Slot {
@@ -416,13 +494,21 @@ where
                         }
                         self.settled_remote[host as usize] = settled;
                         self.settled_from_barrier[host as usize] = true;
-                        self.barriers[host as usize] = Some(BarrierInfo {
-                            staged,
-                            dropped,
-                            slot_frames,
-                            lane_frames,
-                            sent_to,
-                        });
+                        // The table this one displaces is the next decode's
+                        // storage, which closes the loop: a steady-state
+                        // barrier allocates nothing.
+                        let stale = std::mem::replace(
+                            &mut self.barriers[host as usize],
+                            BarrierInfo {
+                                heard: true,
+                                staged,
+                                dropped,
+                                slot_frames,
+                                lane_frames,
+                                sent_to,
+                            },
+                        );
+                        self.spare_sent_to = stale.sent_to;
                     }
                     Frame::Hello { .. } => unreachable!("handled above"),
                 }
@@ -433,8 +519,9 @@ where
 
     /// Executes the *step* half of the current round: applies the fault
     /// plan's lifecycle transitions, steps every operational owned node
-    /// against last round's delivered inbox and slot outcomes, and
-    /// transmits the round's p2p, slot, and barrier frames.
+    /// against last round's delivered inbox and slot outcomes into the one
+    /// staging buffer, then translates the staged round to frames in a
+    /// single pass — slot, lane, p2p, barrier — and transmits them.
     ///
     /// Afterwards, [`poll`](Self::poll) until
     /// [`round_complete`](Self::round_complete), then
@@ -445,158 +532,144 @@ where
             "begin_round called twice without finish_round"
         );
         assert!(
-            !self.peers.is_empty(),
+            !self.endpoint.peers.is_empty(),
             "connect() must install the peer table first"
         );
         let round = self.round;
-        let hosts = self.hosts as usize;
 
         // 1. Lifecycle transitions + crashed-round charge, exactly as the
         //    engine's apply_fault_round: recovery hooks fire on the way to
         //    Booting, and the charge uses post-transition lifecycles.
         if let Some(session) = self.session.as_mut() {
             let nodes = &mut self.nodes;
+            let settled = &mut self.settled;
             let (host, n_hosts) = (self.host, self.hosts);
-            session.apply_round(round, |v, _was, now| {
-                if now == NodeLifecycle::Booting && owner_of(n_hosts, v) == host {
-                    nodes[v.index() / n_hosts as usize].on_recover();
+            session.apply_round(round, |v, was, now| {
+                if owner_of(n_hosts, v) != host {
+                    return;
                 }
+                let node = &mut nodes[v.index() / n_hosts as usize];
+                let before = was.is_exempt() || node.is_done();
+                if now == NodeLifecycle::Booting {
+                    node.on_recover();
+                }
+                let after = now.is_exempt() || node.is_done();
+                *settled = *settled + u32::from(after) - u32::from(before);
             });
             session.charge_round(&mut self.cost);
         }
 
-        // 2. Step owned operational nodes in ascending id order.
-        let mut staged: u32 = 0;
-        let mut dropped: u32 = 0;
-        let mut slot_frames: u32 = 0;
-        let mut lane_frames: u32 = 0;
-        let mut sent_to = vec![0u32; hosts];
-        let mut seq: u32 = 0;
-        for slot in 0..self.local.len() {
-            let v = self.local[slot];
-            let operational = self.session.as_ref().is_none_or(|s| s.is_operational(v));
-            if !operational {
-                // The simulator delivers into downed inboxes too, but the
-                // payloads are dropped unread when the next round's arena is
-                // rebuilt; clearing here is the same observable behavior.
-                self.inbox_now[slot].clear();
+        // 2. Step owned operational nodes in ascending id order, all into
+        //    the one staging buffer.  A downed node's delivered inbox is
+        //    never read and goes stale with its epoch stamp — the simulator
+        //    drops such payloads unread the same way.
+        for (slot, (&v, node)) in self.local.iter().zip(&mut self.nodes).enumerate() {
+            if !self.session.as_ref().is_none_or(|s| s.is_operational(v)) {
                 continue;
             }
-            {
-                let io = RoundIo::detached_multi(
-                    v,
-                    round,
-                    self.graph.neighbors(v),
-                    Inbox::direct(&self.inbox_now[slot]),
-                    &self.prev_slots,
-                    &mut self.outbox,
-                )
-                .with_attachment(self.channels.mask(v))
-                .with_lanes(&self.prev_lanes);
-                let mut io = io;
-                self.nodes[slot].step(&mut io);
-            }
-            // Channel writes must drain before the sends (payload-epoch
-            // contract); each becomes a Slot frame on the broadcast bus.
-            let (tx, socket, peers, bytes) = (
-                &mut self.tx,
-                &self.socket,
-                &self.peers,
-                &mut self.bytes_sent,
-            );
-            let mut chan_err = Ok(());
-            self.outbox.take_channel_writes(|chan, from, payload| {
-                let frame = Frame::Slot {
+            let inbox = if self.inbox_epoch[slot] == round {
+                let (start, len) = self.inbox_ranges[slot];
+                &self.inbox[start as usize..(start + len) as usize]
+            } else {
+                &[]
+            };
+            let mut io = RoundIo::detached_multi(
+                v,
+                round,
+                self.graph.neighbors(v),
+                Inbox::direct(inbox),
+                &self.prev_slots,
+                &mut self.outbox,
+            )
+            .with_attachment(self.channels.mask(v))
+            .with_lanes(&self.prev_lanes);
+            let was = node.is_done();
+            node.step(&mut io);
+            self.settled = self.settled + u32::from(node.is_done()) - u32::from(was);
+        }
+        debug_assert_eq!(self.settled, self.recount_settled());
+
+        // 3. Translate the staged round.  Channel writes first (the send
+        //    drain retires the payload epoch they point into): each becomes
+        //    a Slot frame on the broadcast bus.
+        let tx = &mut self.endpoint;
+        let mut sent = Ok(());
+        let mut slot_frames: u32 = 0;
+        self.outbox.take_channel_writes(|chan, from, payload| {
+            slot_frames += 1;
+            if sent.is_ok() {
+                sent = tx.broadcast(&Frame::Slot {
                     round,
                     chan,
                     from,
                     payload,
-                };
-                slot_frames += 1;
-                for dest in 0..hosts {
-                    frame.encode(&mut tx[dest]);
-                    if tx[dest].len() >= FLUSH_BYTES {
-                        if let Err(e) = flush_one(socket, peers, tx, dest, bytes) {
-                            chan_err = Err(e);
-                        }
-                    }
-                }
-            });
-            chan_err?;
-            // Lane words ride the same broadcast bus, one frame per
-            // (node, channel); receivers OR them channel-wise.
-            let mut lane_err = Ok(());
-            self.outbox.take_lane_writes(|chan, from, word| {
-                let frame: Frame<P::Msg> = Frame::Lanes {
+                });
+            }
+        });
+        // Lane words ride the same bus, one frame per (node, channel);
+        // receivers OR them channel-wise.
+        let mut lane_frames: u32 = 0;
+        self.outbox.take_lane_writes(|chan, from, word| {
+            lane_frames += 1;
+            if sent.is_ok() {
+                sent = tx.broadcast(&Frame::<P::Msg>::Lanes {
                     round,
                     chan,
                     from,
                     word,
-                };
-                lane_frames += 1;
-                for dest in 0..hosts {
-                    frame.encode(&mut tx[dest]);
-                    if tx[dest].len() >= FLUSH_BYTES {
-                        if let Err(e) = flush_one(socket, peers, tx, dest, bytes) {
-                            lane_err = Err(e);
-                        }
-                    }
-                }
-            });
-            lane_err?;
-            for (to, payload) in self.outbox.drain_sends() {
-                staged += 1;
-                let this_seq = seq;
-                seq += 1;
-                if self
-                    .session
-                    .as_ref()
-                    .is_some_and(|s| s.drops_message(round, v, to))
-                {
-                    dropped += 1;
-                    continue;
-                }
-                let dest = owner_of(self.hosts, to) as usize;
-                sent_to[dest] += 1;
-                let frame = Frame::P2p {
-                    round,
-                    from: v,
-                    to,
-                    seq: this_seq,
-                    payload,
-                };
-                frame.encode(&mut self.tx[dest]);
-                if self.tx[dest].len() >= FLUSH_BYTES {
-                    flush_one(
-                        &self.socket,
-                        &self.peers,
-                        &mut self.tx,
-                        dest,
-                        &mut self.bytes_sent,
-                    )?;
-                }
+                });
             }
-            // The wire backend always steps dense; explicit wakeups are a
-            // sparse-frontier hint and carry no cost, so they are dropped.
-            self.outbox.take_wakes(|_| {});
-            self.outbox.clear();
+        });
+        sent?;
+        // Sends in staging order, which is the order the per-(host, round)
+        // sequence numbers count; a dropped message keeps its number and is
+        // never transmitted.
+        let staged = self.outbox.len() as u32;
+        let mut dropped: u32 = 0;
+        self.sent_to.fill(0);
+        let sends = self.outbox.drain_sends_with_sender();
+        for (seq, (to, from, payload)) in sends.enumerate() {
+            if self
+                .session
+                .as_ref()
+                .is_some_and(|s| s.drops_message(round, from, to))
+            {
+                dropped += 1;
+                continue;
+            }
+            let dest = owner_of(self.hosts, to) as usize;
+            self.sent_to[dest] += 1;
+            let frame = Frame::P2p {
+                round,
+                from,
+                to,
+                seq: seq as u32,
+                payload,
+            };
+            tx.push(dest, &frame)?;
         }
+        // The wire backend always steps dense; explicit wakeups are a
+        // sparse-frontier hint and carry no cost, so they are dropped.
+        self.outbox.take_wakes(|_| {});
 
-        // 3. Close the round with a barrier to every host (self included).
+        // 4. Close the round with a barrier to every host (self included);
+        //    the frame borrows the pooled table for the encode.
         let barrier: Frame<P::Msg> = Frame::Barrier {
             round,
             host: self.host,
-            settled: self.local_settled(),
+            settled: self.settled,
             staged,
             dropped,
             slot_frames,
             lane_frames,
-            sent_to,
+            sent_to: std::mem::take(&mut self.sent_to),
         };
-        for dest in 0..hosts {
-            barrier.encode(&mut self.tx[dest]);
+        let sent = tx.broadcast(&barrier);
+        if let Frame::Barrier { sent_to, .. } = barrier {
+            self.sent_to = sent_to;
         }
-        self.flush_all()?;
+        sent?;
+        tx.flush_all()?;
         self.in_round = true;
         Ok(())
     }
@@ -605,13 +678,13 @@ where
     /// `hosts` barriers, plus every p2p frame addressed to this host and
     /// every broadcast slot frame the barriers promised.
     pub fn round_complete(&self) -> bool {
-        if !self.in_round || self.barriers.iter().any(|b| b.is_none()) {
+        if !self.in_round || self.barriers.iter().any(|b| !b.heard) {
             return false;
         }
         let mut want_p2p = 0u32;
         let mut want_slots = 0u32;
         let mut want_lanes = 0u32;
-        for b in self.barriers.iter().flatten() {
+        for b in &self.barriers {
             want_p2p += b.sent_to[self.host as usize];
             want_slots += b.slot_frames;
             want_lanes += b.lane_frames;
@@ -634,14 +707,13 @@ where
             "finish_round before round completeness"
         );
         let round = self.round;
-        let k = self.channels.channels() as usize;
 
         // Global cost: every host applies the same totals, so each local
         // CostAccount equals the engine's global one.
         let mut staged = 0u64;
         let mut dropped = 0u64;
         let mut inflight = 0u64;
-        for b in self.barriers.iter().flatten() {
+        for b in &self.barriers {
             staged += b.staged as u64;
             dropped += b.dropped as u64;
             inflight += b.sent_to.iter().map(|&s| s as u64).sum::<u64>();
@@ -654,9 +726,9 @@ where
 
         // Slot resolution: writer counts per channel decide the outcome
         // (order-independent), erasure coin keyed on the executed round.
-        let mut counts = vec![0u32; k];
+        self.slot_counts.fill(0);
         for &(chan, _, _) in &self.slot_writes {
-            counts[chan.index()] += 1;
+            self.slot_counts[chan.index()] += 1;
         }
         for outcome in self.prev_slots.iter_mut() {
             *outcome = SlotOutcome::Idle;
@@ -664,11 +736,11 @@ where
         let mut nonidle = 0u32;
         for (chan, from, payload) in self.slot_writes.drain(..) {
             let c = chan.index();
-            if counts[c] == 1 {
+            if self.slot_counts[c] == 1 {
                 self.prev_slots[c] = SlotOutcome::Success { from, msg: payload };
             }
         }
-        for (c, &count) in counts.iter().enumerate().take(k) {
+        for (c, &count) in self.slot_counts.iter().enumerate() {
             let writers = u64::from(count);
             self.chan_cost[c].add_round();
             if writers == 0 {
@@ -697,20 +769,20 @@ where
         // Lane resolution: OR the broadcast words per channel
         // (order-independent), then the channel's erasure draw and the
         // corruption draw — identical classification to the engines.
-        let mut lane_counts = vec![0u64; k];
+        self.lane_counts.fill(0);
         for lane in self.prev_lanes.iter_mut() {
             *lane = LaneOutcome::Idle;
         }
         for (chan, _, word) in self.lane_writes.drain(..) {
             let c = chan.index();
-            lane_counts[c] += 1;
+            self.lane_counts[c] += 1;
             self.prev_lanes[c] = match self.prev_lanes[c] {
                 LaneOutcome::Idle => LaneOutcome::Word(word),
                 LaneOutcome::Word(w) => LaneOutcome::Word(w | word),
                 LaneOutcome::Erased => unreachable!("erasure happens post-fold"),
             };
         }
-        for (c, &count) in lane_counts.iter().enumerate() {
+        for (c, &count) in self.lane_counts.iter().enumerate() {
             if count == 0 {
                 continue;
             }
@@ -741,16 +813,22 @@ where
             }
         }
 
-        // Deliver: sort each inbox by (sender index, staging sequence) —
-        // the simulator's inbox order, independent of datagram order.
-        for slot in 0..self.local.len() {
-            self.inbox_now[slot].clear();
-            self.inbox_next[slot].sort_unstable_by_key(|&(from, seq, _)| (from.index(), seq));
-            self.inbox_now[slot].extend(
-                self.inbox_next[slot]
-                    .drain(..)
-                    .map(|(from, _, m)| (from, m)),
-            );
+        // Deliver: sort the arrivals by (receiver, sender index, staging
+        // sequence) — the simulator's inbox order, independent of datagram
+        // order — and stamp the range of each receiver that got something.
+        // O(traffic): a node nothing arrived for is not visited.
+        let next = round + 1;
+        self.arrivals
+            .sort_unstable_by_key(|&(slot, from, seq, _)| (slot, from.index(), seq));
+        self.inbox.clear();
+        for (slot, from, _, msg) in self.arrivals.drain(..) {
+            let slot = slot as usize;
+            if self.inbox_epoch[slot] != next {
+                self.inbox_epoch[slot] = next;
+                self.inbox_ranges[slot] = (self.inbox.len() as u32, 0);
+            }
+            self.inbox_ranges[slot].1 += 1;
+            self.inbox.push((from, msg));
         }
 
         // Quiescence snapshot for the boundary before the next round.
@@ -759,18 +837,19 @@ where
 
         // Reset collection state and admit early arrivals for round + 1.
         for b in self.barriers.iter_mut() {
-            *b = None;
+            b.heard = false;
         }
         self.got_p2p = 0;
         self.got_slots = 0;
         self.got_lanes = 0;
         self.round += 1;
         self.in_round = false;
-        let pending = std::mem::take(&mut self.pending);
-        for frame in pending {
+        let mut replay = std::mem::replace(&mut self.pending, std::mem::take(&mut self.replay));
+        for frame in replay.drain(..) {
             self.dispatch(frame)
                 .expect("re-dispatch of a buffered frame cannot fail");
         }
+        self.replay = replay;
     }
 
     /// The distributed quiescence condition, evaluated at a round boundary:
@@ -807,8 +886,8 @@ where
         for (slot, &v) in self.local.iter().enumerate() {
             f(v, &mut self.nodes[slot]);
         }
-        let settled = self.local_settled();
-        self.settled_remote[self.host as usize] = settled;
+        self.settled = self.recount_settled();
+        self.settled_remote[self.host as usize] = self.settled;
         self.settled_from_barrier[self.host as usize] = true;
     }
 
@@ -847,7 +926,7 @@ where
 
     /// Total frame bytes this host has pushed onto the wire.
     pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent
+        self.endpoint.bytes_sent
     }
 
     /// This host's index.
@@ -859,56 +938,72 @@ where
     pub fn hosts(&self) -> u16 {
         self.hosts
     }
-
-    fn flush_all(&mut self) -> io::Result<()> {
-        for dest in 0..self.hosts as usize {
-            flush_one(
-                &self.socket,
-                &self.peers,
-                &mut self.tx,
-                dest,
-                &mut self.bytes_sent,
-            )?;
-        }
-        Ok(())
-    }
 }
 
 fn bad_frame(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// Sends (and clears) the batched frames for `dest`, retrying transient
-/// `WouldBlock` for up to [`SEND_RETRY`].
-fn flush_one(
-    socket: &UdpSocket,
-    peers: &[SocketAddr],
-    tx: &mut [Vec<u8>],
-    dest: usize,
-    bytes_sent: &mut u64,
-) -> io::Result<()> {
-    if tx[dest].is_empty() {
-        return Ok(());
-    }
-    let deadline = Instant::now() + SEND_RETRY;
-    loop {
-        match socket.send_to(&tx[dest], peers[dest]) {
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        "UDP send blocked for too long",
-                    ));
-                }
-                std::thread::yield_now();
-            }
-            Err(e) => return Err(e),
+fn invalid_input(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// A host's socket, the peer table, and one outgoing datagram batch per
+/// destination host.
+struct Endpoint {
+    socket: UdpSocket,
+    peers: Vec<SocketAddr>,
+    bufs: Vec<Vec<u8>>,
+    bytes_sent: u64,
+}
+
+impl Endpoint {
+    /// Appends `frame` to `dest`'s batch, sending the batch once it reaches
+    /// [`FLUSH_BYTES`].
+    fn push<M: WireMsg>(&mut self, dest: usize, frame: &Frame<M>) -> io::Result<()> {
+        frame.encode(&mut self.bufs[dest]);
+        if self.bufs[dest].len() >= FLUSH_BYTES {
+            self.flush(dest)?;
         }
+        Ok(())
     }
-    *bytes_sent += tx[dest].len() as u64;
-    tx[dest].clear();
-    Ok(())
+
+    /// [`push`](Self::push) to every host, self included.
+    fn broadcast<M: WireMsg>(&mut self, frame: &Frame<M>) -> io::Result<()> {
+        (0..self.bufs.len()).try_for_each(|dest| self.push(dest, frame))
+    }
+
+    /// Sends (and clears) the batched frames for `dest`, retrying transient
+    /// `WouldBlock` for up to [`SEND_RETRY`].
+    fn flush(&mut self, dest: usize) -> io::Result<()> {
+        let buf = &mut self.bufs[dest];
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let deadline = Instant::now() + SEND_RETRY;
+        loop {
+            match self.socket.send_to(buf, self.peers[dest]) {
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if Instant::now() >= deadline {
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            "UDP send blocked for too long",
+                        ));
+                    }
+                    std::thread::yield_now();
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        self.bytes_sent += buf.len() as u64;
+        buf.clear();
+        Ok(())
+    }
+
+    fn flush_all(&mut self) -> io::Result<()> {
+        (0..self.bufs.len()).try_for_each(|dest| self.flush(dest))
+    }
 }
 
 /// `H` wire hosts over loopback UDP, driven from one thread with the same
@@ -953,7 +1048,7 @@ where
         let mut built: Vec<WireHost<'g, P>> = (0..hosts)
             .map(|h| {
                 WireHost::bind(graph, channels.clone(), h, hosts, "127.0.0.1:0", &mut init)
-                    .expect("binding a loopback socket")
+                    .expect("binding a loopback wire host")
             })
             .collect();
         let peers: Vec<SocketAddr> = built
@@ -1206,4 +1301,46 @@ where
         WireNet::fault_session(self)
     }
     fn enable_sparse(&mut self) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim_graph::generators;
+    use netsim_sim::protocols::ChannelShardedSum;
+
+    fn bind_kind(g: &Graph, channels: ChannelSet, host: u16, hosts: u16) -> io::ErrorKind {
+        let n = g.node_count();
+        WireHost::bind(g, channels, host, hosts, "127.0.0.1:0", |v| {
+            ChannelShardedSum::new(v, n, 1, 0)
+        })
+        .map(|_| ())
+        .expect_err("a misdescribed run must not bind")
+        .kind()
+    }
+
+    #[test]
+    fn bind_rejects_zero_hosts() {
+        let g = generators::ring(8);
+        assert_eq!(
+            bind_kind(&g, ChannelSet::single(), 0, 0),
+            io::ErrorKind::InvalidInput
+        );
+    }
+
+    #[test]
+    fn bind_rejects_host_index_out_of_range() {
+        let g = generators::ring(8);
+        assert_eq!(
+            bind_kind(&g, ChannelSet::single(), 2, 2),
+            io::ErrorKind::InvalidInput
+        );
+    }
+
+    #[test]
+    fn bind_rejects_channel_table_not_covering_the_graph() {
+        let g = generators::ring(8);
+        let short = ChannelSet::from_masks(1, vec![1; 7]);
+        assert_eq!(bind_kind(&g, short, 0, 2), io::ErrorKind::InvalidInput);
+    }
 }

@@ -17,7 +17,9 @@
 //! Matrix: `ChannelShardedSum` at K ∈ {1, 4} across three topology
 //! families × {2, 3} hosts, a p2p-heavy chaos gossip under a seeded
 //! full-churn `FaultPlan` (drops mapped onto never-transmitted frames,
-//! erasures onto broadcast-bus outcomes), and an erasure-only faulted sum.
+//! erasures onto broadcast-bus outcomes), an erasure-only faulted sum, and
+//! a heavy round whose `Vec<u8>` frames push every destination batch
+//! through the mid-round flush three times (1–3 hosts, plain and faulted).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -26,7 +28,7 @@ use netsim_graph::{generators, topologies, Graph, NodeId};
 use netsim_io::WireNet;
 use netsim_sim::{
     protocols::ChannelShardedSum, wire::WireMsg, ChannelId, ChannelSet, CostAccount, FaultPlan,
-    NodeLifecycle, Protocol, RoundIo, SlotOutcome, SyncEngine,
+    LaneOutcome, NodeLifecycle, Protocol, RoundIo, SlotOutcome, SyncEngine,
 };
 
 fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
@@ -319,6 +321,98 @@ impl Protocol for ChaosGossip {
 }
 
 // ---------------------------------------------------------------------------
+// HeavyRound: every sixth node — all of them on host 0 whatever the host
+// count under test, 6 being a multiple of 1, 2 and 3 — broadcasts to its
+// neighbours, keys a pseudo-random channel with a large frame, and writes a
+// lane word, all in the same round.  Everybody folds everything it hears.
+//
+// The sizes are the point.  A `Slot` frame is 26 bytes of framing plus the
+// payload, so `SLOT_PAYLOAD` makes it exactly 4 000 bytes and 15 of them
+// fill a destination batch to the backend's 60 000-byte flush threshold; a
+// 270-ring has 45 talkers, so host 0 flushes every destination three times
+// mid-round before the lane, p2p and barrier frames leave in a fourth
+// datagram.  That is ~190 KB per receiver per round, which has to fit the
+// kernel's default 208 KiB UDP receive buffer because `WireNet` transmits a
+// whole round before it polls — hence only the talkers talk.
+// ---------------------------------------------------------------------------
+
+#[derive(Clone, Debug)]
+struct HeavyRound {
+    id: NodeId,
+    acc: u64,
+    rounds_left: u32,
+}
+
+impl HeavyRound {
+    const TALKER_STRIDE: usize = 6;
+    const NODES: usize = 45 * Self::TALKER_STRIDE;
+    const SLOT_PAYLOAD: usize = 4_000 - 26;
+    const ROUNDS: u32 = 3;
+
+    fn new(id: NodeId) -> Self {
+        HeavyRound {
+            id,
+            acc: mix(0x4ea7, id.index() as u64),
+            rounds_left: Self::ROUNDS,
+        }
+    }
+
+    fn frame(len: usize, seed: u64) -> Vec<u8> {
+        (0..len as u64).map(|i| mix(seed, i) as u8).collect()
+    }
+
+    /// Cheap fold of a heard frame; the `Traced` wrapper is what digests
+    /// every byte.
+    fn hear(&mut self, from: NodeId, msg: &[u8]) {
+        let sample = u64::from(msg[0]) << 8 | u64::from(msg[msg.len() - 1]);
+        self.acc = mix(
+            self.acc,
+            mix(from.index() as u64, sample ^ msg.len() as u64),
+        );
+    }
+}
+
+impl Protocol for HeavyRound {
+    type Msg = Vec<u8>;
+
+    fn step(&mut self, io: &mut RoundIo<'_, Vec<u8>>) {
+        for (from, msg) in io.inbox() {
+            self.hear(from, msg);
+        }
+        for c in 0..io.channels() {
+            match io.prev_slot_on(ChannelId(c)) {
+                SlotOutcome::Idle => {}
+                SlotOutcome::Success { from, msg } => self.hear(from, msg),
+                SlotOutcome::Collision => self.acc = mix(self.acc, 0xc011),
+                SlotOutcome::Erased => self.acc = mix(self.acc, 0xe5a5),
+            }
+            match io.prev_lanes_on(ChannelId(c)) {
+                LaneOutcome::Idle => {}
+                LaneOutcome::Word(w) => self.acc = mix(self.acc, w),
+                LaneOutcome::Erased => self.acc = mix(self.acc, 0x1a5e),
+            }
+        }
+        if self.rounds_left == 0 {
+            return;
+        }
+        self.rounds_left -= 1;
+        if !self.id.index().is_multiple_of(Self::TALKER_STRIDE) {
+            return;
+        }
+        let round = io.round();
+        let talker = (self.id.index() / Self::TALKER_STRIDE) as u64;
+        let chan = ChannelId((mix(talker, round) % u64::from(io.channels())) as u16);
+        io.send_all(Self::frame(48, self.acc));
+        io.write_channel_on(chan, Self::frame(Self::SLOT_PAYLOAD, mix(self.acc, 1)));
+        io.write_lanes_on(chan, mix(self.acc, round));
+    }
+
+    fn is_done(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The matrix.
 // ---------------------------------------------------------------------------
 
@@ -391,6 +485,37 @@ fn sharded_sum_conforms_under_seeded_erasures() {
             10_000,
         );
     }
+}
+
+#[test]
+fn heavy_rounds_conform_through_the_mid_round_flush() {
+    let g = generators::ring(HeavyRound::NODES);
+    let channels = ChannelSet::uniform(64);
+    let plan = FaultPlan::from_rates(0x4ea7_0003, 0.25, 0.10, 0.0, 0.0);
+    for hosts in 1..=3u16 {
+        for (name, plan) in [("plain", None), ("drop_erase", Some(&plan))] {
+            assert_wire_conformant(
+                &format!("wire/heavy_round/{name}/h{hosts}"),
+                &g,
+                &channels,
+                plan,
+                hosts,
+                HeavyRound::new,
+                100,
+            );
+        }
+    }
+
+    // The arithmetic above, observed: each heavy round puts three full
+    // batches of slot frames on the wire towards every host.
+    let mut net = WireNet::with_channels(&g, channels, 2, HeavyRound::new);
+    assert!(net.run(100).is_completed());
+    let flushed = u64::from(HeavyRound::ROUNDS) * 2 * 3 * 60_000;
+    assert!(
+        net.bytes_sent() >= flushed,
+        "{} bytes sent, expected at least {flushed}",
+        net.bytes_sent()
+    );
 }
 
 #[test]

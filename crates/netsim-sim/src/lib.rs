@@ -137,7 +137,9 @@ pub use lockstep::{
     lockstep_config, reconciled_channel_costs, reconciled_cost, reconciled_cost_faulted, Lockstep,
 };
 pub use metrics::CostAccount;
-pub use node::{DrainSends, Inbox, InboxIter, OutboxBuffer, Protocol, RoundIo};
+pub use node::{
+    DrainSends, DrainSendsWithSender, Inbox, InboxIter, OutboxBuffer, Protocol, RoundIo,
+};
 pub use payload::{PayloadArena, PayloadHandle};
 pub use reference::ReferenceEngine;
 pub use wire::{Frame, WireError, WireMsg};

@@ -196,6 +196,18 @@ impl<M> OutboxBuffer<M> {
     where
         M: Clone,
     {
+        DrainSends(self.drain_sends_with_sender())
+    }
+
+    /// [`OutboxBuffer::drain_sends`] that also yields each send's staging
+    /// node: `(to, from, msg)` triples in staging order, same clone-or-move
+    /// and epoch-expiry semantics.  A wrapper that stages *many* nodes'
+    /// steps into one buffer before draining it (the wire backend's
+    /// round-batched translate pass) needs the sender per entry.
+    pub fn drain_sends_with_sender(&mut self) -> DrainSendsWithSender<'_, M>
+    where
+        M: Clone,
+    {
         debug_assert!(
             self.chan_writes.is_empty(),
             "take_channel_writes must run before draining the sends: the \
@@ -203,7 +215,7 @@ impl<M> OutboxBuffer<M> {
              into"
         );
         let OutboxBuffer { entries, arena, .. } = self;
-        DrainSends {
+        DrainSendsWithSender {
             entries: entries.drain(..),
             arena,
         }
@@ -239,16 +251,32 @@ impl<M> Default for OutboxBuffer<M> {
 
 /// Draining iterator returned by [`OutboxBuffer::drain_sends`].
 #[derive(Debug)]
-pub struct DrainSends<'a, M> {
-    entries: std::vec::Drain<'a, Staged>,
-    arena: &'a mut PayloadArena<M>,
-}
+pub struct DrainSends<'a, M>(DrainSendsWithSender<'a, M>);
 
 impl<'a, M: Clone> Iterator for DrainSends<'a, M> {
     type Item = (NodeId, M);
 
     fn next(&mut self) -> Option<(NodeId, M)> {
-        let (to, _, h) = self.entries.next()?;
+        self.0.next().map(|(to, _, msg)| (to, msg))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+/// Draining iterator returned by [`OutboxBuffer::drain_sends_with_sender`].
+#[derive(Debug)]
+pub struct DrainSendsWithSender<'a, M> {
+    entries: std::vec::Drain<'a, Staged>,
+    arena: &'a mut PayloadArena<M>,
+}
+
+impl<'a, M: Clone> Iterator for DrainSendsWithSender<'a, M> {
+    type Item = (NodeId, NodeId, M);
+
+    fn next(&mut self) -> Option<(NodeId, NodeId, M)> {
+        let (to, from, h) = self.entries.next()?;
         // A handle's staged entries are contiguous (one `send` / `send_all`
         // call at a time appends them), so this entry is the payload's last
         // use exactly when the next entry carries a different handle — clone
@@ -263,7 +291,7 @@ impl<'a, M: Clone> Iterator for DrainSends<'a, M> {
         } else {
             self.arena.take(h)
         };
-        Some((to, msg))
+        Some((to, from, msg))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -271,7 +299,7 @@ impl<'a, M: Clone> Iterator for DrainSends<'a, M> {
     }
 }
 
-impl<'a, M> Drop for DrainSends<'a, M> {
+impl<'a, M> Drop for DrainSendsWithSender<'a, M> {
     fn drop(&mut self) {
         // End of the staging epoch: undrained entries are discarded by the
         // inner `Drain`, and every payload is retired (heap payloads move to
@@ -1047,6 +1075,38 @@ mod tests {
             None,
             "moved-out payloads must not reach the graveyard"
         );
+    }
+
+    #[test]
+    fn drain_sends_with_sender_spans_many_nodes() {
+        // Two nodes step into ONE buffer (the wire backend's round-batched
+        // staging); the drain names each entry's stager and keeps the
+        // clone-shared / move-last discipline across the node boundary.
+        let prev: SlotOutcome<Vec<u8>> = SlotOutcome::Idle;
+        let mut outbox: OutboxBuffer<Vec<u8>> = OutboxBuffer::new();
+        for (node, byte) in [(NodeId(0), 7u8), (NodeId(5), 8)] {
+            let mut io = RoundIo::detached(
+                node,
+                0,
+                Neighbors::new(&TARGETS, &EDGES),
+                Inbox::empty(),
+                &prev,
+                &mut outbox,
+            );
+            io.send_all(vec![byte; 4]);
+        }
+        let sends: Vec<_> = outbox.drain_sends_with_sender().collect();
+        assert_eq!(
+            sends,
+            vec![
+                (NodeId(1), NodeId(0), vec![7; 4]),
+                (NodeId(2), NodeId(0), vec![7; 4]),
+                (NodeId(1), NodeId(5), vec![8; 4]),
+                (NodeId(2), NodeId(5), vec![8; 4]),
+            ]
+        );
+        assert!(outbox.is_empty());
+        assert!(outbox.arena().is_empty());
     }
 
     fn make_vec_io<'a>(

@@ -451,6 +451,15 @@ impl<M: WireMsg> Frame<M> {
     /// contain exactly one well-formed frame (no trailing bytes), the
     /// checksum must verify, and the payload must parse completely.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        Self::decode_reusing(bytes, &mut Vec::new())
+    }
+
+    /// [`Frame::decode`] that builds a [`Frame::Barrier`]'s `sent_to` table
+    /// in the storage of `spare` (taken, leaving it empty) instead of a
+    /// fresh allocation; every other kind leaves `spare` untouched.  A
+    /// receiver that hands each finished round's tables back as the next
+    /// `spare` decodes barriers without allocating.
+    pub fn decode_reusing(bytes: &[u8], spare: &mut Vec<u32>) -> Result<Self, WireError> {
         if bytes.len() < HEADER_LEN + TRAILER_LEN {
             return Err(WireError::TooShort);
         }
@@ -518,7 +527,9 @@ impl<M: WireMsg> Frame<M> {
                 let slot_frames = r.u32()?;
                 let lane_frames = r.u32()?;
                 let n = r.u16()? as usize;
-                let mut sent_to = Vec::with_capacity(n);
+                let mut sent_to = std::mem::take(spare);
+                sent_to.clear();
+                sent_to.reserve(n);
                 for _ in 0..n {
                     sent_to.push(r.u32()?);
                 }
@@ -627,6 +638,46 @@ mod tests {
             from: NodeId(42),
             word: u64::MAX,
         });
+    }
+
+    #[test]
+    fn decode_reusing_builds_barrier_tables_in_the_spare() {
+        let barrier = Frame::<u64>::Barrier {
+            round: 2,
+            host: 1,
+            settled: 10,
+            staged: 99,
+            dropped: 3,
+            slot_frames: 5,
+            lane_frames: 2,
+            sent_to: vec![0, 17, 4],
+        };
+        let mut spare = Vec::with_capacity(8);
+        spare.push(0xdead);
+        let storage = spare.as_ptr();
+        let decoded = Frame::<u64>::decode_reusing(&barrier.encode_to_vec(), &mut spare);
+        assert_eq!(decoded.as_ref(), Ok(&barrier));
+        assert_eq!(spare.capacity(), 0, "the barrier took the spare");
+        let Ok(Frame::Barrier { sent_to, .. }) = decoded else {
+            unreachable!()
+        };
+        assert_eq!(
+            sent_to.as_ptr(),
+            storage,
+            "decoded in place, not reallocated"
+        );
+
+        // Every other kind leaves the spare alone.
+        let mut spare = sent_to;
+        let lanes = Frame::<u64>::Lanes {
+            round: 3,
+            chan: ChannelId(7),
+            from: NodeId(42),
+            word: 1,
+        };
+        let decoded = Frame::<u64>::decode_reusing(&lanes.encode_to_vec(), &mut spare);
+        assert_eq!(decoded, Ok(lanes));
+        assert_eq!(spare.as_ptr(), storage);
     }
 
     #[test]
