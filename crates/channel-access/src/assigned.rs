@@ -343,28 +343,62 @@ impl LaneElectionSeries {
     ) -> Self {
         assert!(bits > 0 && bits <= 63, "bits must be in 1..=63");
         assert!(width > 0 && width <= 64, "width must be in 1..=64");
-        if let Some((slot, id)) = entry {
-            assert!(
-                slot < elections,
-                "slot {slot} outside {elections} elections"
-            );
-            assert!(id < (1u64 << bits), "id {id} does not fit in {bits} bits");
-        }
-        LaneElectionSeries {
+        let mut series = LaneElectionSeries {
             chan,
             bits,
             width,
-            entry,
-            elections,
-            winners: vec![None; elections as usize],
+            entry: None,
+            elections: 0,
+            winners: Vec::with_capacity(elections as usize),
             active: false,
             poisoned: false,
             presence: 0,
             busy_words: vec![0; bits as usize],
             round: 0,
             crashed_out: false,
-            done: elections == 0,
+            done: true,
+        };
+        series.rearm(entry, elections, chan);
+        series
+    }
+
+    /// Re-arms the series **in place** for another run of `elections` slots
+    /// on channel `chan` (same `bits` and `width`): afterwards the state
+    /// equals a fresh [`LaneElectionSeries::new`] — local round counter,
+    /// [`winners`](Self::winners), [`crashed_out`](Self::crashed_out) and
+    /// all — but the winner and probe-word storage is reused, so a
+    /// multi-phase pipeline re-seeding every node between phases
+    /// (`update_nodes`) allocates nothing once a series has run at least as
+    /// many slots before.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the entry's slot is within the series and its station
+    /// id fits in `bits` bits.
+    pub fn rearm(&mut self, entry: Option<(u32, u64)>, elections: u32, chan: ChannelId) {
+        if let Some((slot, id)) = entry {
+            assert!(
+                slot < elections,
+                "slot {slot} outside {elections} elections"
+            );
+            assert!(
+                id < (1u64 << self.bits),
+                "id {id} does not fit in {} bits",
+                self.bits
+            );
         }
+        self.chan = chan;
+        self.entry = entry;
+        self.elections = elections;
+        self.winners.clear();
+        self.winners.resize(elections as usize, None);
+        self.active = false;
+        self.poisoned = false;
+        self.presence = 0;
+        self.busy_words.fill(0);
+        self.round = 0;
+        self.crashed_out = false;
+        self.done = elections == 0;
     }
 
     /// `true` once the node has crashed and recovered mid-series: its local
@@ -505,10 +539,11 @@ impl Protocol for LaneElectionSeries {
 // ---------------------------------------------------------------------------
 
 /// A **series** of bitwise elections on one assigned channel, serialized in
-/// known slot order — the per-phase workhorse of the channel-sharded MST:
-/// each fragment scheduled on the channel gets one election slot, its
-/// members contend with their `bits`-bit station ids (max id wins), and
-/// **every** node attached to the channel learns every slot's winner.
+/// known slot order (the Section 5.1 group-representative election runs a
+/// one-slot series; the channel-sharded MST moved to full-width
+/// [`LaneElectionSeries`] batches): each slot's contenders transmit their
+/// `bits`-bit station ids (max id wins), and **every** node attached to the
+/// channel learns every slot's winner.
 ///
 /// This is the **1-lane special case** of [`LaneElectionSeries`]: each
 /// election occupies lane 0 of its own batch, so slots run one after the
@@ -841,6 +876,45 @@ mod tests {
         );
         for v in g.nodes() {
             assert_eq!(eng.node(v).winners(), &[Some(12)]);
+        }
+    }
+
+    #[test]
+    fn lane_series_rearm_equals_a_fresh_series() {
+        // 150 slots at width 64 (three batches) on channel 1, then an
+        // in-place re-arm to 70 slots on channel 0 with new entries: the
+        // re-armed state is indistinguishable from a fresh series, before
+        // and after the second run.
+        let g = generators::ring(300);
+        let bits = 10;
+        let first = |v: usize| (Some(((v % 150) as u32, v as u64 + 1)), 150, CHAN);
+        let second = |v: usize| {
+            (
+                (!v.is_multiple_of(3)).then(|| ((v % 70) as u32, 1000 - v as u64)),
+                70,
+                ChannelId(0),
+            )
+        };
+        let fresh =
+            |(entry, elections, chan)| LaneElectionSeries::new(entry, bits, elections, 64, chan);
+        let mut eng =
+            SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| fresh(first(v.index())));
+        assert!(eng.run(10_000).is_completed());
+        assert_eq!(eng.round(), 3 * LaneElectionSeries::slot_rounds(bits));
+
+        eng.update_nodes(|v, series| {
+            let (entry, elections, chan) = second(v.index());
+            series.rearm(entry, elections, chan);
+            assert_eq!(*series, fresh(second(v.index())));
+        });
+        let mut scratch =
+            SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| fresh(second(v.index())));
+        assert!(eng.run(10_000).is_completed());
+        assert!(scratch.run(10_000).is_completed());
+        assert_eq!(scratch.round(), 2 * LaneElectionSeries::slot_rounds(bits));
+        for v in g.nodes() {
+            assert_eq!(eng.node(v), scratch.node(v));
+            assert!(eng.node(v).winners().iter().all(Option::is_some));
         }
     }
 

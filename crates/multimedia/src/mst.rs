@@ -22,17 +22,23 @@
 //! carrier, so each phase costs Θ(#fragments) slots however many channels a
 //! deployment has.  [`sharded_mst`] ports the merge pipeline to a
 //! `K`-channel [`ChannelSet`]: every current fragment contends on **its
-//! own** channel (fragments sharing a channel are serialized into election
-//! slots), the fragment-local minimum-edge election runs as an
+//! own** channel, the fragment-local minimum-edge election runs as an
 //! engine-executed bitwise election over **raw packed edge weights**
 //! ([`WeightStations`] — no driver-side rank tables), and a merged fragment
 //! re-attaches to its *winner's* channel between phases through the
 //! engines' dynamic-attachment snapshots
-//! ([`EngineControl::reattach`]).  The
-//! busiest channel then hosts `⌈F/K⌉`-ish elections per phase instead of
-//! `F`, so the engine-measured round count drops by the shard factor (the
-//! `mst_sharded` section of `BENCH_engine.json`), while the elected tree
-//! stays the unique MST on all four engine substrates.
+//! ([`EngineControl::reattach`]).
+//!
+//! Fragments sharing a channel are **lane-packed**, not serialized: the
+//! channel's lane sub-slot carries [`ELECTION_LANES`] = 64 concurrent
+//! elections per `bits + 2`-round batch ([`LaneElectionSeries`]), so a
+//! phase costs `⌈busiest / 64⌉ · (bits + 2)` election rounds for the
+//! busiest channel's fragment count.  The busiest channel hosts
+//! `⌈F/K⌉`-ish fragments per phase instead of `F`, so sharding shortens a
+//! phase exactly when a channel would otherwise need more than one batch
+//! (`F > 64·K`); below that every `K` needs the same single batch (the
+//! `mst_sharded` section of `BENCH_engine.json`).  The elected tree stays
+//! the unique MST on all four engine substrates.
 //!
 //! The cross-fragment **merge handshake** is engine-executed too
 //! ([`MergePhase`]): once the elections of a phase resolve, each fragment's
@@ -43,7 +49,7 @@
 
 use crate::model::{MultimediaNetwork, WeightStations};
 use crate::partition::{deterministic, PartitionOutcome};
-use channel_access::assigned::ElectionSeries;
+use channel_access::assigned::LaneElectionSeries;
 use channel_access::{capetanakis, Contender};
 use netsim_graph::{EdgeId, Graph, NodeId, SpanningForest, UnionFind};
 use netsim_sim::{
@@ -251,16 +257,24 @@ fn unpack_merge_msg(msg: u64) -> (u64, EdgeId, u64) {
     (kind, edge, label)
 }
 
+/// Lanes per election batch: the full word width of the channels' lane
+/// sub-slot, so one `bits + 2`-round batch settles up to 64 fragments'
+/// elections at once.
+pub const ELECTION_LANES: u32 = u64::BITS;
+
 /// One engine-executed merge phase of the channel-sharded MST: the
-/// fragment-local minimum-edge election ([`ElectionSeries`] over packed
-/// [`WeightStations`] ids) followed by the **cross-fragment merge
-/// handshake** over the elected links, all as one [`Protocol`].
+/// fragment-local minimum-edge elections ([`LaneElectionSeries`] over packed
+/// [`WeightStations`] ids, [`ELECTION_LANES`] fragments per batch) followed
+/// by the **cross-fragment merge handshake** over the elected links, all as
+/// one [`Protocol`].
 ///
 /// The schedule, identical on every node:
 ///
 /// * **rounds `0..horizon`** — the election series runs on this node's
-///   fragment channel (`horizon` is the busiest channel's slot count times
-///   [`ElectionSeries::slot_rounds`], a global constant of the phase);
+///   fragment channel: election slot `e` of the channel rides lane
+///   `e % 64` of batch `e / 64`, and `horizon` is
+///   `⌈busiest / 64⌉ · (bits + 2)` for the busiest channel's slot count
+///   ([`MergePhase::election_horizon`]), a global constant of the phase;
 /// * **round `horizon` — GRAFT**: the node whose proposed station won its
 ///   fragment's slot sends `GRAFT(its fragment label)` point-to-point over
 ///   the elected link;
@@ -274,13 +288,15 @@ fn unpack_merge_msg(msg: u64) -> (u64, EdgeId, u64) {
 ///
 /// The handshake messages ride the engines' point-to-point layer, so the
 /// phase's message count and round count are **measured**, not synthesized,
-/// and stay bit-identical across all four substrates.  Under faults a
-/// crashed winner (or peer) simply leaves [`MergePhase::accepted`] empty —
-/// the fragment retries next phase; a recovered node retires inert exactly
-/// like its election series ([`MergePhase::crashed_out`]).
+/// and stay bit-identical across all four substrates.  Under faults an
+/// erased lane word **poisons its whole batch** — every fragment sharing
+/// the batch reads `None` from [`MergePhase::winners`] and nobody grafts —
+/// and a crashed winner (or peer) leaves [`MergePhase::accepted`] empty;
+/// either way the fragment retries next phase.  A recovered node retires
+/// inert exactly like its election series ([`MergePhase::crashed_out`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergePhase {
-    series: ElectionSeries,
+    series: LaneElectionSeries,
     /// Global election horizon of the phase, in rounds.
     horizon: u64,
     candidate: Option<MergeCandidate>,
@@ -289,35 +305,75 @@ pub struct MergePhase {
     /// The `(elected edge, far fragment label)` pair this node's `GRAFT`
     /// got `ACCEPT`ed with, if it won its fragment's election.
     accepted: Option<(EdgeId, u64)>,
-    /// Local round counter since seeding (see [`ElectionSeries`] on why
+    /// Local round counter since seeding (see [`LaneElectionSeries`] on why
     /// schedules run off local counters).
     round: u64,
     done: bool,
 }
 
+/// What one node needs to know to take part in one merge phase.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PhaseSeat {
+    /// This node's proposal (`None` where it has no outgoing candidate).
+    pub candidate: Option<MergeCandidate>,
+    /// This node's current-fragment label.
+    pub label: u64,
+    /// The node's fragment channel.
+    pub chan: ChannelId,
+    /// Election slots scheduled on `chan` this phase.
+    pub elections: u32,
+    /// The phase's global election horizon in rounds
+    /// ([`MergePhase::election_horizon`] of the busiest channel).
+    pub horizon: u64,
+}
+
 impl MergePhase {
-    /// Per-node state for one phase: the node's election series, the
-    /// phase's global election `horizon` in rounds, this node's proposal
-    /// (`None` where it has no outgoing candidate), and its fragment label.
-    pub fn new(
-        series: ElectionSeries,
-        horizon: u64,
-        candidate: Option<MergeCandidate>,
-        label: u64,
-    ) -> Self {
+    /// Per-node state for a node's first phase; station ids fit in `bits`
+    /// bits.
+    pub fn new(bits: u32, seat: PhaseSeat) -> Self {
         MergePhase {
-            series,
-            horizon,
-            candidate,
-            label,
+            series: LaneElectionSeries::new(
+                seat.candidate.map(|c| (c.slot, c.station)),
+                bits,
+                seat.elections,
+                ELECTION_LANES,
+                seat.chan,
+            ),
+            horizon: seat.horizon,
+            candidate: seat.candidate,
+            label: seat.label,
             accepted: None,
             round: 0,
             done: false,
         }
     }
 
+    /// Re-arms this node **in place** for the next phase: the state equals
+    /// a fresh [`MergePhase::new`] with the same `bits`, but the election
+    /// series keeps its storage ([`LaneElectionSeries::rearm`]), so
+    /// re-seeding every node between phases allocates nothing.
+    pub fn rearm(&mut self, seat: PhaseSeat) {
+        self.series.rearm(
+            seat.candidate.map(|c| (c.slot, c.station)),
+            seat.elections,
+            seat.chan,
+        );
+        self.horizon = seat.horizon;
+        self.candidate = seat.candidate;
+        self.label = seat.label;
+        self.accepted = None;
+        self.round = 0;
+        self.done = false;
+    }
+
+    /// Election rounds of a phase whose busiest channel hosts `busiest`
+    /// election slots: `⌈busiest / 64⌉` lane batches of `bits + 2` rounds.
+    pub fn election_horizon(busiest: u32, bits: u32) -> u64 {
+        u64::from(busiest.div_ceil(ELECTION_LANES)) * LaneElectionSeries::slot_rounds(bits)
+    }
+
     /// Per-slot election winners as heard by this node — see
-    /// [`ElectionSeries::winners`].
+    /// [`LaneElectionSeries::winners`].
     pub fn winners(&self) -> &[Option<u64>] {
         self.series.winners()
     }
@@ -330,7 +386,7 @@ impl MergePhase {
     }
 
     /// `true` once the node crashed and recovered mid-phase — see
-    /// [`ElectionSeries::crashed_out`].
+    /// [`LaneElectionSeries::crashed_out`].
     pub fn crashed_out(&self) -> bool {
         self.series.crashed_out()
     }
@@ -428,6 +484,10 @@ pub struct ShardedMstRun {
     pub k: u16,
     /// Merge phases executed.
     pub phases: u32,
+    /// Lane batches the busiest channel ran, summed over the phases
+    /// (`Σ ⌈busiest / 64⌉`): [`election_rounds`](Self::election_rounds) is
+    /// exactly `election_batches · (bits + 2) + 3 · phases`.
+    pub election_batches: u64,
     /// Initial fragments produced by Stage 1.
     pub initial_fragments: usize,
     /// Cost of Stage 1 (the deterministic partition).
@@ -464,7 +524,8 @@ impl ShardedMstRun {
 }
 
 /// One phase's schedule: attachment masks, per-node merge candidates, and
-/// the per-channel election counts.
+/// the per-channel election counts.  Allocated once per run and refilled in
+/// place every phase.
 struct PhasePlan {
     /// Per-node attachment snapshot (each node on its fragment's channel).
     masks: Vec<u64>,
@@ -477,69 +538,112 @@ struct PhasePlan {
     chans: Vec<u16>,
     /// Election slots scheduled per channel.
     elections: Vec<u32>,
-    /// Election slot of each current fragment, indexed by initial-fragment
-    /// index (valid at union-find representatives).
+    /// Election slot of each current fragment, indexed by fragment
+    /// representative (`u32::MAX` where none is scheduled).
     slot_of: Vec<u32>,
+    /// Lane batches the busiest channel runs this phase.
+    batches: u32,
     /// Election rounds the busiest channel needs this phase (the phase's
     /// handshake horizon).
     rounds: u64,
 }
 
-/// Builds one phase's schedule: every current fragment gets one election
-/// slot on its channel (slots in ascending representative order), and every
-/// node's proposal is the packed raw-weight station of its minimum outgoing
-/// link.
+impl PhasePlan {
+    /// An empty plan for `n` nodes, `k` channels and `reps` possible
+    /// fragment representatives.
+    fn new(n: usize, k: u16, reps: usize) -> Self {
+        PhasePlan {
+            masks: Vec::with_capacity(n),
+            candidates: Vec::with_capacity(n),
+            labels: Vec::with_capacity(n),
+            chans: Vec::with_capacity(n),
+            elections: vec![0; k as usize],
+            slot_of: vec![u32::MAX; reps],
+            batches: 0,
+            rounds: 0,
+        }
+    }
+
+    /// Empties the plan for the next phase, keeping every buffer.
+    fn clear(&mut self) {
+        self.masks.clear();
+        self.candidates.clear();
+        self.labels.clear();
+        self.chans.clear();
+        self.elections.fill(0);
+        self.slot_of.fill(u32::MAX);
+    }
+
+    /// Schedules the next election slot of channel `chan` for fragment
+    /// representative `rep`.
+    fn schedule(&mut self, rep: usize, chan: u16) {
+        let count = &mut self.elections[chan as usize];
+        self.slot_of[rep] = *count;
+        *count += 1;
+    }
+
+    /// Appends the next node (in node-id order): a member of fragment `rep`
+    /// on channel `chan`, proposing `candidate`.
+    fn seat_node(&mut self, rep: usize, chan: u16, candidate: Option<MergeCandidate>) {
+        self.chans.push(chan);
+        self.masks.push(1u64 << chan);
+        self.labels.push(rep as u64);
+        self.candidates.push(candidate);
+    }
+
+    /// Fixes the phase horizon once every slot is scheduled.
+    fn close(&mut self, bits: u32) {
+        let busiest = self.elections.iter().copied().max().unwrap_or(0);
+        self.batches = busiest.div_ceil(ELECTION_LANES);
+        self.rounds = MergePhase::election_horizon(busiest, bits);
+    }
+
+    /// Node `v`'s view of the phase.
+    fn seat(&self, v: NodeId) -> PhaseSeat {
+        let chan = self.chans[v.index()];
+        PhaseSeat {
+            candidate: self.candidates[v.index()],
+            label: self.labels[v.index()],
+            chan: ChannelId(chan),
+            elections: self.elections[chan as usize],
+            horizon: self.rounds,
+        }
+    }
+}
+
+/// Refills `plan` with one fault-free phase's schedule: every current
+/// fragment gets one election slot on its channel (slots in ascending
+/// representative order), and every node's proposal is the packed
+/// raw-weight station of its minimum outgoing link.
 fn plan_phase(
+    plan: &mut PhasePlan,
     g: &Graph,
     init_of: &[usize],
     current: &mut UnionFind,
     chan_of: &[u16],
-    k: u16,
     stations: &WeightStations,
-) -> PhasePlan {
-    let f = chan_of.len();
-    let mut slot_of = vec![u32::MAX; f];
-    let mut elections = vec![0u32; k as usize];
-    for i in 0..f {
+) {
+    plan.clear();
+    for (i, &c) in chan_of.iter().enumerate() {
         if current.find(i) == i {
-            let c = chan_of[i] as usize;
-            slot_of[i] = elections[c];
-            elections[c] += 1;
+            plan.schedule(i, c);
         }
     }
-    let n = g.node_count();
-    let mut masks = Vec::with_capacity(n);
-    let mut candidates = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    let mut chans = Vec::with_capacity(n);
     for v in g.nodes() {
         let cur = current.find(init_of[v.index()]);
-        let c = chan_of[cur];
-        chans.push(c);
-        masks.push(1u64 << c);
-        labels.push(cur as u64);
         // Adjacency is weight-sorted, so the first link leaving the current
         // fragment is this node's minimum outgoing candidate.
         let candidate = g.neighbors(v).into_iter().find_map(|(w, e)| {
             (current.find(init_of[w.index()]) != cur).then(|| MergeCandidate {
-                slot: slot_of[cur],
+                slot: plan.slot_of[cur],
                 station: stations.station_of(g, e),
                 edge: e,
                 peer: w,
             })
         });
-        candidates.push(candidate);
+        plan.seat_node(cur, chan_of[cur], candidate);
     }
-    let busiest = elections.iter().copied().max().unwrap_or(0);
-    PhasePlan {
-        masks,
-        candidates,
-        labels,
-        chans,
-        elections,
-        slot_of,
-        rounds: u64::from(busiest) * ElectionSeries::slot_rounds(stations.bits()),
-    }
+    plan.close(stations.bits());
 }
 
 /// Hosts the [`MergeSubstrate::Wire`] substrate partitions the node set
@@ -579,15 +683,20 @@ pub fn sharded_mst_on(net: &MultimediaNetwork, k: u16, which: MergeSubstrate) ->
 /// Stages 2–3 of the channel-sharded MST on a pre-computed Stage-1
 /// partition: `O(log n)` Borůvka phases in which every current fragment
 /// elects its minimum-weight outgoing link by a bitwise election **on its
-/// own channel** ([`ElectionSeries`]), fragments sharing a channel are
-/// serialized into election slots, and each merged fragment re-attaches to
+/// own channel**, fragments sharing a channel ride the lanes of
+/// [`ELECTION_LANES`]-wide batches ([`LaneElectionSeries`]: slot `e` is lane
+/// `e % 64` of batch `e / 64`), and each merged fragment re-attaches to
 /// its *winner's* channel (the channel of the constituent whose elected
 /// link had the globally minimal key in the component) between phases via
-/// the engines' dynamic-attachment snapshots.
+/// the engines' dynamic-attachment snapshots.  Phases after the first
+/// re-arm every node in place ([`MergePhase::rearm`]) and refill one
+/// reused schedule, so they allocate nothing per node.
 ///
-/// With `K` channels the busiest channel hosts `⌈F/K⌉`-ish elections per
-/// phase instead of all `F`, cutting the per-phase round count by the shard
-/// factor — the Section 5/6 win this pipeline exists to demonstrate.
+/// A phase runs `⌈busiest / 64⌉ · (bits + 2)` election rounds plus the
+/// three handshake rounds, `busiest` being the fragment count of the
+/// busiest channel.  With `K` channels that channel hosts `⌈F/K⌉`-ish
+/// fragments instead of all `F`, which cuts the batch count — the Section
+/// 5/6 win — whenever `F > 64·K`.
 ///
 /// # Panics
 ///
@@ -658,39 +767,29 @@ where
     let mut engine: Option<E> = None;
     let mut build = Some(build);
     let mut phases = 0u32;
-    // Scratch, reused across phases: per-new-representative winner tracking.
+    let mut election_batches = 0u64;
+    // Scratch, reused across phases: the phase schedule and the
+    // per-new-representative winner tracking.
+    let mut plan = PhasePlan::new(n, k, f);
     let mut best: Vec<Option<((u64, usize), u16)>> = vec![None; f];
     let mut merges: Vec<(usize, EdgeId, u64)> = Vec::new();
 
     while current.set_count() > 1 {
         phases += 1;
-        let plan = plan_phase(g, &init_of, &mut current, &chan_of, k, &stations);
-        let mut init = |v: NodeId| {
-            let c = plan.chans[v.index()];
-            let series = ElectionSeries::new(
-                plan.candidates[v.index()].map(|cand| (cand.slot, cand.station)),
-                bits,
-                plan.elections[c as usize],
-                ChannelId(c),
-            );
-            MergePhase::new(
-                series,
-                plan.rounds,
-                plan.candidates[v.index()],
-                plan.labels[v.index()],
-            )
-        };
+        plan_phase(&mut plan, g, &init_of, &mut current, &chan_of, &stations);
+        election_batches += u64::from(plan.batches);
         match &mut engine {
             None => {
                 let builder =
                     EngineBuilder::new(g).channels(ChannelSet::from_masks(k, plan.masks.clone()));
                 engine = Some((build.take().expect("build is one-shot"))(
-                    &builder, &mut init,
+                    &builder,
+                    &mut |v| MergePhase::new(bits, plan.seat(v)),
                 ));
             }
             Some(e) => {
                 e.reattach(&plan.masks);
-                e.update_nodes(&mut |v, phase| *phase = init(v));
+                e.update_nodes(&mut |v, phase| phase.rearm(plan.seat(v)));
             }
         }
         let eng = engine.as_mut().expect("engine constructed");
@@ -768,6 +867,7 @@ where
         edges: mst_edges,
         k,
         phases,
+        election_batches,
         initial_fragments: f,
         partition_cost: partition.cost,
         election_cost,
@@ -829,13 +929,13 @@ impl FaultedMstRun {
 /// faulted engine, and the merge driver is hardened against every fault
 /// class instead of assuming clean feedback.
 ///
-/// * **Erased election words** poison the whole batch on that channel (the
-///   series reports no winners); the fragment simply retries in the next
-///   phase.  A graft whose acceptance never arrives (the peer crashed
-///   mid-handshake) is likewise retried.
+/// * **Erased election words** poison the whole lane batch on that channel
+///   (up to [`ELECTION_LANES`] fragments read no winner at once); each of
+///   them simply retries in the next phase.  A graft whose acceptance never
+///   arrives (the peer crashed mid-handshake) is likewise retried.
 /// * **Crashed nodes are permanently departed**, even if the plan later
 ///   recovers them: a mid-election crash strands the node's
-///   [`ElectionSeries`] at a stale local round, so recovery retires it to a
+///   [`LaneElectionSeries`] at a stale local round, so recovery retires it to a
 ///   crashed-out silent observer (it can never corrupt another fragment's
 ///   slots), and the driver drops the node from the survivor set.  Current
 ///   fragments are therefore recomputed every phase as the connected
@@ -939,7 +1039,8 @@ where
     // round-robin over the shard factor.  (The fault-free pipeline's
     // adopt-the-winner's-channel refinement needs stable representatives,
     // which the per-phase component rebuild below deliberately gives up.)
-    let chan_of_rep = |rep: usize| ChannelId((init_of[rep] % k as usize) as u16);
+    let chan_of_rep = |rep: usize| (init_of[rep] % k as usize) as u16;
+    let mut sched = PhasePlan::new(n, k, n);
 
     loop {
         // Current fragments: connected components of the surviving subgraph
@@ -989,31 +1090,20 @@ where
 
         // Election slots: one per fragment with an outgoing link, ascending
         // representative order on the fragment's channel.
-        let mut slot_of = vec![u32::MAX; n];
-        let mut elections = vec![0u32; k as usize];
-        for v in 0..n {
-            if best_of[v].is_some() && comp.find(v) == v {
-                let c = chan_of_rep(v).index();
-                slot_of[v] = elections[c];
-                elections[c] += 1;
+        sched.clear();
+        for (v, best) in best_of.iter().enumerate() {
+            if best.is_some() && comp.find(v) == v {
+                sched.schedule(v, chan_of_rep(v));
             }
         }
-        let mut masks = Vec::with_capacity(n);
-        let mut chans = Vec::with_capacity(n);
-        let mut candidates: Vec<Option<MergeCandidate>> = Vec::with_capacity(n);
-        let mut labels: Vec<u64> = Vec::with_capacity(n);
         for v in g.nodes() {
             let rep = if departed[v.index()] {
                 v.index()
             } else {
                 comp.find(v.index())
             };
-            let c = chan_of_rep(rep);
-            chans.push(c.index() as u16);
-            masks.push(1u64 << c.index());
-            labels.push(rep as u64);
             let cand = candidate[v.index()].and_then(|e| {
-                let slot = slot_of[comp.find(v.index())];
+                let slot = sched.slot_of[comp.find(v.index())];
                 if slot == u32::MAX {
                     return None;
                 }
@@ -1026,33 +1116,24 @@ where
                     peer,
                 })
             });
-            candidates.push(cand);
+            sched.seat_node(rep, chan_of_rep(rep), cand);
         }
-        let busiest = elections.iter().copied().max().unwrap_or(0);
-        let rounds = u64::from(busiest) * ElectionSeries::slot_rounds(bits);
+        sched.close(bits);
+        let rounds = sched.rounds;
 
-        let mut init = |v: NodeId| {
-            let c = chans[v.index()];
-            let series = ElectionSeries::new(
-                candidates[v.index()].map(|cand| (cand.slot, cand.station)),
-                bits,
-                elections[c as usize],
-                ChannelId(c),
-            );
-            MergePhase::new(series, rounds, candidates[v.index()], labels[v.index()])
-        };
         match &mut engine {
             None => {
                 let builder = EngineBuilder::new(g)
-                    .channels(ChannelSet::from_masks(k, masks.clone()))
+                    .channels(ChannelSet::from_masks(k, sched.masks.clone()))
                     .fault_plan(plan.clone());
                 engine = Some((build.take().expect("build is one-shot"))(
-                    &builder, &mut init,
+                    &builder,
+                    &mut |v| MergePhase::new(bits, sched.seat(v)),
                 ));
             }
             Some(e) => {
-                e.reattach(&masks);
-                e.update_nodes(&mut |v, phase| *phase = init(v));
+                e.reattach(&sched.masks);
+                e.update_nodes(&mut |v, phase| phase.rearm(sched.seat(v)));
             }
         }
         let eng = engine.as_mut().expect("engine constructed");
@@ -1078,7 +1159,7 @@ where
         // scheduled against — so all winners are harvested before any merge
         // mutates it.
         let mut merges: Vec<(usize, EdgeId, u64)> = Vec::new();
-        for (rep, &slot) in slot_of.iter().enumerate() {
+        for (rep, &slot) in sched.slot_of.iter().enumerate() {
             if slot == u32::MAX {
                 continue;
             }
@@ -1318,30 +1399,75 @@ mod tests {
         }
     }
 
+    /// The all-singletons Stage-1 partition: `F = n` initial fragments, so a
+    /// few hundred nodes already push a channel past one lane batch.
+    fn singleton_partition(net: &MultimediaNetwork) -> PartitionOutcome {
+        PartitionOutcome {
+            forest: SpanningForest::singletons(net.graph()),
+            cost: CostAccount::new(),
+            phases: 0,
+        }
+    }
+
     #[test]
     fn sharded_rounds_drop_with_the_shard_factor() {
-        let g = netsim_graph::topologies::ring_of_cliques(24, 8);
+        // Sharding pays beyond 64·K fragments: with F = 320 singleton
+        // fragments K = 1 needs 5 batches in the first phase, K = 4 two,
+        // K = 16 one.  (At F ≤ 64 every K fits one batch per phase.)
+        let g = netsim_graph::topologies::ring_of_cliques(40, 8);
         let g = generators::assign_random_weights(&g, 9);
         let net = MultimediaNetwork::new(g);
+        let partition = singleton_partition(&net);
+        let slot = LaneElectionSeries::slot_rounds(WeightStations::new(net.graph()).bits());
         let rounds: Vec<u64> = [1u16, 4, 16]
             .iter()
             .map(|&k| {
-                let run = sharded_mst(&net, k);
+                let run = sharded_mst_from_partition(&net, &partition, k, MergeSubstrate::Flat);
                 check_sharded(&net, &run);
+                assert_eq!(run.initial_fragments, 320);
+                // Closed form: Σ_phases (⌈busiest/64⌉·(bits+2) + 3).
+                assert_eq!(
+                    run.election_rounds(),
+                    run.election_batches * slot
+                        + u64::from(run.phases) * MergePhase::HANDSHAKE_ROUNDS,
+                    "k={k}"
+                );
                 run.election_rounds()
             })
             .collect();
+        // Measured 255 / 159 / 135 (10 / 6 / 5 batches over 5 phases).
         assert!(
             rounds[0] > rounds[1] && rounds[1] > rounds[2],
             "election rounds must drop with K: {rounds:?}"
         );
-        // The busiest channel hosts ~F/K elections, so the first phase alone
-        // shrinks close to the shard factor; over all phases a 16-way shard
-        // must at least quarter the single-channel round count.
-        assert!(
-            rounds[2] * 4 <= rounds[0],
-            "16-way sharding saves less than 4x: {rounds:?}"
-        );
+    }
+
+    /// Runs the sharded MST on all four substrates, asserts they agree bit
+    /// for bit, and returns the flat run.
+    fn assert_pinned_across_substrates(
+        net: &MultimediaNetwork,
+        part: &PartitionOutcome,
+        k: u16,
+    ) -> ShardedMstRun {
+        let on = |which| sharded_mst_from_partition(net, part, k, which);
+        let flat = on(MergeSubstrate::Flat);
+        check_sharded(net, &flat);
+        for which in [
+            MergeSubstrate::Reference,
+            MergeSubstrate::AsyncLockstep,
+            MergeSubstrate::Wire,
+        ] {
+            let other = on(which);
+            assert_eq!(flat.edges, other.edges, "k={k} {which:?}");
+            assert_eq!(flat.phases, other.phases, "k={k} {which:?}");
+            assert_eq!(
+                flat.election_batches, other.election_batches,
+                "k={k} {which:?}"
+            );
+            assert_eq!(flat.election_cost, other.election_cost, "k={k} {which:?}");
+            assert_eq!(flat.checksum(), other.checksum(), "k={k} {which:?}");
+        }
+        flat
     }
 
     #[test]
@@ -1349,23 +1475,27 @@ mod tests {
         let g = netsim_graph::topologies::ring_of_cliques(10, 6);
         let g = generators::assign_random_weights(&g, 3);
         let net = MultimediaNetwork::new(g);
+        let partition = deterministic::partition(&net);
         for k in [1u16, 4] {
-            let flat = sharded_mst_on(&net, k, MergeSubstrate::Flat);
-            let reference = sharded_mst_on(&net, k, MergeSubstrate::Reference);
-            let lockstep = sharded_mst_on(&net, k, MergeSubstrate::AsyncLockstep);
-            let wire = sharded_mst_on(&net, k, MergeSubstrate::Wire);
-            check_sharded(&net, &flat);
-            assert_eq!(flat.edges, reference.edges, "k={k}");
-            assert_eq!(flat.edges, lockstep.edges, "k={k}");
-            assert_eq!(flat.edges, wire.edges, "k={k}");
-            assert_eq!(flat.phases, reference.phases, "k={k}");
-            assert_eq!(flat.phases, lockstep.phases, "k={k}");
-            assert_eq!(flat.phases, wire.phases, "k={k}");
-            assert_eq!(flat.election_cost, reference.election_cost, "k={k}");
-            assert_eq!(flat.election_cost, lockstep.election_cost, "k={k}");
-            assert_eq!(flat.election_cost, wire.election_cost, "k={k}");
-            assert_eq!(flat.checksum(), lockstep.checksum(), "k={k}");
-            assert_eq!(flat.checksum(), wire.checksum(), "k={k}");
+            assert_pinned_across_substrates(&net, &partition, k);
+        }
+    }
+
+    #[test]
+    fn multi_batch_sharded_mst_is_pinned_across_all_four_substrates() {
+        // F = 300 singleton fragments: the busiest channel crosses a lane
+        // batch boundary at K = 1 (5 batches) and at K = 4 (75 slots, 2
+        // batches), so slots ride lanes of different batches.
+        let g = netsim_graph::topologies::ring_of_cliques(50, 6);
+        let g = generators::assign_random_weights(&g, 3);
+        let net = MultimediaNetwork::new(g);
+        let partition = singleton_partition(&net);
+        for k in [1u16, 4] {
+            let flat = assert_pinned_across_substrates(&net, &partition, k);
+            assert!(
+                flat.election_batches > u64::from(flat.phases),
+                "k={k}: some phase must run more than one batch"
+            );
         }
     }
 
@@ -1473,6 +1603,71 @@ mod tests {
         // Elections ride the lane sub-slots now, so their erasures land in
         // the lane counter, not the scalar-slot one.
         assert!(run.election_cost.lanes_erased > 0);
+    }
+
+    #[test]
+    fn erased_lane_words_poison_whole_batches_and_the_mst_stays_exact() {
+        // 300 singleton fragments on K = 2: 150 election slots per channel,
+        // i.e. batches of 64 + 64 + 22 fragments, under seeded erasures.
+        let g = netsim_graph::topologies::ring_of_cliques(50, 6);
+        let g = generators::assign_random_weights(&g, 3);
+        let net = MultimediaNetwork::new(g);
+        let g = net.graph();
+        let partition = singleton_partition(&net);
+        let k = 2u16;
+        let faults = netsim_sim::FaultPlan::from_rates(0xF00D, 0.03, 0.0, 0.0, 0.0);
+
+        // One phase by hand: a batch that lost a lane word reports `None`
+        // for every fragment riding it, an intact batch elects all of its
+        // fragments, and all nodes of a channel agree.
+        let n = g.node_count();
+        let init_of: Vec<usize> = (0..n).collect();
+        let chan_of: Vec<u16> = (0..n).map(|i| (i % k as usize) as u16).collect();
+        let stations = WeightStations::new(g);
+        let mut plan = PhasePlan::new(n, k, n);
+        let mut current = UnionFind::new(n);
+        plan_phase(&mut plan, g, &init_of, &mut current, &chan_of, &stations);
+        assert_eq!(plan.elections, [150, 150]);
+        assert_eq!(plan.batches, 3);
+        let mut eng = EngineBuilder::new(g)
+            .channels(ChannelSet::from_masks(k, plan.masks.clone()))
+            .fault_plan(faults.clone())
+            .build_flat(|v| MergePhase::new(stations.bits(), plan.seat(v)));
+        assert!(run_phase_budget(&mut eng, plan.rounds, 0));
+        let (mut poisoned, mut intact) = (0, 0);
+        for c in 0..k {
+            let heard = eng.node(NodeId(c as usize)).winners();
+            for v in g.nodes().filter(|v| plan.chans[v.index()] == c) {
+                assert_eq!(eng.node(v).winners(), heard, "listeners disagree on {v:?}");
+            }
+            for batch in heard.chunks(ELECTION_LANES as usize) {
+                assert!(batch.len() > 1);
+                if batch.iter().all(Option::is_none) {
+                    poisoned += 1;
+                } else {
+                    assert!(batch.iter().all(Option::is_some), "half-poisoned batch");
+                    intact += 1;
+                }
+            }
+        }
+        assert!(
+            poisoned > 0 && intact > 0,
+            "{poisoned} poisoned, {intact} intact"
+        );
+        assert!(eng.cost().lanes_erased > 0);
+
+        // The driver retries the poisoned fragments and still converges to
+        // the exact MST, identically on the flat and reference engines.
+        let on = |which| sharded_mst_faulted(&net, &partition, k, which, faults.clone(), 64);
+        let flat = on(MergeSubstrate::Flat);
+        let reference = on(MergeSubstrate::Reference);
+        assert!(flat.converged);
+        assert_eq!(flat.survivors.len(), n);
+        assert!(refmst::is_minimum_spanning_tree(g, &flat.edges));
+        assert!(flat.election_cost.lanes_erased > 0);
+        assert_eq!(flat.edges, reference.edges);
+        assert_eq!(flat.phases, reference.phases);
+        assert_eq!(flat.election_cost, reference.election_cost);
     }
 
     #[test]

@@ -1,0 +1,152 @@
+//! Pins the sharded MST's in-place phase re-arm with a counting global
+//! allocator (the pattern of `netsim-sim/tests/alloc_steady_state.rs`; one
+//! `#[test]`, per-thread counter, so the libtest harness threads stay out
+//! of the measurement): after the first phase, `reattach` + an
+//! `update_nodes` re-arm + a whole phase run of [`MergePhase`] on the flat
+//! engine allocates the same number of times whatever `n` — no per-node
+//! `Vec` is dropped and rebuilt between phases.
+
+use multimedia::mst::{MergeCandidate, MergePhase, PhaseSeat};
+use multimedia::WeightStations;
+use netsim_graph::{generators, Graph, NodeId};
+use netsim_sim::{ChannelId, ChannelSet, SyncEngine};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+// Const-initialised and drop-free, so reading it inside the allocator cannot
+// recurse into lazy TLS initialisation.
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // TLS may be unavailable during thread teardown; those allocations
+    // belong to the runtime, not the measured loop.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+/// Counts every allocation entry point on the current thread and delegates
+/// to the system allocator.
+struct CountingAllocator;
+
+// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
+// contract; the counter updates have no effect on allocation behaviour.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocs() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
+const K: u16 = 4;
+
+/// Every node is its own fragment on channel `(v + shift) % K`, proposing
+/// its lightest incident link; slots in ascending node order per channel.
+fn seats(g: &Graph, stations: &WeightStations, shift: usize) -> (Vec<u64>, Vec<PhaseSeat>) {
+    let n = g.node_count();
+    let chan = |v: usize| ((v + shift) % K as usize) as u16;
+    let mut elections = [0u32; K as usize];
+    let slots: Vec<u32> = (0..n)
+        .map(|v| {
+            let count = &mut elections[chan(v) as usize];
+            *count += 1;
+            *count - 1
+        })
+        .collect();
+    let busiest = elections.iter().copied().max().unwrap();
+    let horizon = MergePhase::election_horizon(busiest, stations.bits());
+    let seats = g
+        .nodes()
+        .map(|v| {
+            let (peer, edge) = g.neighbors(v).get(0).expect("ring nodes have links");
+            PhaseSeat {
+                candidate: Some(MergeCandidate {
+                    slot: slots[v.index()],
+                    station: stations.station_of(g, edge),
+                    edge,
+                    peer,
+                }),
+                label: v.index() as u64,
+                chan: ChannelId(chan(v.index())),
+                elections: elections[chan(v.index()) as usize],
+                horizon,
+            }
+        })
+        .collect();
+    let masks = (0..n).map(|v| 1u64 << chan(v)).collect();
+    (masks, seats)
+}
+
+/// Allocations of the second phase (re-attach, in-place re-arm, full run)
+/// on an `n`-ring.
+fn second_phase_allocs(n: usize) -> u64 {
+    let g = generators::assign_random_weights(&generators::ring(n), 7);
+    let stations = WeightStations::new(&g);
+    let (masks, first) = seats(&g, &stations, 0);
+    let (next_masks, next) = seats(&g, &stations, 1);
+    let mut eng = SyncEngine::with_channels(&g, ChannelSet::from_masks(K, masks), |v| {
+        MergePhase::new(stations.bits(), first[v.index()])
+    });
+    let phase_rounds = first[0].horizon + MergePhase::HANDSHAKE_ROUNDS;
+    assert!(eng.run(phase_rounds).is_completed());
+    assert_eq!(eng.round(), phase_rounds);
+
+    let before = allocs();
+    eng.reattach(&next_masks);
+    eng.update_nodes(|v, phase| phase.rearm(next[v.index()]));
+    let completed = eng.run(2 * phase_rounds).is_completed();
+    let spent = allocs() - before;
+
+    assert!(completed);
+    assert_eq!(eng.round(), 2 * phase_rounds);
+    // The re-armed phase really ran: every node elected its own proposal
+    // (a singleton fragment has one contender) and had its graft accepted.
+    for v in g.nodes() {
+        let seat = next[v.index()];
+        let candidate = seat.candidate.unwrap();
+        assert_eq!(
+            eng.node(v).winners()[candidate.slot as usize],
+            Some(candidate.station)
+        );
+        assert_eq!(
+            eng.node(v).accepted(),
+            Some((candidate.edge, candidate.peer.index() as u64))
+        );
+    }
+    assert_eq!(eng.node(NodeId(0)).winners().len(), n / K as usize);
+    spent
+}
+
+#[test]
+fn rearmed_merge_phase_allocates_independently_of_n() {
+    let small = second_phase_allocs(256);
+    let large = second_phase_allocs(2048);
+    assert_eq!(
+        small, large,
+        "re-armed phase allocations must not scale with n (256: {small}, 2048: {large})"
+    );
+    // Measured 0: the first phase already grew every engine buffer to the
+    // handshake's high-water mark.
+    assert!(small <= 4, "re-armed phase allocated {small} times");
+}

@@ -784,6 +784,9 @@ mod tests {
         assert_eq!(g.frontier_rows(&[]).count(), 0);
     }
 
+    // The sortedness check is a `debug_assert!` (sparse hot path), so the
+    // panic only exists where debug assertions are compiled in.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn frontier_rows_reject_unsorted_members() {
