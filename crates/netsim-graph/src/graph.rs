@@ -27,7 +27,9 @@
 //! list, so rebuilding a graph from the same edges always reproduces the same
 //! neighbour iteration order.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node (processor) in the network.
 ///
@@ -286,40 +288,6 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
     }
 }
 
-/// Iterator over the CSR adjacency rows of a frontier — see
-/// [`Graph::frontier_rows`].
-#[derive(Clone, Debug)]
-pub struct FrontierRows<'a> {
-    offsets: &'a [u32],
-    targets: &'a [NodeId],
-    edge_ids: &'a [EdgeId],
-    members: std::slice::Iter<'a, u32>,
-}
-
-impl<'a> Iterator for FrontierRows<'a> {
-    type Item = (NodeId, Neighbors<'a>);
-
-    #[inline]
-    fn next(&mut self) -> Option<(NodeId, Neighbors<'a>)> {
-        let vi = *self.members.next()? as usize;
-        let a = self.offsets[vi] as usize;
-        let b = self.offsets[vi + 1] as usize;
-        Some((
-            NodeId(vi),
-            Neighbors {
-                targets: &self.targets[a..b],
-                edge_ids: &self.edge_ids[a..b],
-            },
-        ))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.members.size_hint()
-    }
-}
-
-impl ExactSizeIterator for FrontierRows<'_> {}
-
 /// An undirected graph with weighted edges and flat CSR adjacency.
 ///
 /// The structure is immutable once built (see [`GraphBuilder`]); all
@@ -522,35 +490,6 @@ impl Graph {
         (&self.offsets, &self.targets, &self.edge_ids)
     }
 
-    /// CSR adjacency rows of a *frontier*: yields `(v, neighbors(v))` for
-    /// each member of a strictly ascending node-index list, in list order.
-    ///
-    /// This is the neighbour-iteration shape of active-set stepping (see the
-    /// simulator's sparse engines): the iterator borrows the three flat CSR
-    /// arrays once up front and streams rows for exactly the member set, so
-    /// a round that steps `|F|` frontier nodes performs `O(|F|)` offset reads
-    /// and touches no adjacency data of idle nodes.  The ascending-order
-    /// contract (checked in debug builds) matches the engines' determinism
-    /// contract — frontier members are always stepped in ascending node
-    /// index — and makes the offset walk monotone in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `members` is not strictly ascending, and
-    /// in all builds if a member index is `>= n`.
-    pub fn frontier_rows<'a>(&'a self, members: &'a [u32]) -> FrontierRows<'a> {
-        debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "frontier member list must be strictly ascending"
-        );
-        FrontierRows {
-            offsets: &self.offsets,
-            targets: &self.targets,
-            edge_ids: &self.edge_ids,
-            members: members.iter(),
-        }
-    }
-
     /// Looks up the edge between `u` and `v`, if any.
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         let nbrs = self.neighbors(u);
@@ -625,16 +564,53 @@ impl Graph {
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<Edge>,
-    seen: std::collections::HashSet<(usize, usize)>,
+    /// Packed keys ([`edge_key`]) of the edges added so far.  Membership
+    /// only — never iterated — so the hasher cannot influence the edge list.
+    seen: HashSet<u64, BuildHasherDefault<EdgeKeyHasher>>,
+}
+
+/// Packs the unordered pair `{u, v}` of in-range node indices (below 2³²,
+/// which [`GraphBuilder::new`] enforces) into one duplicate-detection key.
+fn edge_key(u: NodeId, v: NodeId) -> u64 {
+    let (lo, hi) = (u.index().min(v.index()), u.index().max(v.index()));
+    (lo as u64) << 32 | hi as u64
+}
+
+/// Hasher of the builder's duplicate-edge set: one multiply–xorshift round
+/// over the packed key.  The keys are node-index pairs produced by this
+/// program's own generators, not outside input, so SipHash's flood
+/// resistance bought nothing for what was a third of large-graph set-up.
+#[derive(Clone, Copy, Debug, Default)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash as a single u64");
+    }
+    fn write_u64(&mut self, key: u64) {
+        let x = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = x ^ (x >> 32);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl GraphBuilder {
     /// Creates a builder for a graph on `n` nodes and no edges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit the 32-bit CSR index space.
     pub fn new(n: usize) -> Self {
+        assert!(
+            n < u32::MAX as usize,
+            "CSR offsets are 32-bit; graph too large"
+        );
         GraphBuilder {
             n,
             edges: Vec::new(),
-            seen: std::collections::HashSet::new(),
+            seen: HashSet::default(),
         }
     }
 
@@ -654,8 +630,7 @@ impl GraphBuilder {
         if u == v || u.index() >= self.n || v.index() >= self.n {
             return None;
         }
-        let key = (u.index().min(v.index()), u.index().max(v.index()));
-        if !self.seen.insert(key) {
+        if !self.seen.insert(edge_key(u, v)) {
             return None;
         }
         let id = EdgeId(self.edges.len());
@@ -675,8 +650,7 @@ impl GraphBuilder {
 
     /// Returns `true` if the edge `{u, v}` has already been added.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let key = (u.index().min(v.index()), u.index().max(v.index()));
-        self.seen.contains(&key)
+        self.seen.contains(&edge_key(u, v))
     }
 
     /// Finalises the builder into an immutable [`Graph`] (CSR form; O(1)
@@ -768,30 +742,6 @@ mod tests {
         let e = [EdgeId(9)];
         let one = Neighbors::new(&t, &e);
         assert_eq!(one.get(0), Some((NodeId(5), EdgeId(9))));
-    }
-
-    #[test]
-    fn frontier_rows_match_per_node_views() {
-        let g = triangle();
-        let members = [0u32, 2];
-        let rows: Vec<(NodeId, Neighbors<'_>)> = g.frontier_rows(&members).collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(g.frontier_rows(&members).len(), 2);
-        for (v, nbrs) in rows {
-            assert_eq!(nbrs.targets(), g.neighbors(v).targets());
-            assert_eq!(nbrs.edge_ids(), g.neighbors(v).edge_ids());
-        }
-        assert_eq!(g.frontier_rows(&[]).count(), 0);
-    }
-
-    // The sortedness check is a `debug_assert!` (sparse hot path), so the
-    // panic only exists where debug assertions are compiled in.
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic]
-    fn frontier_rows_reject_unsorted_members() {
-        let g = triangle();
-        let _ = g.frontier_rows(&[2, 0]).count();
     }
 
     #[test]

@@ -45,9 +45,7 @@ pub mod traversal;
 mod union_find;
 
 pub use forest::{partition_quality, ForestError, PartitionQuality, SpanningForest, TreeStats};
-pub use graph::{
-    Edge, EdgeId, FrontierRows, Graph, GraphBuilder, Neighbors, NeighborsIter, NodeId, Weight,
-};
+pub use graph::{Edge, EdgeId, Graph, GraphBuilder, Neighbors, NeighborsIter, NodeId, Weight};
 pub use traversal::{ComponentSet, DistanceMatrix};
 pub use union_find::UnionFind;
 

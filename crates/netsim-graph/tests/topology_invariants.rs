@@ -84,3 +84,46 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a digest of a graph's edge list in `EdgeId` order.
+fn edge_list_digest(g: &netsim_graph::Graph) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x100_0000_01b3);
+    for e in g.edges() {
+        mix(e.u.index() as u64);
+        mix(e.v.index() as u64);
+        mix(e.weight);
+    }
+    h
+}
+
+/// `GraphBuilder`'s duplicate-edge set is membership-only, so its key packing
+/// and hasher must never change which edges a generator keeps or their
+/// order.  The digests were recorded with the original
+/// `HashSet<(usize, usize)>` + SipHash set; every family that rejects or
+/// probes for duplicates (and the ones that do not) must still reproduce
+/// them bit for bit.
+#[test]
+fn generated_edge_lists_are_pinned_per_family() {
+    use netsim_graph::generators::Family;
+    let pinned: [(Family, u64); 13] = [
+        (Family::Path, 0xa3ffb77fe7f6f11c),
+        (Family::Ring, 0xedee6725d7c00ef3),
+        (Family::Grid, 0xbefc28079f5adb65),
+        (Family::Torus, 0x1db4c0c340284842),
+        (Family::Complete, 0xb40c5181eba8f070),
+        (Family::RandomConnected, 0xd45f0cb546a1957a),
+        (Family::RandomTree, 0x8fce44db5bdbb9d1),
+        (Family::Ray, 0xa0544a199776b4ad),
+        (Family::Star, 0x9bdeb3d1ccd59e47),
+        (Family::RingOfCliques, 0x70dafcd76c7ae51f),
+        (Family::Geometric, 0x2899d755a83b93c8),
+        (Family::PreferentialAttachment, 0xe535ccb1942d672b),
+        (Family::Expander, 0x08154fb44a57bfa1),
+    ];
+    assert_eq!(pinned.map(|(f, _)| f), Family::ALL);
+    for (family, digest) in pinned {
+        let got = edge_list_digest(&family.generate(300, 17));
+        assert_eq!(got, digest, "{}: digest {got:#018x}", family.name());
+    }
+}

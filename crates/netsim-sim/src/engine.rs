@@ -83,7 +83,7 @@ use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::metrics::CostAccount;
 use crate::node::{Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Staged};
 use crate::payload::{PayloadArena, PayloadHandle};
-use netsim_graph::{Graph, Neighbors, NodeId};
+use netsim_graph::{Graph, NodeId};
 
 /// Chain terminator for the receiver-bucketing pass.
 const NIL: u32 = u32::MAX;
@@ -184,53 +184,185 @@ impl RunOutcome {
     }
 }
 
+/// A two-level bitset over node indices: `words` holds one bit per node and
+/// `summary` one bit per word of `words`, set iff that word is non-zero.
+/// Iteration and clearing walk the summary, so both cost O(set words) rather
+/// than O(n), and iteration is ascending by construction.
+#[derive(Debug)]
+struct BitLevels {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl BitLevels {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        BitLevels {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, v: usize) {
+        self.or_word(v >> 6, 1 << (v & 63));
+    }
+
+    /// ORs the non-zero `bits` into word `w`.
+    #[inline]
+    fn or_word(&mut self, w: usize, bits: u64) {
+        self.words[w] |= bits;
+        self.summary[w >> 6] |= 1 << (w & 63);
+    }
+
+    /// ORs every member of `other` (same universe) into `self`.
+    fn or_from(&mut self, other: &BitLevels) {
+        for (si, &s) in other.summary.iter().enumerate() {
+            self.summary[si] |= s;
+            for w in word_ones(si, s) {
+                self.words[w] |= other.words[w];
+            }
+        }
+    }
+
+    fn clear(&mut self) {
+        for (si, s) in self.summary.iter_mut().enumerate() {
+            for w in word_ones(si, std::mem::take(s)) {
+                self.words[w] = 0;
+            }
+        }
+    }
+
+    /// The members whose word index lies in `words`, ascending.
+    fn ones(&self, words: std::ops::Range<usize>) -> Ones<'_> {
+        let si = words.start >> 6;
+        let summary = &self.summary[..words.end.div_ceil(64)];
+        Ones {
+            words: &self.words[..words.end],
+            summary,
+            si,
+            pending: summary
+                .get(si)
+                .map_or(0, |&s| s & (!0 << (words.start & 63))),
+            wi: 0,
+            word: 0,
+        }
+    }
+}
+
+/// Indices `si * 64 + b` of the set bits `b` of `bits`, ascending.
+fn word_ones(si: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            si << 6 | b
+        })
+    })
+}
+
+/// Ascending iterator over a word range of a [`BitLevels`].
+struct Ones<'a> {
+    words: &'a [u64],
+    summary: &'a [u64],
+    /// Summary word being drained, and its not yet visited bits.
+    si: usize,
+    pending: u64,
+    /// Member word being drained, and its not yet yielded bits.
+    wi: usize,
+    word: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            while self.pending == 0 {
+                self.si += 1;
+                self.pending = *self.summary.get(self.si)?;
+            }
+            self.wi = self.si << 6 | self.pending.trailing_zeros() as usize;
+            self.pending &= self.pending - 1;
+            // The last summary word may describe words past the range end.
+            self.word = *self.words.get(self.wi)?;
+        }
+        let v = self.wi << 6 | self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(v)
+    }
+}
+
 /// The activity frontier of the sparse stepping mode: the set of nodes that
 /// must step next round, double-buffered so wakeups raised *during* a round
-/// (message receivers, `wake_me` requests, slot listeners) land in the next
-/// round's set while the current round consumes a frozen, sorted one.
+/// (message receivers, `wake_me` requests, slot listeners) land in `next`
+/// while the current round consumes the frozen `active` set.
 ///
-/// Membership is a dense bitset (`bits`, one bit per node, for O(1) dedup)
-/// plus an overflow list (`members`, the actual members, unordered while
-/// accumulating).  [`Frontier::advance`] rotates the accumulator into the
-/// active set and sorts it ascending — stepping members in ascending node
-/// index is what keeps each receiver's inbox ordered by sender index, the
-/// engine's determinism contract.
-#[derive(Debug, Default)]
+/// Both sets are [`BitLevels`], so a wake is two OR-writes with dedup for
+/// free, and the active set is iterated in ascending node index **by
+/// construction** — no member list, no sort.  That order is the engine's
+/// determinism contract: stepping senders ascending is what keeps every
+/// receiver's inbox ordered by sender index, bit-for-bit equal to a dense
+/// round.
+///
+/// Channel feedback wakes a whole channel at once: `listeners[c]` is the
+/// bitset of nodes attached to channel `c`, rebuilt only when the attachment
+/// changes ([`Frontier::reattach`]), and a non-idle outcome on `c` ORs it
+/// into `next` word by word instead of scanning all `n` attachment masks.
+#[derive(Debug)]
 struct Frontier {
-    /// Dense membership bitset over node indices (dedup for `members`).
-    bits: Vec<u64>,
-    /// Accumulating members of the **next** round's frontier (unordered).
-    members: Vec<u32>,
+    /// Accumulating members of the **next** round's frontier.
+    next: BitLevels,
     /// Next round must step every node (round 0, re-attachment,
     /// `update_nodes`, a non-idle slot under uniform attachment).
     all: bool,
-    /// Sorted members consumed by the **current** round's sparse step.
-    active: Vec<u32>,
-    /// The current round stepped every node.
-    active_all: bool,
+    /// Members consumed by the **current** round's sparse step.
+    active: BitLevels,
+    /// Per-channel attached-node bitsets; empty under uniform attachment,
+    /// where every node hears every channel.
+    listeners: Vec<BitLevels>,
 }
 
 impl Frontier {
-    fn new(n: usize) -> Self {
-        Frontier {
-            bits: vec![0; n.div_ceil(64)],
-            members: Vec::new(),
+    fn new(n: usize, channels: &ChannelSet) -> Self {
+        let mut frontier = Frontier {
+            next: BitLevels::new(n),
             all: true,
-            active: Vec::new(),
-            active_all: false,
+            active: BitLevels::new(n),
+            listeners: Vec::new(),
+        };
+        if let Some(masks) = channels.masks_table() {
+            frontier.reattach(channels.channels(), masks);
         }
+        frontier
     }
 
     /// Schedules node `v` onto the next round's frontier (idempotent).
     #[inline]
     fn wake(&mut self, v: usize) {
+        if !self.all {
+            self.next.set(v);
+        }
+    }
+
+    /// Schedules a run of nodes.  Any order is correct; an ascending run —
+    /// the `wake_me` requests of a stepping pass — costs one bitset write
+    /// per 64 nodes instead of one per node.
+    fn wake_run(&mut self, nodes: impl Iterator<Item = usize>) {
         if self.all {
             return;
         }
-        let (word, bit) = (v >> 6, 1u64 << (v & 63));
-        if self.bits[word] & bit == 0 {
-            self.bits[word] |= bit;
-            self.members.push(v as u32);
+        let (mut w, mut bits) = (0, 0u64);
+        for v in nodes {
+            if v >> 6 != w && bits != 0 {
+                self.next.or_word(w, std::mem::take(&mut bits));
+            }
+            w = v >> 6;
+            bits |= 1 << (v & 63);
+        }
+        if bits != 0 {
+            self.next.or_word(w, bits);
         }
     }
 
@@ -239,16 +371,40 @@ impl Frontier {
         self.all = true;
     }
 
-    /// Rotates the accumulated wakeups into the active set (sorted
-    /// ascending) and resets the accumulator; pooled buffers only.
-    fn advance(&mut self) {
-        self.active.clear();
-        std::mem::swap(&mut self.active, &mut self.members);
-        self.active_all = std::mem::take(&mut self.all);
-        for &v in &self.active {
-            self.bits[(v as usize) >> 6] &= !(1u64 << (v & 63));
+    /// Schedules every node attached to channel `c`.
+    fn wake_channel(&mut self, c: usize) {
+        match self.listeners.get(c) {
+            Some(members) if !self.all => self.next.or_from(members),
+            Some(_) => {}
+            None => self.all = true,
         }
-        self.active.sort_unstable();
+    }
+
+    /// Re-indexes the per-channel listener sets from an attachment snapshot
+    /// (one mask per node, already validated against `k`) and schedules
+    /// every node: attachment changes what anyone may hear next round.
+    fn reattach(&mut self, k: u16, masks: &[u64]) {
+        self.listeners
+            .resize_with(usize::from(k), || BitLevels::new(masks.len()));
+        self.listeners.iter_mut().for_each(BitLevels::clear);
+        for (v, &mask) in masks.iter().enumerate() {
+            for c in word_ones(0, mask) {
+                self.listeners[c].set(v);
+            }
+        }
+        self.all = true;
+    }
+
+    /// Rotates the accumulated wakeups into the active set and resets the
+    /// accumulator; returns the nodes to step this round.
+    fn advance(&mut self) -> Active<'_> {
+        std::mem::swap(&mut self.active, &mut self.next);
+        self.next.clear();
+        if std::mem::take(&mut self.all) {
+            Active::All
+        } else {
+            Active::Members(&self.active)
+        }
     }
 }
 
@@ -280,60 +436,28 @@ impl<M> Default for Shard<M> {
     }
 }
 
-/// Steps every node of `chunk` (node indices `base..base + chunk.len()`)
-/// once, staging outputs into `shard`.  Non-operational nodes (per the
-/// optional fault lifecycle slice) neither step nor stage.  Free function so
-/// the sequential and parallel paths share it and the borrows stay disjoint.
-#[allow(clippy::too_many_arguments)]
-fn step_chunk<P: Protocol>(
-    graph: &Graph,
-    chunk: &mut [P],
-    base: usize,
-    arena: &[(NodeId, PayloadHandle)],
-    payloads: &PayloadArena<P::Msg>,
-    offsets: &[usize],
-    channels: &ChannelSet,
-    slot_outcomes: &[ChannelOutcome],
-    prev_lanes: &[LaneOutcome],
-    round: u64,
-    lifecycles: Option<&[NodeLifecycle]>,
-    shard: &mut Shard<P::Msg>,
-) {
-    for (i, node) in chunk.iter_mut().enumerate() {
-        let v = NodeId(base + i);
-        if lifecycles.is_some_and(|l| !l[v.index()].is_operational()) {
-            continue;
-        }
-        let was_done = node.is_done();
-        let mut io = RoundIo {
-            node: v,
-            round,
-            neighbors: graph.neighbors(v),
-            inbox: Inbox::arena(&arena[offsets[v.index()]..offsets[v.index() + 1]], payloads),
-            slots: Slots::Arena {
-                outcomes: slot_outcomes,
-                payloads,
-            },
-            lanes: prev_lanes,
-            attached: channels.mask(v),
-            outbox: &mut shard.outbox,
-        };
-        node.step(&mut io);
-        shard.done_delta += isize::from(node.is_done()) - isize::from(was_done);
-        shard.stepped += 1;
-    }
+/// The nodes a stepping pass visits, and the inbox index they read through.
+#[derive(Clone, Copy)]
+enum Active<'a> {
+    /// Dense engine: every node, inboxes through the CSR `offsets`.
+    Dense,
+    /// Sparse engine, all-active round: every node, epoch-stamped inboxes.
+    All,
+    /// Sparse engine: exactly the frontier members, ascending.
+    Members(&'a BitLevels),
 }
 
-/// Shared immutable context of a sparse stepping pass; bundles the borrows
-/// so the sequential and parallel sparse paths share [`step_sparse`].
-struct SparseCtx<'a, M> {
+/// Shared immutable context of one round's stepping pass, dense or sparse,
+/// sequential or per worker.
+struct StepCtx<'a, M> {
     graph: &'a Graph,
     arena: &'a [(NodeId, PayloadHandle)],
     payloads: &'a PayloadArena<M>,
-    /// Per-node epoch stamps: node `v`'s inbox range is valid only when
+    /// Dense inbox index: node `v` reads `arena[offsets[v]..offsets[v + 1]]`.
+    offsets: &'a [usize],
+    /// Sparse inbox index: node `v` reads `arena[inbox_ranges[v]]` only when
     /// `inbox_epoch[v] == arena_epoch`; anything staler is an empty inbox.
     inbox_epoch: &'a [u64],
-    /// Per-node `(start, len)` ranges into `arena`, epoch-gated.
     inbox_ranges: &'a [(u32, u32)],
     arena_epoch: u64,
     channels: &'a ChannelSet,
@@ -343,73 +467,89 @@ struct SparseCtx<'a, M> {
     lifecycles: Option<&'a [NodeLifecycle]>,
 }
 
-impl<M> Clone for SparseCtx<'_, M> {
+impl<M> Clone for StepCtx<'_, M> {
     fn clone(&self) -> Self {
         *self
     }
 }
-impl<M> Copy for SparseCtx<'_, M> {}
+impl<M> Copy for StepCtx<'_, M> {}
 
-/// Steps the frontier members that fall inside `chunk` (node indices
-/// `base..base + chunk.len()`), staging outputs into `shard`.  `members` is
-/// the sorted slice of this chunk's frontier indices; `None` steps every
-/// node of the chunk (an all-active round).  Idle nodes are never touched:
-/// their inbox is resolved lazily through the epoch stamp, so no per-node
-/// state is read, cloned, or iterated for nodes off the frontier.
-fn step_sparse<P: Protocol>(
-    ctx: SparseCtx<'_, P::Msg>,
-    chunk: &mut [P],
-    base: usize,
-    members: Option<&[u32]>,
+/// Steps node `vi` once, staging its outputs into `shard`; `SPARSE` selects
+/// the inbox index and records the node in the shard's stepped list.  The
+/// one step body of the engine: forced inline so each loop of [`step_chunk`]
+/// compiles to a straight-line body around `P::step` (as a closure it was
+/// not inlined, which cost the frontier loop ≈ 5 ns a step).  A
+/// non-operational node (per the fault lifecycle slice) neither steps nor
+/// stages — a node that crashed while on the frontier is skipped exactly
+/// like the dense path skips it, with no done-delta, and its frontier slot
+/// simply expires with this round.
+#[inline(always)]
+fn step_node<P: Protocol, const SPARSE: bool>(
+    ctx: &StepCtx<'_, P::Msg>,
+    vi: usize,
+    node: &mut P,
     shard: &mut Shard<P::Msg>,
 ) {
-    let step_one = |vi: usize, nbrs: Neighbors<'_>, node: &mut P, shard: &mut Shard<P::Msg>| {
-        if ctx.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
-            // A node that crashed while on the frontier is skipped exactly
-            // like the dense path skips it: no step, no done-delta, and its
-            // frontier slot simply expires with this round.
-            return;
-        }
-        let v = NodeId(vi);
-        let was_done = node.is_done();
-        let entries = if ctx.inbox_epoch[vi] == ctx.arena_epoch {
-            let (start, len) = ctx.inbox_ranges[vi];
-            &ctx.arena[start as usize..(start + len) as usize]
-        } else {
-            &[]
-        };
-        let mut io = RoundIo {
-            node: v,
-            round: ctx.round,
-            neighbors: nbrs,
-            inbox: Inbox::arena(entries, ctx.payloads),
-            slots: Slots::Arena {
-                outcomes: ctx.slot_outcomes,
-                payloads: ctx.payloads,
-            },
-            lanes: ctx.prev_lanes,
-            attached: ctx.channels.mask(v),
-            outbox: &mut shard.outbox,
-        };
-        node.step(&mut io);
-        shard.done_delta += isize::from(node.is_done()) - isize::from(was_done);
-        shard.stepped += 1;
-        shard.stepped_list.push(vi as u32);
+    if ctx.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
+        return;
+    }
+    let entries = if !SPARSE {
+        &ctx.arena[ctx.offsets[vi]..ctx.offsets[vi + 1]]
+    } else if ctx.inbox_epoch[vi] == ctx.arena_epoch {
+        let (start, len) = ctx.inbox_ranges[vi];
+        &ctx.arena[start as usize..(start + len) as usize]
+    } else {
+        &[]
     };
-    match members {
-        Some(list) => {
-            // Frontier-shaped CSR iteration: O(|members|) offset reads, no
-            // adjacency data of idle nodes is touched.
-            for (v, nbrs) in ctx.graph.frontier_rows(list) {
-                let vi = v.index();
-                let node = &mut chunk[vi - base];
-                step_one(vi, nbrs, node, shard);
+    let v = NodeId(vi);
+    let was_done = node.is_done();
+    let mut io = RoundIo {
+        node: v,
+        round: ctx.round,
+        neighbors: ctx.graph.neighbors(v),
+        inbox: Inbox::arena(entries, ctx.payloads),
+        slots: Slots::Arena {
+            outcomes: ctx.slot_outcomes,
+            payloads: ctx.payloads,
+        },
+        lanes: ctx.prev_lanes,
+        attached: ctx.channels.mask(v),
+        outbox: &mut shard.outbox,
+    };
+    node.step(&mut io);
+    shard.done_delta += isize::from(node.is_done()) - isize::from(was_done);
+    shard.stepped += 1;
+    if SPARSE {
+        shard.stepped_list.push(vi as u32);
+    }
+}
+
+/// Steps the `active` nodes of `chunk` (node indices
+/// `base..base + chunk.len()`, `base` a multiple of 64) in ascending index.
+/// Nodes off the frontier are never touched: no per-node state of theirs is
+/// read, cloned, or iterated.  Free function so the sequential and parallel
+/// paths share it and the borrows stay disjoint.
+fn step_chunk<P: Protocol>(
+    ctx: StepCtx<'_, P::Msg>,
+    chunk: &mut [P],
+    base: usize,
+    active: Active<'_>,
+    shard: &mut Shard<P::Msg>,
+) {
+    match active {
+        Active::Dense => {
+            for (i, node) in chunk.iter_mut().enumerate() {
+                step_node::<P, false>(&ctx, base + i, node, shard);
             }
         }
-        None => {
+        Active::All => {
             for (i, node) in chunk.iter_mut().enumerate() {
-                let vi = base + i;
-                step_one(vi, ctx.graph.neighbors(NodeId(vi)), node, shard);
+                step_node::<P, true>(&ctx, base + i, node, shard);
+            }
+        }
+        Active::Members(set) => {
+            for vi in set.ones(base >> 6..(base + chunk.len()).div_ceil(64)) {
+                step_node::<P, true>(&ctx, vi, &mut chunk[vi - base], shard);
             }
         }
     }
@@ -615,6 +755,19 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// request — instead of all `n`.  Idle nodes are never touched, cloned,
     /// or iterated, so per-round cost is O(active), not O(n).
     ///
+    /// # The frontier
+    ///
+    /// The frontier is a pair of two-level bitsets (next / active: one bit
+    /// per node plus one summary bit per 64-node word), swapped at the start
+    /// of every round.  Stepping walks the active set through its summary,
+    /// which visits members in **ascending node index by construction** —
+    /// the order that keeps every receiver's inbox sorted by sender, i.e.
+    /// the engine's determinism contract — with no member list and no sort.
+    /// A non-idle outcome on channel `c` wakes its listeners by OR-ing a
+    /// per-channel member bitset (rebuilt only by [`SyncEngine::reattach`])
+    /// into the next set; under uniform attachment it wakes everyone.  The
+    /// bitsets cost `(2 + K) · n / 8` bytes.
+    ///
     /// # Epoch-lazy state rules
     ///
     /// Idle nodes are skipped *lazily*: the sparse inbox index is a per-node
@@ -649,7 +802,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             "sparse stepping must be enabled before round 0"
         );
         let n = self.graph.node_count();
-        self.frontier = Some(Frontier::new(n));
+        self.frontier = Some(Frontier::new(n, &self.channels));
         self.inbox_epoch = vec![0; n];
         self.inbox_ranges = vec![(0, 0); n];
         // Epoch 0 stamps must all read stale until the first sparse rebuild.
@@ -795,10 +948,8 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             self.graph.node_count()
         );
         self.channels.reattach(masks);
-        // Attachment changes what every node hears next round; re-seed the
-        // frontier conservatively rather than re-deriving audibility.
         if let Some(f) = &mut self.frontier {
-            f.wake_all();
+            f.reattach(self.channels.channels(), masks);
         }
     }
 
@@ -946,83 +1097,44 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// step.
     pub fn step_round(&mut self) {
         self.apply_fault_round();
-        if self.frontier.is_some() {
-            self.step_frontier_sequential();
-        } else {
-            let SyncEngine {
-                graph,
-                nodes,
-                channels,
-                arena,
-                payloads,
-                offsets,
-                shards,
-                slot_outcomes,
-                prev_lanes,
-                round,
-                faults,
-                ..
-            } = self;
-            step_chunk(
-                graph,
-                nodes,
-                0,
-                arena,
-                payloads,
-                offsets,
-                channels,
-                slot_outcomes,
-                prev_lanes,
-                *round,
-                faults.as_ref().map(|s| s.lifecycles()),
-                &mut shards[0],
-            );
-        }
+        let (ctx, nodes, active, shards) = self.step_parts();
+        step_chunk(ctx, nodes, 0, active, &mut shards[0]);
         self.finish_round();
     }
 
-    /// Sequential sparse step: rotates the frontier (this round's lifecycle
-    /// wakeups included — [`SyncEngine::apply_fault_round`] has already run)
-    /// and steps exactly the active members in ascending node index.
-    fn step_frontier_sequential(&mut self) {
-        let SyncEngine {
-            graph,
-            nodes,
-            channels,
-            arena,
-            payloads,
-            shards,
-            slot_outcomes,
-            prev_lanes,
-            round,
-            faults,
-            frontier,
-            inbox_epoch,
-            inbox_ranges,
-            arena_epoch,
-            ..
-        } = self;
-        let frontier = frontier.as_mut().expect("sparse mode");
-        frontier.advance();
-        let ctx = SparseCtx {
-            graph,
-            arena: arena.as_slice(),
-            payloads: &*payloads,
-            inbox_epoch: inbox_epoch.as_slice(),
-            inbox_ranges: inbox_ranges.as_slice(),
-            arena_epoch: *arena_epoch,
-            channels: &*channels,
-            slot_outcomes: slot_outcomes.as_slice(),
-            prev_lanes: prev_lanes.as_slice(),
-            round: *round,
-            lifecycles: faults.as_ref().map(|s| s.lifecycles()),
+    /// Splits the engine into the disjoint borrows of a stepping pass: the
+    /// shared read-only context, the node states, the nodes to step and the
+    /// staging shards.  Under sparse stepping this rotates the frontier —
+    /// this round's lifecycle wakeups included,
+    /// [`SyncEngine::apply_fault_round`] has already run.
+    #[allow(clippy::type_complexity)]
+    fn step_parts(
+        &mut self,
+    ) -> (
+        StepCtx<'_, P::Msg>,
+        &mut [P],
+        Active<'_>,
+        &mut [Shard<P::Msg>],
+    ) {
+        let ctx = StepCtx {
+            graph: self.graph,
+            arena: &self.arena,
+            payloads: &self.payloads,
+            offsets: &self.offsets,
+            inbox_epoch: &self.inbox_epoch,
+            inbox_ranges: &self.inbox_ranges,
+            arena_epoch: self.arena_epoch,
+            channels: &self.channels,
+            slot_outcomes: &self.slot_outcomes,
+            prev_lanes: &self.prev_lanes,
+            round: self.round,
+            lifecycles: self.faults.as_ref().map(|s| s.lifecycles()),
         };
-        let members = if frontier.active_all {
-            None
-        } else {
-            Some(frontier.active.as_slice())
-        };
-        step_sparse(ctx, nodes, 0, members, &mut shards[0]);
+        let active = self
+            .frontier
+            .as_mut()
+            .map_or(Active::Dense, Frontier::advance);
+        (ctx, &mut self.nodes, active, &mut self.shards)
     }
 
     /// Post-step bookkeeping shared by the sequential and parallel paths:
@@ -1031,9 +1143,18 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     fn finish_round(&mut self) {
         let mut delta = 0isize;
         let mut stepped = 0u64;
+        self.last_stepped.clear();
         for shard in &mut self.shards {
             delta += std::mem::take(&mut shard.done_delta);
             stepped += std::mem::take(&mut shard.stepped);
+            // Sparse stepping records which nodes stepped (shards hold
+            // contiguous index ranges, so shard order is ascending) and
+            // folds the round's `wake_me` requests into the next frontier.
+            self.last_stepped.append(&mut shard.stepped_list);
+            match &mut self.frontier {
+                Some(f) => f.wake_run(shard.outbox.wakes.drain(..).map(NodeId::index)),
+                None => shard.outbox.wakes.clear(),
+            }
         }
         self.done_count = self
             .done_count
@@ -1041,27 +1162,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             .expect("done count balances");
         self.stepped_last_round = stepped;
         self.total_stepped += stepped;
-
-        match &mut self.frontier {
-            Some(frontier) => {
-                // Record which nodes stepped (shards hold contiguous index
-                // ranges, so shard order is ascending) and fold the round's
-                // `wake_me` requests into the next frontier.
-                self.last_stepped.clear();
-                for shard in &mut self.shards {
-                    self.last_stepped.append(&mut shard.stepped_list);
-                    for v in shard.outbox.wakes.drain(..) {
-                        frontier.wake(v.index());
-                    }
-                }
-            }
-            None => {
-                for shard in &mut self.shards {
-                    shard.stepped_list.clear();
-                    shard.outbox.wakes.clear();
-                }
-            }
-        }
 
         let messages = if self.frontier.is_some() {
             self.rebuild_arena_sparse()
@@ -1072,29 +1172,13 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         self.resolve_channels();
         // Slot wakeups: a non-idle outcome — message slot *or* lane
         // sub-slot — is channel feedback that every *attached* node observes
-        // next round, so those nodes must step.
-        if self.nonidle_slots > 0 || self.nonidle_lanes > 0 {
-            if let Some(frontier) = &mut self.frontier {
-                let mut nonidle_mask = 0u64;
-                for (c, outcome) in self.slot_outcomes.iter().enumerate() {
-                    if !matches!(outcome, ChannelOutcome::Idle) {
-                        nonidle_mask |= 1 << c;
-                    }
-                }
-                for (c, lanes) in self.prev_lanes.iter().enumerate() {
-                    if !lanes.is_idle() {
-                        nonidle_mask |= 1 << c;
-                    }
-                }
-                match self.channels.masks_table() {
-                    // Uniform attachment: everyone hears the feedback.
-                    None => frontier.wake_all(),
-                    Some(masks) => {
-                        for (v, &mask) in masks.iter().enumerate() {
-                            if mask & nonidle_mask != 0 {
-                                frontier.wake(v);
-                            }
-                        }
+        // next round, so the channel's listeners must step.
+        if let Some(frontier) = &mut self.frontier {
+            if self.nonidle_slots > 0 || self.nonidle_lanes > 0 {
+                let outcomes = self.slot_outcomes.iter().zip(&self.prev_lanes);
+                for (c, (slot, lanes)) in outcomes.enumerate() {
+                    if !matches!(slot, ChannelOutcome::Idle) || !lanes.is_idle() {
+                        frontier.wake_channel(c);
                     }
                 }
             }
@@ -1468,17 +1552,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
 
     /// Runs until quiescence or until `max_rounds` rounds have elapsed in total.
     pub fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        while self.round < max_rounds {
-            if self.is_quiescent() {
-                return RunOutcome::Completed { rounds: self.round };
-            }
-            self.step_round();
-        }
-        if self.is_quiescent() {
-            RunOutcome::Completed { rounds: self.round }
-        } else {
-            RunOutcome::RoundLimit { rounds: self.round }
-        }
+        self.run_until(max_rounds, |_| false)
     }
 
     /// Runs until `predicate` over the node states becomes true, quiescence,
@@ -1536,153 +1610,29 @@ where
             self.shards.push(Shard::default());
         }
         self.apply_fault_round();
-        if self.frontier.is_some() {
-            self.step_frontier_parallel(workers);
-            return self.finish_round();
-        }
-        let chunk_len = n.div_ceil(workers);
-        let SyncEngine {
-            graph,
-            nodes,
-            channels,
-            arena,
-            payloads,
-            offsets,
-            shards,
-            slot_outcomes,
-            prev_lanes,
-            round,
-            faults,
-            ..
-        } = self;
-        let (graph, channels, arena, payloads, offsets, slot_outcomes, prev_lanes, round) = (
-            &**graph,
-            &*channels,
-            &*arena,
-            &*payloads,
-            &*offsets,
-            &*slot_outcomes,
-            &*prev_lanes,
-            *round,
-        );
-        let lifecycles = faults.as_ref().map(|s| s.lifecycles());
+        let (ctx, nodes, active, shards) = self.step_parts();
+        // Word-aligned contiguous chunks, so each worker owns a whole word
+        // range of the frontier bitset; merging the shards in worker order
+        // reproduces the sequential ascending step order bit-for-bit.
+        let chunk_len = n.div_ceil(workers).next_multiple_of(64);
         std::thread::scope(|scope| {
-            for (ci, (chunk, shard)) in nodes
-                .chunks_mut(chunk_len)
-                .zip(shards.iter_mut())
-                .enumerate()
-            {
-                scope.spawn(move || {
-                    step_chunk(
-                        graph,
-                        chunk,
-                        ci * chunk_len,
-                        arena,
-                        payloads,
-                        offsets,
-                        channels,
-                        slot_outcomes,
-                        prev_lanes,
-                        round,
-                        lifecycles,
-                        shard,
-                    );
-                });
+            for (ci, (chunk, shard)) in nodes.chunks_mut(chunk_len).zip(shards).enumerate() {
+                let base = ci * chunk_len;
+                let words = base >> 6..(base + chunk.len()).div_ceil(64);
+                if matches!(active, Active::Members(set) if set.ones(words).next().is_none()) {
+                    continue; // nothing of the frontier falls in this chunk
+                }
+                scope.spawn(move || step_chunk(ctx, chunk, base, active, shard));
             }
         });
         self.finish_round();
-    }
-
-    /// Parallel sparse step: shards the **frontier** (not the node range)
-    /// across the workers.  The active list is sorted ascending, so equal
-    /// contiguous slices of it cover disjoint, increasing node-index
-    /// intervals — each worker gets the `nodes` sub-slice spanning its
-    /// frontier slice, and merging the shards in worker order reproduces the
-    /// sequential ascending step order bit-for-bit.
-    fn step_frontier_parallel(&mut self, workers: usize) {
-        let n = self.nodes.len();
-        let SyncEngine {
-            graph,
-            nodes,
-            channels,
-            arena,
-            payloads,
-            shards,
-            slot_outcomes,
-            prev_lanes,
-            round,
-            faults,
-            frontier,
-            inbox_epoch,
-            inbox_ranges,
-            arena_epoch,
-            ..
-        } = self;
-        let frontier = frontier.as_mut().expect("sparse mode");
-        frontier.advance();
-        let ctx = SparseCtx {
-            graph,
-            arena: arena.as_slice(),
-            payloads: &*payloads,
-            inbox_epoch: inbox_epoch.as_slice(),
-            inbox_ranges: inbox_ranges.as_slice(),
-            arena_epoch: *arena_epoch,
-            channels: &*channels,
-            slot_outcomes: slot_outcomes.as_slice(),
-            prev_lanes: prev_lanes.as_slice(),
-            round: *round,
-            lifecycles: faults.as_ref().map(|s| s.lifecycles()),
-        };
-        if frontier.active_all {
-            // All-active round: plain contiguous node chunks, but stepped
-            // through the sparse (epoch-lazy) inbox view.
-            let chunk_len = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (ci, (chunk, shard)) in nodes
-                    .chunks_mut(chunk_len)
-                    .zip(shards.iter_mut())
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        step_sparse(ctx, chunk, ci * chunk_len, None, shard);
-                    });
-                }
-            });
-            return;
-        }
-        let members = frontier.active.as_slice();
-        if members.is_empty() {
-            return;
-        }
-        let chunk_len = members.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            // Carve each worker's node sub-slice off the front of the
-            // remainder: frontier slices are ascending and disjoint, so the
-            // spanned node intervals never overlap.
-            let mut rest = &mut nodes[..];
-            let mut base = 0usize;
-            for (slice, shard) in members.chunks(chunk_len).zip(shards.iter_mut()) {
-                let lo = slice[0] as usize;
-                let hi = slice[slice.len() - 1] as usize;
-                let (_, tail) = rest.split_at_mut(lo - base);
-                let (mine, tail) = tail.split_at_mut(hi - lo + 1);
-                rest = tail;
-                base = hi + 1;
-                scope.spawn(move || {
-                    step_sparse(ctx, mine, lo, Some(slice), shard);
-                });
-            }
-        });
     }
 
     /// [`SyncEngine::run`], but stepping each round with
     /// [`SyncEngine::step_round_parallel`].  Deterministic: produces exactly
     /// the same outcome as the sequential run.
     pub fn run_parallel(&mut self, max_rounds: u64, threads: usize) -> RunOutcome {
-        while self.round < max_rounds {
-            if self.is_quiescent() {
-                return RunOutcome::Completed { rounds: self.round };
-            }
+        while self.round < max_rounds && !self.is_quiescent() {
             self.step_round_parallel(threads);
         }
         if self.is_quiescent() {
@@ -1734,6 +1684,79 @@ mod tests {
         assert_eq!(block_shift_for_l2(512 * 1024), DEFAULT_BLOCK_SHIFT);
         let tuned = tuned_block_shift();
         assert!((BLOCK_SHIFT_RANGE.0..=BLOCK_SHIFT_RANGE.1).contains(&tuned));
+    }
+
+    /// The members an [`Active`] frontier steps (`None` = every node).
+    fn members(active: Active<'_>) -> Option<Vec<usize>> {
+        match active {
+            Active::Dense | Active::All => None,
+            Active::Members(set) => Some(set.ones(0..set.words.len()).collect()),
+        }
+    }
+
+    #[test]
+    fn bit_levels_iterate_ascending_across_word_and_summary_boundaries() {
+        // Neither a multiple of 64 nor of 4096: the last word and the last
+        // summary word are both partial.
+        let n = 2 * 4096 + 100;
+        let picks = [8291, 64, 0, 4097, 63, 8192, 4095, 4096, 8191];
+        let mut set = BitLevels::new(n);
+        picks.iter().for_each(|&v| set.set(v));
+        set.set(64); // idempotent
+        let mut sorted = picks.to_vec();
+        sorted.sort_unstable();
+        let words = set.words.len();
+        assert_eq!(set.ones(0..words).collect::<Vec<_>>(), sorted);
+        // Word sub-ranges (the parallel sharding): start past a summary
+        // word, end inside one.
+        let from_4096: Vec<usize> = sorted.iter().copied().filter(|&v| v >= 4096).collect();
+        assert_eq!(set.ones(64..words).collect::<Vec<_>>(), from_4096);
+        let below_4160: Vec<usize> = sorted.iter().copied().filter(|&v| v < 4160).collect();
+        assert_eq!(set.ones(0..65).collect::<Vec<_>>(), below_4160);
+        assert_eq!(set.ones(1..64).collect::<Vec<_>>(), [64, 4095]);
+        set.clear();
+        assert_eq!(set.ones(0..words).next(), None);
+        assert!(set.words.iter().chain(&set.summary).all(|&w| w == 0));
+    }
+
+    #[test]
+    fn frontier_wake_all_subsumes_earlier_wakes() {
+        let mut f = Frontier::new(200, &ChannelSet::single());
+        assert_eq!(members(f.advance()), None, "round 0 steps everyone");
+        f.wake(5);
+        f.wake_all();
+        f.wake(7); // dropped: everyone is scheduled already
+        assert_eq!(members(f.advance()), None);
+        // The subsumed wakes must not leak into the round after.
+        assert_eq!(members(f.advance()), Some(vec![]));
+        f.wake_run([130, 3, 4, 64].into_iter());
+        f.wake(3);
+        assert_eq!(members(f.advance()), Some(vec![3, 4, 64, 130]));
+        // Uniform attachment: channel feedback reaches everyone.
+        f.wake_channel(0);
+        assert_eq!(members(f.advance()), None);
+    }
+
+    #[test]
+    fn frontier_channel_wake_follows_reattachment() {
+        let n = 4096 + 70;
+        let mut masks = vec![0b01u64; n];
+        for v in [3, 64, n - 1] {
+            masks[v] = 0b10;
+        }
+        let mut f = Frontier::new(n, &ChannelSet::from_masks(2, masks.clone()));
+        assert_eq!(members(f.advance()), None);
+        f.wake_channel(1);
+        assert_eq!(members(f.advance()), Some(vec![3, 64, n - 1]));
+        // Move node 3 off channel 1 and node 70 onto both channels: after
+        // the re-attachment's own all-active round, a wake of channel 1
+        // reaches exactly its new listeners.
+        masks[3] = 0b01;
+        masks[70] = 0b11;
+        f.reattach(2, &masks);
+        assert_eq!(members(f.advance()), None);
+        f.wake_channel(1);
+        assert_eq!(members(f.advance()), Some(vec![64, 70, n - 1]));
     }
 
     /// Node 0 writes to the channel every round; all others listen and record
@@ -2456,6 +2479,32 @@ mod tests {
             for v in g.nodes() {
                 assert_eq!(seq.node(v).have, par.node(v).have);
                 assert_eq!(seq.fault_lifecycle(v), par.fault_lifecycle(v));
+            }
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn parallel_sparse_rounds_match_sequential() {
+        use crate::protocols::BfsBuild;
+        // 300 nodes: worker chunks are word-aligned, the last one partial;
+        // the BFS wave keeps the frontier to a few nodes, so most workers
+        // find no member in their word range.
+        let g = generators::ring(300);
+        for threads in [2usize, 3, 8] {
+            let mut seq = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
+            let mut par = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
+            seq.enable_sparse_stepping();
+            par.enable_sparse_stepping();
+            while !seq.is_quiescent() {
+                seq.step_round();
+                par.step_round_parallel(threads);
+                assert_eq!(seq.last_stepped(), par.last_stepped());
+            }
+            assert!(par.is_quiescent());
+            assert_eq!(seq.cost(), par.cost());
+            for v in g.nodes() {
+                assert_eq!(seq.node(v).depth(), par.node(v).depth());
             }
         }
     }

@@ -609,31 +609,30 @@ impl Protocol for ReshardNode {
     type Msg = u64;
 
     fn step(&mut self, io: &mut RoundIo<'_, u64>) {
-        let Some(spec) = self.spec.clone() else {
+        // Only `hot` is copied out: cloning the spec would cost two atomic
+        // RMWs on the roster `Arc` shared by every member, every step.
+        let Some(hot) = self.spec.as_ref().map(|spec| spec.hot) else {
             return; // bystander
         };
         match self.phase {
             Phase::Stream => {
-                if let LaneOutcome::Word(w) = io.prev_lanes_on(spec.hot) {
+                if let LaneOutcome::Word(w) = io.prev_lanes_on(hot) {
                     self.apply_stream_word(w, io);
                 }
                 if self.phase == Phase::Veto {
                     // The cut landed this very step: send the notifies now
                     // so next round's census counts them.
                     if self.members.get(self.my_idx as usize) == Some(&true) {
-                        let to_notify: Vec<NodeId> = io
-                            .neighbors()
-                            .into_iter()
-                            .map(|(u, _)| u)
-                            .filter(|u| spec.roster.binary_search(u).is_ok())
-                            .collect();
-                        for u in to_notify {
-                            io.send(u, NOTIFY);
+                        let roster = &self.spec.as_ref().expect("roster member").roster;
+                        for (u, _) in io.neighbors() {
+                            if roster.binary_search(&u).is_ok() {
+                                io.send(u, NOTIFY);
+                            }
                         }
                     }
                 } else if self.my_idx == 0 {
                     if let Some(w) = self.leader_word() {
-                        io.write_lanes_on(spec.hot, w);
+                        io.write_lanes_on(hot, w);
                     }
                 }
                 io.wake_me();
@@ -641,13 +640,13 @@ impl Protocol for ReshardNode {
             Phase::Veto => {
                 let heard = io.inbox().iter().filter(|&(_, &m)| m == NOTIFY).count() as u64;
                 if heard != self.expected || self.invalid {
-                    io.write_channel_on(spec.hot, VETO);
+                    io.write_channel_on(hot, VETO);
                 }
                 self.phase = Phase::Observe;
                 io.wake_me();
             }
             Phase::Observe => {
-                self.committed = Some(io.prev_slot_on(spec.hot).is_idle());
+                self.committed = Some(io.prev_slot_on(hot).is_idle());
                 self.phase = Phase::Done;
             }
             Phase::Done => {}

@@ -741,3 +741,89 @@ fn sparse_million_node_idle_rounds_are_allocation_free_and_o_frontier() {
     );
     assert!(eng.is_quiescent());
 }
+
+/// Per-node sharded-sum states for an arbitrary channel assignment: ranks in
+/// ascending node order within each shard, input value `v + 1`.
+fn shard_states(chans: &[ChannelId], k: u16) -> Vec<ChannelShardedSum> {
+    let mut sizes = vec![0u64; usize::from(k)];
+    let ranks: Vec<u64> = chans
+        .iter()
+        .map(|c| {
+            sizes[c.index()] += 1;
+            sizes[c.index()] - 1
+        })
+        .collect();
+    (chans.iter().zip(ranks).enumerate())
+        .map(|(v, (&c, rank))| {
+            ChannelShardedSum::with_assignment(c, rank, sizes[c.index()], v as u64 + 1)
+        })
+        .collect()
+}
+
+/// Sparse stepping under a **sharded attachment that changes mid-run** (the
+/// re-sharding loop's shape): the per-channel listener bitsets the frontier
+/// wakes through are rebuilt inside `reattach`, so every round — before it,
+/// the all-active round right after it, and the channel-by-channel shrinking
+/// frontier that follows — performs zero heap allocations.
+#[test]
+fn sparse_sharded_rounds_stay_allocation_free_across_reattach() {
+    let (n, k) = (600usize, 4u16);
+    let g = generators::ring(n);
+    // Uneven shards (one of n/2, three of n/6), so channels fall idle at
+    // different times; `shift` rotates every node onto the next channel.
+    let assignment = |shift: usize| -> Vec<ChannelId> {
+        (0..n)
+            .map(|v| ChannelId(((if v < n / 2 { 0 } else { 1 + v % 3 }) + shift) as u16 % k))
+            .collect()
+    };
+    let masks =
+        |chans: &[ChannelId]| -> Vec<u64> { chans.iter().map(|c| 1 << c.index()).collect() };
+
+    let chans = assignment(0);
+    let states = shard_states(&chans, k);
+    let mut eng = EngineBuilder::new(&g)
+        .channels(ChannelSet::from_masks(k, masks(&chans)))
+        .sparse(true)
+        .build_flat(|v| states[v.index()].clone());
+    for _ in 0..8 {
+        eng.step_round(); // reach the capacity high-water mark
+    }
+    // Steps to quiescence; returns the allocations made and the smallest
+    // number of nodes any of those rounds stepped.
+    let drain = |eng: &mut SyncEngine<'_, ChannelShardedSum>| {
+        let (before, mut fewest) = (allocs(), n as u64);
+        while !eng.is_quiescent() {
+            eng.step_round();
+            fewest = fewest.min(eng.stepped_last_round());
+        }
+        (allocs() - before, fewest)
+    };
+    let (first_allocs, _) = drain(&mut eng);
+    assert_eq!(first_allocs, 0, "sparse sharded rounds allocated");
+
+    // Re-attachment + reseed between two windows of one engine run (the
+    // channels are idle again, so no stale word leaks into the new shards);
+    // only these two calls may allocate.
+    let chans = assignment(1);
+    let (new_masks, states) = (masks(&chans), shard_states(&chans, k));
+    eng.reattach(&new_masks);
+    eng.update_nodes(|v, p| *p = states[v.index()].clone());
+
+    let before = allocs();
+    eng.step_round();
+    assert_eq!(allocs() - before, 0, "the all-active round allocated");
+    assert_eq!(
+        eng.stepped_last_round(),
+        n as u64,
+        "re-attachment wakes all"
+    );
+    let (after_allocs, fewest) = drain(&mut eng);
+    assert_eq!(after_allocs, 0, "rounds after the re-attachment allocated");
+    // Once the three small shards finish, only the big one's listeners are
+    // woken — through the bitsets rebuilt by the re-attachment.
+    assert!(fewest <= (n / 2) as u64, "frontier never shrank: {fewest}");
+    for (v, c) in chans.iter().enumerate() {
+        let shard = (0..n).filter(|&u| chans[u] == *c).map(|u| u as u64 + 1);
+        assert_eq!(eng.node(NodeId(v)).sum(), shard.sum::<u64>());
+    }
+}
