@@ -864,8 +864,8 @@ struct LaneElectionRow {
     topology: &'static str,
     n: usize,
     elections: u32,
-    /// `"scalar"` ([`channel_access::assigned::ElectionSeries`]) or
-    /// `"lanes"` ([`channel_access::assigned::LaneElectionSeries`]).
+    /// `"scalar"` (the width-1 baseline run) or `"lanes"` — both
+    /// [`channel_access::assigned::LaneElectionSeries`].
     series: &'static str,
     width: u32,
     rounds: u64,
@@ -1563,13 +1563,12 @@ fn engine(opts: &Opts) {
     // ---- Election-lane dimension: scalar slots vs word-wide lane batches. -
     // The same saturated election workload (every slot has contenders, node
     // v contends in slot v mod E with its index as the station id) run as
-    // one-at-a-time scalar `ElectionSeries` slots and as `LaneElectionSeries`
-    // batches of increasing width.  At width 64 the 64 slots collapse into a
+    // `LaneElectionSeries` batches of increasing width — width 1, one
+    // election at a time, is the scalar baseline row.  At width 64 the 64 slots collapse into a
     // single word-wide batch: the engine-executed round count drops by ~the
     // lane width, with identical winners (checksums asserted equal).
     let lane_ns: &[usize] = if opts.quick { &[256] } else { &[256, 4_096] };
     let lane_elections_count = 64u32;
-    let lane_widths: [u32; 3] = [1, 8, 64];
     let mut lane_rows: Vec<LaneElectionRow> = Vec::new();
     println!("\n== ENGINE lane_elections — scalar election slots vs word-wide lane batches ==");
     println!(
@@ -1578,57 +1577,49 @@ fn engine(opts: &Opts) {
     );
     for &n in lane_ns {
         let g = Family::Grid.generate(n, 42);
-        let scalar = engine_bench::run_scalar_elections(&g, lane_elections_count);
-        let mut record =
-            |series: &'static str, width: u32, stats: engine_bench::ElectionRunStats| {
-                let speedup = scalar.rounds as f64 / stats.rounds.max(1) as f64;
-                println!(
-                    "{:<12}{:>9}{:>6}  {:<8}{:>7}{:>9}{:>12}{:>12}{:>10.1}",
-                    "grid",
-                    g.node_count(),
-                    lane_elections_count,
-                    series,
-                    width,
-                    stats.rounds,
-                    stats.lane_writes,
-                    stats.lanes_busy,
-                    speedup,
-                );
-                lane_rows.push(LaneElectionRow {
-                    topology: "grid",
-                    n: g.node_count(),
-                    elections: lane_elections_count,
-                    series,
-                    width,
-                    rounds: stats.rounds,
-                    lane_writes: stats.lane_writes,
-                    lanes_busy: stats.lanes_busy,
-                    speedup_vs_scalar: speedup,
-                    seconds: stats.seconds,
-                    checksum: stats.checksum,
-                });
-            };
-        record("scalar", 1, scalar);
-        let mut widest_rounds = scalar.rounds;
-        for &width in &lane_widths {
-            let lanes = engine_bench::run_lane_elections(&g, lane_elections_count, width);
+        // The first width-1 run is the scalar baseline of every row.
+        let mut scalar: Option<engine_bench::ElectionRunStats> = None;
+        let mut widest_rounds = 0;
+        for (series, width) in [("scalar", 1), ("lanes", 1), ("lanes", 8), ("lanes", 64)] {
+            let stats = engine_bench::run_lane_elections(&g, lane_elections_count, width);
+            let scalar = *scalar.get_or_insert(stats);
             assert_eq!(
-                lanes.checksum, scalar.checksum,
+                stats.checksum, scalar.checksum,
                 "lane packing changed a winner at n={n} width={width}"
             );
-            if width == 1 {
-                assert_eq!(
-                    lanes.rounds, scalar.rounds,
-                    "width-1 lanes must be the scalar schedule"
-                );
-            }
             assert!(
-                lanes.lanes_busy > 0,
+                stats.lanes_busy > 0,
                 "saturated slots never occupied a lane"
             );
-            widest_rounds = lanes.rounds;
-            record("lanes", width, lanes);
+            let speedup = scalar.rounds as f64 / stats.rounds.max(1) as f64;
+            println!(
+                "{:<12}{:>9}{:>6}  {:<8}{:>7}{:>9}{:>12}{:>12}{:>10.1}",
+                "grid",
+                g.node_count(),
+                lane_elections_count,
+                series,
+                width,
+                stats.rounds,
+                stats.lane_writes,
+                stats.lanes_busy,
+                speedup,
+            );
+            lane_rows.push(LaneElectionRow {
+                topology: "grid",
+                n: g.node_count(),
+                elections: lane_elections_count,
+                series,
+                width,
+                rounds: stats.rounds,
+                lane_writes: stats.lane_writes,
+                lanes_busy: stats.lanes_busy,
+                speedup_vs_scalar: speedup,
+                seconds: stats.seconds,
+                checksum: stats.checksum,
+            });
+            widest_rounds = stats.rounds;
         }
+        let scalar = scalar.expect("the width-1 baseline ran");
         assert!(
             widest_rounds * 8 <= scalar.rounds,
             "64 saturated lanes must cut election rounds >= 8x \
@@ -2255,8 +2246,8 @@ fn engine(opts: &Opts) {
          bitwise elections on per-fragment channels, 64 per lane batch, dynamic re-attachment to \
          the winner's channel between phases; see multimedia::mst::sharded_mst)\",\n\
          \"lane_elections_workload\": \"saturated bitwise elections: scalar \
-         one-at-a-time ElectionSeries slots vs up to 64 elections packed into \
-         word-wide LaneElectionSeries batches, identical winners asserted \
+         one-at-a-time (width-1) slots vs up to 64 elections packed into \
+         word-wide LaneElectionSeries batches, every node's own-slot winner asserted \
          (see bench::engine_bench::run_lane_elections)\",\n\
          \"global_fn_sharded_workload\": \"Section 5.1 global sensitive \
          function with its global stage on K per-group channels: per-group \

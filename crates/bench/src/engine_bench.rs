@@ -16,7 +16,7 @@
 //! while the reference engine clones every frame per delivery — the
 //! workload the arena path exists for.
 
-use channel_access::assigned::{ElectionSeries, LaneElectionSeries};
+use channel_access::assigned::{LaneElectionSeries, Seat};
 use netsim_graph::{Graph, NodeId};
 use netsim_sim::{
     protocols::ChannelShardedSum, ChannelId, Protocol, ReferenceEngine, RoundIo, SyncEngine,
@@ -629,8 +629,8 @@ pub struct ElectionRunStats {
     pub lanes_busy: u64,
     /// Wall-clock seconds.
     pub seconds: f64,
-    /// Fold of every node's winner view; equal across the scalar and lane
-    /// schedules iff they elected identically.
+    /// Fold of every node's own-slot winner; equal across lane widths iff
+    /// they elected identically.
     pub checksum: u64,
 }
 
@@ -638,73 +638,39 @@ pub struct ElectionRunStats {
 /// `v mod elections` with its (globally unique) index as the station id, so
 /// every one of the `elections` slots has contenders and the expected winner
 /// of slot `s` is the largest node index congruent to `s`.
-fn election_entry(v: NodeId, n: usize, elections: u32) -> Option<(u32, u64)> {
-    debug_assert!(v.index() < n);
-    Some(((v.index() % elections as usize) as u32, v.index() as u64))
+fn election_seat(v: NodeId, elections: u32) -> Seat {
+    Seat {
+        slot: (v.index() % elections as usize) as u32,
+        station: Some(v.index() as u64),
+    }
 }
 
-/// Station-id width for the saturated election workload (`election_entry`)
+/// Station-id width for the saturated election workload (`election_seat`)
 /// on an `n`-node graph.
 pub fn election_bits(n: usize) -> u32 {
     (usize::BITS - n.next_power_of_two().leading_zeros()).max(1)
 }
 
-fn election_fold(checksum: &mut u64, winners: &[Option<u64>], n: usize, elections: u32) {
-    for (s, &won) in winners.iter().enumerate() {
-        let last = n - 1;
-        let expected = last - (last + elections as usize - s) % elections as usize;
-        assert_eq!(
-            won,
-            Some(expected as u64),
-            "slot {s} must elect its largest contender"
-        );
-        *checksum = checksum
-            .rotate_left(7)
-            .wrapping_add(won.unwrap_or(u64::MAX) ^ s as u64);
-    }
-}
-
-/// Runs the saturated election workload as `elections` *scalar*
-/// [`ElectionSeries`] slots — one election at a time on the channel — and
-/// verifies every node elected the spec winners.
-pub fn run_scalar_elections(g: &Graph, elections: u32) -> ElectionRunStats {
-    let n = g.node_count();
-    assert!(
-        elections as usize <= n,
-        "saturation needs a contender per slot"
+/// Folds node `v`'s view — the winner of its own slot — into `checksum`.
+fn election_fold(checksum: &mut u64, v: NodeId, won: Option<u64>, n: usize, elections: u32) {
+    let s = v.index() % elections as usize;
+    let last = n - 1;
+    let expected = last - (last + elections as usize - s) % elections as usize;
+    assert_eq!(
+        won,
+        Some(expected as u64),
+        "slot {s} must elect its largest contender"
     );
-    let bits = election_bits(n);
-    let mut engine = SyncEngine::new(g, |v| {
-        ElectionSeries::new(
-            election_entry(v, n, elections),
-            bits,
-            elections,
-            ChannelId(0),
-        )
-    });
-    let budget = u64::from(elections) * ElectionSeries::slot_rounds(bits) + 8;
-    let start = Instant::now();
-    let completed = engine.run(budget).is_completed();
-    let seconds = start.elapsed().as_secs_f64();
-    assert!(completed, "scalar series must quiesce within its schedule");
-    let cost = *engine.cost();
-    let mut checksum = 0u64;
-    for v in g.nodes() {
-        election_fold(&mut checksum, engine.node(v).winners(), n, elections);
-    }
-    ElectionRunStats {
-        rounds: cost.rounds,
-        lane_writes: cost.lane_writes,
-        lanes_busy: cost.lanes_busy,
-        seconds,
-        checksum,
-    }
+    *checksum = checksum
+        .rotate_left(7)
+        .wrapping_add(won.unwrap_or(u64::MAX) ^ s as u64);
 }
 
-/// Runs the same saturated workload with up to `width` elections packed
-/// into each word-wide lane batch ([`LaneElectionSeries`]); at `width` 64
-/// with 64 saturated slots the whole series costs one batch — a ~64×
-/// round-count reduction over [`run_scalar_elections`].
+/// Runs the saturated workload with up to `width` elections packed into
+/// each word-wide lane batch ([`LaneElectionSeries`]): width 1 is the scalar
+/// one-election-at-a-time schedule, and at `width` 64 with 64 saturated
+/// slots the whole series costs one batch — a ~64× round-count reduction.
+/// Verifies every node heard its slot's spec winner.
 pub fn run_lane_elections(g: &Graph, elections: u32, width: u32) -> ElectionRunStats {
     let n = g.node_count();
     assert!(
@@ -714,7 +680,7 @@ pub fn run_lane_elections(g: &Graph, elections: u32, width: u32) -> ElectionRunS
     let bits = election_bits(n);
     let mut engine = SyncEngine::new(g, |v| {
         LaneElectionSeries::new(
-            election_entry(v, n, elections),
+            Some(election_seat(v, elections)),
             bits,
             elections,
             width,
@@ -730,7 +696,7 @@ pub fn run_lane_elections(g: &Graph, elections: u32, width: u32) -> ElectionRunS
     let cost = *engine.cost();
     let mut checksum = 0u64;
     for v in g.nodes() {
-        election_fold(&mut checksum, engine.node(v).winners(), n, elections);
+        election_fold(&mut checksum, v, engine.node(v).winner(), n, elections);
     }
     ElectionRunStats {
         rounds: cost.rounds,
@@ -857,13 +823,14 @@ mod tests {
     fn lane_packing_cuts_saturated_election_rounds() {
         let g = Family::Grid.generate(256, 3);
         let elections = 64u32;
-        let scalar = run_scalar_elections(&g, elections);
-        let lanes_1 = run_lane_elections(&g, elections, 1);
+        let scalar = run_lane_elections(&g, elections, 1);
         let lanes_64 = run_lane_elections(&g, elections, 64);
-        // Width-1 lanes are the scalar schedule; same winners everywhere.
-        assert_eq!(scalar.checksum, lanes_1.checksum);
+        // Width 1 is the scalar schedule; same winners at every width.
         assert_eq!(scalar.checksum, lanes_64.checksum);
-        assert_eq!(scalar.rounds, lanes_1.rounds);
+        assert_eq!(
+            scalar.rounds,
+            u64::from(elections) * LaneElectionSeries::slot_rounds(election_bits(256))
+        );
         // 64 saturated slots in one word-wide batch: >= 8x fewer rounds
         // (the BENCH_engine.json acceptance bar; the schedule says ~64x).
         assert!(

@@ -13,10 +13,14 @@
 //! unrelated traffic.
 //!
 //! Every state machine is *uniform*: contenders and mere listeners run the
-//! same code, tracking the public ternary feedback of the assigned channel,
-//! so at the end **every attached node** knows the outcome (the schedule or
-//! the leader) — exactly the property the paper's algorithms rely on when
-//! they schedule partition cores on the channel.
+//! same code, tracking the public feedback of the assigned channel.  The
+//! single-conflict schemes ([`AssignedSplit`], [`AssignedElection`],
+//! [`AssignedBackoff`]) leave the schedule or the leader on every attached
+//! node — the property the paper's algorithms rely on when they schedule
+//! partition cores on the channel.  The election *series*
+//! ([`LaneElectionSeries`]) runs many elections per channel, and there
+//! every member of an election learns its outcome; no node mirrors its
+//! neighbours' elections — a fragment only ever acts on its own.
 //!
 //! The engine-executed runs are validated against the abstract resolvers:
 //! same schedule order, same per-outcome slot counts (on the assigned
@@ -214,19 +218,32 @@ impl Protocol for AssignedElection {
 // Bit-parallel lanes of bitwise elections over an assigned channel
 // ---------------------------------------------------------------------------
 
-/// Up to 64 **concurrent** bitwise elections per batch, packed one per lane
-/// of the channel's bit-parallel lane sub-slot
-/// ([`RoundIo::write_lanes_on`]) — the `w`-wide generalization of
-/// [`ElectionSeries`], and the primitive that collapses a phase of `F`
-/// fragment elections from `F·(bits+2)` rounds to `⌈F/w⌉·(bits+2)`.
+/// A node's place in a [`LaneElectionSeries`]: the one election slot of its
+/// channel it belongs to (its fragment's, its group's), and the station id
+/// it contends with there — `None` for a member that only listens for the
+/// outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seat {
+    /// Election slot on the channel, `0..elections`.
+    pub slot: u32,
+    /// This node's station id in that election (`None` for a listener).
+    pub station: Option<u64>,
+}
+
+/// A series of bitwise elections on one assigned channel, up to 64 of them
+/// **concurrently** per batch, packed one per lane of the channel's
+/// bit-parallel lane sub-slot ([`RoundIo::write_lanes_on`]) — the primitive
+/// that collapses a phase of `F` fragment elections from `F·(bits+2)`
+/// rounds to `⌈F/w⌉·(bits+2)`.  At width 1 every election rides lane 0 of
+/// its own batch: the scalar one-election-at-a-time schedule.
 ///
 /// Election slot `e` occupies lane `e % width` of batch `e / width`; a batch
 /// runs all of its lanes *simultaneously* in `L = bits + 2` local rounds:
 ///
-/// * **round 0 — presence**: the contender of lane `ℓ` writes `1 << ℓ`.
-///   The resolved presence word tells every listener which lanes host a
-///   non-empty election (and disambiguates "no contender" from "winner with
-///   id 0");
+/// * **round 0 — presence**: the contenders of lane `ℓ` write `1 << ℓ`.
+///   The resolved presence word tells the lane's members whether their
+///   election is non-empty (and disambiguates "no contender" from "winner
+///   with id 0");
 /// * **rounds 1..=bits — probes**: round `t` probes bit `bits − t`, most
 ///   significant first.  An active contender whose id has the probed bit
 ///   set writes its lane bit; each round also observes the previous probe's
@@ -235,9 +252,20 @@ impl Protocol for AssignedElection {
 ///   election, 64 lanes at once;
 /// * **round bits + 1 — observation**: the last probe's word arrives.  No
 ///   announce slot is needed: in a max-id knockout, bit `b` of lane `ℓ`'s
-///   winner *equals* the busy bit `ℓ` of the probe-`b` word, so every
-///   attached node reconstructs every lane's winner from the stored probe
-///   words plus the presence word.
+///   winner *equals* the busy bit `ℓ` of the probe-`b` word, so a member
+///   accumulates its election's winner one bit per round.
+///
+/// # Own-seat state
+///
+/// A node is **seated** in at most one slot ([`Seat`]) and remembers only
+/// that election: its presence bit and one `u64` of winner bits, read back
+/// through [`winner`](Self::winner).  Every member of an election learns
+/// its outcome; no node mirrors its neighbours' elections, which is all the
+/// paper's drivers need — a fragment's stations care for the fragment's own
+/// minimum link, a group's cores for their own representative.  The state is
+/// `O(1)`, inline and heap-free, the batch position is two counters (no
+/// division per step), and outside its own batch a node only counts rounds.
+/// A seatless node (`None`) just sits out the channel's horizon.
 ///
 /// # Determinism contract
 ///
@@ -245,31 +273,31 @@ impl Protocol for AssignedElection {
 ///
 /// * lane resolution is a commutative OR-fold
 ///   ([`resolve_lanes`](netsim_sim::resolve_lanes)), so the resolved word —
-///   and hence every knockout, every reconstructed winner — is independent
+///   and hence every knockout, every accumulated winner — is independent
 ///   of node iteration order, engine internals (flat arena, reference
 ///   clone, lockstep tick, wire datagram arrival order), and parallel
 ///   stepping;
-/// * the schedule is a pure function of the **local** round counter seeded
-///   at construction, with [`RoundIo::wake_me`] arming idle probe rounds,
-///   so sparse/dense runs and re-armed multi-phase pipelines
-///   (`update_nodes` + `reattach`) are bit-identical;
+/// * the schedule is a pure function of the **local** round counters seeded
+///   at (re)arm, with [`RoundIo::wake_me`] arming idle probe rounds, so
+///   sparse/dense runs and re-armed multi-phase pipelines (`update_nodes` +
+///   `reattach`) are bit-identical;
 /// * fault draws ([`FaultPlan`](netsim_sim::FaultPlan) erasure and
 ///   corruption coins) are pure functions of `(seed, round, channel)`,
 ///   replicated on every host.
 ///
-/// Consequently the full result vector — [`winners`](Self::winners) on
-/// every attached node — is bit-identical across
+/// Consequently every seated node's [`winner`](Self::winner) is
+/// bit-identical across
 /// `SyncEngine`/`ReferenceEngine`/`Lockstep`/`WireNet` for the same seeds,
-/// which the `engine_conformance` and proptest suites pin lane-by-lane
-/// against 64 independent scalar [`ElectionSeries`] runs.
+/// and all members of one slot agree; the proptest suite pins each slot
+/// against the arithmetic maximum of its contenders and width `w` against
+/// width 1.
 ///
 /// # Station ids must be distinct per lane
 ///
 /// Two contenders of one lane sharing the maximal id would survive every
-/// probe together; the reconstruction then reports *that shared id* (the
-/// scalar series' announce collision instead reported `None`).  Drivers
-/// must guarantee per-lane distinctness — the sharded MST does so
-/// structurally (a fragment's stations are distinct packed edge keys).
+/// probe together; the members then hear *that shared id*.  Drivers must
+/// guarantee per-lane distinctness — the sharded MST does so structurally
+/// (a fragment's stations are distinct packed edge keys).
 ///
 /// # Fault semantics
 ///
@@ -277,157 +305,197 @@ impl Protocol for AssignedElection {
 /// *termination*:
 ///
 /// * an **`Erased` lane word poisons its whole batch**: the knockout and
-///   reconstruction of *every* lane of the batch depend on each resolved
-///   word, so all contenders of the batch deactivate and all of its entries
-///   in [`winners`](Self::winners) stay `None` — observed identically by
-///   every listener (erasure is a channel-level event), and handled like an
-///   empty election by drivers (retry in the next phase);
+///   the winner bits of *every* lane of the batch depend on each resolved
+///   word, so all contenders of the batch deactivate and every member of
+///   every one of its slots reports `None` — observed identically by all of
+///   them (erasure is a channel-level event), and handled like an empty
+///   election by drivers (retry in the next phase);
 /// * a **corrupted** lane word ([`FaultPlan::with_corruption`](netsim_sim::FaultPlan::with_corruption))
-///   flips one seeded bit for *all* hearers alike, so listeners still
-///   agree — on a possibly wrong winner; drivers re-validate winners
+///   flips one seeded bit for *all* hearers alike, so a slot's members
+///   still agree — on a possibly wrong winner; drivers re-validate winners
 ///   against ground truth exactly as for crashed contenders;
 /// * a **crashed contender** stops transmitting, so a lane may elect a
 ///   different (still unique) survivor, or nobody; a recovered node's own
 ///   series retires inert ([`crashed_out`](Self::crashed_out)).
 ///
 /// For any erasure-only schedule each reported winner is either `None` or
-/// the exact fault-free leader of its lane.
+/// the exact fault-free leader of its slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneElectionSeries {
-    chan: ChannelId,
+    /// Winner bits heard on the seat's lane: bit `b` is the busy bit of the
+    /// probe-`b` word.
+    heard: u64,
+    /// This node's station id in its seat's election (`None` for listeners
+    /// and seatless nodes).
+    station: Option<u64>,
+    /// The seat's lane bit, `1 << (slot % width)`; 0 when seatless.
+    lane: u64,
+    /// The batch hosting the seat, `slot / width`; `u32::MAX` (never
+    /// reached by `batch`) when seatless.
+    seat_batch: u32,
+    /// Batches the channel runs, `⌈elections / width⌉`.
+    batches: u32,
+    /// Current batch and local round within it.
+    batch: u32,
+    t: u32,
     bits: u32,
     /// Lanes per batch, `1..=64`.
     width: u32,
-    /// `(slot, station id)` this node contends in, `None` for pure listeners.
-    entry: Option<(u32, u64)>,
-    /// Number of election slots scheduled on this node's channel.
-    elections: u32,
-    /// Per-slot winner station ids (`None` for an empty election).
-    winners: Vec<Option<u64>>,
-    /// Still in the running for the current batch.
+    chan: ChannelId,
+    /// Still in the running in the seat's election.
     active: bool,
-    /// The current batch observed an erased lane word: every lane of the
-    /// batch reports `None`.
-    poisoned: bool,
-    /// Presence word of the current batch (resolved round-0 write).
-    presence: u64,
-    /// Resolved probe words of the current batch, index `i` holding the
-    /// probe of bit `bits - 1 - i`.
-    busy_words: Vec<u64>,
-    /// Local round counter since seeding.
-    round: u64,
-    /// Set on recovery from a crash: the local round counter is stale (the
+    /// The seat's lane was claimed in the presence round and no word of its
+    /// batch has been erased since.
+    present: bool,
+    /// Set on recovery from a crash: the local round counters are stale (the
     /// node missed steps), so the series goes inert instead of desyncing
-    /// the shared slot schedule.
+    /// the shared batch schedule.
     crashed_out: bool,
     done: bool,
 }
 
 impl LaneElectionSeries {
-    /// Per-node state: this node contends in election slot `entry.0` with
-    /// station id `entry.1` (`None` for a listener), `elections` slots run
-    /// on channel `chan` packed `width` lanes per batch, ids fit in `bits`
-    /// bits.  Station ids must be distinct per lane (see the type docs) — a
+    /// Per-node state: `elections` slots run on channel `chan` packed
+    /// `width` lanes per batch, this node sits in `seat` (`None` for a node
+    /// that only waits out the channel's horizon), ids fit in `bits` bits.
+    /// Station ids must be distinct per lane (see the type docs) — a
     /// cross-node invariant the constructor cannot check locally.
     ///
     /// # Panics
     ///
-    /// Panics unless `1 <= bits <= 63`, `1 <= width <= 64`, the entry's
-    /// slot is within the series, and its station id fits in `bits` bits.
-    pub fn new(
-        entry: Option<(u32, u64)>,
-        bits: u32,
-        elections: u32,
-        width: u32,
-        chan: ChannelId,
-    ) -> Self {
+    /// Panics unless `1 <= bits <= 63`, `1 <= width <= 64`, the seat's slot
+    /// is within the series, and its station id fits in `bits` bits.
+    pub fn new(seat: Option<Seat>, bits: u32, elections: u32, width: u32, chan: ChannelId) -> Self {
         assert!(bits > 0 && bits <= 63, "bits must be in 1..=63");
         assert!(width > 0 && width <= 64, "width must be in 1..=64");
         let mut series = LaneElectionSeries {
-            chan,
+            heard: 0,
+            station: None,
+            lane: 0,
+            seat_batch: u32::MAX,
+            batches: 0,
+            batch: 0,
+            t: 0,
             bits,
             width,
-            entry: None,
-            elections: 0,
-            winners: Vec::with_capacity(elections as usize),
+            chan,
             active: false,
-            poisoned: false,
-            presence: 0,
-            busy_words: vec![0; bits as usize],
-            round: 0,
+            present: false,
             crashed_out: false,
             done: true,
         };
-        series.rearm(entry, elections, chan);
+        series.rearm(seat, elections, chan);
         series
     }
 
     /// Re-arms the series **in place** for another run of `elections` slots
     /// on channel `chan` (same `bits` and `width`): afterwards the state
-    /// equals a fresh [`LaneElectionSeries::new`] — local round counter,
-    /// [`winners`](Self::winners), [`crashed_out`](Self::crashed_out) and
-    /// all — but the winner and probe-word storage is reused, so a
-    /// multi-phase pipeline re-seeding every node between phases
-    /// (`update_nodes`) allocates nothing once a series has run at least as
-    /// many slots before.
+    /// equals a fresh [`LaneElectionSeries::new`] — local round counters,
+    /// [`winner`](Self::winner), [`crashed_out`](Self::crashed_out) and
+    /// all.  This is the only place the seat's batch and lane are derived,
+    /// so no step divides.
     ///
     /// # Panics
     ///
-    /// Panics unless the entry's slot is within the series and its station
+    /// Panics unless the seat's slot is within the series and its station
     /// id fits in `bits` bits.
-    pub fn rearm(&mut self, entry: Option<(u32, u64)>, elections: u32, chan: ChannelId) {
-        if let Some((slot, id)) = entry {
-            assert!(
-                slot < elections,
-                "slot {slot} outside {elections} elections"
-            );
-            assert!(
-                id < (1u64 << self.bits),
-                "id {id} does not fit in {} bits",
-                self.bits
-            );
-        }
+    pub fn rearm(&mut self, seat: Option<Seat>, elections: u32, chan: ChannelId) {
+        (self.seat_batch, self.lane, self.station) = match seat {
+            Some(Seat { slot, station }) => {
+                assert!(
+                    slot < elections,
+                    "slot {slot} outside {elections} elections"
+                );
+                if let Some(id) = station {
+                    assert!(
+                        id < (1u64 << self.bits),
+                        "id {id} does not fit in {} bits",
+                        self.bits
+                    );
+                }
+                (slot / self.width, 1u64 << (slot % self.width), station)
+            }
+            None => (u32::MAX, 0, None),
+        };
         self.chan = chan;
-        self.entry = entry;
-        self.elections = elections;
-        self.winners.clear();
-        self.winners.resize(elections as usize, None);
+        self.batches = elections.div_ceil(self.width);
+        self.batch = 0;
+        self.t = 0;
+        self.heard = 0;
         self.active = false;
-        self.poisoned = false;
-        self.presence = 0;
-        self.busy_words.fill(0);
-        self.round = 0;
+        self.present = false;
         self.crashed_out = false;
         self.done = elections == 0;
     }
 
     /// `true` once the node has crashed and recovered mid-series: its local
-    /// round counter is stale, so [`Protocol::on_recover`] retired it to an
-    /// inert (done, never-writing) state and its winners are frozen
-    /// mid-phase — drivers must not read them.
+    /// round counters are stale, so [`Protocol::on_recover`] retired it to
+    /// an inert (done, never-writing, winner-less) state — drivers must
+    /// read the slot's outcome through another member.
     pub fn crashed_out(&self) -> bool {
         self.crashed_out
     }
 
     /// Rounds one batch occupies: the presence round, `bits` probes, and
-    /// the observation round — identical to the scalar
-    /// [`ElectionSeries::slot_rounds`], so lane packing divides phase
-    /// rounds by the batch width without changing the per-batch shape.
+    /// the observation round — whatever the width, so lane packing divides
+    /// phase rounds by the batch width without changing the per-batch shape.
     pub fn slot_rounds(bits: u32) -> u64 {
         u64::from(bits) + 2
     }
 
-    /// Batches this series runs: `⌈elections / width⌉`.
-    pub fn batches(&self) -> u32 {
-        self.elections.div_ceil(self.width)
+    /// `true` iff this node contended and its own station won its slot.
+    pub fn won(&self) -> bool {
+        self.station.is_some() && self.winner() == self.station
     }
 
-    /// Per-slot winner station ids, in slot order (`None` for a slot whose
-    /// election had no contender or whose batch was erasure-poisoned).
-    /// Identical on every node attached to the channel once the series is
-    /// done.
-    pub fn winners(&self) -> &[Option<u64>] {
-        &self.winners
+    /// The winner of this node's own election slot, once its batch has run:
+    /// `None` before that, for a seatless node, for an election without
+    /// contenders, and for one whose batch was erasure-poisoned.  Identical
+    /// on every member of the slot.
+    pub fn winner(&self) -> Option<u64> {
+        (self.present && self.batch > self.seat_batch).then_some(self.heard)
+    }
+
+    /// One round of the seat's own batch: `t` is the local round within it.
+    fn own_batch_round(&mut self, io: &mut RoundIo<'_, u64>, t: u32) {
+        let bits = self.bits;
+        if t == 0 {
+            // Presence round: a contender claims its lane.
+            if self.station.is_some() {
+                self.active = true;
+                io.write_lanes_on(self.chan, self.lane);
+            }
+            return;
+        }
+        // Observe the word resolved from round t - 1's writes.
+        match io.prev_lanes_on(self.chan) {
+            LaneOutcome::Erased => {
+                // Every lane of the batch depended on this word: poison
+                // the seat, stop transmitting, report no winner.
+                self.present = false;
+                self.active = false;
+            }
+            outcome => {
+                let busy = outcome.word().unwrap_or(0) & self.lane != 0;
+                if t == 1 {
+                    self.present = busy;
+                } else {
+                    // Word of the probe of bit `bits - (t - 1)`: it *is*
+                    // that bit of the winner, and knocks out a contender
+                    // that stayed silent in it.
+                    let probed = bits + 1 - t;
+                    self.heard |= u64::from(busy) << probed;
+                    if busy && self.station.is_some_and(|id| (id >> probed) & 1 == 0) {
+                        self.active = false;
+                    }
+                }
+            }
+        }
+        // Probe round t transmits bit `bits - t`, MSB first.
+        let sends = |id: u64| (id >> (bits - t)) & 1 == 1;
+        if t <= bits && self.active && self.station.is_some_and(sends) {
+            io.write_lanes_on(self.chan, self.lane);
+        }
     }
 }
 
@@ -438,84 +506,21 @@ impl Protocol for LaneElectionSeries {
         if self.done {
             return; // the engine's busiest channel is still electing
         }
-        let l = Self::slot_rounds(self.bits);
-        let batch = (self.round / l) as u32;
-        let t = self.round % l;
-        let bits = self.bits;
-        // This node's lane of the current batch, if its slot falls in it.
-        let entry = self
-            .entry
-            .and_then(|(slot, id)| (slot / self.width == batch).then_some((slot % self.width, id)));
-        if t == 0 {
-            // Presence round: a contender claims its lane.
-            self.active = entry.is_some();
-            self.poisoned = false;
-            self.presence = 0;
-            self.busy_words.fill(0);
-            if let Some((lane, _)) = entry {
-                io.write_lanes_on(self.chan, 1u64 << lane);
-            }
-        } else {
-            // Observe the word resolved from round t - 1's writes.
-            match io.prev_lanes_on(self.chan) {
-                LaneOutcome::Erased => {
-                    // Every lane of the batch depended on this word: poison
-                    // the batch, stop transmitting, report all-None.
-                    self.poisoned = true;
-                    self.active = false;
-                }
-                outcome => {
-                    let word = outcome.word().unwrap_or(0);
-                    if t == 1 {
-                        self.presence = word;
-                    } else {
-                        // Word of the probe of bit `bits - (t - 1)`.
-                        self.busy_words[(t - 2) as usize] = word;
-                        if let Some((lane, id)) = entry {
-                            if self.active
-                                && word & (1 << lane) != 0
-                                && (id >> (bits - (t as u32 - 1))) & 1 == 0
-                            {
-                                self.active = false;
-                            }
-                        }
-                    }
-                }
-            }
-            if t <= u64::from(bits) {
-                // Probe round t transmits bit `bits - t`, MSB first.
-                if let Some((lane, id)) = entry {
-                    if self.active && (id >> (bits - t as u32)) & 1 == 1 {
-                        io.write_lanes_on(self.chan, 1u64 << lane);
-                    }
-                }
-            } else {
-                // Observation round: reconstruct every lane's winner from
-                // the stored probe words (bit b of the winner == busy bit of
-                // the probe-b word) gated by the presence word.
-                if !self.poisoned {
-                    let base = batch * self.width;
-                    for lane in 0..self.width.min(self.elections - base) {
-                        if self.presence & (1 << lane) != 0 {
-                            let mut id = 0u64;
-                            for (i, &w) in self.busy_words.iter().enumerate() {
-                                if w & (1 << lane) != 0 {
-                                    id |= 1 << (bits - 1 - i as u32);
-                                }
-                            }
-                            self.winners[(base + lane) as usize] = Some(id);
-                        }
-                    }
-                }
-                if (batch + 1) * self.width >= self.elections {
-                    self.done = true;
-                }
-            }
+        let t = self.t;
+        if self.batch == self.seat_batch {
+            self.own_batch_round(io, t);
         }
-        self.round += 1;
-        // Phase arming: the probe schedule runs off the local round counter,
-        // and idle probe rounds never wake a node under sparse stepping — an
-        // unfinished series schedules its own next round.
+        if t == self.bits + 1 {
+            // Observation round: the batch is settled.
+            self.t = 0;
+            self.batch += 1;
+            self.done = self.batch == self.batches;
+        } else {
+            self.t = t + 1;
+        }
+        // Phase arming: the probe schedule runs off the local round
+        // counters, and idle probe rounds never wake a node under sparse
+        // stepping — an unfinished series schedules its own next round.
         if !self.done {
             io.wake_me();
         }
@@ -526,89 +531,13 @@ impl Protocol for LaneElectionSeries {
     }
 
     fn on_recover(&mut self) {
-        // The node missed steps while crashed, so its local round counter no
-        // longer tracks the shared batch schedule: writing again would
-        // corrupt other lanes' elections.  Retire to an inert, done state.
+        // The node missed steps while crashed, so its local round counters
+        // no longer track the shared batch schedule: writing again would
+        // corrupt other lanes' elections, and what it heard is partial.
+        // Retire to an inert, done, winner-less state.
         self.crashed_out = true;
+        self.present = false;
         self.done = true;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Slot-scheduled series of bitwise elections over an assigned channel
-// ---------------------------------------------------------------------------
-
-/// A **series** of bitwise elections on one assigned channel, serialized in
-/// known slot order (the Section 5.1 group-representative election runs a
-/// one-slot series; the channel-sharded MST moved to full-width
-/// [`LaneElectionSeries`] batches): each slot's contenders transmit their
-/// `bits`-bit station ids (max id wins), and **every** node attached to the
-/// channel learns every slot's winner.
-///
-/// This is the **1-lane special case** of [`LaneElectionSeries`]: each
-/// election occupies lane 0 of its own batch, so slots run one after the
-/// other in `L = bits + 2` rounds each, exactly the scalar schedule.  All
-/// semantics — local round counting for multi-phase re-arming, the
-/// distinct-ids-per-slot requirement, crash retirement
-/// ([`crashed_out`](Self::crashed_out)), and the fault contract (an erased
-/// round reports the slot `None`; for erasure-only schedules each winner is
-/// `None` or the exact fault-free leader) — are inherited from the lane
-/// series; see its docs for the determinism contract.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ElectionSeries {
-    inner: LaneElectionSeries,
-}
-
-impl ElectionSeries {
-    /// Per-node state: this node contends in election slot `entry.0` with
-    /// station id `entry.1` (`None` for a listener), `elections` slots run
-    /// on channel `chan`, ids fit in `bits` bits.  Station ids must be
-    /// distinct per slot — a cross-node invariant the constructor cannot
-    /// check locally.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= bits <= 63`, the entry's slot is within the
-    /// series, and its station id fits in `bits` bits.
-    pub fn new(entry: Option<(u32, u64)>, bits: u32, elections: u32, chan: ChannelId) -> Self {
-        ElectionSeries {
-            inner: LaneElectionSeries::new(entry, bits, elections, 1, chan),
-        }
-    }
-
-    /// `true` once the node has crashed and recovered mid-series — see
-    /// [`LaneElectionSeries::crashed_out`].
-    pub fn crashed_out(&self) -> bool {
-        self.inner.crashed_out()
-    }
-
-    /// Rounds one election slot occupies: the presence round, `bits`
-    /// probes, and the observation round.
-    pub fn slot_rounds(bits: u32) -> u64 {
-        LaneElectionSeries::slot_rounds(bits)
-    }
-
-    /// Per-slot winner station ids, in slot order (`None` for a slot whose
-    /// election had no contender).  Identical on every node attached to the
-    /// channel once the series is done.
-    pub fn winners(&self) -> &[Option<u64>] {
-        self.inner.winners()
-    }
-}
-
-impl Protocol for ElectionSeries {
-    type Msg = u64;
-
-    fn step(&mut self, io: &mut RoundIo<'_, u64>) {
-        self.inner.step(io);
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-
-    fn on_recover(&mut self) {
-        self.inner.on_recover();
     }
 }
 
@@ -775,41 +704,58 @@ mod tests {
         assert_eq!(eng.cost().rounds, u64::from(bits) + 2);
     }
 
+    fn seat(slot: u32, station: Option<u64>) -> Seat {
+        Seat { slot, station }
+    }
+
+    /// Width 1: one election at a time on lane 0 — the scalar schedule.
+    fn scalar(seat: Seat, bits: u32, elections: u32, chan: ChannelId) -> LaneElectionSeries {
+        LaneElectionSeries::new(Some(seat), bits, elections, 1, chan)
+    }
+
+    /// Three election slots: nodes with `v mod 4 < 2` contend in slot
+    /// `v mod 4`, the rest listen — group 2 in the contender-less slot 2,
+    /// group 3 spread over all three slots.
+    fn three_slot_seat(v: usize) -> Seat {
+        let group = v % 4;
+        let slot = if group < 3 { group } else { v / 4 % 3 };
+        seat(slot as u32, (group < 2).then(|| (v as u64) * 23 + 1))
+    }
+
+    /// Abstract leader of `slot` under `seat_of`, `None` for an empty slot.
+    fn slot_leader(n: usize, seat_of: impl Fn(usize) -> Seat, slot: u32, bits: u32) -> Option<u64> {
+        let ids: Vec<u64> = (0..n)
+            .map(seat_of)
+            .filter(|s| s.slot == slot)
+            .filter_map(|s| s.station)
+            .collect();
+        (!ids.is_empty()).then(|| election::bitwise_election(&ids, bits).leader)
+    }
+
     #[test]
     fn election_series_matches_abstract_election_per_slot() {
-        // Three election slots on channel 1 of a 2-channel set: nodes are
-        // partitioned into contender groups by `v mod 4` (group 3 and all of
-        // slot 2 are listeners — slot 2 must report an empty election).
+        // Three election slots on channel 1 of a 2-channel set; every
+        // member of a slot, contender or listener, hears exactly the
+        // abstract election's leader, and the empty slot reports `None`.
         let g = generators::ring(21);
         let n = g.node_count();
         let bits = 9;
-        let entry = |v: usize| -> Option<(u32, u64)> {
-            let group = v % 4;
-            (group < 2).then(|| (group as u32, (v as u64) * 23 + 1))
-        };
         let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            ElectionSeries::new(entry(v.index()), bits, 3, CHAN)
+            scalar(three_slot_seat(v.index()), bits, 3, CHAN)
         });
         let out = eng.run(10_000);
         assert!(out.is_completed());
         // The busiest channel runs 3 slots of bits + 2 rounds each; the last
         // slot's observation round is the final step.
-        assert_eq!(out.rounds(), 3 * ElectionSeries::slot_rounds(bits));
-        for slot in 0..2u32 {
-            let ids: Vec<u64> = (0..n)
-                .filter_map(|v| entry(v).filter(|e| e.0 == slot).map(|e| e.1))
-                .collect();
-            let abstract_run = election::bitwise_election(&ids, bits);
-            for v in g.nodes() {
-                assert_eq!(
-                    eng.node(v).winners()[slot as usize],
-                    Some(abstract_run.leader),
-                    "slot {slot} winner wrong on {v:?}"
-                );
-            }
-        }
+        assert_eq!(out.rounds(), 3 * LaneElectionSeries::slot_rounds(bits));
+        assert_eq!(slot_leader(n, three_slot_seat, 2, bits), None);
         for v in g.nodes() {
-            assert_eq!(eng.node(v).winners()[2], None, "empty slot must be None");
+            let slot = three_slot_seat(v.index()).slot;
+            assert_eq!(
+                eng.node(v).winner(),
+                slot_leader(n, three_slot_seat, slot, bits),
+                "slot {slot} winner wrong on {v:?}"
+            );
         }
     }
 
@@ -817,10 +763,11 @@ mod tests {
     fn election_series_conforms_on_reference_engine() {
         let g = generators::ring(16);
         let bits = 7;
-        let entry = |v: usize| -> Option<(u32, u64)> {
-            (v % 3 != 2).then(|| ((v % 3) as u32, (v as u64) * 7 + 2))
+        let init = |v: netsim_graph::NodeId| {
+            let v = v.index();
+            let station = (v % 3 != 2).then(|| (v as u64) * 7 + 2);
+            scalar(seat((v % 2) as u32, station), bits, 2, CHAN)
         };
-        let init = |v: netsim_graph::NodeId| ElectionSeries::new(entry(v.index()), bits, 2, CHAN);
         let mut flat = SyncEngine::with_channels(&g, ChannelSet::uniform(2), init);
         let mut reference = ReferenceEngine::with_channels(&g, ChannelSet::uniform(2), init);
         assert!(flat.run(10_000).is_completed());
@@ -828,6 +775,7 @@ mod tests {
         assert_eq!(flat.cost(), reference.cost());
         for v in g.nodes() {
             assert_eq!(flat.node(v), reference.node(v));
+            assert!(flat.node(v).winner().is_some());
         }
     }
 
@@ -853,58 +801,64 @@ mod tests {
             |v| {
                 let (chan, elections) = assign(v.index());
                 let slot = (v.index() as u32 / 2) % elections;
-                ElectionSeries::new(Some((slot, v.index() as u64 + 1)), bits, elections, chan)
+                scalar(
+                    seat(slot, Some(v.index() as u64 + 1)),
+                    bits,
+                    elections,
+                    chan,
+                )
             },
         );
         let out = eng.run(10_000);
         assert!(out.is_completed());
-        assert_eq!(out.rounds(), 3 * ElectionSeries::slot_rounds(bits));
+        assert_eq!(out.rounds(), 3 * LaneElectionSeries::slot_rounds(bits));
         // Odd nodes all contend in their only slot: the max id (11 + 1) wins.
-        assert_eq!(eng.node(netsim_graph::NodeId(1)).winners(), &[Some(12)]);
+        assert_eq!(eng.node(netsim_graph::NodeId(1)).winner(), Some(12));
+        // Even nodes 4 and 10 share slot 2 of channel 0.
+        assert_eq!(eng.node(netsim_graph::NodeId(4)).winner(), Some(11));
 
         // Re-arm: everyone now runs a single election on channel 0.
         eng.reattach(&[0b01u64; 12]);
         eng.update_nodes(|v, series| {
-            *series = ElectionSeries::new(Some((0, v.index() as u64 + 1)), bits, 1, ChannelId(0));
+            series.rearm(Some(seat(0, Some(v.index() as u64 + 1))), 1, ChannelId(0));
         });
         let rounds_before = eng.round();
         let out = eng.run(100_000);
         assert!(out.is_completed());
         assert_eq!(
             out.rounds() - rounds_before,
-            ElectionSeries::slot_rounds(bits)
+            LaneElectionSeries::slot_rounds(bits)
         );
         for v in g.nodes() {
-            assert_eq!(eng.node(v).winners(), &[Some(12)]);
+            assert_eq!(eng.node(v).winner(), Some(12));
         }
     }
 
     #[test]
     fn lane_series_rearm_equals_a_fresh_series() {
         // 150 slots at width 64 (three batches) on channel 1, then an
-        // in-place re-arm to 70 slots on channel 0 with new entries: the
-        // re-armed state is indistinguishable from a fresh series, before
-        // and after the second run.
+        // in-place re-arm to 70 slots on channel 0 with new seats (every
+        // third node a listener, a few seatless): the re-armed state is
+        // indistinguishable from a fresh series, before and after the
+        // second run.
         let g = generators::ring(300);
         let bits = 10;
-        let first = |v: usize| (Some(((v % 150) as u32, v as u64 + 1)), 150, CHAN);
+        let first = |v: usize| (Some(seat((v % 150) as u32, Some(v as u64 + 1))), 150, CHAN);
         let second = |v: usize| {
-            (
-                (!v.is_multiple_of(3)).then(|| ((v % 70) as u32, 1000 - v as u64)),
-                70,
-                ChannelId(0),
-            )
+            let station = (!v.is_multiple_of(3)).then(|| 1000 - v as u64);
+            let seat = seat((v % 70) as u32, station);
+            ((v < 290).then_some(seat), 70, ChannelId(0))
         };
         let fresh =
-            |(entry, elections, chan)| LaneElectionSeries::new(entry, bits, elections, 64, chan);
+            |(seat, elections, chan)| LaneElectionSeries::new(seat, bits, elections, 64, chan);
         let mut eng =
             SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| fresh(first(v.index())));
         assert!(eng.run(10_000).is_completed());
         assert_eq!(eng.round(), 3 * LaneElectionSeries::slot_rounds(bits));
 
         eng.update_nodes(|v, series| {
-            let (entry, elections, chan) = second(v.index());
-            series.rearm(entry, elections, chan);
+            let (seat, elections, chan) = second(v.index());
+            series.rearm(seat, elections, chan);
             assert_eq!(*series, fresh(second(v.index())));
         });
         let mut scratch =
@@ -914,7 +868,7 @@ mod tests {
         assert_eq!(scratch.round(), 2 * LaneElectionSeries::slot_rounds(bits));
         for v in g.nodes() {
             assert_eq!(eng.node(v), scratch.node(v));
-            assert!(eng.node(v).winners().iter().all(Option::is_some));
+            assert_eq!(eng.node(v).winner().is_some(), v.index() < 290);
         }
     }
 
@@ -922,59 +876,51 @@ mod tests {
     fn election_series_erased_announce_reports_none() {
         // With every busy lane word erased, the presence word is destroyed
         // in flight and the batch is poisoned: the series runs its exact
-        // fault-free horizon and every slot reports an empty election.
+        // fault-free horizon and every member reports an empty election.
         let g = generators::ring(10);
         let bits = 6;
         let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            ElectionSeries::new(Some((0, v.index() as u64 + 1)), bits, 1, CHAN)
+            scalar(seat(0, Some(v.index() as u64 + 1)), bits, 1, CHAN)
         });
         eng.set_fault_plan(netsim_sim::FaultPlan::from_rates(11, 1.0, 0.0, 0.0, 0.0));
         let out = eng.run(10_000);
         assert!(out.is_completed());
-        assert_eq!(out.rounds(), ElectionSeries::slot_rounds(bits));
+        assert_eq!(out.rounds(), LaneElectionSeries::slot_rounds(bits));
         assert!(eng.cost().lanes_erased > 0);
         for v in g.nodes() {
-            assert_eq!(eng.node(v).winners(), &[None]);
+            assert_eq!(eng.node(v).winner(), None);
         }
     }
 
     #[test]
     fn election_series_under_erasures_is_none_or_true_leader() {
-        // Partial erasures: every slot's reported winner is either None (its
-        // announce slot was erased) or the exact fault-free leader, and all
-        // listeners agree.
+        // Partial erasures: every slot's reported winner is either None (a
+        // word of its batch was erased) or the exact fault-free leader, and
+        // all members of the slot agree.
         let g = generators::ring(21);
         let n = g.node_count();
         let bits = 9;
-        let entry = |v: usize| -> Option<(u32, u64)> {
-            let group = v % 4;
-            (group < 3).then(|| (group as u32, (v as u64) * 23 + 1))
-        };
         for seed in [3u64, 17, 92] {
             let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-                ElectionSeries::new(entry(v.index()), bits, 3, CHAN)
+                scalar(three_slot_seat(v.index()), bits, 3, CHAN)
             });
             eng.set_fault_plan(netsim_sim::FaultPlan::from_rates(seed, 0.35, 0.0, 0.0, 0.0));
             let out = eng.run(10_000);
             assert!(out.is_completed(), "seed {seed}");
-            assert_eq!(out.rounds(), 3 * ElectionSeries::slot_rounds(bits));
-            for slot in 0..3u32 {
-                let ids: Vec<u64> = (0..n)
-                    .filter_map(|v| entry(v).filter(|e| e.0 == slot).map(|e| e.1))
-                    .collect();
-                let leader = election::bitwise_election(&ids, bits).leader;
-                let reported = eng.node(netsim_graph::NodeId(0)).winners()[slot as usize];
+            assert_eq!(out.rounds(), 3 * LaneElectionSeries::slot_rounds(bits));
+            let mut reported: [Option<Option<u64>>; 3] = [None; 3];
+            for v in g.nodes() {
+                let slot = three_slot_seat(v.index()).slot;
+                let won = eng.node(v).winner();
                 assert!(
-                    reported.is_none() || reported == Some(leader),
-                    "seed {seed} slot {slot}: {reported:?} vs leader {leader}"
+                    won.is_none() || won == slot_leader(n, three_slot_seat, slot, bits),
+                    "seed {seed} slot {slot}: {won:?} is not the leader"
                 );
-                for v in g.nodes() {
-                    assert_eq!(
-                        eng.node(v).winners()[slot as usize],
-                        reported,
-                        "seed {seed} slot {slot}: listeners disagree on {v:?}"
-                    );
-                }
+                assert_eq!(
+                    *reported[slot as usize].get_or_insert(won),
+                    won,
+                    "seed {seed} slot {slot}: members disagree on {v:?}"
+                );
             }
         }
     }

@@ -1,22 +1,27 @@
-//! Property tests pinning [`LaneElectionSeries`] against its executable
-//! scalar specification.
+//! Property tests pinning [`LaneElectionSeries`]' seated semantics against
+//! its arithmetic specification.
 //!
-//! The lane series packs up to 64 concurrent bitwise elections into the
-//! channel's word-wide lane sub-slot; [`ElectionSeries`] is its 1-lane
-//! special case and serves as the spec.  Three contracts:
+//! The series packs up to 64 concurrent bitwise elections into the
+//! channel's word-wide lane sub-slot, and a node remembers only the
+//! election it is seated in.  Every node here is seated at `pick %
+//! elections` and either contends or listens; the spec of a slot is the
+//! maximum station of its contenders (`None` for an empty slot).  Four
+//! contracts:
 //!
-//! 1. **lane-by-lane equivalence** — for random slot assignments, station
-//!    ids, widths, and message-slot traffic, every slot's winner under lane
-//!    packing equals the winner the scalar series elects for that slot (and
-//!    both equal the max station of the slot's contenders);
-//! 2. **erasures never corrupt** — under random lane erasures a slot's
-//!    winner is either `None` (its batch was poisoned) or exactly the
-//!    fault-free winner, never a third value;
-//! 3. **re-arm after reattach** — a second series, re-seeded via
-//!    `update_nodes` after a mid-run `reattach` that moves every node to a
-//!    different channel, elects exactly the spec winners again.
+//! 1. **own-slot winner, at every width** — for widths {1, 8, 64} and random
+//!    assignments, stations and message-slot traffic, each seated node hears
+//!    exactly its slot's spec winner, so width `w` equals width 1 (the
+//!    scalar one-election-at-a-time schedule) slot by slot;
+//! 2. **erasures never corrupt** — under random lane erasures a member hears
+//!    `None` or exactly the fault-free winner, and all members of one slot
+//!    agree;
+//! 3. **re-arm after reattach** — a series re-armed via `update_nodes`
+//!    after a mid-run `reattach` that moves every node to the other channel
+//!    elects exactly the spec winners again;
+//! 4. **seatless listeners** — an unseated node reports `None` yet
+//!    quiesces on the channel's shared horizon.
 
-use channel_access::assigned::{ElectionSeries, LaneElectionSeries};
+use channel_access::assigned::{LaneElectionSeries, Seat};
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{ChannelId, ChannelSet, FaultPlan, Protocol, RoundIo, SyncEngine};
 use proptest::prelude::*;
@@ -27,15 +32,15 @@ const NODES: usize = 48;
 /// the channel's *message* slot while the election runs on the *lane*
 /// sub-slot.  The two sub-slots are independent by construction, so traffic
 /// must never perturb a winner.
-struct Noisy<P> {
-    inner: P,
+struct Noisy {
+    inner: LaneElectionSeries,
     chan: ChannelId,
     /// Per-node noise seed; zero keeps the node silent.
     noise: u64,
     round: u64,
 }
 
-impl<P: Protocol<Msg = u64>> Protocol for Noisy<P> {
+impl Protocol for Noisy {
     type Msg = u64;
 
     fn step(&mut self, io: &mut RoundIo<'_, u64>) {
@@ -63,15 +68,27 @@ impl<P: Protocol<Msg = u64>> Protocol for Noisy<P> {
     }
 }
 
-/// One generated election workload: per-slot contender assignments with
-/// distinct stations, derived deterministically from proptest draws.
+/// One generated election workload: every node seated, contenders of a slot
+/// holding distinct stations, derived deterministically from proptest draws.
 struct Workload {
     bits: u32,
     elections: u32,
-    /// `entry[v]` is node `v`'s `(slot, station)` or `None` for listeners.
-    entries: Vec<Option<(u32, u64)>>,
-    /// Expected winner per slot: the max station among its contenders.
-    expected: Vec<Option<u64>>,
+    seats: Vec<Seat>,
+}
+
+impl Workload {
+    /// Spec winner per slot among the nodes selected by `on_channel`: the
+    /// max station of the slot's contenders.
+    fn expected(&self, on_channel: impl Fn(usize) -> bool) -> Vec<Option<u64>> {
+        let mut expected = vec![None; self.elections as usize];
+        for (v, seat) in self.seats.iter().enumerate() {
+            if let (true, Some(st)) = (on_channel(v), seat.station) {
+                let e = &mut expected[seat.slot as usize];
+                *e = Some(e.map_or(st, |w: u64| st.max(w)));
+            }
+        }
+        expected
+    }
 }
 
 fn build_workload(bits: u32, elections: u32, picks: &[(u32, u32)], salt: u64) -> Workload {
@@ -83,42 +100,40 @@ fn build_workload(bits: u32, elections: u32, picks: &[(u32, u32)], salt: u64) ->
         .map(|s| salt.wrapping_mul(u64::from(s) + 1) % space)
         .collect();
     let mut taken = vec![0u64; elections as usize];
-    let mut entries = Vec::with_capacity(picks.len());
-    let mut expected = vec![None; elections as usize];
-    for &(pick, participate) in picks {
-        let slot = pick % elections;
-        let s = slot as usize;
-        // Roughly a quarter of the nodes stay pure listeners.
-        if participate == 0 || taken[s] >= space {
-            entries.push(None);
-            continue;
-        }
-        let station = (base[s] + taken[s] * stride) % space;
-        taken[s] += 1;
-        entries.push(Some((slot, station)));
-        expected[s] = Some(expected[s].map_or(station, |w: u64| station.max(w)));
-    }
+    let seats = picks
+        .iter()
+        .map(|&(pick, participate)| {
+            let slot = pick % elections;
+            let s = slot as usize;
+            // Roughly a quarter of the nodes only listen.
+            let contends = participate != 0 && taken[s] < space;
+            let station = contends.then(|| {
+                taken[s] += 1;
+                (base[s] + (taken[s] - 1) * stride) % space
+            });
+            Seat { slot, station }
+        })
+        .collect();
     Workload {
         bits,
         elections,
-        entries,
-        expected,
+        seats,
     }
 }
 
 /// Runs the workload on a fresh single-channel engine with `width` lanes
 /// per batch (width 1 = the scalar schedule) and returns every node's
-/// winner view.
+/// own-slot winner.
 fn run_lanes(
     w: &Workload,
     width: u32,
     noise_salt: u64,
     plan: Option<FaultPlan>,
-) -> Vec<Vec<Option<u64>>> {
+) -> Vec<Option<u64>> {
     let g = generators::path(NODES);
     let mut engine = SyncEngine::new(&g, |v: NodeId| Noisy {
         inner: LaneElectionSeries::new(
-            w.entries[v.index()],
+            Some(w.seats[v.index()]),
             w.bits,
             w.elections,
             width,
@@ -137,64 +152,40 @@ fn run_lanes(
         engine.run(budget).is_completed(),
         "series must quiesce within its schedule"
     );
-    g.nodes()
-        .map(|v| engine.node(v).inner.winners().to_vec())
-        .collect()
-}
-
-/// Runs the workload as *scalar* [`ElectionSeries`] slots — the executable
-/// spec the lane series is pinned against — and returns every node's
-/// winner view.
-fn run_scalar(w: &Workload, noise_salt: u64) -> Vec<Vec<Option<u64>>> {
-    let g = generators::path(NODES);
-    let mut engine = SyncEngine::new(&g, |v: NodeId| Noisy {
-        inner: ElectionSeries::new(
-            w.entries[v.index()],
-            w.bits,
-            w.elections,
-            ChannelId::DEFAULT,
-        ),
-        chan: ChannelId::DEFAULT,
-        noise: noise_salt.wrapping_mul(v.index() as u64 + 1) & 0x7,
-        round: 0,
-    });
-    let budget = u64::from(w.elections) * ElectionSeries::slot_rounds(w.bits) + 8;
-    assert!(
-        engine.run(budget).is_completed(),
-        "scalar series must quiesce within its schedule"
-    );
-    g.nodes()
-        .map(|v| engine.node(v).inner.winners().to_vec())
-        .collect()
+    g.nodes().map(|v| engine.node(v).inner.winner()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Contract 1: lane packing elects, slot for slot, exactly what the
-    /// scalar series (and the max-station spec) elects — under random
-    /// widths, assignments, and concurrent message-slot traffic.
+    /// Contract 1: at widths 1, 8 and 64 every seated node hears exactly
+    /// the max-station spec of its own slot — hence width w ≡ width 1 slot
+    /// by slot — under random assignments and concurrent message-slot
+    /// traffic.
     #[test]
     fn lane_series_matches_scalar_slot_by_slot(
         bits in 1u32..=6,
-        width in 1u32..=64,
         elections in 1u32..=40,
         salt in 1u64..u64::MAX,
         noise_salt in 0u64..u64::MAX,
         picks in collection::vec((0u32..1_000, 0u32..4), NODES..NODES + 1),
     ) {
         let w = build_workload(bits, elections, &picks, salt);
-        let lanes = run_lanes(&w, width, noise_salt, None);
-        let scalar = run_scalar(&w, noise_salt);
-        for (v, view) in lanes.iter().enumerate() {
-            prop_assert_eq!(view, &w.expected, "lane view of node {}", v);
-            prop_assert_eq!(view, &scalar[v], "lane vs scalar at node {}", v);
+        let expected = w.expected(|_| true);
+        let scalar = run_lanes(&w, 1, noise_salt, None);
+        for width in [1u32, 8, 64] {
+            let heard = run_lanes(&w, width, noise_salt, None);
+            for (v, &won) in heard.iter().enumerate() {
+                let slot = w.seats[v].slot as usize;
+                prop_assert_eq!(won, expected[slot], "width {} node {} slot {}", width, v, slot);
+            }
+            prop_assert_eq!(&heard, &scalar, "width {} vs width 1", width);
         }
     }
 
-    /// Contract 2: random lane erasures may only poison a batch (all its
-    /// slots report `None`) — a surviving winner is always the exact
-    /// fault-free one, at every width.
+    /// Contract 2: random lane erasures may only poison a batch — a member
+    /// hears `None` or the exact fault-free winner, and all members of one
+    /// slot agree.
     #[test]
     fn erasures_poison_but_never_corrupt(
         bits in 1u32..=5,
@@ -206,17 +197,21 @@ proptest! {
         picks in collection::vec((0u32..1_000, 0u32..4), NODES..NODES + 1),
     ) {
         let w = build_workload(bits, elections, &picks, salt);
+        let expected = w.expected(|_| true);
         let plan = FaultPlan::from_rates(fault_seed, f64::from(erase_pct) / 100.0, 0.0, 0.0, 0.0);
         let faulted = run_lanes(&w, width, 0, Some(plan));
-        for view in &faulted {
-            prop_assert_eq!(view.len(), w.expected.len());
-            for (s, &won) in view.iter().enumerate() {
-                prop_assert!(
-                    won.is_none() || won == w.expected[s],
-                    "slot {} elected {:?}, fault-free winner {:?}",
-                    s, won, w.expected[s]
-                );
-            }
+        let mut by_slot: Vec<Option<Option<u64>>> = vec![None; elections as usize];
+        for (v, &won) in faulted.iter().enumerate() {
+            let slot = w.seats[v].slot as usize;
+            prop_assert!(
+                won.is_none() || won == expected[slot],
+                "slot {} elected {:?}, fault-free winner {:?}",
+                slot, won, expected[slot]
+            );
+            prop_assert_eq!(
+                *by_slot[slot].get_or_insert(won), won,
+                "members of slot {} disagree at node {}", slot, v
+            );
         }
     }
 
@@ -234,64 +229,70 @@ proptest! {
         picks_a in collection::vec((0u32..1_000, 0u32..4), NODES..NODES + 1),
         picks_b in collection::vec((0u32..1_000, 0u32..4), NODES..NODES + 1),
     ) {
+        let g = generators::path(NODES);
+        let budget = u64::from(elections.div_ceil(width)) * LaneElectionSeries::slot_rounds(bits) + 8;
         let wa = build_workload(bits, elections, &picks_a, salt_a);
         let wb = build_workload(bits, elections, &picks_b, salt_b);
-        let g = generators::path(NODES);
-        // Phase 1: nodes split across two channels by parity; node v's
-        // series runs on its own channel.
-        let chan_1 = |v: NodeId| ChannelId((v.index() % 2) as u16);
-        let masks_1: Vec<u64> = (0..NODES).map(|i| 1u64 << (i % 2)).collect();
+        // Phase 1 (shift 0): nodes split across two channels by parity.
+        // Phase 2 (shift 1): every node moves to the *other* channel and
+        // re-arms in place with a fresh workload.
+        let chan = |v: usize, shift: usize| ((v + shift) % 2) as u16;
+        let masks = |shift: usize| (0..NODES).map(|v| 1u64 << chan(v, shift)).collect::<Vec<u64>>();
         let mut engine = SyncEngine::with_channels(
             &g,
-            ChannelSet::from_masks(2, masks_1),
+            ChannelSet::from_masks(2, masks(0)),
             |v: NodeId| LaneElectionSeries::new(
-                wa.entries[v.index()], bits, elections, width, chan_1(v),
+                Some(wa.seats[v.index()]), bits, elections, width, ChannelId(chan(v.index(), 0)),
             ),
         );
-        let batches = u64::from(elections.div_ceil(width));
-        let budget = batches * LaneElectionSeries::slot_rounds(bits) + 8;
-        prop_assert!(engine.run(budget).is_completed());
-        // Per-channel spec for phase 1: the contenders of channel c are the
-        // nodes with v % 2 == c, so recompute expectations per channel.
-        for c in 0..2u16 {
-            let mut expected = vec![None; elections as usize];
-            for (i, e) in wa.entries.iter().enumerate() {
-                if i % 2 == c as usize {
-                    if let Some((slot, st)) = *e {
-                        let s = slot as usize;
-                        expected[s] = Some(expected[s].map_or(st, |w: u64| st.max(w)));
-                    }
-                }
+        for (w, shift) in [(&wa, 0usize), (&wb, 1)] {
+            if shift > 0 {
+                engine.reattach(&masks(shift));
+                engine.update_nodes(|v, series| {
+                    series.rearm(Some(w.seats[v.index()]), elections, ChannelId(chan(v.index(), shift)));
+                });
             }
-            for v in g.nodes().filter(|v| v.index() % 2 == c as usize) {
-                prop_assert_eq!(engine.node(v).winners(), &expected[..]);
+            let limit = engine.round() + budget;
+            prop_assert!(engine.run(limit).is_completed());
+            // Per-channel spec: the contenders of channel c are its members.
+            for c in 0..2u16 {
+                let expected = w.expected(|v| chan(v, shift) == c);
+                for v in g.nodes().filter(|v| chan(v.index(), shift) == c) {
+                    let slot = w.seats[v.index()].slot as usize;
+                    prop_assert_eq!(engine.node(v).winner(), expected[slot]);
+                }
             }
         }
-        // Phase 2: every node reattaches to the *other* channel and re-arms
-        // with a fresh workload; same spec must hold on the new attachment.
-        let masks_2: Vec<u64> = (0..NODES).map(|i| 1u64 << ((i + 1) % 2)).collect();
-        engine.reattach(&masks_2);
-        let chan_2 = |v: NodeId| ChannelId(((v.index() + 1) % 2) as u16);
-        engine.update_nodes(|v, series| {
-            *series = LaneElectionSeries::new(
-                wb.entries[v.index()], bits, elections, width, chan_2(v),
-            );
-        });
-        let limit = engine.round() + budget;
-        prop_assert!(engine.run(limit).is_completed());
-        for c in 0..2u16 {
-            let mut expected = vec![None; elections as usize];
-            for (i, e) in wb.entries.iter().enumerate() {
-                if (i + 1) % 2 == c as usize {
-                    if let Some((slot, st)) = *e {
-                        let s = slot as usize;
-                        expected[s] = Some(expected[s].map_or(st, |w: u64| st.max(w)));
-                    }
-                }
-            }
-            for v in g.nodes().filter(|v| (v.index() + 1) % 2 == c as usize) {
-                prop_assert_eq!(engine.node(v).winners(), &expected[..]);
-            }
+    }
+
+    /// Contract 4: unseated nodes hear nothing, write nothing, and still
+    /// quiesce exactly on the channel's horizon, leaving the seated nodes'
+    /// elections untouched.
+    #[test]
+    fn seatless_listeners_report_none_and_quiesce_on_the_horizon(
+        bits in 1u32..=5,
+        width in 1u32..=64,
+        elections in 1u32..=20,
+        salt in 1u64..u64::MAX,
+        picks in collection::vec((0u32..1_000, 0u32..4), NODES..NODES + 1),
+    ) {
+        let w = build_workload(bits, elections, &picks, salt);
+        // Every fifth node loses its seat (and with it its candidacy).
+        let seated = |v: usize| !v.is_multiple_of(5);
+        let expected = w.expected(seated);
+        let g = generators::path(NODES);
+        let mut engine = SyncEngine::new(&g, |v: NodeId| LaneElectionSeries::new(
+            seated(v.index()).then_some(w.seats[v.index()]),
+            bits, elections, width, ChannelId::DEFAULT,
+        ));
+        let horizon = u64::from(elections.div_ceil(width)) * LaneElectionSeries::slot_rounds(bits);
+        let out = engine.run(horizon + 8);
+        prop_assert!(out.is_completed());
+        prop_assert_eq!(out.rounds(), horizon);
+        for v in g.nodes() {
+            let spec = seated(v.index()).then(|| expected[w.seats[v.index()].slot as usize]).flatten();
+            prop_assert_eq!(engine.node(v).winner(), spec, "node {}", v.index());
+            prop_assert!(engine.node(v).is_done());
         }
     }
 }

@@ -23,7 +23,7 @@
 use crate::model::MultimediaNetwork;
 use crate::mst::MergeSubstrate;
 use crate::partition::{deterministic, randomized, PartitionOutcome};
-use channel_access::assigned::ElectionSeries;
+use channel_access::assigned::{LaneElectionSeries, Seat};
 use channel_access::{backoff, capetanakis, Contender};
 use netsim_graph::{ceil_log2, log_star, NodeId, SpanningForest};
 use netsim_io::WireNet;
@@ -291,11 +291,12 @@ impl WordSemigroup for Xor {
 ///
 /// The phase has two parts sharing one channel:
 ///
-/// 1. **Rep election** (`horizon` rounds): an [`ElectionSeries`] with one
-///    slot in which the phase's broadcasters contend with their processor
-///    ids — the maximum id becomes the group representative every attached
-///    node learns.  A phase with nothing to elect sets `horizon = 0` and an
-///    inert series.
+/// 1. **Rep election** (`horizon` rounds): slot 0 of a one-slot
+///    [`LaneElectionSeries`] in which the phase's broadcasters contend with
+///    their processor ids and every other group member sits as a listener —
+///    the maximum id becomes the group representative the whole group
+///    learns.  A phase with nothing to elect sets `horizon = 0` and an
+///    inert, seatless series.
 /// 2. **Data rounds** (`data_rounds` slots): TDMA over the channel's message
 ///    slot — the broadcaster with roster position `p` writes its packed
 ///    partial value in slot `p`, and *every* attached node folds each heard
@@ -309,7 +310,7 @@ impl WordSemigroup for Xor {
 /// driver only reads results and re-seeds state between phases.
 #[derive(Clone, Debug)]
 pub struct ShardedGlobalFn<T> {
-    series: ElectionSeries,
+    series: LaneElectionSeries,
     /// Election rounds before the TDMA data rounds begin.
     horizon: u64,
     chan: ChannelId,
@@ -328,7 +329,7 @@ impl<T: WordSemigroup> ShardedGlobalFn<T> {
     /// Per-node phase state; `slot`/`word` are `Some` exactly for this
     /// phase's broadcasters.
     pub fn new(
-        series: ElectionSeries,
+        series: LaneElectionSeries,
         horizon: u64,
         chan: ChannelId,
         slot: Option<u32>,
@@ -356,7 +357,7 @@ impl<T: WordSemigroup> ShardedGlobalFn<T> {
     /// The station id the phase's rep election resolved to (`None` before
     /// the election finishes or when the phase elects nothing).
     pub fn elected(&self) -> Option<u64> {
-        self.series.winners().first().copied().flatten()
+        self.series.winner()
     }
 }
 
@@ -473,8 +474,9 @@ where
 /// * **Group phase** — tree `i` of the partition is assigned to channel
 ///   `i mod K`, and every node attaches to its tree's channel.  On each
 ///   channel the attached cores elect a group representative by processor
-///   id ([`ElectionSeries`], one slot), then broadcast their tree partials
-///   in TDMA slots; every group member folds them into the group total.
+///   id (slot 0 of a one-slot [`LaneElectionSeries`]), then broadcast their
+///   tree partials in TDMA slots; every group member folds them into the
+///   group total.
 /// * **Combine phase** — the driver re-attaches all nodes to channel 0
 ///   (dynamic-attachment snapshot, as in the sharded MST) and re-seeds the
 ///   phase state; the `min(F, K)` elected reps broadcast their group totals
@@ -581,12 +583,16 @@ where
         slot_word[r.index()] = Some((roster[i], val.to_word()));
     }
     let bits = net.id_bits();
-    let horizon = ElectionSeries::slot_rounds(bits);
+    let horizon = LaneElectionSeries::slot_rounds(bits);
     let mut init = |v: NodeId| {
         let c = chan_of(v);
-        let entry = slot_word[v.index()].map(|_| (0u32, net.id_of(v)));
+        // The whole group sits in the one rep election; its cores contend.
+        let seat = Seat {
+            slot: 0,
+            station: slot_word[v.index()].map(|_| net.id_of(v)),
+        };
         ShardedGlobalFn::new(
-            ElectionSeries::new(entry, bits, 1, c),
+            LaneElectionSeries::new(Some(seat), bits, 1, 1, c),
             horizon,
             c,
             slot_word[v.index()].map(|(p, _)| p),
@@ -649,7 +655,7 @@ where
         let c = tree_of[v.index()] % k as usize;
         let mine = rep_of[c] == Some(v);
         *p = ShardedGlobalFn::new(
-            ElectionSeries::new(None, bits, 0, ChannelId(0)),
+            LaneElectionSeries::new(None, bits, 0, 1, ChannelId(0)),
             0,
             ChannelId(0),
             mine.then_some(c as u32),

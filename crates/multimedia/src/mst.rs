@@ -33,7 +33,10 @@
 //! channel's lane sub-slot carries [`ELECTION_LANES`] = 64 concurrent
 //! elections per `bits + 2`-round batch ([`LaneElectionSeries`]), so a
 //! phase costs `⌈busiest / 64⌉ · (bits + 2)` election rounds for the
-//! busiest channel's fragment count.  The busiest channel hosts
+//! busiest channel's fragment count.  A node is seated in its own
+//! fragment's election only and hears just that outcome — nobody mirrors
+//! the other fragments of its channel, so the per-node phase state is two
+//! cache lines with no heap behind it.  The busiest channel hosts
 //! `⌈F/K⌉`-ish fragments per phase instead of `F`, so sharding shortens a
 //! phase exactly when a channel would otherwise need more than one batch
 //! (`F > 64·K`); below that every `K` needs the same single batch (the
@@ -49,7 +52,7 @@
 
 use crate::model::{MultimediaNetwork, WeightStations};
 use crate::partition::{deterministic, PartitionOutcome};
-use channel_access::assigned::LaneElectionSeries;
+use channel_access::assigned::{LaneElectionSeries, Seat};
 use channel_access::{capetanakis, Contender};
 use netsim_graph::{EdgeId, Graph, NodeId, SpanningForest, UnionFind};
 use netsim_sim::{
@@ -228,8 +231,6 @@ pub fn minimum_spanning_tree_from_partition(
 /// This node's proposal in one merge phase: its minimum outgoing link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MergeCandidate {
-    /// Election slot of this node's current fragment on its channel.
-    pub slot: u32,
     /// Packed station id of the proposed edge ([`WeightStations`]).
     pub station: u64,
     /// The proposed edge itself.
@@ -244,10 +245,24 @@ pub struct MergeCandidate {
 const KIND_GRAFT: u64 = 1 << 62;
 const KIND_ACCEPT: u64 = 2 << 62;
 
+/// Packs a handshake message.  The field widths are checked once per run
+/// ([`assert_merge_msg_limits`]), not per message.
 fn pack_merge_msg(kind: u64, edge: EdgeId, label: u64) -> u64 {
-    debug_assert!(edge.index() < (1 << 30), "edge index exceeds 30 bits");
-    debug_assert!(label < (1 << 32), "fragment label exceeds 32 bits");
     kind | ((edge.index() as u64) << 32) | label
+}
+
+/// The handshake word carries a 30-bit edge index and a 32-bit fragment
+/// label: a run over `edges` links whose labels stay below `labels` must
+/// fit both, or a release build would silently corrupt the handshake.
+fn assert_merge_msg_limits(edges: usize, labels: usize) {
+    assert!(
+        edges <= 1 << 30,
+        "{edges} edges exceed the merge handshake's 2^30 edge-index limit"
+    );
+    assert!(
+        labels as u64 <= 1 << 32,
+        "{labels} fragment labels exceed the merge handshake's 2^32 label limit"
+    );
 }
 
 fn unpack_merge_msg(msg: u64) -> (u64, EdgeId, u64) {
@@ -274,7 +289,9 @@ pub const ELECTION_LANES: u32 = u64::BITS;
 ///   fragment channel: election slot `e` of the channel rides lane
 ///   `e % 64` of batch `e / 64`, and `horizon` is
 ///   `⌈busiest / 64⌉ · (bits + 2)` for the busiest channel's slot count
-///   ([`MergePhase::election_horizon`]), a global constant of the phase;
+///   ([`MergePhase::election_horizon`]), a global constant of the phase.
+///   A node is seated in its own fragment's slot — contending there iff it
+///   has an outgoing candidate — and hears only that election;
 /// * **round `horizon` — GRAFT**: the node whose proposed station won its
 ///   fragment's slot sends `GRAFT(its fragment label)` point-to-point over
 ///   the elected link;
@@ -289,32 +306,42 @@ pub const ELECTION_LANES: u32 = u64::BITS;
 /// The handshake messages ride the engines' point-to-point layer, so the
 /// phase's message count and round count are **measured**, not synthesized,
 /// and stay bit-identical across all four substrates.  Under faults an
-/// erased lane word **poisons its whole batch** — every fragment sharing
-/// the batch reads `None` from [`MergePhase::winners`] and nobody grafts —
-/// and a crashed winner (or peer) leaves [`MergePhase::accepted`] empty;
-/// either way the fragment retries next phase.  A recovered node retires
-/// inert exactly like its election series ([`MergePhase::crashed_out`]).
+/// erased lane word **poisons its whole batch** — every member of every
+/// fragment sharing the batch reads `None` from [`MergePhase::winner`] and
+/// nobody grafts — and a crashed winner (or peer) leaves
+/// [`MergePhase::accepted`] empty; either way the fragment retries next
+/// phase.  A recovered node retires inert exactly like its election series
+/// ([`MergePhase::crashed_out`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergePhase {
+    /// The fragment's election; also holds this node's slot and station.
     series: LaneElectionSeries,
-    /// Global election horizon of the phase, in rounds.
-    horizon: u64,
-    candidate: Option<MergeCandidate>,
+    /// Rounds left in the phase: the election occupies all but the last
+    /// [`HANDSHAKE_ROUNDS`](Self::HANDSHAKE_ROUNDS).  Counted locally (see
+    /// [`LaneElectionSeries`] on why schedules run off local counters).
+    left: u32,
+    /// The proposed edge and its far endpoint (the `GRAFT` destination).
+    link: Option<(EdgeId, NodeId)>,
     /// This node's current-fragment label (union-find representative).
     label: u64,
     /// The `(elected edge, far fragment label)` pair this node's `GRAFT`
     /// got `ACCEPT`ed with, if it won its fragment's election.
     accepted: Option<(EdgeId, u64)>,
-    /// Local round counter since seeding (see [`LaneElectionSeries`] on why
-    /// schedules run off local counters).
-    round: u64,
     done: bool,
 }
+
+// The whole per-node phase state fits two cache lines.
+const _: () = assert!(std::mem::size_of::<MergePhase>() <= 128);
 
 /// What one node needs to know to take part in one merge phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PhaseSeat {
-    /// This node's proposal (`None` where it has no outgoing candidate).
+    /// Election slot of this node's current fragment on `chan` — shared by
+    /// every member, candidate-less ones and the core included (`None`
+    /// where the fragment holds no election this phase).
+    pub slot: Option<u32>,
+    /// This node's proposal in that slot (`None` where it has no outgoing
+    /// candidate).
     pub candidate: Option<MergeCandidate>,
     /// This node's current-fragment label.
     pub label: u64,
@@ -331,38 +358,30 @@ impl MergePhase {
     /// Per-node state for a node's first phase; station ids fit in `bits`
     /// bits.
     pub fn new(bits: u32, seat: PhaseSeat) -> Self {
-        MergePhase {
-            series: LaneElectionSeries::new(
-                seat.candidate.map(|c| (c.slot, c.station)),
-                bits,
-                seat.elections,
-                ELECTION_LANES,
-                seat.chan,
-            ),
-            horizon: seat.horizon,
-            candidate: seat.candidate,
-            label: seat.label,
+        let mut phase = MergePhase {
+            series: LaneElectionSeries::new(None, bits, 0, ELECTION_LANES, seat.chan),
+            left: 0,
+            link: None,
+            label: 0,
             accepted: None,
-            round: 0,
             done: false,
-        }
+        };
+        phase.rearm(seat);
+        phase
     }
 
     /// Re-arms this node **in place** for the next phase: the state equals
-    /// a fresh [`MergePhase::new`] with the same `bits`, but the election
-    /// series keeps its storage ([`LaneElectionSeries::rearm`]), so
-    /// re-seeding every node between phases allocates nothing.
+    /// a fresh [`MergePhase::new`] with the same `bits`.  Nothing here
+    /// allocates — the phase state is inline.
     pub fn rearm(&mut self, seat: PhaseSeat) {
-        self.series.rearm(
-            seat.candidate.map(|c| (c.slot, c.station)),
-            seat.elections,
-            seat.chan,
-        );
-        self.horizon = seat.horizon;
-        self.candidate = seat.candidate;
+        let station = seat.candidate.map(|c| c.station);
+        let in_series = seat.slot.map(|slot| Seat { slot, station });
+        self.series.rearm(in_series, seat.elections, seat.chan);
+        self.left = u32::try_from(seat.horizon + Self::HANDSHAKE_ROUNDS)
+            .expect("phase length fits 32 bits");
+        self.link = seat.candidate.map(|c| (c.edge, c.peer));
         self.label = seat.label;
         self.accepted = None;
-        self.round = 0;
         self.done = false;
     }
 
@@ -372,10 +391,10 @@ impl MergePhase {
         u64::from(busiest.div_ceil(ELECTION_LANES)) * LaneElectionSeries::slot_rounds(bits)
     }
 
-    /// Per-slot election winners as heard by this node — see
-    /// [`LaneElectionSeries::winners`].
-    pub fn winners(&self) -> &[Option<u64>] {
-        self.series.winners()
+    /// The winning station of this node's own fragment election — see
+    /// [`LaneElectionSeries::winner`].
+    pub fn winner(&self) -> Option<u64> {
+        self.series.winner()
     }
 
     /// The `(elected edge, far fragment label)` pair recorded by a
@@ -403,9 +422,9 @@ impl Protocol for MergePhase {
         if self.done {
             return;
         }
-        let r = self.round;
-        self.round += 1;
-        if r < self.horizon {
+        let left = u64::from(self.left);
+        self.left -= 1;
+        if left > Self::HANDSHAKE_ROUNDS {
             self.series.step(io);
         }
         // Handshake deliveries: answer every GRAFT, record a matching
@@ -416,22 +435,20 @@ impl Protocol for MergePhase {
             match kind {
                 KIND_GRAFT => io.send(from, pack_merge_msg(KIND_ACCEPT, edge, self.label)),
                 KIND_ACCEPT => {
-                    if self.candidate.map(|c| c.edge) == Some(edge) {
+                    if self.link.map(|(e, _)| e) == Some(edge) {
                         self.accepted = Some((edge, label));
                     }
                 }
                 _ => unreachable!("unknown merge-handshake kind"),
             }
         }
-        if r == self.horizon {
+        if left == Self::HANDSHAKE_ROUNDS {
             // GRAFT round: the fragment's winner grafts over its link.
-            if let Some(c) = self.candidate {
-                if self.series.winners()[c.slot as usize] == Some(c.station) {
-                    io.send(c.peer, pack_merge_msg(KIND_GRAFT, c.edge, self.label));
-                }
+            if let Some((edge, peer)) = self.link.filter(|_| self.series.won()) {
+                io.send(peer, pack_merge_msg(KIND_GRAFT, edge, self.label));
             }
         }
-        if r + 1 >= self.horizon + Self::HANDSHAKE_ROUNDS {
+        if left == 1 {
             self.done = true;
         } else {
             // The handshake rounds run off the local counter, so the node
@@ -527,15 +544,14 @@ impl ShardedMstRun {
 /// the per-channel election counts.  Allocated once per run and refilled in
 /// place every phase.
 struct PhasePlan {
-    /// Per-node attachment snapshot (each node on its fragment's channel).
+    /// Per-node attachment snapshot: each node on exactly its fragment's
+    /// channel.
     masks: Vec<u64>,
     /// Per-node merge proposal (`None` where the node has no outgoing
     /// candidate this phase).
     candidates: Vec<Option<MergeCandidate>>,
     /// Per-node fragment label (the current fragment's representative).
     labels: Vec<u64>,
-    /// Per-node assigned channel (the node's current fragment's channel).
-    chans: Vec<u16>,
     /// Election slots scheduled per channel.
     elections: Vec<u32>,
     /// Election slot of each current fragment, indexed by fragment
@@ -556,7 +572,6 @@ impl PhasePlan {
             masks: Vec::with_capacity(n),
             candidates: Vec::with_capacity(n),
             labels: Vec::with_capacity(n),
-            chans: Vec::with_capacity(n),
             elections: vec![0; k as usize],
             slot_of: vec![u32::MAX; reps],
             batches: 0,
@@ -569,7 +584,6 @@ impl PhasePlan {
         self.masks.clear();
         self.candidates.clear();
         self.labels.clear();
-        self.chans.clear();
         self.elections.fill(0);
         self.slot_of.fill(u32::MAX);
     }
@@ -585,7 +599,6 @@ impl PhasePlan {
     /// Appends the next node (in node-id order): a member of fragment `rep`
     /// on channel `chan`, proposing `candidate`.
     fn seat_node(&mut self, rep: usize, chan: u16, candidate: Option<MergeCandidate>) {
-        self.chans.push(chan);
         self.masks.push(1u64 << chan);
         self.labels.push(rep as u64);
         self.candidates.push(candidate);
@@ -600,10 +613,13 @@ impl PhasePlan {
 
     /// Node `v`'s view of the phase.
     fn seat(&self, v: NodeId) -> PhaseSeat {
-        let chan = self.chans[v.index()];
+        let chan = self.masks[v.index()].trailing_zeros() as u16;
+        let label = self.labels[v.index()];
+        let slot = self.slot_of[label as usize];
         PhaseSeat {
+            slot: (slot != u32::MAX).then_some(slot),
             candidate: self.candidates[v.index()],
-            label: self.labels[v.index()],
+            label,
             chan: ChannelId(chan),
             elections: self.elections[chan as usize],
             horizon: self.rounds,
@@ -635,7 +651,6 @@ fn plan_phase(
         // fragment is this node's minimum outgoing candidate.
         let candidate = g.neighbors(v).into_iter().find_map(|(w, e)| {
             (current.find(init_of[w.index()]) != cur).then(|| MergeCandidate {
-                slot: plan.slot_of[cur],
                 station: stations.station_of(g, e),
                 edge: e,
                 peer: w,
@@ -700,8 +715,10 @@ pub fn sharded_mst_on(net: &MultimediaNetwork, k: u16, which: MergeSubstrate) ->
 ///
 /// # Panics
 ///
-/// Panics if the graph is empty or not connected, or `k` is outside
-/// `1..=`[`MAX_CHANNELS`].
+/// Panics if the graph is empty or not connected, `k` is outside
+/// `1..=`[`MAX_CHANNELS`], or the graph outgrows the merge handshake's
+/// message word (more than 2³⁰ edges or 2³² fragments) — checked once
+/// here, not per message.
 pub fn sharded_mst_from_partition(
     net: &MultimediaNetwork,
     partition: &PartitionOutcome,
@@ -748,6 +765,7 @@ where
     let forest = &partition.forest;
     let cores: Vec<NodeId> = forest.roots().to_vec();
     let f = cores.len();
+    assert_merge_msg_limits(g.edge_count(), f);
     let init_of = initial_fragment_index(g, forest, &cores);
     let stations = WeightStations::new(g);
     let bits = stations.bits();
@@ -808,7 +826,9 @@ where
             if current.find(i) != i {
                 continue;
             }
-            let station = eng.node(core).winners()[plan.slot_of[i] as usize]
+            let station = eng
+                .node(core)
+                .winner()
                 .expect("MST of a disconnected graph is undefined");
             let e = stations.edge_of(station);
             let edge = g.edge(e);
@@ -958,7 +978,9 @@ impl FaultedMstRun {
 ///
 /// # Panics
 ///
-/// Panics if the graph is empty or `k` is outside `1..=`[`MAX_CHANNELS`].
+/// Panics if the graph is empty, `k` is outside `1..=`[`MAX_CHANNELS`], or
+/// the graph outgrows the merge handshake's message word (more than 2³⁰
+/// edges or 2³² nodes).
 pub fn sharded_mst_faulted(
     net: &MultimediaNetwork,
     partition: &PartitionOutcome,
@@ -1013,6 +1035,8 @@ where
         (1..=MAX_CHANNELS).contains(&k),
         "shard factor {k} outside 1..={MAX_CHANNELS}"
     );
+    // Fragment labels are component representatives: node indices.
+    assert_merge_msg_limits(g.edge_count(), n);
     let forest = &partition.forest;
     let cores: Vec<NodeId> = forest.roots().to_vec();
     let init_of = initial_fragment_index(g, forest, &cores);
@@ -1102,19 +1126,15 @@ where
             } else {
                 comp.find(v.index())
             };
-            let cand = candidate[v.index()].and_then(|e| {
-                let slot = sched.slot_of[comp.find(v.index())];
-                if slot == u32::MAX {
-                    return None;
-                }
+            // A candidate's fragment has an outgoing link, so it is scheduled.
+            let cand = candidate[v.index()].map(|e| {
                 let edge = g.edge(e);
                 let peer = if edge.u == v { edge.v } else { edge.u };
-                Some(MergeCandidate {
-                    slot,
+                MergeCandidate {
                     station: stations.station_of(g, e),
                     edge: e,
                     peer,
-                })
+                }
             });
             sched.seat_node(rep, chan_of_rep(rep), cand);
         }
@@ -1177,7 +1197,7 @@ where
             let Some(reader) = reader else {
                 continue; // the whole fragment departed mid-phase
             };
-            let Some(station) = eng.node(reader).winners()[slot as usize] else {
+            let Some(station) = eng.node(reader).winner() else {
                 continue; // empty or erasure-poisoned election: retry
             };
             let elected = stations.edge_of(station);
@@ -1500,6 +1520,35 @@ mod tests {
     }
 
     #[test]
+    fn sharded_schedule_is_pinned_on_the_mmbench_instance_shape() {
+        // `paper-pipeline-flat`'s MST stage (ring of 8-cliques, K = 4, the
+        // bench's weight seed; its own n in release, a small one in debug):
+        // a per-node state change that alters the schedule or the traffic
+        // fails here, not in the bench.
+        let (n, pinned) = if cfg!(debug_assertions) {
+            (2_048, (3, 93, 273, 133, 14_848, 48))
+        } else {
+            (16_384, (4, 148, 1_388, 271, 118_784, 208))
+        };
+        let g = generators::Family::RingOfCliques.generate(n, 0x7061_7065);
+        let net = MultimediaNetwork::new(g);
+        let partition = deterministic::partition(&net);
+        let run = sharded_mst_from_partition(&net, &partition, 4, MergeSubstrate::Flat);
+        check_sharded(&net, &run);
+        assert_eq!(
+            (
+                run.phases,
+                run.election_rounds(),
+                run.election_cost.lane_writes,
+                run.election_cost.lanes_busy,
+                run.merge_cost.p2p_messages,
+                run.election_cost.p2p_messages,
+            ),
+            pinned
+        );
+    }
+
+    #[test]
     fn sharded_matches_single_channel_pipeline_result() {
         // Same Stage-1 partition, same MST: the sharded pipeline must elect
         // exactly the edges the single-channel pipeline broadcasts.
@@ -1520,6 +1569,14 @@ mod tests {
             let run = sharded_mst(&net, 4);
             assert_eq!(run.edges.len(), n - 1);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "2^30 edge-index limit")]
+    fn handshake_word_limits_are_real_asserts() {
+        // The largest legal run passes, one more edge does not.
+        assert_merge_msg_limits(1 << 30, u32::MAX as usize);
+        assert_merge_msg_limits((1 << 30) + 1, 1);
     }
 
     #[test]
@@ -1619,7 +1676,9 @@ mod tests {
 
         // One phase by hand: a batch that lost a lane word reports `None`
         // for every fragment riding it, an intact batch elects all of its
-        // fragments, and all nodes of a channel agree.
+        // fragments.  Nobody holds a channel's whole outcome any more, so
+        // its slot vector is assembled from one member per slot (the
+        // fragments are singletons: node `v` is the member of its slot).
         let n = g.node_count();
         let init_of: Vec<usize> = (0..n).collect();
         let chan_of: Vec<u16> = (0..n).map(|i| (i % k as usize) as u16).collect();
@@ -1636,9 +1695,9 @@ mod tests {
         assert!(run_phase_budget(&mut eng, plan.rounds, 0));
         let (mut poisoned, mut intact) = (0, 0);
         for c in 0..k {
-            let heard = eng.node(NodeId(c as usize)).winners();
-            for v in g.nodes().filter(|v| plan.chans[v.index()] == c) {
-                assert_eq!(eng.node(v).winners(), heard, "listeners disagree on {v:?}");
+            let mut heard = vec![None; plan.elections[c as usize] as usize];
+            for v in g.nodes().filter(|v| plan.masks[v.index()] == 1 << c) {
+                heard[plan.slot_of[v.index()] as usize] = eng.node(v).winner();
             }
             for batch in heard.chunks(ELECTION_LANES as usize) {
                 assert!(batch.len() > 1);

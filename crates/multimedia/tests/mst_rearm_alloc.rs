@@ -1,14 +1,17 @@
-//! Pins the sharded MST's in-place phase re-arm with a counting global
-//! allocator (the pattern of `netsim-sim/tests/alloc_steady_state.rs`; one
-//! `#[test]`, per-thread counter, so the libtest harness threads stay out
-//! of the measurement): after the first phase, `reattach` + an
+//! Pins the heap diet of the sharded drivers' per-node phase state with a
+//! counting global allocator (the pattern of
+//! `netsim-sim/tests/alloc_steady_state.rs`; one `#[test]`, per-thread
+//! counter, so the libtest harness threads stay out of the measurement):
+//! constructing a [`MergePhase`] or a [`ShardedGlobalFn`] allocates
+//! nothing at all, and after the first phase, `reattach` + an
 //! `update_nodes` re-arm + a whole phase run of [`MergePhase`] on the flat
-//! engine allocates the same number of times whatever `n` — no per-node
-//! `Vec` is dropped and rebuilt between phases.
+//! engine allocates the same number of times whatever `n`.
 
+use channel_access::assigned::{LaneElectionSeries, Seat};
+use multimedia::global_fn::{ShardedGlobalFn, Sum};
 use multimedia::mst::{MergeCandidate, MergePhase, PhaseSeat};
 use multimedia::WeightStations;
-use netsim_graph::{generators, Graph, NodeId};
+use netsim_graph::{generators, Graph};
 use netsim_sim::{ChannelId, ChannelSet, SyncEngine};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -81,8 +84,8 @@ fn seats(g: &Graph, stations: &WeightStations, shift: usize) -> (Vec<u64>, Vec<P
         .map(|v| {
             let (peer, edge) = g.neighbors(v).get(0).expect("ring nodes have links");
             PhaseSeat {
+                slot: Some(slots[v.index()]),
                 candidate: Some(MergeCandidate {
-                    slot: slots[v.index()],
                     station: stations.station_of(g, edge),
                     edge,
                     peer,
@@ -125,21 +128,44 @@ fn second_phase_allocs(n: usize) -> u64 {
     for v in g.nodes() {
         let seat = next[v.index()];
         let candidate = seat.candidate.unwrap();
-        assert_eq!(
-            eng.node(v).winners()[candidate.slot as usize],
-            Some(candidate.station)
-        );
+        assert_eq!(eng.node(v).winner(), Some(candidate.station));
         assert_eq!(
             eng.node(v).accepted(),
             Some((candidate.edge, candidate.peer.index() as u64))
         );
     }
-    assert_eq!(eng.node(NodeId(0)).winners().len(), n / K as usize);
     spent
+}
+
+/// Allocations of constructing the per-node phase state of both sharded
+/// drivers for 1 000 nodes each.
+fn construction_allocs() -> u64 {
+    let g = generators::assign_random_weights(&generators::ring(1_000), 7);
+    let stations = WeightStations::new(&g);
+    let (_, seats) = seats(&g, &stations, 0);
+    let before = allocs();
+    for (v, &seat) in seats.iter().enumerate() {
+        let phase = MergePhase::new(stations.bits(), seat);
+        let seat = Seat {
+            slot: 0,
+            station: Some(v as u64),
+        };
+        let global = ShardedGlobalFn::<Sum>::new(
+            LaneElectionSeries::new(Some(seat), 10, 1, 1, ChannelId(0)),
+            LaneElectionSeries::slot_rounds(10),
+            ChannelId(0),
+            Some(v as u32),
+            Some(v as u64),
+            1_000,
+        );
+        std::hint::black_box((phase, global));
+    }
+    allocs() - before
 }
 
 #[test]
 fn rearmed_merge_phase_allocates_independently_of_n() {
+    assert_eq!(construction_allocs(), 0, "phase state must be heap-free");
     let small = second_phase_allocs(256);
     let large = second_phase_allocs(2048);
     assert_eq!(
