@@ -4,7 +4,7 @@
 //! root is called the **core**.  Both partitioning algorithms and the MST
 //! algorithm of Section 6 maintain, for every node, its tree parent and the
 //! core of the fragment it currently belongs to; this module derives the
-//! per-fragment views (members, sizes, depths, radii) needed for cost
+//! per-fragment views (members, sizes, radii) needed for cost
 //! accounting and for the algorithms' own decisions.
 //!
 //! Everything is stored index-flat, mirroring the CSR graph substrate:
@@ -29,9 +29,6 @@ pub(crate) struct Fragments {
     /// `members[member_offsets[f]..member_offsets[f + 1]]`, ascending.
     member_offsets: Vec<u32>,
     members: Vec<NodeId>,
-    /// Depth of every node below its core.
-    #[allow(dead_code)] // read by the verification tests and future consumers
-    pub depth: Vec<u32>,
     /// Radius (maximum member depth) per fragment index.
     radius: Vec<u32>,
 }
@@ -81,7 +78,7 @@ impl Fragments {
             cursor[fi] += 1;
         }
 
-        // Children CSR over the fragment trees, for the depth sweep.
+        // Children CSR over the fragment trees, for the radius sweep.
         let mut child_offsets = vec![0u32; n + 1];
         for (v, p) in parent.iter().enumerate() {
             if let Some(p) = p {
@@ -103,14 +100,12 @@ impl Fragments {
             }
         }
 
-        let mut depth = vec![0u32; n];
         let mut radius = vec![0u32; f];
         let mut queue = VecDeque::new();
         for (fi, &c) in cores.iter().enumerate() {
             queue.push_back((c, 0u32));
             let mut r = 0;
             while let Some((v, d)) = queue.pop_front() {
-                depth[v.index()] = d;
                 r = r.max(d);
                 let (a, b) = (
                     child_offsets[v.index()] as usize,
@@ -127,7 +122,6 @@ impl Fragments {
             frag_of,
             member_offsets,
             members,
-            depth,
             radius,
         }
     }
@@ -240,7 +234,10 @@ mod tests {
         assert_eq!(f.radius(1), 2);
         assert_eq!(f.level(0), 1);
         assert_eq!(f.members_of(1), &[NodeId(3), NodeId(4), NodeId(5)]);
-        assert_eq!(f.depth[2], 2);
+        // The radius is the deepest member: node 2 sits two parent hops
+        // below core 0.
+        let hops = std::iter::successors(Some(NodeId(2)), |v| parent[v.index()]).count() - 1;
+        assert_eq!(hops as u32, f.radius(0));
         assert_eq!(f.max_radius(), 2);
     }
 

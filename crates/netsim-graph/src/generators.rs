@@ -89,50 +89,56 @@ impl Family {
     ///
     /// Grid/torus round `n` down to a perfect square; ray graphs round down so
     /// that all rays have equal length.  Weights are the distinct values
-    /// produced by [`assign_random_weights`] with the given seed.
+    /// [`assign_random_weights`] would produce with the given seed, written
+    /// onto the topology's edge list *before* it is finalised: the CSR is
+    /// built once, and the result is identical to finalising the topology
+    /// and re-weighting the finished graph.
     pub fn generate(self, n: usize, seed: u64) -> Graph {
-        let g = match self {
-            Family::Path => path(n),
-            Family::Ring => ring(n),
+        use crate::topologies as t;
+        let mut b = match self {
+            Family::Path => path_builder(n),
+            Family::Ring => ring_builder(n),
             Family::Grid => {
                 let side = (n as f64).sqrt().floor() as usize;
-                grid(side.max(1), side.max(1))
+                grid_builder(side.max(1), side.max(1))
             }
             Family::Torus => {
                 let side = (n as f64).sqrt().floor() as usize;
-                torus(side.max(3), side.max(3))
+                torus_builder(side.max(3), side.max(3))
             }
-            Family::Complete => complete(n),
+            Family::Complete => complete_builder(n),
             Family::RandomConnected => {
                 // Average degree ~8 keeps m = Θ(n) so message bounds are visible.
                 let p = (8.0 / n.max(2) as f64).min(1.0);
-                random_connected(n, p, seed)
+                random_connected_builder(n, p, seed)
             }
-            Family::RandomTree => random_tree(n, seed),
+            Family::RandomTree => random_tree_builder(n, seed),
             Family::Ray => {
                 // Default shape: diameter ≈ 2√n (the "interesting point" of the
                 // lower bound where d ≈ √n).
                 let d = (2.0 * (n as f64).sqrt()).round() as usize;
-                ray_graph(n, d.max(2))
+                ray_graph_builder(n, d.max(2))
             }
-            Family::Star => star(n),
+            Family::Star => star_builder(n),
             Family::RingOfCliques => {
                 // Clusters of 8 (a typical LAN-segment size); at least one.
                 let s = 8.min(n.max(1));
-                crate::topologies::ring_of_cliques((n / s).max(1), s)
+                t::ring_of_cliques_builder((n / s).max(1), s)
             }
             Family::Geometric => {
                 // 1.2× the percolation threshold: connected with margin,
                 // average degree Θ(log n).
-                let r = crate::topologies::geometric_threshold_radius(n) * 1.2;
-                crate::topologies::random_geometric(n, r, seed)
+                let r = t::geometric_threshold_radius(n) * 1.2;
+                t::random_geometric_builder(n, r, seed)
             }
-            Family::PreferentialAttachment => {
-                crate::topologies::preferential_attachment(n, 3, seed)
-            }
-            Family::Expander => crate::topologies::degree_bounded_expander(n, 6, seed),
+            Family::PreferentialAttachment => t::preferential_attachment_builder(n, 3, seed),
+            Family::Expander => t::degree_bounded_expander_builder(n, 6, seed),
         };
-        assign_random_weights(&g, seed ^ 0x9e37_79b9_7f4a_7c15)
+        // The permutation is dropped before the CSR is allocated.
+        let weights = random_weights(b.edge_count(), seed ^ 0x9e37_79b9_7f4a_7c15);
+        b.map_weights(|e, _| weights[e.index()]);
+        drop(weights);
+        b.build()
     }
 }
 
@@ -144,27 +150,42 @@ impl std::fmt::Display for Family {
 
 /// Simple path on `n` nodes. Weight of edge `i` is `i + 1`.
 pub fn path(n: usize) -> Graph {
+    path_builder(n).build()
+}
+
+/// [`path`] before finalisation.
+pub(crate) fn path_builder(n: usize) -> GraphBuilder {
     let mut b = GraphBuilder::new(n);
     for i in 0..n.saturating_sub(1) {
         b.add_edge(NodeId(i), NodeId(i + 1), (i + 1) as Weight);
     }
-    b.build()
+    b
 }
 
 /// Cycle on `n` nodes (`n >= 3`; smaller `n` degenerates to a path).
 pub fn ring(n: usize) -> Graph {
+    ring_builder(n).build()
+}
+
+/// [`ring`] before finalisation.
+pub(crate) fn ring_builder(n: usize) -> GraphBuilder {
     if n < 3 {
-        return path(n);
+        return path_builder(n);
     }
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
         b.add_edge(NodeId(i), NodeId((i + 1) % n), (i + 1) as Weight);
     }
-    b.build()
+    b
 }
 
 /// `rows × cols` grid (mesh).
 pub fn grid(rows: usize, cols: usize) -> Graph {
+    grid_builder(rows, cols).build()
+}
+
+/// [`grid`] before finalisation.
+pub(crate) fn grid_builder(rows: usize, cols: usize) -> GraphBuilder {
     let n = rows * cols;
     let mut b = GraphBuilder::new(n);
     let id = |r: usize, c: usize| NodeId(r * cols + c);
@@ -181,14 +202,19 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
             }
         }
     }
-    b.build()
+    b
 }
 
 /// `rows × cols` torus (grid with wrap-around links). Requires `rows, cols >= 3`
 /// to avoid parallel edges; smaller inputs fall back to [`grid`].
 pub fn torus(rows: usize, cols: usize) -> Graph {
+    torus_builder(rows, cols).build()
+}
+
+/// [`torus`] before finalisation.
+pub(crate) fn torus_builder(rows: usize, cols: usize) -> GraphBuilder {
     if rows < 3 || cols < 3 {
-        return grid(rows, cols);
+        return grid_builder(rows, cols);
     }
     let n = rows * cols;
     let mut b = GraphBuilder::new(n);
@@ -202,11 +228,16 @@ pub fn torus(rows: usize, cols: usize) -> Graph {
             b.add_edge(id(r, c), id((r + 1) % rows, c), w);
         }
     }
-    b.build()
+    b
 }
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
+    complete_builder(n).build()
+}
+
+/// [`complete`] before finalisation.
+pub(crate) fn complete_builder(n: usize) -> GraphBuilder {
     let mut b = GraphBuilder::new(n);
     let mut w: Weight = 0;
     for i in 0..n {
@@ -215,28 +246,38 @@ pub fn complete(n: usize) -> Graph {
             b.add_edge(NodeId(i), NodeId(j), w);
         }
     }
-    b.build()
+    b
 }
 
 /// Star graph: node 0 is adjacent to every other node.
 pub fn star(n: usize) -> Graph {
+    star_builder(n).build()
+}
+
+/// [`star`] before finalisation.
+pub(crate) fn star_builder(n: usize) -> GraphBuilder {
     let mut b = GraphBuilder::new(n);
     for i in 1..n {
         b.add_edge(NodeId(0), NodeId(i), i as Weight);
     }
-    b.build()
+    b
 }
 
 /// Random tree built by uniform random attachment: node `i` attaches to a
 /// uniformly random earlier node.
 pub fn random_tree(n: usize, seed: u64) -> Graph {
+    random_tree_builder(n, seed).build()
+}
+
+/// [`random_tree`] before finalisation.
+pub(crate) fn random_tree_builder(n: usize, seed: u64) -> GraphBuilder {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     for i in 1..n {
         let parent = rng.gen_range(0..i);
         b.add_edge(NodeId(parent), NodeId(i), i as Weight);
     }
-    b.build()
+    b
 }
 
 /// Connected random graph: a random spanning tree plus each remaining pair
@@ -246,6 +287,11 @@ pub fn random_tree(n: usize, seed: u64) -> Graph {
 ///
 /// Panics if `p` is not within `[0, 1]`.
 pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
+    random_connected_builder(n, p, seed).build()
+}
+
+/// [`random_connected`] before finalisation.
+pub(crate) fn random_connected_builder(n: usize, p: f64, seed: u64) -> GraphBuilder {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
@@ -269,7 +315,7 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> Graph {
             }
         }
     }
-    b.build()
+    b
 }
 
 /// Sparse connected random graph for large `n`: spanning-tree backbone plus
@@ -318,6 +364,11 @@ pub fn random_connected_sparse(n: usize, extra: usize, seed: u64) -> Graph {
 ///
 /// Panics if `n < 2` or `d < 2`.
 pub fn ray_graph(n: usize, d: usize) -> Graph {
+    ray_graph_builder(n, d).build()
+}
+
+/// [`ray_graph`] before finalisation.
+pub(crate) fn ray_graph_builder(n: usize, d: usize) -> GraphBuilder {
     assert!(n >= 2, "ray graph needs at least 2 nodes");
     assert!(d >= 2, "ray graph needs diameter at least 2");
     let ray_len = (d / 2).max(1);
@@ -336,7 +387,7 @@ pub fn ray_graph(n: usize, d: usize) -> Graph {
             prev = cur;
         }
     }
-    b.build()
+    b
 }
 
 /// Returns the center node of a graph produced by [`ray_graph`].
@@ -344,16 +395,22 @@ pub fn ray_center() -> NodeId {
     NodeId(0)
 }
 
+/// A seeded random permutation of `1..=m`, indexed by edge id.
+fn random_weights(m: usize, seed: u64) -> Vec<Weight> {
+    let mut perm: Vec<Weight> = (1..=m as Weight).collect();
+    perm.shuffle(&mut StdRng::seed_from_u64(seed));
+    perm
+}
+
 /// Replaces every weight with a distinct pseudo-random value (a random
 /// permutation of `1..=m`), keeping the topology.
 ///
 /// Distinct weights are the w.l.o.g. assumption of the paper's MST sections.
+/// [`Family::generate`] applies the same weights while the topology is still
+/// an edge list; this is for callers that already hold a [`Graph`].
 pub fn assign_random_weights(g: &Graph, seed: u64) -> Graph {
-    let m = g.edge_count();
-    let mut perm: Vec<Weight> = (1..=m as Weight).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    perm.shuffle(&mut rng);
-    g.map_weights(|e, _| perm[e.index()])
+    let weights = random_weights(g.edge_count(), seed);
+    g.map_weights(|e, _| weights[e.index()])
 }
 
 #[cfg(test)]

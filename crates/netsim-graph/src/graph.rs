@@ -15,7 +15,8 @@
 //! `Vec<Vec<(NodeId, EdgeId)>>` this
 //!
 //! * performs **O(1) heap allocations** in [`GraphBuilder::build`] regardless
-//!   of `n` and `m` (enforced by the `graph_alloc` integration test), and
+//!   of `n` and `m` (at most six vectors, enforced by the `graph_alloc`
+//!   integration test), and
 //! * keeps every traversal cache-friendly: the hot BFS/scatter loops read
 //!   only the 8-byte `targets` entries instead of pulling the interleaved
 //!   `(NodeId, EdgeId)` pairs through the cache.
@@ -30,6 +31,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 /// Identifier of a node (processor) in the network.
 ///
@@ -301,6 +303,20 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
 /// hands out a [`Neighbors`] view over a row; [`Graph::csr`] exposes the raw
 /// triple for bulk consumers.
 ///
+/// # Construction
+///
+/// The triple is built in one streaming pass over the edge list, by
+/// [`GraphBuilder::build`] (or again by [`Graph::map_weights`]).  A stable
+/// least-significant-digit radix sort orders packed `(weight, index, u, v)`
+/// records by weight — as many 11-bit digit passes as the largest weight has
+/// digits, equal weights staying in index order because the input is
+/// index-ascending — and the rows are scattered from those records front to
+/// back, so the only random memory accesses are the row cursors and the CSR
+/// writes themselves.  That takes a constant number of heap allocations (the
+/// offsets, the two CSR arrays, one or two record buffers), and the result
+/// is a pure function of the edge list: the same `add_edge` calls give
+/// byte-identical arrays.
+///
 /// # Examples
 ///
 /// ```
@@ -332,52 +348,157 @@ impl Default for Graph {
     }
 }
 
+/// One edge as the ordering and scatter passes carry it: the sort key's
+/// weight plus everything the row scatter needs, so neither pass ever goes
+/// back to the edge list.  Endpoints and index fit 32 bits because the CSR
+/// index space does; packing to 4-byte alignment drops the padding a `u64`
+/// field would add (20 bytes, not 24, through every pass).
+#[derive(Clone, Copy, Default)]
+#[repr(C, packed(4))]
+struct KeyedEdge {
+    weight: Weight,
+    index: u32,
+    u: u32,
+    v: u32,
+}
+
+/// Width of one radix digit of the weight.
+const DIGIT_BITS: u32 = 11;
+const RADIX: usize = 1 << DIGIT_BITS;
+
+/// Turns per-bucket counts into each bucket's first position.
+fn exclusive_prefix_sum(counts: &mut [u32]) {
+    let mut start = 0;
+    for slot in counts {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+}
+
+/// One stable counting-sort pass by the weight digit at `shift`: `src`
+/// (walked twice, count then move) lands in `dst`, equal digits keeping
+/// their `src` order.
+fn radix_pass(src: impl Iterator<Item = KeyedEdge> + Clone, dst: &mut [KeyedEdge], shift: u32) {
+    let digit = |r: &KeyedEdge| (r.weight >> shift) as usize & (RADIX - 1);
+    let mut next = [0u32; RADIX];
+    for r in src.clone() {
+        next[digit(&r)] += 1;
+    }
+    exclusive_prefix_sum(&mut next);
+    for r in src {
+        let d = digit(&r);
+        dst[next[d] as usize] = r;
+        next[d] += 1;
+    }
+}
+
+/// The edges in ascending `(weight, index)` order, as [`KeyedEdge`] records.
+///
+/// Least-significant-digit radix sort over the weight alone: every pass is
+/// stable and the first one reads the edge list, which is index-ascending,
+/// so equal weights end in index order without the index ever being
+/// compared.  The number of passes is the number of [`DIGIT_BITS`]-wide
+/// digits in `max_weight` (at least one); a second buffer exists only when
+/// there is a second pass.
+fn key_order(edges: &[Edge], max_weight: Weight) -> Vec<KeyedEdge> {
+    let passes = (Weight::BITS - max_weight.leading_zeros())
+        .div_ceil(DIGIT_BITS)
+        .max(1);
+    let keyed = edges.iter().enumerate().map(|(i, e)| KeyedEdge {
+        weight: e.weight,
+        index: i as u32,
+        u: e.u.index() as u32,
+        v: e.v.index() as u32,
+    });
+    let mut sorted = vec![KeyedEdge::default(); edges.len()];
+    radix_pass(keyed, &mut sorted, 0);
+    if passes > 1 {
+        let mut spare = vec![KeyedEdge::default(); edges.len()];
+        for pass in 1..passes {
+            radix_pass(sorted.iter().copied(), &mut spare, pass * DIGIT_BITS);
+            std::mem::swap(&mut sorted, &mut spare);
+        }
+    }
+    sorted
+}
+
 impl Graph {
-    /// Builds the CSR triple from an edge list with a stable two-pass
-    /// counting sort: edges are first ordered by the global edge key, then
-    /// scattered into per-node rows, so every row comes out key-sorted
-    /// without any per-row sorting or per-node allocation.  Performs O(1)
-    /// heap allocations total (five vectors, none per node or per edge).
+    /// Builds the CSR triple from an edge list as described under
+    /// *Construction* on [`Graph`]: count degrees, order the edges by the
+    /// global edge key (`key_order`), scatter the ordered records into
+    /// per-node rows.  The scatter preserves the visit order per row, so
+    /// every row comes out key-sorted without any per-row sorting, and the
+    /// total order is exactly `sort_by_key(|i| (weight[i], i))`.
+    ///
+    /// Allocates the offsets (which serve as the row cursors during the
+    /// scatter and are shifted back afterwards), the two CSR arrays and one
+    /// or two record buffers (two when the largest weight needs more than
+    /// one radix digit) — nothing per node or per edge.
+    ///
+    /// Endpoints must be in range; duplicate edges are the caller's concern
+    /// ([`GraphBuilder::build`] checks them).
     pub(crate) fn from_parts(n: usize, edges: Vec<Edge>) -> Self {
         let half_edges = edges.len() * 2;
         assert!(
             half_edges < u32::MAX as usize && n < u32::MAX as usize,
             "CSR offsets are 32-bit; graph too large"
         );
-        // Pass 0: global edge-key order (in-place unstable sort: no allocs).
-        let mut order: Vec<u32> = (0..edges.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (edges[i as usize].weight, i));
-        // Pass 1: degree counting into the row index.
+        // Degree counting into the row index: after the prefix sum
+        // `offsets[v]` is the write cursor of row `v` and `offsets[n]` = 2m.
         let mut offsets = vec![0u32; n + 1];
+        let mut max_weight = 0;
         for e in &edges {
-            offsets[e.u.index() + 1] += 1;
-            offsets[e.v.index() + 1] += 1;
+            offsets[e.u.index()] += 1;
+            offsets[e.v.index()] += 1;
+            max_weight = max_weight.max(e.weight);
         }
-        for i in 1..=n {
-            offsets[i] += offsets[i - 1];
-        }
-        // Pass 2: scatter in edge-key order; each row fills in ascending key
-        // order because the scatter preserves the visit order per row.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        exclusive_prefix_sum(&mut offsets);
+        let order = key_order(&edges, max_weight);
+        // Scatter in edge-key order; each row fills in ascending key order
+        // because the scatter preserves the visit order per row.
         let mut targets = vec![NodeId(0); half_edges];
         let mut edge_ids = vec![EdgeId(0); half_edges];
-        for &i in &order {
-            let e = &edges[i as usize];
-            let id = EdgeId(i as usize);
-            let pu = cursor[e.u.index()] as usize;
-            cursor[e.u.index()] += 1;
-            targets[pu] = e.v;
+        for r in order {
+            let (u, v) = (r.u as usize, r.v as usize);
+            let id = EdgeId(r.index as usize);
+            let pu = offsets[u] as usize;
+            offsets[u] += 1;
+            targets[pu] = NodeId(v);
             edge_ids[pu] = id;
-            let pv = cursor[e.v.index()] as usize;
-            cursor[e.v.index()] += 1;
-            targets[pv] = e.u;
+            let pv = offsets[v] as usize;
+            offsets[v] += 1;
+            targets[pv] = NodeId(u);
             edge_ids[pv] = id;
         }
+        // Every cursor now sits on the start of the next row.
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
         Graph {
             edges,
             offsets,
             targets,
             edge_ids,
+        }
+    }
+
+    /// Panics if two edges join the same pair of nodes: one pass over the
+    /// finished rows, stamping each neighbour with the row that saw it last.
+    fn assert_no_parallel_edges(&self) {
+        // `n < u32::MAX`, so the initial stamp matches no row.
+        let mut seen_by = vec![u32::MAX; self.node_count()];
+        for v in self.nodes() {
+            let row = self.neighbors(v);
+            let stamp = v.index() as u32;
+            for &t in row.targets() {
+                if seen_by[t.index()] == stamp {
+                    // Report the later of the two, as the insert-time check does.
+                    let later = row.iter().filter(|&(w, _)| w == t).map(|(_, e)| e).max();
+                    let e = self.edge(later.expect("the row holds the duplicate"));
+                    reject_edge(e.u, e.v);
+                }
+                seen_by[t.index()] = stamp;
+            }
         }
     }
 
@@ -539,15 +660,26 @@ impl Graph {
 ///
 /// Parallel edges and self loops are rejected, matching the communication
 /// graph model of the paper (at most one link between any pair of nodes).
+/// Self loops and out-of-range endpoints are rejected at the call that
+/// offers them.  Duplicates are detected **online** by the two calls that
+/// answer a membership question — [`try_add_edge`](GraphBuilder::try_add_edge)
+/// and [`has_edge`](GraphBuilder::has_edge) — whose first use materialises a
+/// hash set of the edges added so far and keeps it current from then on.  A
+/// builder that is only ever fed through [`add_edge`](GraphBuilder::add_edge)
+/// (a generator that cannot produce a duplicate by construction) never hashes
+/// anything: its duplicate check is discharged by
+/// [`build`](GraphBuilder::build) in one pass over the finished rows, with
+/// the same panic.
 ///
 /// [`GraphBuilder::build`] finalises the accumulated edge list into the flat
-/// CSR `(offsets, targets, edge_ids)` triple described on [`Graph`].  The
-/// finalisation is a two-pass counting sort over one globally
-/// edge-key-sorted permutation, so it performs a **constant number of heap
-/// allocations** (five vectors) however large the graph is, and the
-/// resulting neighbour order is a deterministic function of the edge list:
-/// rebuilding from the same `add_edge` calls always yields byte-identical
-/// adjacency.
+/// CSR `(offsets, targets, edge_ids)` triple described on [`Graph`]: one
+/// stable radix ordering of the edges by the global `(weight, edge id)` key
+/// and one row scatter (see *Construction* on [`Graph`]).  It performs a
+/// **constant number of heap allocations** (at most six vectors: offsets,
+/// two CSR arrays, one or two record buffers, and the stamp array of the
+/// deferred duplicate check) however large the graph is, and the resulting
+/// neighbour order is a deterministic function of the edge list: rebuilding
+/// from the same `add_edge` calls always yields byte-identical adjacency.
 ///
 /// # Examples
 ///
@@ -564,16 +696,24 @@ impl Graph {
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<Edge>,
-    /// Packed keys ([`edge_key`]) of the edges added so far.  Membership
+    /// Packed keys ([`edge_key`]) of the edges added so far, once somebody
+    /// has asked a membership question; empty cell until then.  Membership
     /// only — never iterated — so the hasher cannot influence the edge list.
-    seen: HashSet<u64, BuildHasherDefault<EdgeKeyHasher>>,
+    seen: OnceLock<EdgeSet>,
 }
+
+type EdgeSet = HashSet<u64, BuildHasherDefault<EdgeKeyHasher>>;
 
 /// Packs the unordered pair `{u, v}` of in-range node indices (below 2³²,
 /// which [`GraphBuilder::new`] enforces) into one duplicate-detection key.
 fn edge_key(u: NodeId, v: NodeId) -> u64 {
     let (lo, hi) = (u.index().min(v.index()), u.index().max(v.index()));
     (lo as u64) << 32 | hi as u64
+}
+
+/// The panic of every rejected [`GraphBuilder::add_edge`], whenever detected.
+fn reject_edge(u: NodeId, v: NodeId) -> ! {
+    panic!("invalid or duplicate edge ({u:?}, {v:?})")
 }
 
 /// Hasher of the builder's duplicate-edge set: one multiply–xorshift round
@@ -603,14 +743,20 @@ impl GraphBuilder {
     ///
     /// Panics if `n` does not fit the 32-bit CSR index space.
     pub fn new(n: usize) -> Self {
+        Self::with_edge_capacity(n, 0)
+    }
+
+    /// [`GraphBuilder::new`] with room for `edges` edges, for generators
+    /// that know their edge count up front.
+    pub(crate) fn with_edge_capacity(n: usize, edges: usize) -> Self {
         assert!(
             n < u32::MAX as usize,
             "CSR offsets are 32-bit; graph too large"
         );
         GraphBuilder {
             n,
-            edges: Vec::new(),
-            seen: HashSet::default(),
+            edges: Vec::with_capacity(edges),
+            seen: OnceLock::new(),
         }
     }
 
@@ -624,39 +770,94 @@ impl GraphBuilder {
         self.edges.len()
     }
 
+    /// Neither a self loop nor out of range.
+    fn admissible(&self, u: NodeId, v: NodeId) -> bool {
+        u != v && u.index() < self.n && v.index() < self.n
+    }
+
+    /// The duplicate set, materialised from the edge list on first use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`add_edge`](GraphBuilder::add_edge) was handed a duplicate
+    /// while nobody was looking.
+    fn seen(&self) -> &EdgeSet {
+        self.seen.get_or_init(|| {
+            let mut seen = EdgeSet::with_capacity_and_hasher(self.edges.len(), Default::default());
+            for e in &self.edges {
+                if !seen.insert(edge_key(e.u, e.v)) {
+                    reject_edge(e.u, e.v);
+                }
+            }
+            seen
+        })
+    }
+
     /// Adds an undirected weighted edge.  Returns the new edge's id, or
     /// `None` if the edge is a self loop, a duplicate, or out of range.
     pub fn try_add_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> Option<EdgeId> {
-        if u == v || u.index() >= self.n || v.index() >= self.n {
+        if !self.admissible(u, v) {
             return None;
         }
-        if !self.seen.insert(edge_key(u, v)) {
-            return None;
-        }
+        self.seen();
+        let seen = self.seen.get_mut().expect("materialised just above");
+        seen.insert(edge_key(u, v)).then(|| self.push(u, v, weight))
+    }
+
+    /// Appends an edge that passed its checks.
+    fn push(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
         let id = EdgeId(self.edges.len());
         self.edges.push(Edge { u, v, weight });
-        Some(id)
+        id
     }
 
     /// Adds an undirected weighted edge.
     ///
     /// # Panics
     ///
-    /// Panics on self loops, duplicate edges, or endpoints out of range.
+    /// Panics on self loops and endpoints out of range, and on duplicate
+    /// edges — at this call if the duplicate set exists (see the type-level
+    /// docs), otherwise no later than [`build`](GraphBuilder::build).
     pub fn add_edge(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
-        self.try_add_edge(u, v, weight)
-            .unwrap_or_else(|| panic!("invalid or duplicate edge ({u:?}, {v:?})"))
+        if !self.admissible(u, v) {
+            reject_edge(u, v);
+        }
+        if let Some(seen) = self.seen.get_mut() {
+            if !seen.insert(edge_key(u, v)) {
+                reject_edge(u, v);
+            }
+        }
+        self.push(u, v, weight)
     }
 
     /// Returns `true` if the edge `{u, v}` has already been added.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.seen.contains(&edge_key(u, v))
+        self.seen().contains(&edge_key(u, v))
+    }
+
+    /// Replaces every weight with the given function of the edge id and
+    /// current weight, in place — [`Graph::map_weights`] before the graph
+    /// exists, so a generator that re-weights finalises once.
+    pub(crate) fn map_weights<F: FnMut(EdgeId, Weight) -> Weight>(&mut self, mut f: F) {
+        for (i, e) in self.edges.iter_mut().enumerate() {
+            e.weight = f(EdgeId(i), e.weight);
+        }
     }
 
     /// Finalises the builder into an immutable [`Graph`] (CSR form; O(1)
     /// allocations — see the type-level docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`add_edge`](GraphBuilder::add_edge) was handed a duplicate
+    /// edge that no online check saw.
     pub fn build(self) -> Graph {
-        Graph::from_parts(self.n, self.edges)
+        let checked_online = self.seen.into_inner().is_some();
+        let g = Graph::from_parts(self.n, self.edges);
+        if !checked_online {
+            g.assert_no_parallel_edges();
+        }
+        g
     }
 }
 

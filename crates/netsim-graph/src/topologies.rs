@@ -48,10 +48,15 @@ use rand::rngs::StdRng;
 /// assert!(traversal::is_connected(&g));
 /// ```
 pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> Graph {
+    ring_of_cliques_builder(cliques, clique_size).build()
+}
+
+/// [`ring_of_cliques`] before finalisation.
+pub(crate) fn ring_of_cliques_builder(cliques: usize, clique_size: usize) -> GraphBuilder {
     let s = clique_size;
     let n = cliques * s;
     if n == 0 {
-        return GraphBuilder::new(0).build();
+        return GraphBuilder::new(0);
     }
     let mut b = GraphBuilder::new(n);
     let mut w: Weight = 0;
@@ -75,7 +80,7 @@ pub fn ring_of_cliques(cliques: usize, clique_size: usize) -> Graph {
             }
         }
     }
-    b.build()
+    b
 }
 
 /// The percolation-threshold connection radius of a random geometric graph
@@ -102,6 +107,11 @@ pub fn geometric_threshold_radius(n: usize) -> f64 {
 ///
 /// Panics if `radius` is not finite and positive.
 pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
+    random_geometric_builder(n, radius, seed).build()
+}
+
+/// [`random_geometric`] before finalisation.
+pub(crate) fn random_geometric_builder(n: usize, radius: f64, seed: u64) -> GraphBuilder {
     assert!(
         radius.is_finite() && radius > 0.0,
         "radius must be finite and positive, got {radius}"
@@ -182,7 +192,7 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
             }
         }
     }
-    b.build()
+    b
 }
 
 /// Scale-free graph by preferential attachment (Barabási–Albert): nodes
@@ -199,13 +209,19 @@ pub fn random_geometric(n: usize, radius: f64, seed: u64) -> Graph {
 ///
 /// Panics if `attach == 0`.
 pub fn preferential_attachment(n: usize, attach: usize, seed: u64) -> Graph {
+    preferential_attachment_builder(n, attach, seed).build()
+}
+
+/// [`preferential_attachment`] before finalisation.
+pub(crate) fn preferential_attachment_builder(n: usize, attach: usize, seed: u64) -> GraphBuilder {
     assert!(attach > 0, "attachment count must be positive");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let seed_size = (attach + 1).min(n);
+    let max_edges = seed_size * seed_size.saturating_sub(1) / 2 + attach * (n - seed_size);
+    let mut b = GraphBuilder::with_edge_capacity(n, max_edges);
     let mut w: Weight = 0;
     // Degree-proportional sampling pool: each edge pushes both endpoints.
-    let mut pool: Vec<u32> = Vec::with_capacity(2 * attach * n.max(1));
-    let seed_size = (attach + 1).min(n);
+    let mut pool: Vec<u32> = Vec::with_capacity(2 * max_edges);
     for i in 0..seed_size {
         for j in (i + 1)..seed_size {
             w += 1;
@@ -219,25 +235,29 @@ pub fn preferential_attachment(n: usize, attach: usize, seed: u64) -> Graph {
         let mut attempts = 0;
         while added < attach && attempts < 32 * attach {
             attempts += 1;
-            let t = pool[rng.gen_range(0..pool.len())] as usize;
-            w += 1;
-            if b.try_add_edge(NodeId(v), NodeId(t), w).is_some() {
+            let t = pool[rng.gen_range(0..pool.len())];
+            // Every link at `v` so far is one of its own picks, and those
+            // are the pool's tail `[v, t₁, v, t₂, …]`: a draw found there is
+            // a self loop or a duplicate, and nothing else can be either.
+            if !pool[pool.len() - 2 * added..].contains(&t) {
+                w += 1;
+                b.add_edge(NodeId(v), NodeId(t as usize), w);
                 pool.push(v as u32);
-                pool.push(t as u32);
+                pool.push(t);
                 added += 1;
-            } else {
-                w -= 1;
             }
         }
         if added == 0 {
             // Pathological rejection streak: fall back to uniform attachment
             // so the graph stays connected.
+            let t = rng.gen_range(0..v);
             w += 1;
-            b.add_edge(NodeId(v), NodeId(rng.gen_range(0..v)), w);
+            b.add_edge(NodeId(v), NodeId(t), w);
             pool.push(v as u32);
+            pool.push(t as u32);
         }
     }
-    b.build()
+    b
 }
 
 /// Degree-bounded expander: the union of `⌈degree / 2⌉` independent random
@@ -255,9 +275,14 @@ pub fn preferential_attachment(n: usize, attach: usize, seed: u64) -> Graph {
 ///
 /// Panics if `degree == 0`.
 pub fn degree_bounded_expander(n: usize, degree: usize, seed: u64) -> Graph {
+    degree_bounded_expander_builder(n, degree, seed).build()
+}
+
+/// [`degree_bounded_expander`] before finalisation.
+pub(crate) fn degree_bounded_expander_builder(n: usize, degree: usize, seed: u64) -> GraphBuilder {
     assert!(degree > 0, "degree bound must be positive");
     if n < 3 {
-        return crate::generators::path(n);
+        return crate::generators::path_builder(n);
     }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
@@ -277,7 +302,7 @@ pub fn degree_bounded_expander(n: usize, degree: usize, seed: u64) -> Graph {
             }
         }
     }
-    b.build()
+    b
 }
 
 #[cfg(test)]

@@ -7,10 +7,15 @@
 //!   which is the order the old builder guaranteed;
 //! * rebuilding a graph from the same edge list reproduces the identical
 //!   neighbour iteration order (the order is a pure function of the edges,
-//!   never of allocator or hash state).
+//!   never of allocator or hash state);
+//! * the radix-ordered finalisation equals its specification — a comparison
+//!   sort by `(weight, index)` followed by a row scatter — array for array,
+//!   on edge lists built to stress it: heavy weight ties, weight 0,
+//!   `u64::MAX` (every digit pass), no edges at all, a single node.
 
-use netsim_graph::{generators, EdgeId, Graph, GraphBuilder, NodeId};
+use netsim_graph::{generators, EdgeId, Graph, GraphBuilder, NodeId, Weight};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// The pre-CSR reference construction: per-node `Vec`s in insertion order,
 /// then each list sorted by the `(weight, edge id)` key.
@@ -24,6 +29,56 @@ fn naive_adjacency(g: &Graph) -> Vec<Vec<(NodeId, EdgeId)>> {
         list.sort_by_key(|&(_, eid)| g.edge_key(eid));
     }
     adjacency
+}
+
+/// The finalisation's specification, written the slow obvious way: order the
+/// edge indices by `(weight, index)` with the standard comparison sort, push
+/// every edge onto both endpoints' rows in that order, flatten the rows.
+fn spec_csr(n: usize, edges: &[(usize, usize, Weight)]) -> (Vec<u32>, Vec<NodeId>, Vec<EdgeId>) {
+    let mut order: Vec<usize> = (0..edges.len()).collect();
+    order.sort_by_key(|&i| (edges[i].2, i));
+    let mut rows = vec![Vec::new(); n];
+    for i in order {
+        let (u, v, _) = edges[i];
+        rows[u].push((NodeId(v), EdgeId(i)));
+        rows[v].push((NodeId(u), EdgeId(i)));
+    }
+    let mut offsets = vec![0u32];
+    for row in &rows {
+        offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
+    }
+    let (targets, edge_ids) = rows.into_iter().flatten().unzip();
+    (offsets, targets, edge_ids)
+}
+
+/// Weights that tie heavily and sit on the radix digit boundaries: zero, the
+/// last one-digit and first two-digit values, a three-digit one, and the top
+/// of the range (which takes every digit pass).
+const TIED_WEIGHTS: [Weight; 8] = [0, 0, 1, 2047, 2048, 1 << 22, u64::MAX - 1, u64::MAX];
+
+/// A simple graph's edge list on `n ≥ 1` nodes (possibly empty; always empty
+/// at `n = 1`).  Weights come from a prefix of [`TIED_WEIGHTS`], so the
+/// largest weight — which picks the number of digit passes — lands on every
+/// boundary, or (prefix length 0) from the full range.
+fn random_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize, Weight)>)> {
+    let draw = (0usize..1000, 0usize..1000, 0usize..8, 0u64..=u64::MAX);
+    (
+        1usize..=40,
+        0usize..=8,
+        proptest::collection::vec(draw, 0..120),
+    )
+        .prop_map(|(n, prefix, draws)| {
+            let mut taken = HashSet::new();
+            let edges = draws
+                .into_iter()
+                .map(|(u, v, pick, raw)| {
+                    let weight = TIED_WEIGHTS[..prefix].get(pick % prefix.max(1));
+                    (u % n, v % n, weight.copied().unwrap_or(raw))
+                })
+                .filter(|&(u, v, _)| u != v && taken.insert((u.min(v), u.max(v))))
+                .collect();
+            (n, edges)
+        })
 }
 
 fn random_graph() -> impl Strategy<Value = Graph> {
@@ -77,6 +132,30 @@ proptest! {
     }
 
     #[test]
+    fn finalisation_equals_the_comparison_sort_spec((n, edges) in random_edge_list()) {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, w) in &edges {
+            b.add_edge(NodeId(u), NodeId(v), w);
+        }
+        let g = b.build();
+        let (offsets, targets, edge_ids) = g.csr();
+        let spec = spec_csr(n, &edges);
+        prop_assert_eq!(offsets, &spec.0[..]);
+        prop_assert_eq!(targets, &spec.1[..]);
+        prop_assert_eq!(edge_ids, &spec.2[..]);
+        let listed: Vec<_> = g.edges().map(|e| (e.u.index(), e.v.index(), e.weight)).collect();
+        prop_assert_eq!(&listed, &edges);
+        // The re-weighting path finalises through the same routine.
+        let flipped: Vec<_> = edges.iter().map(|&(u, v, w)| (u, v, !w)).collect();
+        let g2 = g.map_weights(|_, w| !w);
+        let (offsets, targets, edge_ids) = g2.csr();
+        let spec = spec_csr(n, &flipped);
+        prop_assert_eq!(offsets, &spec.0[..]);
+        prop_assert_eq!(targets, &spec.1[..]);
+        prop_assert_eq!(edge_ids, &spec.2[..]);
+    }
+
+    #[test]
     fn csr_invariants_hold(g in random_graph()) {
         let (offsets, targets, edge_ids) = g.csr();
         prop_assert_eq!(offsets.len(), g.node_count() + 1);
@@ -92,4 +171,24 @@ proptest! {
             }
         }
     }
+}
+
+/// The degenerate shapes the property test only meets by chance.
+#[test]
+fn finalisation_of_degenerate_edge_lists() {
+    for n in [0, 1, 5] {
+        let g = GraphBuilder::new(n).build();
+        let (offsets, targets, edge_ids) = g.csr();
+        assert_eq!(offsets, &vec![0u32; n + 1][..], "m = 0 on n = {n}");
+        assert!(targets.is_empty() && edge_ids.is_empty());
+    }
+    // Every weight the maximum: all digit passes run and all of them tie.
+    let edges: Vec<_> = (1..6).map(|i| (0, i, u64::MAX)).collect();
+    let mut b = GraphBuilder::new(6);
+    for &(u, v, w) in &edges {
+        b.add_edge(NodeId(u), NodeId(v), w);
+    }
+    let g = b.build();
+    let spec = spec_csr(6, &edges);
+    assert_eq!(g.csr(), (&spec.0[..], &spec.1[..], &spec.2[..]));
 }

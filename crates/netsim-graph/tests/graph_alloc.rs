@@ -1,12 +1,14 @@
 //! Verifies the CSR builder's O(1)-allocation guarantee with a counting
 //! global allocator: however large the edge list, `GraphBuilder::build`
 //! (and the internal `from_parts` path used by `map_weights`) performs a
-//! constant number of heap allocations.
+//! constant number of heap allocations, and so does a whole
+//! `Family::generate` of a generator that knows its edge count up front.
 //!
-//! Mirrors the engine's `alloc_steady_state` test; the whole check lives in
-//! one `#[test]` so no concurrent test perturbs the counters.
+//! Mirrors the engine's `alloc_steady_state` test; the counter is per
+//! thread, so tests running concurrently do not perturb each other.
 
-use netsim_graph::{generators, GraphBuilder, NodeId};
+use netsim_graph::generators::{self, Family};
+use netsim_graph::{GraphBuilder, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -52,9 +54,11 @@ fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
 }
 
-/// `build()` may allocate the five CSR vectors (edge order, offsets, cursor,
-/// targets, edge ids) and nothing that scales with `n` or `m`.
-const BUILD_ALLOC_BUDGET: u64 = 8;
+/// `build()` may allocate six vectors — the offsets (which double as the row
+/// cursors), one or two radix record buffers, targets, edge ids, and the
+/// stamp array of the deferred duplicate check — and nothing that scales
+/// with `n` or `m`.
+const BUILD_ALLOC_BUDGET: u64 = 6;
 
 #[test]
 fn csr_finalisation_allocates_o1() {
@@ -83,14 +87,14 @@ fn csr_finalisation_allocates_o1() {
          (budget {BUILD_ALLOC_BUDGET}); the CSR finalisation must be O(1)"
     );
 
-    // The map_weights rebuild path re-runs from_parts plus one edge-list
-    // collect: still O(1).
+    // The map_weights rebuild path re-runs from_parts with one edge-list
+    // collect in place of the duplicate check: still O(1).
     let before = allocs();
     let g2 = g.map_weights(|_, w| w + 1);
     let rebuild_allocs = allocs() - before;
     assert_eq!(g2.edge_count(), m);
     assert!(
-        rebuild_allocs <= BUILD_ALLOC_BUDGET + 2,
+        rebuild_allocs <= BUILD_ALLOC_BUDGET,
         "map_weights allocated {rebuild_allocs} times; the CSR rebuild must be O(1)"
     );
 
@@ -109,11 +113,35 @@ fn generators_build_through_csr() {
     let g = generators::ring(10_000);
     let ring_allocs = allocs() - before;
     assert_eq!(g.edge_count(), 10_000);
-    // Builder pushes (edge vec + hash set growth) are amortised-logarithmic;
-    // the CSR finalisation adds its constant five.  A full ring build must
-    // stay far below one allocation per node.
+    // Builder pushes (edge vec growth; `add_edge` alone hashes nothing) are
+    // amortised-logarithmic; the CSR finalisation adds its constant six.  A
+    // full ring build must stay far below one allocation per node.
     assert!(
         ring_allocs < 100,
         "ring(10k) allocated {ring_allocs} times; expected ~O(log n) total"
+    );
+}
+
+#[test]
+fn preferential_attachment_generates_in_constant_allocations() {
+    // Edge list and degree pool are sized up front, the weight permutation
+    // is one vector, and the single finalisation adds its six: the count
+    // does not depend on n (it was 55 at n = 2^20 when the builder hashed
+    // every edge and the vectors grew by doubling).
+    let count = |n: usize| {
+        let before = allocs();
+        let g = Family::PreferentialAttachment.generate(n, 1);
+        let during = allocs() - before;
+        assert_eq!(g.node_count(), n);
+        during
+    };
+    let (small, large) = (count(5_000), count(50_000));
+    assert_eq!(
+        small, large,
+        "generate() allocated {small} times at n = 5 000 but {large} at n = 50 000"
+    );
+    assert!(
+        large <= BUILD_ALLOC_BUDGET + 3,
+        "generate() allocated {large} times; expected edges + pool + weights + the build's six"
     );
 }
