@@ -1,12 +1,12 @@
 //! Benchmark and experiment harness for the multimedia-network reproduction.
 //!
 //! The paper is a theory paper: its "evaluation" is the set of complexity
-//! bounds R1–R9 listed in `DESIGN.md`.  This crate regenerates, for every
-//! result, a measured table whose *shape* (growth exponents, who wins,
-//! crossovers) can be compared against the claimed bound:
+//! bounds behind experiments E1–E9 (ROADMAP item 1).  This crate regenerates,
+//! for every result, a measured table whose *shape* (growth exponents, who
+//! wins, crossovers) can be compared against the claimed bound:
 //!
 //! * the `experiments` binary (`cargo run -p bench --bin experiments --release`)
-//!   prints the tables recorded in `EXPERIMENTS.md`;
+//!   prints the tables and, with `--json`, writes them as exact records;
 //! * the Criterion benches (`cargo bench`) time the same workloads for
 //!   regression tracking.
 
@@ -15,8 +15,6 @@
 use multimedia::MultimediaNetwork;
 use netsim_graph::{generators::Family, log_star, traversal};
 use netsim_sim::CostAccount;
-
-pub mod engine_bench;
 
 /// One measured data point of an experiment sweep.
 #[derive(Clone, Debug)]
@@ -105,7 +103,7 @@ pub fn print_table(title: &str, records: &[Record]) {
 }
 
 /// Escapes a string for embedding in a JSON document.
-pub fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -122,7 +120,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Formats an `f64` as a JSON number (JSON has no NaN/Infinity; map to null).
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

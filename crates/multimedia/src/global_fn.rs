@@ -485,7 +485,7 @@ where
 /// With `K` channels the group phase runs its `⌈F/K⌉`-ish broadcasts per
 /// channel concurrently, so the busiest channel's round count — and with it
 /// the engine-measured global-stage time — drops with the shard factor
-/// (the `global_fn_sharded` section of `BENCH_engine.json`), while the
+/// (`sharded_global_rounds_drop_with_the_shard_factor`), while the
 /// value stays exactly [`compute_deterministic`]'s on all four substrates.
 ///
 /// # Panics

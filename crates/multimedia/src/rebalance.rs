@@ -2,7 +2,7 @@
 //! [`netsim_sim::reshard`], written once against
 //! [`EngineControl`].
 //!
-//! The scenario is the engine benchmark's channel-sharded global sum
+//! The scenario is the benchmark's channel-sharded global sum
 //! ([`ChannelShardedSum`]) under a **Zipf-skewed** attachment
 //! ([`zipf_channels`]): channel 0 carries a harmonic share of all nodes
 //! while the tail channels sit nearly idle, so the busiest channel
@@ -25,8 +25,8 @@
 //! delivery semantics, so the full [`ReshardEvent`] trace, the window
 //! totals and the final [`RebalanceRun::checksum`] are bit-identical
 //! across the flat, reference, lockstep-async and wire substrates (the
-//! four-substrate pinning test below, and the `resharding` section of
-//! `BENCH_engine.json`).
+//! four-substrate pinning test below; `reshard-loop-flat` is the timed
+//! `mmbench` workload).
 
 use crate::model::MultimediaNetwork;
 use crate::mst::MergeSubstrate;
@@ -211,8 +211,8 @@ impl RebalanceRun {
 /// Repeats the channel-sharded global sum for `windows` repetitions under
 /// the given initial channel assignment, re-sharding adaptively between
 /// repetitions when `skew` is `Some` (see the [module docs](self)); with
-/// `skew == None` the attachment stays static — the baseline the
-/// `resharding` benchmark section compares against.
+/// `skew == None` the attachment stays static — the baseline
+/// `rebalancing_cuts_the_round_count` compares against.
 ///
 /// An optional [`FaultPlan`] (e.g.
 /// [`FaultPlan::with_partition`](netsim_sim::FaultPlan::with_partition))

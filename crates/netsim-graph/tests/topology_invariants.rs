@@ -1,7 +1,7 @@
 //! Quickcheck-style invariants of the structured topology generators.
 //!
 //! `topologies::random_geometric` and `topologies::degree_bounded_expander`
-//! feed the engine bench and the `engine_conformance` suite at arbitrary
+//! feed the benchmark workloads and the `engine_conformance` suite at arbitrary
 //! seeds, but until now their structural guarantees — connectivity, degree
 //! bounds, edge-count windows, determinism — were only exercised at a
 //! handful of fixed parameters.  These property tests draw `(n, seed,

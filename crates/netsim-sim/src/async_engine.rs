@@ -703,14 +703,6 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         self.faults.as_ref()
     }
 
-    /// Current lifecycle state of node `v` (`Operational` when no fault
-    /// plan is installed).
-    pub fn fault_lifecycle(&self, v: NodeId) -> NodeLifecycle {
-        self.faults
-            .as_ref()
-            .map_or(NodeLifecycle::Operational, |s| s.lifecycle(v))
-    }
-
     /// Applies fault round `round`'s lifecycle transitions; no-op without a
     /// fault plan.
     fn apply_fault_round(&mut self, round: u64) {
@@ -1492,7 +1484,8 @@ mod tests {
         eng.set_fault_plan(FaultPlan::none().with_initial_off(vec![NodeId(2)]));
         assert!(eng.run(1000), "off node must be exempt from quiescence");
         assert!(!eng.node(NodeId(2)).got, "off node took a callback");
-        assert_eq!(eng.fault_lifecycle(NodeId(2)), NodeLifecycle::Off);
+        let session = eng.fault_session().expect("plan installed");
+        assert_eq!(session.lifecycle(NodeId(2)), NodeLifecycle::Off);
         for v in [NodeId(0), NodeId(1), NodeId(3)] {
             assert!(eng.node(v).got);
         }

@@ -111,9 +111,8 @@ const RADIX_MIN_NODES: usize = 1 << 14;
 /// handle)` triples at typical degree), so the block is sized to half the
 /// L2: `2^shift ≈ L2 / 2 / 128`, clamped to `[9, 13]`.  When the probe
 /// fails (non-Linux, masked sysfs), the hard-coded default of 11 (2048-node
-/// blocks) is kept.  The chosen shift is recorded in the bench metadata so
-/// regressions are attributable to tuning changes.
-pub fn tuned_block_shift() -> u32 {
+/// blocks) is kept.
+pub(crate) fn tuned_block_shift() -> u32 {
     static SHIFT: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
     *SHIFT.get_or_init(|| probe_block_shift().unwrap_or(DEFAULT_BLOCK_SHIFT))
 }
@@ -859,14 +858,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// [`NodeLifecycle`] states and the churn count.
     pub fn fault_session(&self) -> Option<&FaultSession> {
         self.faults.as_ref()
-    }
-
-    /// Current lifecycle state of node `v` (`Operational` when no fault
-    /// plan is installed).
-    pub fn fault_lifecycle(&self, v: NodeId) -> NodeLifecycle {
-        self.faults
-            .as_ref()
-            .map_or(NodeLifecycle::Operational, |s| s.lifecycle(v))
     }
 
     /// Applies the current round's lifecycle transitions (crashes, recover
@@ -1647,6 +1638,7 @@ where
 mod tests {
     use super::*;
     use crate::channel::SlotOutcome;
+    use crate::control::EngineControl;
     use netsim_graph::generators;
 
     #[test]
@@ -2289,7 +2281,7 @@ mod tests {
         assert_eq!(eng.node(NodeId(1)).steps, 8);
         assert!(eng.node(NodeId(1)).recovered);
         assert!(!eng.node(NodeId(0)).recovered);
-        assert_eq!(eng.fault_lifecycle(NodeId(1)), NodeLifecycle::Operational);
+        assert_eq!(eng.lifecycle(NodeId(1)), NodeLifecycle::Operational);
         // Churn accounting: one non-operational node for rounds 2..=5.
         assert_eq!(eng.cost().crashed_rounds, 4);
     }
@@ -2313,7 +2305,7 @@ mod tests {
         assert!(out.is_completed());
         assert_eq!(eng.node(NodeId(2)).steps, 1);
         assert!(!eng.node(NodeId(2)).is_done());
-        assert_eq!(eng.fault_lifecycle(NodeId(2)), NodeLifecycle::Crashed);
+        assert_eq!(eng.lifecycle(NodeId(2)), NodeLifecycle::Crashed);
     }
 
     /// A `wake_me`-adopting [`Ticker`]: arms itself every round until done,
@@ -2371,7 +2363,7 @@ mod tests {
         assert_eq!(eng.node(NodeId(1)).steps, 8);
         assert!(eng.node(NodeId(1)).recovered);
         assert!(!eng.node(NodeId(0)).recovered);
-        assert_eq!(eng.fault_lifecycle(NodeId(1)), NodeLifecycle::Operational);
+        assert_eq!(eng.lifecycle(NodeId(1)), NodeLifecycle::Operational);
         assert_eq!(eng.cost().crashed_rounds, 4);
         // The crashed rounds stepped two nodes, not three.
         assert_eq!(eng.total_stepped(), 3 * 8);
@@ -2397,7 +2389,7 @@ mod tests {
         assert!(out.is_completed());
         assert_eq!(eng.node(NodeId(2)).steps, 1);
         assert!(!eng.node(NodeId(2)).is_done());
-        assert_eq!(eng.fault_lifecycle(NodeId(2)), NodeLifecycle::Crashed);
+        assert_eq!(eng.lifecycle(NodeId(2)), NodeLifecycle::Crashed);
     }
 
     #[test]
@@ -2410,6 +2402,8 @@ mod tests {
         let g = generators::ring(64);
         let mut dense = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
         assert!(dense.run(100).is_completed());
+        // Dense stepping visits every node every round.
+        assert_eq!(dense.total_stepped(), 64 * dense.round());
         let mut eng = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
         eng.enable_sparse_stepping();
         assert!(eng.sparse_stepping());
@@ -2478,7 +2472,7 @@ mod tests {
             assert_eq!(seq.cost(), par.cost());
             for v in g.nodes() {
                 assert_eq!(seq.node(v).have, par.node(v).have);
-                assert_eq!(seq.fault_lifecycle(v), par.fault_lifecycle(v));
+                assert_eq!(seq.lifecycle(v), par.lifecycle(v));
             }
         }
     }

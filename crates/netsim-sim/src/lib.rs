@@ -86,14 +86,11 @@
 //! `Protocol::is_done` must only change during `step` — which is the only
 //! mutable access the engines expose.
 //!
-//! Measured on the `BENCH_engine.json` global-sum gossip workload (single
-//! core), the flat engine is **1.6–5.7× faster** than the (itself
-//! pooled-pending) reference engine across the topology matrix with ~60
-//! allocations per *run* against the reference's ~10⁷; on the `Vec<u8>`
-//! frame-gossip payload workload the arena path is **4–29× faster** than
-//! the clone path (`payloads` section of `BENCH_engine.json`), because a
-//! broadcast interns one frame instead of cloning per neighbour and
-//! recycles it the round after.
+//! The flat engine's steady state allocates nothing per round, and a
+//! `Vec<u8>` broadcast interns one frame instead of cloning per neighbour
+//! and recycles it the round after — both pinned by the
+//! `alloc_steady_state` suite; host-time numbers are recorded per workload
+//! by the repo benchmark (`BENCHMARK.json`, `benchmark/`).
 //!
 //! # Example
 //!
@@ -131,7 +128,7 @@ pub use channel::{
     LaneOutcome, SlotOutcome, SlotState, MAX_CHANNELS,
 };
 pub use control::{EngineBuilder, EngineControl};
-pub use engine::{tuned_block_shift, RunOutcome, SyncEngine};
+pub use engine::{RunOutcome, SyncEngine};
 pub use fault::{FaultEvent, FaultPlan, FaultSession, NodeLifecycle};
 pub use lockstep::{
     lockstep_config, reconciled_channel_costs, reconciled_cost, reconciled_cost_faulted, Lockstep,

@@ -14,7 +14,7 @@
 //!   rooted tree, the "feedback" direction of PIF;
 //! * [`ChannelShardedSum`] — global-sum aggregation sharded over the `K`
 //!   channels of a [`ChannelSet`], the multi-channel scenario family of the
-//!   engine benchmark.
+//!   `chansum-*` benchmark workloads.
 
 use crate::channel::{ChannelId, ChannelSet, SlotOutcome};
 use crate::node::{Protocol, RoundIo};
@@ -274,10 +274,10 @@ impl<V: Clone> Protocol for TreeBroadcast<V> {
 /// own sum is best-effort, and only never-crashed members are guaranteed
 /// the exact sum of the values the shard actually heard.
 ///
-/// This is the *channel-sharded scenario family* of the engine benchmark
-/// (`experiments --engine`, `channels` and `faults` sections of
-/// `BENCH_engine.json`); its delivery semantics are pinned across all three
-/// engines by the `engine_conformance` suite, fault schedules included.
+/// This is the *channel-sharded scenario family* of the repo benchmark
+/// (`mmbench`'s `chansum-*` workloads, faulted and wire variants included);
+/// its delivery semantics are pinned across all three engines by the
+/// `engine_conformance` suite, fault schedules included.
 /// Build the matching attachment with [`ChannelShardedSum::channel_set`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChannelShardedSum {
@@ -584,6 +584,55 @@ mod tests {
         // out every rank it missed) dominates the tail.
         assert!(eng.node(NodeId(4)).is_done());
         assert!(eng.cost().slots_success == (n as u64) - 1);
+    }
+
+    #[test]
+    fn channel_sharded_sum_survives_churn_identically_on_flat_and_reference() {
+        // Multi-shard churn under seeded erasures: node 9 crashes before its
+        // turn and recovers crashed-out.  Both engines must agree bit for
+        // bit; every never-crashed member of a shard holds the same sum, and
+        // a shard nobody left is exact.
+        use crate::control::{EngineBuilder, EngineControl};
+        let (n, k) = (200usize, 4u16);
+        let g = generators::ring(n);
+        let value = |v: usize| (v as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let plan = FaultPlan::from_rates(0xfa02, 0.1, 0.0, 0.0, 0.0).with_events(vec![
+            FaultEvent::Crash {
+                round: 3,
+                node: NodeId(9),
+            },
+            FaultEvent::Recover {
+                round: 20,
+                node: NodeId(9),
+            },
+        ]);
+        let builder = EngineBuilder::new(&g)
+            .channels(ChannelShardedSum::channel_set(n, k))
+            .fault_plan(plan);
+        let init = |v: NodeId| ChannelShardedSum::new(v, n, k, value(v.index()));
+        let mut flat = builder.build_flat(init);
+        let mut reference = builder.build_reference(init);
+        assert!(flat.run(10_000).is_completed());
+        assert!(reference.run(10_000).is_completed());
+        assert_eq!(flat.cost(), reference.cost());
+        assert!(flat.cost().erased_slots > 0 && flat.cost().crashed_rounds > 0);
+        for v in g.nodes() {
+            assert_eq!(flat.node(v), reference.node(v), "node {v:?}");
+            assert_eq!(flat.lifecycle(v), reference.lifecycle(v), "node {v:?}");
+        }
+        for shard in 0..k as usize {
+            let members = || (shard..n).step_by(k as usize);
+            let witnesses: Vec<u64> = members()
+                .map(NodeId)
+                .filter(|&v| flat.lifecycle(v).is_operational() && !flat.node(v).crashed_out())
+                .map(|v| flat.node(v).sum())
+                .collect();
+            assert!(witnesses.windows(2).all(|w| w[0] == w[1]), "shard {shard}");
+            if witnesses.len() == members().count() {
+                let exact = members().fold(0u64, |a, v| a.wrapping_add(value(v)));
+                assert_eq!(witnesses[0], exact, "intact shard {shard}");
+            }
+        }
     }
 
     #[test]

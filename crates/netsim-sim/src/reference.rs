@@ -19,9 +19,10 @@
 //!   ([`OutboxBuffer::drain_sends`]) into per-node pending queues, one owned
 //!   message per delivery — the semantics the arena path must reproduce
 //!   bit-for-bit;
-//! * **benchmarking** — the engine benchmark (`experiments --engine`)
-//!   measures the flat engine's speedup against this baseline and records it
-//!   in `BENCH_engine.json`.
+//! * **oracle** — the drivers written against
+//!   [`EngineControl`](crate::EngineControl) (sharded MST, sharded global
+//!   function, re-sharding) run on it unchanged, so their four-substrate
+//!   pinning tests have a deliberately naive instantiation to agree with.
 //!
 //! Do not use it for experiments; it is deliberately allocator-bound.
 
@@ -184,14 +185,6 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
     /// The installed fault session, if any.
     pub fn fault_session(&self) -> Option<&FaultSession> {
         self.faults.as_ref()
-    }
-
-    /// Current lifecycle state of node `v` (`Operational` when no fault
-    /// plan is installed).
-    pub fn fault_lifecycle(&self, v: NodeId) -> NodeLifecycle {
-        self.faults
-            .as_ref()
-            .map_or(NodeLifecycle::Operational, |s| s.lifecycle(v))
     }
 
     /// Applies the current round's lifecycle transitions and charges the
@@ -520,7 +513,7 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SyncEngine;
+    use crate::{EngineControl, SyncEngine};
     use netsim_graph::generators;
 
     /// Gossip-max: every node floods the largest id it has seen until nothing
@@ -600,7 +593,7 @@ mod tests {
                 let slow_out = slow.run(limit);
                 assert_eq!(fast_out, slow_out);
                 for v in g.nodes() {
-                    assert_eq!(fast.fault_lifecycle(v), slow.fault_lifecycle(v));
+                    assert_eq!(fast.lifecycle(v), slow.lifecycle(v));
                 }
                 let (fast_nodes, fast_cost) = fast.into_parts();
                 let (slow_nodes, slow_cost) = slow.into_parts();

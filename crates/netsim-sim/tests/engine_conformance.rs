@@ -501,8 +501,8 @@ fn scripted_reattach_conforms_across_engines_and_topologies() {
 
 // ---------------------------------------------------------------------------
 // ChannelShardedSum: the benchmark's K-channel scenario family with sharded
-// per-node attachment — pinned across all three engines, as the channels
-// section of BENCH_engine.json claims.
+// per-node attachment — pinned across all three engines, which is what lets
+// the `chansum-*` workloads compare substrates on one instance.
 // ---------------------------------------------------------------------------
 
 #[test]

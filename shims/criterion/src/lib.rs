@@ -9,7 +9,7 @@
 //! warm-up time, then measures batches until the measurement time elapses and
 //! reports the mean time per iteration.  No statistics, plots, or baselines —
 //! the numbers are for coarse regression tracking only (the reproducible
-//! artifact lives in `BENCH_engine.json`).
+//! record is the repo benchmark declared in `BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 

@@ -14,8 +14,9 @@
 //!   functions, MST, synchronizer, size estimation, lower bounds);
 //! * [`baselines`] — single-medium comparators.
 //!
-//! See `README.md` for a tour and `EXPERIMENTS.md` for the reproduction of
-//! every result in the paper.
+//! See `README.md` for a tour; the `experiments` binary of the `bench`
+//! crate regenerates the measured tables E1–E9 of the paper's results
+//! (ROADMAP item 1).
 //!
 //! ```
 //! use multimedia_net::multimedia::{global_fn::{self, Min}, MultimediaNetwork};
