@@ -9,7 +9,7 @@
 use netsim_graph::{NodeId, SpanningForest};
 use netsim_sim::{
     protocols::{BfsBuild, Convergecast, TreeBroadcast},
-    CostAccount, SyncEngine,
+    CostAccount, EngineControl, SyncEngine,
 };
 
 /// Result of a point-to-point-only global computation.
@@ -72,7 +72,7 @@ where
         .filter_map(|v| bfs.node(v).depth())
         .max()
         .unwrap_or(0);
-    let tree_cost = *bfs.cost();
+    let tree_cost = bfs.cost();
     let forest =
         SpanningForest::from_parents(graph, parents).expect("BFS parents form a spanning tree");
     assert_eq!(forest.tree_count(), 1, "graph must be connected");
@@ -89,7 +89,7 @@ where
     let outcome = up.run(4 * n as u64 + 16);
     assert!(outcome.is_completed());
     let value = up.node(root).result().clone();
-    let up_cost = *up.cost();
+    let up_cost = up.cost();
 
     // Stage 3: broadcast the value down the tree.
     let mut down = SyncEngine::new(graph, |v| {
@@ -102,7 +102,7 @@ where
     for v in graph.nodes() {
         debug_assert!(down.node(v).value().is_some(), "broadcast must reach {v}");
     }
-    let down_cost = *down.cost();
+    let down_cost = down.cost();
 
     P2pGlobalRun {
         value,

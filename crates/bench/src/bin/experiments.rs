@@ -20,7 +20,7 @@ use multimedia::{
     size, synchronizer,
 };
 use netsim_graph::{generators::Family, log_star, NodeId};
-use netsim_sim::{protocols::BfsBuild, AsyncConfig, SyncEngine};
+use netsim_sim::{protocols::BfsBuild, AsyncConfig, EngineControl, SyncEngine};
 
 const USAGE: &str = "usage: experiments [--quick] [--exp ID...] [--json FILE]
   --quick      smaller sweeps
@@ -373,7 +373,7 @@ fn e6(opts: &Opts, all: &mut Vec<Record>) {
         // Synchronous reference.
         let mut sync_engine = SyncEngine::new(net.graph(), |id| BfsBuild::new(id, root));
         sync_engine.run(100_000);
-        let sync_cost = *sync_engine.cost();
+        let sync_cost = sync_engine.cost();
         records.push(Record::new(
             "E6",
             "grid",

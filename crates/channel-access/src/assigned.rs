@@ -618,7 +618,7 @@ mod tests {
     use crate::contention::{is_valid_schedule, Contender, ScheduleResult};
     use crate::{capetanakis, election};
     use netsim_graph::generators;
-    use netsim_sim::{ChannelSet, CostAccount, ReferenceEngine, SyncEngine};
+    use netsim_sim::{ChannelSet, CostAccount, EngineBuilder, EngineControl};
 
     const CHAN: ChannelId = ChannelId(1);
 
@@ -635,9 +635,9 @@ mod tests {
         let n = g.node_count();
         let stations = contender_ids(n);
         let id_space = 1u64 << 10;
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            AssignedSplit::new(stations[v.index()], id_space, CHAN)
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| AssignedSplit::new(stations[v.index()], id_space, CHAN));
         let out = eng.run(10_000);
         assert!(out.is_completed());
 
@@ -672,8 +672,12 @@ mod tests {
         let id_space = 1u64 << 9;
         let init =
             |v: netsim_graph::NodeId| AssignedSplit::new(stations[v.index()], id_space, CHAN);
-        let mut flat = SyncEngine::with_channels(&g, ChannelSet::uniform(2), init);
-        let mut reference = ReferenceEngine::with_channels(&g, ChannelSet::uniform(2), init);
+        let mut flat = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(init);
+        let mut reference = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_reference(init);
         assert!(flat.run(10_000).is_completed());
         assert!(reference.run(10_000).is_completed());
         assert_eq!(flat.cost(), reference.cost());
@@ -688,9 +692,9 @@ mod tests {
         let n = g.node_count();
         let stations = contender_ids(n);
         let bits = 10;
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            AssignedElection::new(stations[v.index()], bits, CHAN)
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| AssignedElection::new(stations[v.index()], bits, CHAN));
         let out = eng.run(10_000);
         assert!(out.is_completed());
         let ids: Vec<u64> = stations.iter().flatten().copied().collect();
@@ -740,9 +744,9 @@ mod tests {
         let g = generators::ring(21);
         let n = g.node_count();
         let bits = 9;
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            scalar(three_slot_seat(v.index()), bits, 3, CHAN)
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| scalar(three_slot_seat(v.index()), bits, 3, CHAN));
         let out = eng.run(10_000);
         assert!(out.is_completed());
         // The busiest channel runs 3 slots of bits + 2 rounds each; the last
@@ -768,8 +772,12 @@ mod tests {
             let station = (v % 3 != 2).then(|| (v as u64) * 7 + 2);
             scalar(seat((v % 2) as u32, station), bits, 2, CHAN)
         };
-        let mut flat = SyncEngine::with_channels(&g, ChannelSet::uniform(2), init);
-        let mut reference = ReferenceEngine::with_channels(&g, ChannelSet::uniform(2), init);
+        let mut flat = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(init);
+        let mut reference = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_reference(init);
         assert!(flat.run(10_000).is_completed());
         assert!(reference.run(10_000).is_completed());
         assert_eq!(flat.cost(), reference.cost());
@@ -795,10 +803,9 @@ mod tests {
             }
         };
         let bits = 5;
-        let mut eng = SyncEngine::with_channels(
-            &g,
-            ChannelSet::sharded(2, 12, |v| assign(v.index()).0),
-            |v| {
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::sharded(2, 12, |v| assign(v.index()).0))
+            .build_flat(|v| {
                 let (chan, elections) = assign(v.index());
                 let slot = (v.index() as u32 / 2) % elections;
                 scalar(
@@ -807,8 +814,7 @@ mod tests {
                     elections,
                     chan,
                 )
-            },
-        );
+            });
         let out = eng.run(10_000);
         assert!(out.is_completed());
         assert_eq!(out.rounds(), 3 * LaneElectionSeries::slot_rounds(bits));
@@ -819,7 +825,7 @@ mod tests {
 
         // Re-arm: everyone now runs a single election on channel 0.
         eng.reattach(&[0b01u64; 12]);
-        eng.update_nodes(|v, series| {
+        eng.update_nodes(&mut |v, series| {
             series.rearm(Some(seat(0, Some(v.index() as u64 + 1))), 1, ChannelId(0));
         });
         let rounds_before = eng.round();
@@ -851,18 +857,20 @@ mod tests {
         };
         let fresh =
             |(seat, elections, chan)| LaneElectionSeries::new(seat, bits, elections, 64, chan);
-        let mut eng =
-            SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| fresh(first(v.index())));
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| fresh(first(v.index())));
         assert!(eng.run(10_000).is_completed());
         assert_eq!(eng.round(), 3 * LaneElectionSeries::slot_rounds(bits));
 
-        eng.update_nodes(|v, series| {
+        eng.update_nodes(&mut |v, series| {
             let (seat, elections, chan) = second(v.index());
             series.rearm(seat, elections, chan);
             assert_eq!(*series, fresh(second(v.index())));
         });
-        let mut scratch =
-            SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| fresh(second(v.index())));
+        let mut scratch = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| fresh(second(v.index())));
         assert!(eng.run(10_000).is_completed());
         assert!(scratch.run(10_000).is_completed());
         assert_eq!(scratch.round(), 2 * LaneElectionSeries::slot_rounds(bits));
@@ -879,10 +887,10 @@ mod tests {
         // fault-free horizon and every member reports an empty election.
         let g = generators::ring(10);
         let bits = 6;
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            scalar(seat(0, Some(v.index() as u64 + 1)), bits, 1, CHAN)
-        });
-        eng.set_fault_plan(netsim_sim::FaultPlan::from_rates(11, 1.0, 0.0, 0.0, 0.0));
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .fault_plan(netsim_sim::FaultPlan::from_rates(11, 1.0, 0.0, 0.0, 0.0))
+            .build_flat(|v| scalar(seat(0, Some(v.index() as u64 + 1)), bits, 1, CHAN));
         let out = eng.run(10_000);
         assert!(out.is_completed());
         assert_eq!(out.rounds(), LaneElectionSeries::slot_rounds(bits));
@@ -901,10 +909,10 @@ mod tests {
         let n = g.node_count();
         let bits = 9;
         for seed in [3u64, 17, 92] {
-            let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-                scalar(three_slot_seat(v.index()), bits, 3, CHAN)
-            });
-            eng.set_fault_plan(netsim_sim::FaultPlan::from_rates(seed, 0.35, 0.0, 0.0, 0.0));
+            let mut eng = EngineBuilder::new(&g)
+                .channels(ChannelSet::uniform(2))
+                .fault_plan(netsim_sim::FaultPlan::from_rates(seed, 0.35, 0.0, 0.0, 0.0))
+                .build_flat(|v| scalar(three_slot_seat(v.index()), bits, 3, CHAN));
             let out = eng.run(10_000);
             assert!(out.is_completed(), "seed {seed}");
             assert_eq!(out.rounds(), 3 * LaneElectionSeries::slot_rounds(bits));
@@ -931,9 +939,9 @@ mod tests {
         let n = g.node_count();
         let stations = contender_ids(n);
         let count = stations.iter().flatten().count() as u64;
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |v| {
-            AssignedBackoff::new(stations[v.index()], count, 7, CHAN)
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|v| AssignedBackoff::new(stations[v.index()], count, 7, CHAN));
         let out = eng.run(100_000);
         assert!(out.is_completed());
         let contenders: Vec<Contender> = stations

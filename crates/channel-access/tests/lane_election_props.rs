@@ -23,7 +23,9 @@
 
 use channel_access::assigned::{LaneElectionSeries, Seat};
 use netsim_graph::{generators, NodeId};
-use netsim_sim::{ChannelId, ChannelSet, FaultPlan, Protocol, RoundIo, SyncEngine};
+use netsim_sim::{
+    ChannelId, ChannelSet, EngineBuilder, EngineControl, FaultPlan, Protocol, RoundIo, SyncEngine,
+};
 use proptest::prelude::*;
 
 const NODES: usize = 48;
@@ -131,7 +133,11 @@ fn run_lanes(
     plan: Option<FaultPlan>,
 ) -> Vec<Option<u64>> {
     let g = generators::path(NODES);
-    let mut engine = SyncEngine::new(&g, |v: NodeId| Noisy {
+    let mut builder = EngineBuilder::new(&g);
+    if let Some(plan) = plan {
+        builder = builder.fault_plan(plan);
+    }
+    let mut engine = builder.build_flat(|v: NodeId| Noisy {
         inner: LaneElectionSeries::new(
             Some(w.seats[v.index()]),
             w.bits,
@@ -143,9 +149,6 @@ fn run_lanes(
         noise: noise_salt.wrapping_mul(v.index() as u64 + 1) & 0x7,
         round: 0,
     });
-    if let Some(plan) = plan {
-        engine.set_fault_plan(plan);
-    }
     let batches = u64::from(w.elections.div_ceil(width));
     let budget = batches * LaneElectionSeries::slot_rounds(w.bits) + 8;
     assert!(
@@ -238,17 +241,13 @@ proptest! {
         // re-arms in place with a fresh workload.
         let chan = |v: usize, shift: usize| ((v + shift) % 2) as u16;
         let masks = |shift: usize| (0..NODES).map(|v| 1u64 << chan(v, shift)).collect::<Vec<u64>>();
-        let mut engine = SyncEngine::with_channels(
-            &g,
-            ChannelSet::from_masks(2, masks(0)),
-            |v: NodeId| LaneElectionSeries::new(
+        let mut engine = EngineBuilder::new(&g).channels(ChannelSet::from_masks(2, masks(0))).build_flat(|v: NodeId| LaneElectionSeries::new(
                 Some(wa.seats[v.index()]), bits, elections, width, ChannelId(chan(v.index(), 0)),
-            ),
-        );
+            ));
         for (w, shift) in [(&wa, 0usize), (&wb, 1)] {
             if shift > 0 {
                 engine.reattach(&masks(shift));
-                engine.update_nodes(|v, series| {
+                engine.update_nodes(&mut |v, series| {
                     series.rearm(Some(w.seats[v.index()]), elections, ChannelId(chan(v.index(), shift)));
                 });
             }

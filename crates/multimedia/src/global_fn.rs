@@ -21,12 +21,11 @@
 //! `O(√n·log* n)` time.
 
 use crate::model::MultimediaNetwork;
-use crate::mst::MergeSubstrate;
+use crate::mst::{on_substrate, MergeSubstrate};
 use crate::partition::{deterministic, randomized, PartitionOutcome};
 use channel_access::assigned::{LaneElectionSeries, Seat};
 use channel_access::{backoff, capetanakis, Contender};
 use netsim_graph::{ceil_log2, log_star, NodeId, SpanningForest};
-use netsim_io::WireNet;
 use netsim_sim::{
     protocols::Convergecast, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
     Protocol, RoundIo, SlotOutcome, SyncEngine, MAX_CHANNELS,
@@ -139,7 +138,7 @@ pub fn local_aggregate<T: Semigroup>(
         .iter()
         .map(|&r| (r, engine.node(r).result().clone()))
         .collect();
-    (partials, *engine.cost())
+    (partials, engine.cost())
 }
 
 fn combine_all<T: Semigroup>(partials: &[(NodeId, T)]) -> T {
@@ -447,9 +446,6 @@ impl<T> ShardedGlobalFnRun<T> {
     }
 }
 
-/// Hosts the wire substrate partitions the node set across.
-const WIRE_GLOBAL_HOSTS: u16 = 2;
-
 /// Runs the current global-stage phase to quiescence within `rounds` plus
 /// slack.  Written once against [`EngineControl`]; the lockstep
 /// substrate's round offset is folded into
@@ -511,20 +507,7 @@ pub fn compute_sharded_with_partition<T: WordSemigroup>(
     k: u16,
     which: MergeSubstrate,
 ) -> ShardedGlobalFnRun<T> {
-    match which {
-        MergeSubstrate::Flat => {
-            compute_sharded_generic(net, partition, inputs, k, |b, init| b.build_flat(init))
-        }
-        MergeSubstrate::Reference => {
-            compute_sharded_generic(net, partition, inputs, k, |b, init| b.build_reference(init))
-        }
-        MergeSubstrate::AsyncLockstep => {
-            compute_sharded_generic(net, partition, inputs, k, |b, init| b.build_lockstep(init))
-        }
-        MergeSubstrate::Wire => compute_sharded_generic(net, partition, inputs, k, |b, init| {
-            WireNet::from_builder(b, WIRE_GLOBAL_HOSTS, init)
-        }),
-    }
+    on_substrate!(which, compute_sharded_generic(net, partition, inputs, k))
 }
 
 /// The substrate-generic body of [`compute_sharded_with_partition`]: both

@@ -493,6 +493,34 @@ pub enum MergeSubstrate {
     Wire,
 }
 
+/// Hosts the [`MergeSubstrate::Wire`] substrate partitions the node set
+/// across (each a loopback UDP socket).
+pub(crate) const WIRE_HOSTS: u16 = 2;
+
+/// The one dispatch point from a [`MergeSubstrate`] to a driver generic over
+/// [`EngineControl`]: `on_substrate!(which, driver(args..) tail..)` expands
+/// to `driver(args.., build) tail..` with `build` the matching
+/// [`EngineBuilder`] constructor closure.  A macro rather than an enum
+/// engine, so each arm monomorphises the driver for its concrete substrate
+/// and the flat path carries no `match` per `node()` / `run()` call.
+macro_rules! on_substrate {
+    ($which:expr, $driver:ident($($arg:expr),* $(,)?) $($tail:tt)*) => {
+        match $which {
+            MergeSubstrate::Flat => $driver($($arg,)* |b, init| b.build_flat(init)) $($tail)*,
+            MergeSubstrate::Reference => {
+                $driver($($arg,)* |b, init| b.build_reference(init)) $($tail)*
+            }
+            MergeSubstrate::AsyncLockstep => {
+                $driver($($arg,)* |b, init| b.build_lockstep(init)) $($tail)*
+            }
+            MergeSubstrate::Wire => $driver($($arg,)* |b, init| {
+                netsim_io::WireNet::from_builder(b, $crate::mst::WIRE_HOSTS, init)
+            }) $($tail)*,
+        }
+    };
+}
+pub(crate) use on_substrate;
+
 /// Result of the channel-sharded distributed MST construction.
 #[derive(Clone, Debug)]
 pub struct ShardedMstRun {
@@ -662,10 +690,6 @@ fn plan_phase(
     plan.close(stations.bits());
 }
 
-/// Hosts the [`MergeSubstrate::Wire`] substrate partitions the node set
-/// across (each a loopback UDP socket).
-const WIRE_MERGE_HOSTS: u16 = 2;
-
 /// Runs the current phase within `rounds` election rounds plus the
 /// handshake tail plus slack, returning whether it quiesced — a faulted
 /// phase can legitimately overrun its schedule (e.g. a node stuck
@@ -726,20 +750,7 @@ pub fn sharded_mst_from_partition(
     k: u16,
     which: MergeSubstrate,
 ) -> ShardedMstRun {
-    match which {
-        MergeSubstrate::Flat => {
-            sharded_mst_generic(net, partition, k, |b, init| b.build_flat(init))
-        }
-        MergeSubstrate::Reference => {
-            sharded_mst_generic(net, partition, k, |b, init| b.build_reference(init))
-        }
-        MergeSubstrate::AsyncLockstep => {
-            sharded_mst_generic(net, partition, k, |b, init| b.build_lockstep(init))
-        }
-        MergeSubstrate::Wire => sharded_mst_generic(net, partition, k, |b, init| {
-            netsim_io::WireNet::from_builder(b, WIRE_MERGE_HOSTS, init)
-        }),
-    }
+    on_substrate!(which, sharded_mst_generic(net, partition, k))
 }
 
 /// The substrate-generic body of [`sharded_mst_from_partition`]: the merge
@@ -990,28 +1001,10 @@ pub fn sharded_mst_faulted(
     plan: netsim_sim::FaultPlan,
     max_phases: u32,
 ) -> FaultedMstRun {
-    match which {
-        MergeSubstrate::Flat => {
-            sharded_mst_faulted_generic(net, partition, k, plan, max_phases, |b, init| {
-                b.build_flat(init)
-            })
-        }
-        MergeSubstrate::Reference => {
-            sharded_mst_faulted_generic(net, partition, k, plan, max_phases, |b, init| {
-                b.build_reference(init)
-            })
-        }
-        MergeSubstrate::AsyncLockstep => {
-            sharded_mst_faulted_generic(net, partition, k, plan, max_phases, |b, init| {
-                b.build_lockstep(init)
-            })
-        }
-        MergeSubstrate::Wire => {
-            sharded_mst_faulted_generic(net, partition, k, plan, max_phases, |b, init| {
-                netsim_io::WireNet::from_builder(b, WIRE_MERGE_HOSTS, init)
-            })
-        }
-    }
+    on_substrate!(
+        which,
+        sharded_mst_faulted_generic(net, partition, k, plan, max_phases)
+    )
 }
 
 /// The substrate-generic body of [`sharded_mst_faulted`], mirroring

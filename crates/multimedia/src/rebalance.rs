@@ -29,17 +29,13 @@
 //! `mmbench` workload).
 
 use crate::model::MultimediaNetwork;
-use crate::mst::MergeSubstrate;
+use crate::mst::{on_substrate, MergeSubstrate};
 use netsim_graph::NodeId;
-use netsim_io::WireNet;
 use netsim_sim::reshard::{ContentionMonitor, ReshardNode, ReshardSpec};
 use netsim_sim::{
     protocols::ChannelShardedSum, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
     FaultPlan, Protocol, RoundIo, MAX_CHANNELS,
 };
-
-/// Hosts the wire substrate partitions the node set across.
-const WIRE_REBALANCE_HOSTS: u16 = 2;
 
 /// A deterministic Zipf-skewed channel assignment: channel `c` receives a
 /// share of the `n` nodes proportional to `1 / (c + 1)^exponent`,
@@ -235,64 +231,10 @@ pub fn rebalanced_sum(
     plan: Option<FaultPlan>,
     which: MergeSubstrate,
 ) -> RebalanceRun {
-    match which {
-        MergeSubstrate::Flat => {
-            rebalanced_sum_generic(
-                net,
-                values,
-                chans,
-                k,
-                windows,
-                skew,
-                seed,
-                plan,
-                |b, init| b.build_flat(init),
-            )
-            .0
-        }
-        MergeSubstrate::Reference => {
-            rebalanced_sum_generic(
-                net,
-                values,
-                chans,
-                k,
-                windows,
-                skew,
-                seed,
-                plan,
-                |b, init| b.build_reference(init),
-            )
-            .0
-        }
-        MergeSubstrate::AsyncLockstep => {
-            rebalanced_sum_generic(
-                net,
-                values,
-                chans,
-                k,
-                windows,
-                skew,
-                seed,
-                plan,
-                |b, init| b.build_lockstep(init),
-            )
-            .0
-        }
-        MergeSubstrate::Wire => {
-            rebalanced_sum_generic(
-                net,
-                values,
-                chans,
-                k,
-                windows,
-                skew,
-                seed,
-                plan,
-                |b, init| WireNet::from_builder(b, WIRE_REBALANCE_HOSTS, init),
-            )
-            .0
-        }
-    }
+    on_substrate!(
+        which,
+        rebalanced_sum_generic(net, values, chans, k, windows, skew, seed, plan).0
+    )
 }
 
 /// The substrate-generic body of [`rebalanced_sum`]; also hands back the

@@ -324,7 +324,7 @@ where
 mod tests {
     use super::*;
     use netsim_graph::generators;
-    use netsim_sim::{protocols::BfsBuild, SyncEngine};
+    use netsim_sim::{protocols::BfsBuild, EngineControl, SyncEngine};
 
     fn run_bfs_synchronized(
         net: &MultimediaNetwork,

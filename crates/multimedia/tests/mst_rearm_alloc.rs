@@ -12,7 +12,7 @@ use multimedia::global_fn::{ShardedGlobalFn, Sum};
 use multimedia::mst::{MergeCandidate, MergePhase, PhaseSeat};
 use multimedia::WeightStations;
 use netsim_graph::{generators, Graph};
-use netsim_sim::{ChannelId, ChannelSet, SyncEngine};
+use netsim_sim::{ChannelId, ChannelSet, EngineBuilder, EngineControl};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -108,16 +108,16 @@ fn second_phase_allocs(n: usize) -> u64 {
     let stations = WeightStations::new(&g);
     let (masks, first) = seats(&g, &stations, 0);
     let (next_masks, next) = seats(&g, &stations, 1);
-    let mut eng = SyncEngine::with_channels(&g, ChannelSet::from_masks(K, masks), |v| {
-        MergePhase::new(stations.bits(), first[v.index()])
-    });
+    let mut eng = EngineBuilder::new(&g)
+        .channels(ChannelSet::from_masks(K, masks))
+        .build_flat(|v| MergePhase::new(stations.bits(), first[v.index()]));
     let phase_rounds = first[0].horizon + MergePhase::HANDSHAKE_ROUNDS;
     assert!(eng.run(phase_rounds).is_completed());
     assert_eq!(eng.round(), phase_rounds);
 
     let before = allocs();
     eng.reattach(&next_masks);
-    eng.update_nodes(|v, phase| phase.rearm(next[v.index()]));
+    eng.update_nodes(&mut |v, phase| phase.rearm(next[v.index()]));
     let completed = eng.run(2 * phase_rounds).is_completed();
     let spent = allocs() - before;
 

@@ -20,7 +20,7 @@
 
 use multimedia::{synchronizer, MultimediaNetwork};
 use netsim_graph::{generators, NodeId};
-use netsim_sim::{AsyncConfig, Protocol, RoundIo, SyncEngine};
+use netsim_sim::{AsyncConfig, EngineControl, Protocol, RoundIo, SyncEngine};
 use proptest::prelude::*;
 
 fn mix(a: u64, b: u64) -> u64 {

@@ -70,8 +70,8 @@
 //! visited.  Every frame, self-delivery included, crosses the codec and a
 //! socket.
 //!
-//! [`WireNet`] drives `H` in-process hosts from one thread (the loopback
-//! analogue of `SyncEngine::run`, used by conformance and bench);
+//! [`WireNet`] drives `H` in-process hosts from one thread (the fourth
+//! [`EngineControl`] substrate, used by conformance and bench);
 //! [`WireHost`] is the per-process building block the two-process
 //! `wire_demo` binary uses directly.
 
@@ -85,8 +85,9 @@ use std::time::{Duration, Instant};
 use netsim_graph::{Graph, NodeId};
 use netsim_sim::wire::{Frame, WireMsg, HEADER_LEN, TRAILER_LEN};
 use netsim_sim::{
-    ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl, FaultPlan, FaultSession,
-    Inbox, LaneOutcome, NodeLifecycle, OutboxBuffer, Protocol, RoundIo, RunOutcome, SlotOutcome,
+    settle_lanes, settle_slot, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
+    FaultPlan, FaultSession, Inbox, LaneOutcome, NodeLifecycle, OutboxBuffer, Protocol, RoundIo,
+    SlotOutcome, SlotState,
 };
 
 /// Flush threshold for per-destination frame batches; comfortably under the
@@ -724,8 +725,8 @@ where
         }
         self.cost.add_round();
 
-        // Slot resolution: writer counts per channel decide the outcome
-        // (order-independent), erasure coin keyed on the executed round.
+        // Slot fold: writer counts per channel decide the outcome
+        // (order-independent); a sole writer's payload is the winner.
         self.slot_counts.fill(0);
         for &(chan, _, _) in &self.slot_writes {
             self.slot_counts[chan.index()] += 1;
@@ -740,35 +741,7 @@ where
                 self.prev_slots[c] = SlotOutcome::Success { from, msg: payload };
             }
         }
-        for (c, &count) in self.slot_counts.iter().enumerate() {
-            let writers = u64::from(count);
-            self.chan_cost[c].add_round();
-            if writers == 0 {
-                self.cost.add_channel_slot(0);
-                self.chan_cost[c].add_channel_slot(0);
-                continue;
-            }
-            nonidle += 1;
-            let erased = self
-                .session
-                .as_ref()
-                .is_some_and(|s| s.erases_slot(round, ChannelId(c as u16)));
-            if erased {
-                self.prev_slots[c] = SlotOutcome::Erased;
-                self.cost.add_erased_slot(writers);
-                self.chan_cost[c].add_erased_slot(writers);
-            } else {
-                if writers >= 2 {
-                    self.prev_slots[c] = SlotOutcome::Collision;
-                }
-                self.cost.add_channel_slot(writers);
-                self.chan_cost[c].add_channel_slot(writers);
-            }
-        }
-
-        // Lane resolution: OR the broadcast words per channel
-        // (order-independent), then the channel's erasure draw and the
-        // corruption draw — identical classification to the engines.
+        // Lane fold: OR the broadcast words per channel (order-independent).
         self.lane_counts.fill(0);
         for lane in self.prev_lanes.iter_mut() {
             *lane = LaneOutcome::Idle;
@@ -776,41 +749,25 @@ where
         for (chan, _, word) in self.lane_writes.drain(..) {
             let c = chan.index();
             self.lane_counts[c] += 1;
-            self.prev_lanes[c] = match self.prev_lanes[c] {
-                LaneOutcome::Idle => LaneOutcome::Word(word),
-                LaneOutcome::Word(w) => LaneOutcome::Word(w | word),
-                LaneOutcome::Erased => unreachable!("erasure happens post-fold"),
-            };
+            self.prev_lanes[c] = LaneOutcome::Word(self.prev_lanes[c].word().unwrap_or(0) | word);
         }
-        for (c, &count) in self.lane_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            nonidle += 1;
+        // The resolve boundary proper — erasure and corruption draws keyed
+        // on the executed round, classification, charges — is the engines'
+        // shared core.
+        let session = self.session.as_ref();
+        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
             let chan = ChannelId(c as u16);
-            if self
-                .session
-                .as_ref()
-                .is_some_and(|s| s.erases_slot(round, chan))
-            {
-                self.prev_lanes[c] = LaneOutcome::Erased;
-                self.cost.add_erased_lanes(count);
-                self.chan_cost[c].add_erased_lanes(count);
-            } else {
-                if let Some(bit) = self
-                    .session
-                    .as_ref()
-                    .and_then(|s| s.corrupts_lane(round, chan))
-                {
-                    if let LaneOutcome::Word(w) = &mut self.prev_lanes[c] {
-                        *w ^= 1u64 << bit;
-                    }
-                    self.cost.add_corrupted_payloads(1);
-                    self.chan_cost[c].add_corrupted_payloads(1);
-                }
-                self.cost.add_lane_slot(count);
-                self.chan_cost[c].add_lane_slot(count);
+            let writers = u64::from(self.slot_counts[c]);
+            match settle_slot(session, round, chan, writers, &mut self.cost, cost) {
+                SlotState::Idle | SlotState::Success => {}
+                SlotState::Collision => self.prev_slots[c] = SlotOutcome::Collision,
+                SlotState::Erased => self.prev_slots[c] = SlotOutcome::Erased,
             }
+            nonidle += u32::from(writers > 0);
+            let (writers, word) = (self.lane_counts[c], self.prev_lanes[c].word().unwrap_or(0));
+            self.prev_lanes[c] =
+                settle_lanes(session, round, chan, writers, word, &mut self.cost, cost);
+            nonidle += u32::from(writers > 0);
         }
 
         // Deliver: sort the arrivals by (receiver, sender index, staging
@@ -854,7 +811,7 @@ where
 
     /// The distributed quiescence condition, evaluated at a round boundary:
     /// every node in the run is done or fault-exempt, nothing is in flight,
-    /// and every channel slot was idle.  Mirrors `SyncEngine::is_quiescent`
+    /// and every channel slot was idle.  Mirrors `EngineControl::is_quiescent`
     /// exactly (given fresh settled counts, which barriers provide).
     pub fn is_quiescent(&self) -> bool {
         let settled: u64 = self.settled_remote.iter().map(|&s| s as u64).sum();
@@ -870,7 +827,7 @@ where
     }
 
     /// Replaces the per-node channel attachment (between rounds only), same
-    /// contract as `SyncEngine::reattach`.
+    /// contract as `EngineControl::reattach`.
     pub fn reattach(&mut self, masks: &[u64]) {
         assert!(!self.in_round, "reattach mid-round");
         assert_eq!(masks.len(), self.graph.node_count(), "one mask per node");
@@ -878,7 +835,7 @@ where
     }
 
     /// Runs `f` over every owned node (between rounds only), same contract
-    /// as `SyncEngine::update_nodes`.  The own-host settled count refreshes
+    /// as `EngineControl::update_nodes`.  The own-host settled count refreshes
     /// immediately; peers learn of it via [`WireNet`]'s control plane or
     /// the next barrier.
     pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
@@ -1006,12 +963,12 @@ impl Endpoint {
     }
 }
 
-/// `H` wire hosts over loopback UDP, driven from one thread with the same
-/// surface as `SyncEngine`: [`run`](Self::run) / [`step_round`](Self::step_round) /
-/// [`reattach`](Self::reattach) / [`update_nodes`](Self::update_nodes) /
-/// [`cost`](Self::cost).  Every message still crosses a real socket; only
-/// the scheduling is in-process.  This is the conformance and bench
-/// harness; the `wire_demo` binary shows the genuinely multi-process form.
+/// `H` wire hosts over loopback UDP, driven from one thread through
+/// [`EngineControl`] like every other substrate — built by
+/// [`from_builder`](Self::from_builder), no inherent driving surface of its
+/// own.  Every message still crosses a real socket; only the scheduling is
+/// in-process.  This is the conformance and bench harness; the `wire_demo`
+/// binary shows the genuinely multi-process form.
 pub struct WireNet<'g, P: Protocol>
 where
     P::Msg: WireMsg,
@@ -1027,27 +984,27 @@ impl<'g, P: Protocol> WireNet<'g, P>
 where
     P::Msg: WireMsg,
 {
-    /// Builds `hosts` hosts over `graph` on the single default channel.
-    pub fn new<F: FnMut(NodeId) -> P>(graph: &'g Graph, hosts: u16, init: F) -> Self {
-        WireNet::with_channels(graph, ChannelSet::single(), hosts, init)
-    }
-
-    /// Builds `hosts` hosts over `graph` and an explicit [`ChannelSet`],
-    /// binds their loopback sockets, and completes the `Hello` handshake.
+    /// Builds `hosts` hosts from a shared [`EngineBuilder`] description —
+    /// graph, [`ChannelSet`], fault plan (replicated on every host) — binds
+    /// their loopback sockets, and completes the `Hello` handshake.  The
+    /// builder's sparse flag is accepted and ignored (wire hosts step dense
+    /// by construction; outcomes are pinned identical either way for
+    /// frontier-safe protocols).
     ///
     /// # Panics
     ///
     /// Panics on socket errors (ephemeral loopback binds do not fail in
     /// practice) or if the handshake cannot complete.
-    pub fn with_channels<F: FnMut(NodeId) -> P>(
-        graph: &'g Graph,
-        channels: ChannelSet,
+    pub fn from_builder<F: FnMut(NodeId) -> P>(
+        builder: &EngineBuilder<'g>,
         hosts: u16,
         mut init: F,
     ) -> Self {
+        let channels = builder.channel_set();
         let mut built: Vec<WireHost<'g, P>> = (0..hosts)
             .map(|h| {
-                WireHost::bind(graph, channels.clone(), h, hosts, "127.0.0.1:0", &mut init)
+                let addr = "127.0.0.1:0";
+                WireHost::bind(builder.graph(), channels.clone(), h, hosts, addr, &mut init)
                     .expect("binding a loopback wire host")
             })
             .collect();
@@ -1070,39 +1027,13 @@ where
             }
             net.pump();
         }
-        net
-    }
-
-    /// Builds the net from a shared [`EngineBuilder`] description — the
-    /// fourth substrate of the unified [`EngineControl`] surface.  The
-    /// builder's sparse flag is accepted and ignored (wire hosts step dense
-    /// by construction; outcomes are pinned identical either way for
-    /// frontier-safe protocols).
-    pub fn from_builder<F: FnMut(NodeId) -> P>(
-        builder: &EngineBuilder<'g>,
-        hosts: u16,
-        init: F,
-    ) -> Self {
-        let mut net =
-            WireNet::with_channels(builder.graph(), builder.channel_set().clone(), hosts, init);
         if let Some(plan) = builder.plan() {
-            net.set_fault_plan(plan.clone());
+            for h in net.hosts.iter_mut() {
+                h.set_fault_plan(plan.clone());
+            }
+            net.sync_settled();
         }
         net
-    }
-
-    /// Installs the same [`FaultPlan`] on every host; before round 0 only.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        for h in self.hosts.iter_mut() {
-            h.set_fault_plan(plan.clone());
-        }
-        self.sync_settled();
-    }
-
-    /// The replicated fault session (host 0's copy), when a plan is
-    /// installed.
-    pub fn fault_session(&self) -> Option<&FaultSession> {
-        self.hosts[0].fault_session()
     }
 
     fn pump(&mut self) {
@@ -1111,9 +1042,9 @@ where
         }
     }
 
-    /// In-process settled-count refresh: after construction,
-    /// `set_fault_plan`, or `update_nodes`, every host learns every other
-    /// host's current count without waiting for the next barrier.
+    /// In-process settled-count refresh: after the fault plan is installed
+    /// or `update_nodes` ran, every host learns every other host's current
+    /// count without waiting for the next barrier.
     fn sync_settled(&mut self) {
         let counts: Vec<u32> = self.hosts.iter().map(|h| h.local_settled()).collect();
         for h in self.hosts.iter_mut() {
@@ -1123,15 +1054,45 @@ where
         }
     }
 
-    /// Executes one full round on every host: step + transmit, pump the
-    /// sockets until every host has collected the complete round, resolve.
+    /// Total frame bytes pushed onto the wire across all hosts.
+    pub fn bytes_sent(&self) -> u64 {
+        self.hosts.iter().map(|h| h.bytes_sent()).sum()
+    }
+
+    /// Number of hosts.
+    pub fn host_count(&self) -> u16 {
+        self.hosts.len() as u16
+    }
+
+    /// Consumes the net, returning every node's final state in node-id
+    /// order (the same shape as `SyncEngine::into_parts().0`).
+    pub fn into_nodes(self) -> Vec<P> {
+        let mut all: Vec<(NodeId, P)> = self
+            .hosts
+            .into_iter()
+            .flat_map(WireHost::into_nodes)
+            .collect();
+        all.sort_unstable_by_key(|(v, _)| v.index());
+        all.into_iter().map(|(_, p)| p).collect()
+    }
+}
+
+/// The wire substrate on the engine surface.  Every host replicates the
+/// simulator's global accounting, fault session and quiescence view, so
+/// host 0's copy is the engine's and no reconciliation is needed.
+impl<'g, P: Protocol> EngineControl<P> for WireNet<'g, P>
+where
+    P::Msg: WireMsg,
+{
+    /// Step + transmit on every host, pump the sockets until every host has
+    /// collected the complete round, resolve.
     ///
     /// # Panics
     ///
     /// Panics if the round cannot complete within the harness timeout
     /// (frames lost to socket-buffer overflow — raise the flush threshold
     /// or shrink the round) or on socket errors.
-    pub fn step_round(&mut self) {
+    fn step_round(&mut self) {
         for h in self.hosts.iter_mut() {
             h.begin_round().expect("begin_round");
         }
@@ -1156,151 +1117,51 @@ where
         );
     }
 
-    /// `true` when the distributed quiescence condition holds (all hosts
-    /// agree; host 0's view is returned).
-    pub fn is_quiescent(&self) -> bool {
+    fn round(&self) -> u64 {
+        self.hosts[0].round()
+    }
+
+    fn is_quiescent(&self) -> bool {
         self.hosts[0].is_quiescent()
     }
 
-    /// Runs until quiescence or until `max_rounds` total rounds have
-    /// executed; same contract as `SyncEngine::run`.
-    pub fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        while self.round() < max_rounds {
-            if self.is_quiescent() {
-                return RunOutcome::Completed {
-                    rounds: self.round(),
-                };
-            }
-            self.step_round();
-        }
-        if self.is_quiescent() {
-            RunOutcome::Completed {
-                rounds: self.round(),
-            }
-        } else {
-            RunOutcome::RoundLimit {
-                rounds: self.round(),
-            }
-        }
+    fn cost(&self) -> CostAccount {
+        *self.hosts[0].cost()
     }
 
-    /// Replaces the per-node channel attachment on every host; between
-    /// rounds only.
-    pub fn reattach(&mut self, masks: &[u64]) {
+    fn channel_costs(&self) -> Vec<CostAccount> {
+        self.hosts[0].channel_costs().to_vec()
+    }
+
+    fn channel_count(&self) -> u16 {
+        self.hosts[0].channels.channels()
+    }
+
+    fn reattach(&mut self, masks: &[u64]) {
         for h in self.hosts.iter_mut() {
             h.reattach(masks);
         }
     }
 
-    /// Runs `f` over every node (each host covers its own); between rounds
-    /// only.
-    pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
+    /// Each host covers its own nodes.
+    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
         for h in self.hosts.iter_mut() {
-            h.update_nodes(&mut f);
+            h.update_nodes(&mut *f);
         }
         self.sync_settled();
     }
 
-    /// Read access to node `v`'s protocol state (on whichever host owns it).
-    pub fn node(&self, v: NodeId) -> &P {
+    /// On whichever host owns `v`.
+    fn node(&self, v: NodeId) -> &P {
         let h = owner_of(self.hosts.len() as u16, v);
         self.hosts[h as usize]
             .node_local(v)
             .expect("owner host holds the node")
     }
 
-    /// The global cost account (bit-identical to the simulator's for the
-    /// same run; all hosts agree, host 0's copy is returned).
-    pub fn cost(&self) -> &CostAccount {
-        self.hosts[0].cost()
-    }
-
-    /// Per-channel breakdown of the channel-scoped counters of
-    /// [`cost`](Self::cost) (all hosts agree; host 0's copy is returned).
-    pub fn channel_costs(&self) -> &[CostAccount] {
-        self.hosts[0].channel_costs()
-    }
-
-    /// Rounds finished so far.
-    pub fn round(&self) -> u64 {
-        self.hosts[0].round()
-    }
-
-    /// Total frame bytes pushed onto the wire across all hosts.
-    pub fn bytes_sent(&self) -> u64 {
-        self.hosts.iter().map(|h| h.bytes_sent()).sum()
-    }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> u16 {
-        self.hosts.len() as u16
-    }
-
-    /// Number of channels `K` in the replicated [`ChannelSet`].
-    pub fn channel_count(&self) -> u16 {
-        self.hosts[0].channels.channels()
-    }
-
-    /// Consumes the net, returning every node's final state in node-id
-    /// order (the same shape as `SyncEngine::into_parts().0`).
-    pub fn into_nodes(self) -> Vec<P> {
-        let mut all: Vec<(NodeId, P)> = self
-            .hosts
-            .into_iter()
-            .flat_map(WireHost::into_nodes)
-            .collect();
-        all.sort_unstable_by_key(|(v, _)| v.index());
-        all.into_iter().map(|(_, p)| p).collect()
-    }
-}
-
-/// The wire substrate on the unified control surface: every host already
-/// replicates the simulator's global accounting, so no reconciliation is
-/// needed — host 0's view is the engine's view.
-/// [`enable_sparse`](EngineControl::enable_sparse) is a no-op (wire hosts
-/// step dense by construction; pinned identical for frontier-safe
-/// protocols).
-impl<'g, P: Protocol> EngineControl<P> for WireNet<'g, P>
-where
-    P::Msg: WireMsg,
-{
-    fn step_round(&mut self) {
-        WireNet::step_round(self);
-    }
-    fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        WireNet::run(self, max_rounds)
-    }
-    fn round(&self) -> u64 {
-        WireNet::round(self)
-    }
-    fn is_quiescent(&self) -> bool {
-        WireNet::is_quiescent(self)
-    }
-    fn cost(&self) -> CostAccount {
-        *WireNet::cost(self)
-    }
-    fn channel_costs(&self) -> Vec<CostAccount> {
-        WireNet::channel_costs(self).to_vec()
-    }
-    fn channel_count(&self) -> u16 {
-        WireNet::channel_count(self)
-    }
-    fn reattach(&mut self, masks: &[u64]) {
-        WireNet::reattach(self, masks);
-    }
-    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
-        WireNet::update_nodes(self, f);
-    }
-    fn node(&self, v: NodeId) -> &P {
-        WireNet::node(self, v)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        WireNet::set_fault_plan(self, plan);
-    }
     fn fault_session(&self) -> Option<&FaultSession> {
-        WireNet::fault_session(self)
+        self.hosts[0].fault_session()
     }
-    fn enable_sparse(&mut self) {}
 }
 
 #[cfg(test)]

@@ -16,7 +16,10 @@
 
 use netsim_graph::{generators, NodeId};
 use netsim_io::WireNet;
-use netsim_sim::{protocols::ChannelShardedSum, ChannelId, ChannelSet, Protocol, RoundIo};
+use netsim_sim::{
+    protocols::ChannelShardedSum, ChannelId, ChannelSet, EngineBuilder, EngineControl, Protocol,
+    RoundIo,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -121,9 +124,10 @@ fn wire_substrate_meets_its_allocation_contract() {
         let ring = generators::ring(n);
         let channels = ChannelShardedSum::channel_set(n, 4);
         let before = allocs();
-        let net = WireNet::with_channels(&ring, channels, HOSTS, |v| {
-            ChannelShardedSum::new(v, n, 4, 1)
-        });
+        let net =
+            WireNet::from_builder(&EngineBuilder::new(&ring).channels(channels), HOSTS, |v| {
+                ChannelShardedSum::new(v, n, 4, 1)
+            });
         assert_eq!(net.host_count(), HOSTS);
         allocs() - before
     };
@@ -137,9 +141,11 @@ fn wire_substrate_meets_its_allocation_contract() {
     // 2. `u64` traffic: the sharded sum at 0 allocations per round.
     let n = 1024;
     let ring = generators::ring(n);
-    let mut sum = WireNet::with_channels(&ring, ChannelShardedSum::channel_set(n, 4), HOSTS, |v| {
-        ChannelShardedSum::new(v, n, 4, v.index() as u64)
-    });
+    let mut sum = WireNet::from_builder(
+        &EngineBuilder::new(&ring).channels(ChannelShardedSum::channel_set(n, 4)),
+        HOSTS,
+        |v| ChannelShardedSum::new(v, n, 4, v.index() as u64),
+    );
     wire_rounds(&mut sum, 16);
     let sum_allocs = wire_rounds(&mut sum, 200);
     assert_eq!(
@@ -157,14 +163,16 @@ fn wire_substrate_meets_its_allocation_contract() {
     //    fresh one) and each receiving host's decode owns a copy.
     let grid = generators::Family::Grid.generate(64, 7);
     let n = grid.node_count();
-    let mut frames = WireNet::with_channels(&grid, ChannelSet::uniform(2), HOSTS, |id| {
-        ChannelFrameHeartbeat {
+    let mut frames = WireNet::from_builder(
+        &EngineBuilder::new(&grid).channels(ChannelSet::uniform(2)),
+        HOSTS,
+        |id| ChannelFrameHeartbeat {
             id,
             n,
             acc: 1,
             rounds_left: 64,
-        }
-    });
+        },
+    );
     wire_rounds(&mut frames, 8);
     let frame_allocs = wire_rounds(&mut frames, 40);
     let per_round = 1 + u64::from(HOSTS);

@@ -27,8 +27,8 @@ use std::hash::{Hash, Hasher};
 use netsim_graph::{generators, topologies, Graph, NodeId};
 use netsim_io::WireNet;
 use netsim_sim::{
-    protocols::ChannelShardedSum, wire::WireMsg, ChannelId, ChannelSet, CostAccount, FaultPlan,
-    LaneOutcome, NodeLifecycle, Protocol, RoundIo, SlotOutcome, SyncEngine,
+    protocols::ChannelShardedSum, wire::WireMsg, ChannelId, ChannelSet, CostAccount, EngineBuilder,
+    EngineControl, FaultPlan, LaneOutcome, NodeLifecycle, Protocol, RoundIo, SlotOutcome,
 };
 
 fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
@@ -111,86 +111,26 @@ struct Run {
     completed: bool,
 }
 
-fn run_flat<P, F>(
-    g: &Graph,
-    channels: &ChannelSet,
-    plan: Option<&FaultPlan>,
-    mut init: F,
-    max_rounds: u64,
-) -> Run
+/// Runs `eng` — any substrate — for at most `max_rounds` and reads the
+/// whole run back through the trait.
+fn run_on<P, E>(eng: &mut E, n: usize, max_rounds: u64) -> Run
 where
     P: Protocol + std::fmt::Debug,
     P::Msg: Hash,
-    F: FnMut(NodeId) -> P,
+    E: EngineControl<Traced<P>>,
 {
-    let mut eng = SyncEngine::with_channels(g, channels.clone(), |v| Traced::new(init(v)));
-    if let Some(p) = plan {
-        eng.set_fault_plan(p.clone());
-    }
     let out = eng.run(max_rounds);
-    let cost = *eng.cost();
-    let lifecycles = eng.fault_session().map_or_else(
-        || vec![NodeLifecycle::Operational; g.node_count()],
-        |s| s.lifecycles().to_vec(),
-    );
-    let rounds = out.rounds();
-    let completed = out.is_completed();
-    let (wrappers, _) = eng.into_parts();
-    let (states, traces) = wrappers
-        .into_iter()
-        .map(|w| (format!("{:?}", w.inner), w.trace))
+    let (states, traces) = (0..n)
+        .map(|v| eng.node(NodeId(v)))
+        .map(|w| (format!("{:?}", w.inner), w.trace.clone()))
         .unzip();
     Run {
         states,
         traces,
-        cost,
-        lifecycles,
-        rounds,
-        completed,
-    }
-}
-
-fn run_wire<P, F>(
-    g: &Graph,
-    channels: &ChannelSet,
-    plan: Option<&FaultPlan>,
-    hosts: u16,
-    mut init: F,
-    max_rounds: u64,
-) -> Run
-where
-    P: Protocol + std::fmt::Debug,
-    P::Msg: Hash + WireMsg,
-    F: FnMut(NodeId) -> P,
-{
-    let mut net = WireNet::with_channels(g, channels.clone(), hosts, |v| Traced::new(init(v)));
-    if let Some(p) = plan {
-        net.set_fault_plan(p.clone());
-    }
-    let out = net.run(max_rounds);
-    assert!(
-        net.bytes_sent() > 0,
-        "a wire run must put bytes on the wire"
-    );
-    let cost = *net.cost();
-    let lifecycles = net.fault_session().map_or_else(
-        || vec![NodeLifecycle::Operational; g.node_count()],
-        |s| s.lifecycles().to_vec(),
-    );
-    let rounds = out.rounds();
-    let completed = out.is_completed();
-    let (states, traces) = net
-        .into_nodes()
-        .into_iter()
-        .map(|w| (format!("{:?}", w.inner), w.trace))
-        .unzip();
-    Run {
-        states,
-        traces,
-        cost,
-        lifecycles,
-        rounds,
-        completed,
+        cost: eng.cost(),
+        lifecycles: (0..n).map(|v| eng.lifecycle(NodeId(v))).collect(),
+        rounds: out.rounds(),
+        completed: out.is_completed(),
     }
 }
 
@@ -207,8 +147,19 @@ fn assert_wire_conformant<P, F>(
     P::Msg: Hash + WireMsg,
     F: FnMut(NodeId) -> P + Clone,
 {
-    let flat = run_flat(g, channels, plan, &mut init, max_rounds);
-    let wire = run_wire(g, channels, plan, hosts, &mut init, max_rounds);
+    let mut builder = EngineBuilder::new(g).channels(channels.clone());
+    if let Some(plan) = plan {
+        builder = builder.fault_plan(plan.clone());
+    }
+    let n = g.node_count();
+    let mut traced = |v| Traced::new(init(v));
+    let flat = run_on(&mut builder.build_flat(&mut traced), n, max_rounds);
+    let mut net = WireNet::from_builder(&builder, hosts, &mut traced);
+    let wire = run_on(&mut net, n, max_rounds);
+    assert!(
+        net.bytes_sent() > 0,
+        "a wire run must put bytes on the wire"
+    );
     assert_eq!(
         flat.completed, wire.completed,
         "{label}: run outcomes disagree"
@@ -508,7 +459,11 @@ fn heavy_rounds_conform_through_the_mid_round_flush() {
 
     // The arithmetic above, observed: each heavy round puts three full
     // batches of slot frames on the wire towards every host.
-    let mut net = WireNet::with_channels(&g, channels, 2, HeavyRound::new);
+    let mut net = WireNet::from_builder(
+        &EngineBuilder::new(&g).channels(channels),
+        2,
+        HeavyRound::new,
+    );
     assert!(net.run(100).is_completed());
     let flushed = u64::from(HeavyRound::ROUNDS) * 2 * 3 * 60_000;
     assert!(
@@ -532,9 +487,8 @@ fn wire_sum_is_correct_and_costs_are_global() {
             .filter(|u| u % k == v % k)
             .fold(0u64, |a, u| a.wrapping_add(mix(0xfea7, u as u64)))
     };
-    let mut net = WireNet::with_channels(
-        &g,
-        ChannelShardedSum::channel_set(n, k as u16),
+    let mut net = WireNet::from_builder(
+        &EngineBuilder::new(&g).channels(ChannelShardedSum::channel_set(n, k as u16)),
         2,
         |v: NodeId| ChannelShardedSum::new(v, n, k as u16, mix(0xfea7, v.index() as u64)),
     );
@@ -549,4 +503,58 @@ fn wire_sum_is_correct_and_costs_are_global() {
             "node {v:?} disagrees on its shard sum"
         );
     }
+}
+
+/// The determinism contract *below* quiescence, on all four substrates:
+/// from fresh every engine reports round 0 and a zero account, each
+/// `step_round()` executes exactly one round, `run(0)` runs nothing, and
+/// `run(2)` stops after two rounds with `RoundLimit` — equal `round()` and
+/// equal node states after every call.  (Costs are compared at quiescence
+/// only, by the suites above: mid-run the lockstep account lags one
+/// boundary.)
+#[test]
+fn equal_call_sequences_agree_mid_run_on_all_four_substrates() {
+    fn probe<E: EngineControl<ChaosGossip>>(mut stepped: E, mut ran: E, n: usize) -> Vec<String> {
+        let snap = |tag: &str, e: &E| {
+            let states: Vec<String> = (0..n).map(|v| format!("{:?}", e.node(NodeId(v)))).collect();
+            format!("{tag}: round {} {states:?}", e.round())
+        };
+        assert_eq!(stepped.cost(), CostAccount::default(), "fresh account");
+        let mut log = vec![snap("fresh", &stepped)];
+        for _ in 0..3 {
+            stepped.step_round();
+            log.push(snap("step_round", &stepped));
+        }
+        for limit in [0, 2] {
+            let out = ran.run(limit);
+            assert!(!out.is_completed(), "run({limit}) must end in RoundLimit");
+            log.push(snap(&format!("run({limit}) -> {out:?}"), &ran));
+        }
+        log
+    }
+    let g = generators::ring(12);
+    let n = g.node_count();
+    let b = EngineBuilder::new(&g).channels(ChannelSet::uniform(2));
+    let init = ChaosGossip::new;
+    let flat = probe(b.build_flat(init), b.build_flat(init), n);
+    assert_eq!(flat.len(), 6);
+    assert!(flat[0].starts_with("fresh: round 0 ") && flat[3].starts_with("step_round: round 3 "));
+    assert!(flat[4].starts_with("run(0) -> RoundLimit { rounds: 0 }: round 0 "));
+    assert!(flat[5].starts_with("run(2) -> RoundLimit { rounds: 2 }: round 2 "));
+    assert_eq!(
+        flat[2],
+        flat[5].replace("run(2) -> RoundLimit { rounds: 2 }", "step_round")
+    );
+    assert_eq!(
+        flat,
+        probe(b.build_reference(init), b.build_reference(init), n),
+        "reference"
+    );
+    assert_eq!(
+        flat,
+        probe(b.build_lockstep(init), b.build_lockstep(init), n),
+        "lockstep"
+    );
+    let wire = || WireNet::from_builder(&b, 2, init);
+    assert_eq!(flat, probe(wire(), wire(), n), "wire");
 }

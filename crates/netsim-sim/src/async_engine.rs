@@ -41,7 +41,10 @@
 //! engine-owned [`OutboxBuffer`] the same way instead of keeping per-node
 //! buffers.  Quiescence is O(1) via a done-node counter.
 
-use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome, MAX_CHANNELS};
+use crate::channel::{
+    settle_lanes, settle_slot, ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState,
+    MAX_CHANNELS,
+};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::metrics::CostAccount;
 use crate::node::OutboxBuffer;
@@ -504,8 +507,8 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     cost: CostAccount,
     /// Per-channel breakdown of the channel-scoped counters in `cost`;
     /// length `K`.  Under the lockstep configuration it matches the
-    /// synchronous engines' after
-    /// [`reconciled_channel_costs`](crate::lockstep::reconciled_channel_costs).
+    /// synchronous engines' after the [`EngineControl`](crate::EngineControl)
+    /// impl's reconciliation (see the [`lockstep`](crate::lockstep) docs).
     chan_cost: Vec<CostAccount>,
     started: bool,
     /// Nodes currently reporting [`AsyncProtocol::is_done`].
@@ -640,7 +643,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// a wakeup via [`AsyncCtx::wake_me`] — instead of to all `n` nodes.
     ///
     /// The asynchronous counterpart of
-    /// [`SyncEngine::enable_sparse_stepping`](crate::SyncEngine::enable_sparse_stepping),
+    /// [`EngineBuilder::sparse`](crate::EngineBuilder::sparse) stepping,
     /// with the matching contract: an all-idle boundary callback must be a
     /// pure no-op unless the node re-armed itself with `wake_me`.  For such
     /// protocols sparse dispatch is bit-identical to dense dispatch —
@@ -757,7 +760,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// a newly attached node hears the boundary's outcome (including writes
     /// queued under the old attachment, which still resolve), a detached
     /// node observes idle — matching the synchronous engines' between-rounds
-    /// semantics ([`SyncEngine::reattach`](crate::SyncEngine::reattach));
+    /// semantics ([`EngineControl::reattach`](crate::EngineControl::reattach));
     /// the lockstep equivalence is pinned by the `engine_conformance`
     /// re-attachment scenario.
     ///
@@ -811,11 +814,10 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
 
     /// Per-channel breakdown of the channel-scoped counters of
     /// [`cost`](Self::cost); see
-    /// [`SyncEngine::channel_costs`](crate::SyncEngine::channel_costs).
+    /// [`EngineControl::channel_costs`](crate::EngineControl::channel_costs).
     /// Raw (unreconciled) boundary accounting — under the lockstep
-    /// configuration apply
-    /// [`reconciled_channel_costs`](crate::lockstep::reconciled_channel_costs)
-    /// to compare with a synchronous run.
+    /// configuration the [`EngineControl`](crate::EngineControl) impl's
+    /// `channel_costs` is the one to compare with a synchronous run.
     pub fn channel_costs(&self) -> &[CostAccount] {
         &self.chan_cost
     }
@@ -1051,13 +1053,12 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         // index − 1 — bit-identical to the round engines' `(round, channel)`
         // draw when `slot_ticks == 1`.
         let erase_round = (self.tick / self.config.slot_ticks).saturating_sub(1);
-        for (c, &count) in self.chan_counts.iter().enumerate() {
-            self.chan_cost[c].add_round();
-            if count > 0
-                && self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|s| s.erases_slot(erase_round, ChannelId(c as u16)))
+        let faults = self.faults.as_ref();
+        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
+            let chan = ChannelId(c as u16);
+            let writers = u64::from(self.chan_counts[c]);
+            if settle_slot(faults, erase_round, chan, writers, &mut self.cost, cost)
+                == SlotState::Erased
             {
                 // The winner's payload (if any) is discarded at the resolve
                 // boundary and recycled like any retired message.
@@ -1066,44 +1067,20 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 {
                     self.slab.park(msg, k);
                 }
-                self.cost.add_erased_slot(u64::from(count));
-                self.chan_cost[c].add_erased_slot(u64::from(count));
-            } else {
-                self.cost.add_channel_slot(u64::from(count));
-                self.chan_cost[c].add_channel_slot(u64::from(count));
             }
-        }
-        // Lane erasure shares the channel's erasure draw (the round's
-        // transmission on that channel is lost as a whole); corruption flips
-        // one seeded bit of a busy, non-erased word.
-        for (c, &count) in self.lane_counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let chan = ChannelId(c as u16);
-            if self
-                .faults
-                .as_ref()
-                .is_some_and(|s| s.erases_slot(erase_round, chan))
-            {
-                self.lane_scratch[c] = LaneOutcome::Erased;
-                self.cost.add_erased_lanes(u64::from(count));
-                self.chan_cost[c].add_erased_lanes(u64::from(count));
-            } else {
-                if let Some(bit) = self
-                    .faults
-                    .as_ref()
-                    .and_then(|s| s.corrupts_lane(erase_round, chan))
-                {
-                    if let LaneOutcome::Word(w) = &mut self.lane_scratch[c] {
-                        *w ^= 1u64 << bit;
-                    }
-                    self.cost.add_corrupted_payloads(1);
-                    self.chan_cost[c].add_corrupted_payloads(1);
-                }
-                self.cost.add_lane_slot(u64::from(count));
-                self.chan_cost[c].add_lane_slot(u64::from(count));
-            }
+            let (writers, word) = (
+                u64::from(self.lane_counts[c]),
+                self.lane_scratch[c].word().unwrap_or(0),
+            );
+            self.lane_scratch[c] = settle_lanes(
+                faults,
+                erase_round,
+                chan,
+                writers,
+                word,
+                &mut self.cost,
+                cost,
+            );
         }
 
         // A non-idle outcome is feedback every *attached* node hears, so
@@ -1195,6 +1172,28 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// the round engines apply them before the round's steps.
     pub fn run(&mut self, max_ticks: u64) -> bool {
         if !self.started {
+            self.advance();
+        }
+        while self.tick < max_ticks {
+            if self.is_quiescent() {
+                return true;
+            }
+            self.advance();
+        }
+        self.is_quiescent()
+    }
+
+    /// `true` once the start callbacks have run.
+    pub(crate) fn started(&self) -> bool {
+        self.started
+    }
+
+    /// One unconditional unit of progress: the start callbacks on a fresh
+    /// engine, one tick afterwards.  [`AsyncEngine::run`] is this in a loop;
+    /// the lockstep [`EngineControl`](crate::EngineControl) impl calls it
+    /// once per round.
+    pub(crate) fn advance(&mut self) {
+        if !self.started {
             self.started = true;
             self.apply_fault_round(0);
             for v in self.graph.nodes() {
@@ -1202,19 +1201,14 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                     self.dispatch(v, |node, ctx| node.on_start(ctx));
                 }
             }
+            return;
         }
-        while self.tick < max_ticks {
-            if self.is_quiescent() {
-                return true;
-            }
-            self.tick += 1;
-            self.apply_fault_round(self.tick);
-            self.deliver_due();
-            if self.tick.is_multiple_of(self.config.slot_ticks) {
-                self.resolve_slot_boundary();
-            }
+        self.tick += 1;
+        self.apply_fault_round(self.tick);
+        self.deliver_due();
+        if self.tick.is_multiple_of(self.config.slot_ticks) {
+            self.resolve_slot_boundary();
         }
-        self.is_quiescent()
     }
 }
 

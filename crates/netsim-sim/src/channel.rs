@@ -22,6 +22,8 @@
 //! protocols written against the paper's one-channel model run unchanged on
 //! any `ChannelSet` whose channel 0 they are attached to.
 
+use crate::fault::FaultSession;
+use crate::metrics::CostAccount;
 use crate::payload::PayloadHandle;
 use netsim_graph::NodeId;
 
@@ -158,7 +160,7 @@ impl ChannelSet {
     /// history, so any sequence of re-attachments collapses to the last one
     /// (pinned by the `channel_properties` proptests).  When an engine
     /// applies the snapshot **between rounds** (see
-    /// [`SyncEngine::reattach`](crate::SyncEngine::reattach)), the next
+    /// [`EngineControl::reattach`](crate::EngineControl::reattach)), the next
     /// round's steps observe the *previous* round's slot outcomes gated by
     /// the **new** masks, and write gating uses the new masks too; writes
     /// already staged under the old attachment still resolve.  The snapshot
@@ -484,6 +486,75 @@ impl<M> From<SlotOutcome<M>> for SlotState {
     }
 }
 
+/// The **resolve boundary** of one channel's message slot, stated once for
+/// the flat engine, the lockstep boundary and the wire host (the
+/// [`ReferenceEngine`](crate::ReferenceEngine) spells its own copy out on
+/// purpose — it is the oracle the other three are compared against).
+///
+/// Classifies the slot of `chan` in `round` from its writer count, applies
+/// the fault plan's erasure draw, and charges both accounts: `chan_cost`
+/// one round, and `cost` / `chan_cost` the slot.  An idle slot is never
+/// erased — erasure models the loss of a transmission, and nothing was
+/// transmitted.  The caller keeps only its storage-specific part: which
+/// payload a `Success` carries and what becomes of an erased winner.
+#[inline]
+pub fn settle_slot(
+    faults: Option<&FaultSession>,
+    round: u64,
+    chan: ChannelId,
+    writers: u64,
+    cost: &mut CostAccount,
+    chan_cost: &mut CostAccount,
+) -> SlotState {
+    chan_cost.add_round();
+    if writers > 0 && faults.is_some_and(|s| s.erases_slot(round, chan)) {
+        cost.add_erased_slot(writers);
+        chan_cost.add_erased_slot(writers);
+        return SlotState::Erased;
+    }
+    cost.add_channel_slot(writers);
+    chan_cost.add_channel_slot(writers);
+    match writers {
+        0 => SlotState::Idle,
+        1 => SlotState::Success,
+        _ => SlotState::Collision,
+    }
+}
+
+/// The resolve boundary of one channel's **lane sub-slot**, the sibling of
+/// [`settle_slot`]: `word` is the OR fold of the `writers` staged words
+/// (ignored when `writers == 0`).  Idle lanes cost nothing; an erasure
+/// shares the channel's slot draw — the round's transmission on that
+/// channel is lost as a whole; corruption flips one seeded bit of the
+/// folded word here, so every hearer observes the same word.
+#[inline]
+pub fn settle_lanes(
+    faults: Option<&FaultSession>,
+    round: u64,
+    chan: ChannelId,
+    writers: u64,
+    mut word: u64,
+    cost: &mut CostAccount,
+    chan_cost: &mut CostAccount,
+) -> LaneOutcome {
+    if writers == 0 {
+        return LaneOutcome::Idle;
+    }
+    if faults.is_some_and(|s| s.erases_slot(round, chan)) {
+        cost.add_erased_lanes(writers);
+        chan_cost.add_erased_lanes(writers);
+        return LaneOutcome::Erased;
+    }
+    if let Some(bit) = faults.and_then(|s| s.corrupts_lane(round, chan)) {
+        word ^= 1u64 << bit;
+        cost.add_corrupted_payloads(1);
+        chan_cost.add_corrupted_payloads(1);
+    }
+    cost.add_lane_slot(writers);
+    chan_cost.add_lane_slot(writers);
+    LaneOutcome::Word(word)
+}
+
 /// Converts an **unslotted** channel into a slotted one using a second
 /// (FDMA) carrier, following Section 7.2 of the paper: every node that is
 /// still active in the current slot transmits a busy tone on the extra
@@ -665,5 +736,79 @@ mod tests {
     #[should_panic(expected = "addresses channels")]
     fn mask_out_of_range_rejected() {
         let _ = ChannelSet::from_masks(2, vec![0b100]);
+    }
+
+    /// The resolve core against the reference functions and the plan's own
+    /// draws: for every writer count × lane writer count × plan on K = 2,
+    /// the verdict, the lane outcome and both accounts are what
+    /// `resolve_slots` / `resolve_lanes` + `FaultPlan` give.
+    #[test]
+    fn settle_core_matches_reference_resolution_and_plan_draws() {
+        use crate::fault::FaultPlan;
+        let plans = [
+            None,
+            Some(FaultPlan::from_rates(3, 1.0, 0.0, 0.0, 0.0)),
+            Some(FaultPlan::none().with_corruption(1.0)),
+            Some(FaultPlan::from_rates(3, 1.0, 0.0, 0.0, 0.0).with_corruption(1.0)),
+        ];
+        let (k, round) = (2u16, 5u64);
+        for plan in &plans {
+            let session = plan.clone().map(|p| FaultSession::new(p, 4));
+            for (w, lw, c) in (0..4u64)
+                .flat_map(|w| (0..3u64).flat_map(move |lw| (0..k).map(move |c| (w, lw, c))))
+            {
+                let chan = ChannelId(c);
+                let writes: Vec<_> = (0..w).map(|i| (chan, NodeId(i as usize), i)).collect();
+                let lanes: Vec<_> = (0..lw)
+                    .map(|i| (chan, NodeId(i as usize), 1u64 << (7 * i)))
+                    .collect();
+                let erased = plan.as_ref().is_some_and(|p| p.erases_slot(round, chan));
+                let flip = plan.as_ref().and_then(|p| p.corrupts_lane(round, chan));
+
+                let (mut want, mut want_chan) = (CostAccount::new(), CostAccount::new());
+                want_chan.add_round();
+                let mut want_state = SlotState::from(&resolve_slots(k, &writes)[chan.index()]);
+                for cost in [&mut want, &mut want_chan] {
+                    if w > 0 && erased {
+                        cost.add_erased_slot(w);
+                    } else {
+                        cost.add_channel_slot(w);
+                    }
+                }
+                if w > 0 && erased {
+                    want_state = SlotState::Erased;
+                }
+                let mut want_lane = resolve_lanes(k, &lanes)[chan.index()];
+                if let LaneOutcome::Word(word) = want_lane {
+                    want_lane = match (erased, flip) {
+                        (true, _) => LaneOutcome::Erased,
+                        (false, Some(bit)) => LaneOutcome::Word(word ^ (1 << bit)),
+                        (false, None) => want_lane,
+                    };
+                    for cost in [&mut want, &mut want_chan] {
+                        match want_lane {
+                            LaneOutcome::Erased => cost.add_erased_lanes(lw),
+                            _ => {
+                                cost.add_corrupted_payloads(u64::from(flip.is_some()));
+                                cost.add_lane_slot(lw);
+                            }
+                        }
+                    }
+                }
+
+                let (mut cost, mut chan_cost) = (CostAccount::new(), CostAccount::new());
+                let faults = session.as_ref();
+                let state = settle_slot(faults, round, chan, w, &mut cost, &mut chan_cost);
+                let word = lanes.iter().fold(0, |acc, l| acc | l.2);
+                let lane = settle_lanes(faults, round, chan, lw, word, &mut cost, &mut chan_cost);
+                let case = format!("plan {plan:?} w={w} lw={lw} {chan:?}");
+                assert_eq!(state, want_state, "{case}");
+                assert_eq!(lane, want_lane, "{case}");
+                assert_eq!((cost, chan_cost), (want, want_chan), "{case}");
+                // An idle slot is never erased, whatever the plan says.
+                assert_eq!(state == SlotState::Idle, w == 0, "{case}");
+                assert_eq!(lane.is_idle(), lw == 0, "{case}");
+            }
+        }
     }
 }

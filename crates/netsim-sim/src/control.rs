@@ -1,40 +1,49 @@
-//! The unified engine control surface: one trait, one builder, four
-//! substrates.
+//! The engine surface: one trait to drive a substrate, one builder to
+//! construct it.
 //!
 //! Every execution substrate in this workspace — the flat [`SyncEngine`],
 //! the clone-path [`ReferenceEngine`], the [`AsyncEngine`] under the
 //! [`Lockstep`] adapter, and (in the `netsim-io` crate) the loopback-UDP
-//! `WireNet` — exposes the same conceptual surface: construct over a graph
-//! and a [`ChannelSet`], step rounds, re-attach channels between rounds,
-//! edit node states between rounds, install a [`FaultPlan`], read the
-//! [`CostAccount`].  Before this module each driver (the sharded-MST merge
-//! driver, the sharded global-function pipeline, the conformance harness)
-//! re-dispatched over that surface by hand with a per-substrate `enum` and
-//! four copies of every call.  [`EngineControl`] collapses the four copies
-//! into one trait so drivers are written once, generic over substrate, and
-//! [`EngineBuilder`] is the matching constructor surface.
+//! `WireNet` — runs the paper's one model of a round: every processor steps,
+//! sends on its links and may write its channels, each slot resolves to
+//! idle / success / collision, everyone attached hears it.  [`EngineControl`]
+//! **is** that API — stepping, running, re-attaching, editing and reading an
+//! engine exist nowhere else — and [`EngineBuilder`] is the only
+//! constructor: graph, [`ChannelSet`], optional [`FaultPlan`], sparse
+//! stepping.  Drivers (sharded MST, sharded global function, re-sharding,
+//! the conformance harnesses) are written once, generic over the substrate.
 //!
 //! # Determinism contract
 //!
 //! For a **frontier-safe, delay-insensitive** protocol (the
 //! [`RoundIo::wake_me`](crate::RoundIo::wake_me) contract; every protocol in
-//! `multimedia` qualifies), any two [`EngineControl`] substrates driven by
-//! the same call sequence — the same constructor inputs, the same
-//! interleaving of [`run`](EngineControl::run) /
-//! [`reattach`](EngineControl::reattach) /
-//! [`update_nodes`](EngineControl::update_nodes) calls, the same
-//! [`FaultPlan`] — produce **bit-identical observables**: node states, round
-//! counts, lifecycles, the reconciled [`cost`](EngineControl::cost), and the
-//! reconciled per-channel [`channel_costs`](EngineControl::channel_costs).
-//! The trait impls fold each substrate's structural accounting offsets into
-//! `cost`/`channel_costs` (the lockstep adapter's one axiomatic all-idle
-//! round — see [`reconciled_cost_faulted`])
-//! so generic drivers never reconcile by hand.  This is the contract the
+//! `multimedia` qualifies), any two substrates built from the same
+//! [`EngineBuilder`] and driven by the same call sequence — the same
+//! interleaving of [`step_round`](EngineControl::step_round) /
+//! [`run`](EngineControl::run) / [`reattach`](EngineControl::reattach) /
+//! [`update_nodes`](EngineControl::update_nodes) calls — report the same
+//! [`round`](EngineControl::round), the same [`RunOutcome`], bit-identical
+//! node states and lifecycles after every call, and at quiescence
+//! bit-identical [`cost`](EngineControl::cost) and
+//! [`channel_costs`](EngineControl::channel_costs).  This is the contract the
 //! `engine_conformance` suite and the `multimedia` four-substrate pinning
 //! tests enforce, and it is what makes a driver written against this trait
 //! a *specification*: run it on the reference engine to define the answer,
 //! on the flat engine to get it fast, on the wire backend to get it over
 //! real sockets.
+//!
+//! # Between rounds
+//!
+//! [`reattach`](EngineControl::reattach) and
+//! [`update_nodes`](EngineControl::update_nodes) are called between rounds
+//! and take effect for the next executed round: its steps observe the
+//! previous round's slot outcomes gated by the **new** attachment
+//! ([`RoundIo::prev_slot_on`](crate::RoundIo::prev_slot_on) reads `Idle` on
+//! a channel the node just detached from, a newly attached node hears the
+//! channel's pending outcome), channel writes are gated by the new masks,
+//! writes already staged under the old attachment still resolve, and under
+//! sparse stepping every node steps.  Pinned by the `engine_conformance`
+//! re-attachment scenario.
 //!
 //! # Example
 //!
@@ -62,55 +71,60 @@ use crate::async_engine::AsyncEngine;
 use crate::channel::ChannelSet;
 use crate::engine::{RunOutcome, SyncEngine};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
-use crate::lockstep::{
-    lockstep_config, reconciled_channel_costs, reconciled_cost_faulted, Lockstep,
-};
+use crate::lockstep::{lockstep_config, Lockstep};
 use crate::metrics::CostAccount;
 use crate::node::Protocol;
 use crate::reference::ReferenceEngine;
 use netsim_graph::{Graph, NodeId};
 
-/// The surface shared by every execution substrate, written once so drivers
-/// (re-sharding, sharded MST, the global-function pipeline, conformance
-/// harnesses) are generic over it.  See the [module docs](self) for the
-/// determinism contract.
-///
-/// All between-rounds operations ([`reattach`](Self::reattach),
-/// [`update_nodes`](Self::update_nodes)) keep each substrate's documented
-/// snapshot semantics: the next round observes the previous round's
-/// outcomes, gated by the new attachment.  [`set_fault_plan`](Self::set_fault_plan)
-/// is before-round-0 only, like the inherent methods it forwards to.
+/// The one way to drive an execution substrate; see the
+/// [module docs](self) for the determinism and between-rounds contracts.
 pub trait EngineControl<P: Protocol> {
-    /// Executes exactly one round.
+    /// Executes exactly one round: lifecycle transitions of the fault plan
+    /// first (crashes at round start), then every operational node (under
+    /// sparse stepping: every frontier member) steps, then messages go in
+    /// flight and one slot per channel resolves.
     fn step_round(&mut self);
 
     /// Runs until quiescence or until `max_rounds` **total** rounds have
-    /// elapsed (an absolute limit, not a relative budget: continue a run
-    /// with `run(eng.round() + budget)`).
-    fn run(&mut self, max_rounds: u64) -> RunOutcome;
+    /// executed (an absolute limit, not a relative budget: continue a run
+    /// with `run(eng.round() + budget)`); quiescence is re-checked after
+    /// the last permitted round.
+    fn run(&mut self, max_rounds: u64) -> RunOutcome {
+        while self.round() < max_rounds && !self.is_quiescent() {
+            self.step_round();
+        }
+        let rounds = self.round();
+        if self.is_quiescent() {
+            RunOutcome::Completed { rounds }
+        } else {
+            RunOutcome::RoundLimit { rounds }
+        }
+    }
 
-    /// Rounds accounted so far — always equal to
-    /// [`cost()`](Self::cost)`.rounds`.  On the lockstep substrate this
-    /// includes the adapter's axiomatic all-idle round (the reconciliation
-    /// offset of [`reconciled_cost`](crate::reconciled_cost)), so a freshly
-    /// built lockstep engine reports round 1 where the synchronous engines
-    /// report 0; after any completed run the values agree bit-for-bit.
+    /// Rounds executed so far — always equal to
+    /// [`cost()`](Self::cost)`.rounds`.
     fn round(&self) -> u64;
 
-    /// Whether the substrate's quiescence condition holds.
+    /// Whether every node is done (or exempt: `Off` / `Crashed` under a
+    /// fault plan), no message is in flight, and every channel's last slot
+    /// and lane sub-slot were idle.  The slot condition makes a write
+    /// resolved in the final round cost one more round, in which every
+    /// attached node hears its feedback (the paper's channel model).
     fn is_quiescent(&self) -> bool;
 
-    /// The cost account, **substrate-reconciled**: structural accounting
-    /// offsets (the lockstep adapter's axiomatic all-idle round and its
-    /// final-round churn) are already folded in, so equal call sequences
-    /// give bit-identical accounts on every substrate.
+    /// The cost account.  Bit-identical across substrates **at quiescence**;
+    /// mid-run the lockstep substrate's channel counters lag one boundary
+    /// (it resolves round `r`'s slots at the start of round `r + 1`), which
+    /// its impl squares at quiescence with the final all-idle round.
     fn cost(&self) -> CostAccount;
 
     /// Per-channel breakdown of the channel-scoped counters of
-    /// [`cost`](Self::cost), substrate-reconciled like it.  Entry `c` is
+    /// [`cost`](Self::cost), with the same quiescence caveat.  Entry `c` is
     /// channel `c`'s rounds, slot classification, write attempts, and lane
-    /// counters; point-to-point counters stay zero.  Deltas of this vector
-    /// are the contention signal
+    /// counters; point-to-point counters stay zero, and summing the
+    /// channel-scoped counters over all `K` entries reproduces the global
+    /// account's.  Deltas of this vector are the contention signal
     /// [`ContentionMonitor`](crate::reshard::ContentionMonitor) consumes.
     fn channel_costs(&self) -> Vec<CostAccount>;
 
@@ -119,26 +133,22 @@ pub trait EngineControl<P: Protocol> {
 
     /// Replaces the per-node attachment table between rounds
     /// (`masks[v]` = bitmask of channels node `v` is attached to).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` does not cover exactly the graph's node count or a
+    /// mask addresses a channel beyond the set's `K`.
     fn reattach(&mut self, masks: &[u64]);
 
-    /// Runs `f` over every node's protocol state between rounds.
+    /// Runs `f` over every node's protocol state between rounds — the hook
+    /// multi-phase pipelines use to seed the next phase.
     fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P));
 
     /// Read access to node `v`'s protocol state.
     fn node(&self, v: NodeId) -> &P;
 
-    /// Installs a fault plan; before round 0 only.
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-
-    /// The live fault session, when a plan is installed.
+    /// The live fault session, when the builder installed a plan.
     fn fault_session(&self) -> Option<&FaultSession>;
-
-    /// Switches to sparse (active-set) stepping; before round 0 only.
-    /// Sparse runs are pinned bit-identical to dense runs for
-    /// frontier-safe protocols, so substrates without a dense/sparse
-    /// distinction (the wire backend steps dense by construction) accept
-    /// this as a no-op.
-    fn enable_sparse(&mut self);
 
     /// Node `v`'s lifecycle ([`NodeLifecycle::Operational`] when no plan is
     /// installed).
@@ -148,158 +158,10 @@ pub trait EngineControl<P: Protocol> {
     }
 }
 
-impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
-    fn step_round(&mut self) {
-        SyncEngine::step_round(self);
-    }
-    fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        SyncEngine::run(self, max_rounds)
-    }
-    fn round(&self) -> u64 {
-        SyncEngine::round(self)
-    }
-    fn is_quiescent(&self) -> bool {
-        SyncEngine::is_quiescent(self)
-    }
-    fn cost(&self) -> CostAccount {
-        *SyncEngine::cost(self)
-    }
-    fn channel_costs(&self) -> Vec<CostAccount> {
-        SyncEngine::channel_costs(self).to_vec()
-    }
-    fn channel_count(&self) -> u16 {
-        self.channels().channels()
-    }
-    fn reattach(&mut self, masks: &[u64]) {
-        SyncEngine::reattach(self, masks);
-    }
-    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
-        SyncEngine::update_nodes(self, f);
-    }
-    fn node(&self, v: NodeId) -> &P {
-        SyncEngine::node(self, v)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        SyncEngine::set_fault_plan(self, plan);
-    }
-    fn fault_session(&self) -> Option<&FaultSession> {
-        SyncEngine::fault_session(self)
-    }
-    fn enable_sparse(&mut self) {
-        self.enable_sparse_stepping();
-    }
-}
-
-impl<'g, P: Protocol> EngineControl<P> for ReferenceEngine<'g, P> {
-    fn step_round(&mut self) {
-        ReferenceEngine::step_round(self);
-    }
-    fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        ReferenceEngine::run(self, max_rounds)
-    }
-    fn round(&self) -> u64 {
-        ReferenceEngine::round(self)
-    }
-    fn is_quiescent(&self) -> bool {
-        ReferenceEngine::is_quiescent(self)
-    }
-    fn cost(&self) -> CostAccount {
-        *ReferenceEngine::cost(self)
-    }
-    fn channel_costs(&self) -> Vec<CostAccount> {
-        ReferenceEngine::channel_costs(self).to_vec()
-    }
-    fn channel_count(&self) -> u16 {
-        self.channels().channels()
-    }
-    fn reattach(&mut self, masks: &[u64]) {
-        ReferenceEngine::reattach(self, masks);
-    }
-    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
-        ReferenceEngine::update_nodes(self, f);
-    }
-    fn node(&self, v: NodeId) -> &P {
-        ReferenceEngine::node(self, v)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        ReferenceEngine::set_fault_plan(self, plan);
-    }
-    fn fault_session(&self) -> Option<&FaultSession> {
-        ReferenceEngine::fault_session(self)
-    }
-    fn enable_sparse(&mut self) {
-        self.enable_sparse_stepping();
-    }
-}
-
-/// The async substrate participates through the [`Lockstep`] adapter (the
-/// round-for-round replay configuration, [`lockstep_config`]); the impl
-/// folds the adapter's structural accounting offset into
-/// [`cost`](EngineControl::cost) / [`channel_costs`](EngineControl::channel_costs)
-/// and unwraps the adapter for node access, so generic drivers see the
-/// wrapped protocol directly.
-impl<'g, P: Protocol> EngineControl<P> for AsyncEngine<'g, Lockstep<P>> {
-    fn step_round(&mut self) {
-        let next = self.tick() + 1;
-        AsyncEngine::run(self, next);
-    }
-    fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        // `round()` counts the adapter's axiomatic round on top of the
-        // engine's tick, so the absolute round budget maps to one fewer
-        // tick; the reported round count carries the same offset.
-        let completed = AsyncEngine::run(self, max_rounds.saturating_sub(1));
-        let rounds = self.tick() + 1;
-        if completed {
-            RunOutcome::Completed { rounds }
-        } else {
-            RunOutcome::RoundLimit { rounds }
-        }
-    }
-    fn round(&self) -> u64 {
-        self.tick() + 1
-    }
-    fn is_quiescent(&self) -> bool {
-        AsyncEngine::is_quiescent(self)
-    }
-    fn cost(&self) -> CostAccount {
-        let crashed =
-            AsyncEngine::fault_session(self).map_or(0, FaultSession::non_operational_count);
-        reconciled_cost_faulted(
-            *AsyncEngine::cost(self),
-            self.channels().channels(),
-            crashed,
-        )
-    }
-    fn channel_costs(&self) -> Vec<CostAccount> {
-        reconciled_channel_costs(AsyncEngine::channel_costs(self))
-    }
-    fn channel_count(&self) -> u16 {
-        self.channels().channels()
-    }
-    fn reattach(&mut self, masks: &[u64]) {
-        AsyncEngine::reattach(self, masks);
-    }
-    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
-        AsyncEngine::update_nodes(self, |v, adapter| f(v, adapter.inner_mut()));
-    }
-    fn node(&self, v: NodeId) -> &P {
-        AsyncEngine::node(self, v).inner()
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        AsyncEngine::set_fault_plan(self, plan);
-    }
-    fn fault_session(&self) -> Option<&FaultSession> {
-        AsyncEngine::fault_session(self)
-    }
-    fn enable_sparse(&mut self) {
-        self.enable_sparse_boundaries();
-    }
-}
-
-/// Constructor surface matching [`EngineControl`]: collect the run's
-/// configuration (graph, [`ChannelSet`], optional [`FaultPlan`], sparse
-/// stepping) once, then build any substrate from it.  The builder is
-/// reusable — each `build_*` call clones the configuration — so conformance
+/// The only constructor of an [`EngineControl`] substrate: collect the
+/// run's four settings (graph, [`ChannelSet`], optional [`FaultPlan`],
+/// sparse stepping) once, then build any substrate from them.  The builder
+/// is reusable — each `build_*` call clones the settings — so conformance
 /// harnesses construct every substrate from one literal description of the
 /// run.
 ///
@@ -338,20 +200,54 @@ impl<'g> EngineBuilder<'g> {
     }
 
     /// Replaces the channel substrate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set's per-node attachment table does not cover exactly
+    /// the graph's node count.
     pub fn channels(mut self, channels: ChannelSet) -> Self {
+        if let Some(len) = channels.table_len() {
+            assert_eq!(
+                len,
+                self.graph.node_count(),
+                "channel attachment table covers {len} nodes, graph has {}",
+                self.graph.node_count()
+            );
+        }
         self.channels = channels;
         self
     }
 
-    /// Installs a fault plan on every engine built.
+    /// Installs a deterministic [`FaultPlan`] on every engine built.  See
+    /// the [`fault`](crate::fault) module docs for the pinned
+    /// application-point contract (drops at the delivery boundary, erasures
+    /// at the resolve boundary, crashes at round start).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = Some(plan);
         self
     }
 
-    /// Enables sparse (active-set) stepping on every engine built; the
-    /// protocol must be frontier-safe.  No-op on substrates that always
-    /// step dense (the wire backend).
+    /// Enables **sparse (active-set) stepping** on every engine built: each
+    /// round steps only the nodes on the activity frontier — a non-empty
+    /// inbox, a non-idle outcome on an attached channel, a lifecycle
+    /// transition this round, or a pending
+    /// [`RoundIo::wake_me`](crate::RoundIo::wake_me) request — so per-round
+    /// cost is O(active), not O(n).
+    ///
+    /// The protocol must be **frontier-safe**: a step observing an empty
+    /// inbox, only `Idle` outcomes on its attached channels, and no
+    /// lifecycle transition must be a pure no-op (no sends, no channel
+    /// writes, no state or done-flag change) — *unless* the node re-armed
+    /// itself with `wake_me`, which keeps it on the frontier.  For such a
+    /// protocol sparse runs are bit-for-bit identical to dense runs —
+    /// states, traces, costs, lifecycles, quiescence (pinned by the
+    /// `engine_conformance` suite and the `frontier_properties` proptests).
+    /// The flat engine keeps the frontier incrementally (see the
+    /// [`engine`](SyncEngine) module docs), the reference engine recomputes
+    /// it by brute force every round (the executable specification), the
+    /// lockstep substrate dispatches boundaries sparsely
+    /// ([`AsyncEngine::enable_sparse_boundaries`]), and the wire backend
+    /// always steps dense.
     pub fn sparse(mut self, sparse: bool) -> Self {
         self.sparse = sparse;
         self
@@ -379,14 +275,13 @@ impl<'g> EngineBuilder<'g> {
 
     /// Builds the flat arena-backed [`SyncEngine`].
     pub fn build_flat<P: Protocol, F: FnMut(NodeId) -> P>(&self, init: F) -> SyncEngine<'g, P> {
-        let mut eng = SyncEngine::with_channels(self.graph, self.channels.clone(), init);
-        if self.sparse {
-            eng.enable_sparse_stepping();
-        }
-        if let Some(plan) = &self.plan {
-            eng.set_fault_plan(plan.clone());
-        }
-        eng
+        SyncEngine::build(
+            self.graph,
+            self.channels.clone(),
+            self.plan.clone(),
+            self.sparse,
+            init,
+        )
     }
 
     /// Builds the clone-path [`ReferenceEngine`] (the executable
@@ -395,14 +290,13 @@ impl<'g> EngineBuilder<'g> {
         &self,
         init: F,
     ) -> ReferenceEngine<'g, P> {
-        let mut eng = ReferenceEngine::with_channels(self.graph, self.channels.clone(), init);
-        if self.sparse {
-            eng.enable_sparse_stepping();
-        }
-        if let Some(plan) = &self.plan {
-            eng.set_fault_plan(plan.clone());
-        }
-        eng
+        ReferenceEngine::build(
+            self.graph,
+            self.channels.clone(),
+            self.plan.clone(),
+            self.sparse,
+            init,
+        )
     }
 
     /// Builds the [`AsyncEngine`] under the [`Lockstep`] replay adapter
@@ -486,5 +380,12 @@ mod tests {
         // Dense runs of the same configuration are bit-identical.
         let dense = drive(builder.clone().sparse(false).build_flat(init));
         assert_eq!(flat, dense);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel attachment table covers 7 nodes, graph has 8")]
+    fn builder_rejects_a_channel_table_not_covering_the_graph() {
+        let g = generators::ring(8);
+        let _ = EngineBuilder::new(&g).channels(ChannelSet::from_masks(1, vec![1; 7]));
     }
 }

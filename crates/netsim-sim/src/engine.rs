@@ -68,6 +68,26 @@
 //! single-pass bucket is cache-friendly by construction — the engine keeps
 //! the one-pass path and pays only the probe's sequential scan.
 //!
+//! # Sparse (active-set) stepping
+//!
+//! Built with [`EngineBuilder::sparse`], the engine steps only the nodes on
+//! the activity frontier (see there for the frontier-safety contract on the
+//! protocol).  The frontier is a pair of two-level bitsets (next / active:
+//! one bit per node plus one summary bit per 64-node word), swapped at the
+//! start of every round.  Stepping walks the active set through its summary,
+//! which visits members in **ascending node index by construction** — the
+//! order that keeps every receiver's inbox sorted by sender — with no member
+//! list and no sort.  A non-idle outcome on channel `c` wakes its listeners
+//! by OR-ing a per-channel member bitset (rebuilt only by
+//! [`reattach`](EngineControl::reattach)) into the next set; under uniform
+//! attachment it wakes everyone.  The bitsets cost `(2 + K) · n / 8` bytes.
+//!
+//! Idle nodes are skipped *lazily*: the sparse inbox index is a per-node
+//! `(start, len)` range stamped with the epoch of the rebuild that wrote it,
+//! and only the receivers of the round's messages are re-stamped.  A stale
+//! stamp **is** the empty inbox — no per-node clearing pass ever runs, which
+//! is what makes a fully idle round O(1) in `n`.
+//!
 //! # Determinism contract
 //!
 //! Each node's inbox is ordered by the **sender's node index** (and, per
@@ -78,7 +98,10 @@
 //! shards in node-index order, so parallel runs are bit-for-bit identical to
 //! sequential ones.
 
-use crate::channel::{ChannelId, ChannelOutcome, ChannelSet, LaneOutcome, SlotState};
+use crate::channel::{
+    settle_lanes, settle_slot, ChannelId, ChannelOutcome, ChannelSet, LaneOutcome, SlotState,
+};
+use crate::control::{EngineBuilder, EngineControl};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::metrics::CostAccount;
 use crate::node::{Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Staged};
@@ -560,7 +583,7 @@ fn step_chunk<P: Protocol>(
 ///
 /// ```
 /// use netsim_graph::{generators, NodeId};
-/// use netsim_sim::{SyncEngine, Protocol, RoundIo};
+/// use netsim_sim::{EngineControl, Protocol, RoundIo, SyncEngine};
 ///
 /// /// Every node broadcasts "hello" to its neighbours in round 0 and stops.
 /// struct Hello { heard: usize, done: bool }
@@ -642,7 +665,7 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Number of nodes currently reporting [`Protocol::is_done`]; maintained
     /// incrementally so quiescence is O(1).
     done_count: usize,
-    /// Injected-fault session, when [`SyncEngine::set_fault_plan`] installed
+    /// Injected-fault session, when [`EngineBuilder::fault_plan`] installed
     /// one; `None` keeps every fault check off the hot path.
     faults: Option<FaultSession>,
     /// Number of nodes in a quiescence-exempt lifecycle state (`Off` /
@@ -652,9 +675,8 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Activity frontier of the opt-in sparse stepping mode; `None` runs
     /// dense (every node steps every round).
     frontier: Option<Frontier>,
-    /// Per-node inbox epoch stamps of the sparse CSR (see
-    /// [`SyncEngine::enable_sparse_stepping`]); length `n` under sparse
-    /// stepping, empty when dense.
+    /// Per-node inbox epoch stamps of the sparse CSR (see the module docs);
+    /// length `n` under sparse stepping, empty when dense.
     inbox_epoch: Vec<u64>,
     /// Per-node `(start, len)` inbox ranges into `arena`, valid only when
     /// the node's epoch stamp is current; length `n` under sparse stepping.
@@ -679,39 +701,31 @@ pub struct SyncEngine<'g, P: Protocol> {
 impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// Creates an engine over `graph` with the paper's single-channel model
     /// ([`ChannelSet::single`]), instantiating each node's protocol with
-    /// `init(node_id)`.
+    /// `init(node_id)`: shorthand for
+    /// [`EngineBuilder::new(graph).build_flat(init)`](EngineBuilder) — every
+    /// other configuration goes through the builder.
     pub fn new<F: FnMut(NodeId) -> P>(graph: &'g Graph, init: F) -> Self {
-        SyncEngine::with_channels(graph, ChannelSet::single(), init)
+        EngineBuilder::new(graph).build_flat(init)
     }
 
-    /// Creates an engine over `graph` and an explicit multiaccess
-    /// [`ChannelSet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel set's per-node attachment table does not cover
-    /// exactly the graph's node count.
-    pub fn with_channels<F: FnMut(NodeId) -> P>(
+    /// The constructor behind [`EngineBuilder::build_flat`]: the builder's
+    /// four settings (it has already checked that `channels` covers the
+    /// graph) plus the per-node initialiser.
+    pub(crate) fn build<F: FnMut(NodeId) -> P>(
         graph: &'g Graph,
         channels: ChannelSet,
+        plan: Option<FaultPlan>,
+        sparse: bool,
         mut init: F,
     ) -> Self {
-        if let Some(len) = channels.table_len() {
-            assert_eq!(
-                len,
-                graph.node_count(),
-                "channel attachment table covers {len} nodes, graph has {}",
-                graph.node_count()
-            );
-        }
         let nodes: Vec<P> = graph.nodes().map(&mut init).collect();
         let n = graph.node_count();
         let k = channels.channels() as usize;
         let done_count = nodes.iter().filter(|p| p.is_done()).count();
+        let faults = plan.map(|plan| FaultSession::new(plan, n));
+        let undone_exempt = exempt_undone(faults.as_ref(), &nodes);
         SyncEngine {
             graph,
-            nodes,
-            channels,
             arena: Vec::new(),
             payloads: PayloadArena::new(),
             offsets: vec![0; n + 1],
@@ -733,79 +747,22 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             chan_cost: vec![CostAccount::new(); k],
             round: 0,
             done_count,
-            faults: None,
-            undone_exempt: 0,
-            frontier: None,
-            inbox_epoch: Vec::new(),
-            inbox_ranges: Vec::new(),
-            arena_epoch: 0,
+            faults,
+            undone_exempt,
+            // Epoch 0 stamps must all read stale until the first sparse
+            // rebuild, hence the arena starts at epoch 1.
+            frontier: sparse.then(|| Frontier::new(n, &channels)),
+            inbox_epoch: if sparse { vec![0; n] } else { Vec::new() },
+            inbox_ranges: if sparse { vec![(0, 0); n] } else { Vec::new() },
+            arena_epoch: u64::from(sparse),
             touched: Vec::new(),
             last_stepped: Vec::new(),
             stepped_last_round: 0,
             total_stepped: 0,
             block_shift: tuned_block_shift(),
+            nodes,
+            channels,
         }
-    }
-
-    /// Switches the engine to **sparse (active-set) stepping**: each round
-    /// steps only the nodes on the activity frontier — nodes with a
-    /// non-empty inbox, a non-idle outcome on an attached channel, a
-    /// lifecycle transition this round, or a pending [`RoundIo::wake_me`]
-    /// request — instead of all `n`.  Idle nodes are never touched, cloned,
-    /// or iterated, so per-round cost is O(active), not O(n).
-    ///
-    /// # The frontier
-    ///
-    /// The frontier is a pair of two-level bitsets (next / active: one bit
-    /// per node plus one summary bit per 64-node word), swapped at the start
-    /// of every round.  Stepping walks the active set through its summary,
-    /// which visits members in **ascending node index by construction** —
-    /// the order that keeps every receiver's inbox sorted by sender, i.e.
-    /// the engine's determinism contract — with no member list and no sort.
-    /// A non-idle outcome on channel `c` wakes its listeners by OR-ing a
-    /// per-channel member bitset (rebuilt only by [`SyncEngine::reattach`])
-    /// into the next set; under uniform attachment it wakes everyone.  The
-    /// bitsets cost `(2 + K) · n / 8` bytes.
-    ///
-    /// # Epoch-lazy state rules
-    ///
-    /// Idle nodes are skipped *lazily*: the sparse inbox index is a per-node
-    /// `(start, len)` range stamped with the epoch of the rebuild that wrote
-    /// it, and only the receivers of the round's messages are re-stamped.  A
-    /// stale stamp **is** the empty inbox — no per-node clearing pass ever
-    /// runs, which is what makes a fully idle round O(1) in `n`.
-    ///
-    /// # Frontier-safety contract
-    ///
-    /// The protocol must be **frontier-safe**: a step observing an empty
-    /// inbox, only `Idle` outcomes on its attached channels, and no
-    /// lifecycle transition must be a pure no-op (no sends, no channel
-    /// writes, no state or done-flag change) — *unless* the node re-armed
-    /// itself with [`RoundIo::wake_me`], which keeps it on the frontier.
-    /// Protocols that advance timers on idle observations satisfy the
-    /// contract by calling `wake_me` while unfinished.  For a frontier-safe
-    /// protocol, sparse runs are bit-for-bit identical to dense runs —
-    /// states, traces, costs, and lifecycles (pinned by the
-    /// `engine_conformance` suite and the `frontier_properties` proptests).
-    ///
-    /// Quiescence detection is unchanged (and `wake_me` does not prevent
-    /// it); see [`SyncEngine::is_quiescent`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds have already executed: the sparse inbox index
-    /// cannot adopt a dense engine's in-flight state mid-run.
-    pub fn enable_sparse_stepping(&mut self) {
-        assert_eq!(
-            self.round, 0,
-            "sparse stepping must be enabled before round 0"
-        );
-        let n = self.graph.node_count();
-        self.frontier = Some(Frontier::new(n, &self.channels));
-        self.inbox_epoch = vec![0; n];
-        self.inbox_ranges = vec![(0, 0); n];
-        // Epoch 0 stamps must all read stale until the first sparse rebuild.
-        self.arena_epoch = 1;
     }
 
     /// `true` when sparse (active-set) stepping is enabled.
@@ -832,32 +789,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// reference engine's brute-force active set.
     pub fn last_stepped(&self) -> Option<&[u32]> {
         self.frontier.as_ref().map(|_| self.last_stepped.as_slice())
-    }
-
-    /// Installs a deterministic [`FaultPlan`]; must be called before the
-    /// first round executes.  See the [`fault`](crate::fault) module docs
-    /// for the pinned application-point contract (drops at the delivery
-    /// boundary, erasures at the resolve boundary, crashes at round start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds have already executed.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert_eq!(self.round, 0, "fault plan must be installed before round 0");
-        let session = FaultSession::new(plan, self.graph.node_count());
-        self.undone_exempt = session
-            .lifecycles()
-            .iter()
-            .zip(&self.nodes)
-            .filter(|(l, p)| l.is_exempt() && !p.is_done())
-            .count();
-        self.faults = Some(session);
-    }
-
-    /// The installed fault session, if any — exposes per-node
-    /// [`NodeLifecycle`] states and the churn count.
-    pub fn fault_session(&self) -> Option<&FaultSession> {
-        self.faults.as_ref()
     }
 
     /// Applies the current round's lifecycle transitions (crashes, recover
@@ -912,93 +843,9 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         &self.channels
     }
 
-    /// Applies a dynamic attachment snapshot ([`ChannelSet::reattach`]) to
-    /// the engine's channel set **between rounds**, one bitmask per node.
-    ///
-    /// # Determinism contract
-    ///
-    /// The snapshot takes effect for the next executed round: that round's
-    /// steps observe the previous round's slot outcomes gated by the **new**
-    /// masks ([`RoundIo::prev_slot_on`] reads `Idle` on a channel the node
-    /// just detached from, and a newly attached node hears the channel's
-    /// pending outcome), and channel writes are gated by the new masks.  The
-    /// result is a pure function of the call sequence — identical across the
-    /// flat, reference, and async-lockstep engines, pinned by the
-    /// `engine_conformance` re-attachment scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `masks` does not cover exactly the graph's node count or a
-    /// mask addresses a channel beyond the set's `K`.
-    pub fn reattach(&mut self, masks: &[u64]) {
-        assert_eq!(
-            masks.len(),
-            self.graph.node_count(),
-            "re-attachment covers {} nodes, graph has {}",
-            masks.len(),
-            self.graph.node_count()
-        );
-        self.channels.reattach(masks);
-        if let Some(f) = &mut self.frontier {
-            f.reattach(self.channels.channels(), masks);
-        }
-    }
-
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, v: NodeId) -> &P {
-        &self.nodes[v.index()]
-    }
-
-    /// Mutably visits every node's protocol state **between rounds** — the
-    /// hook multi-phase pipelines use to seed the next phase (e.g. the
-    /// channel-sharded MST re-arming its per-fragment elections after a
-    /// re-attachment) — then recounts the done nodes so the O(1) quiescence
-    /// tracking stays sound.
-    pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            f(NodeId(i), node);
-        }
-        self.done_count = self.nodes.iter().filter(|p| p.is_done()).count();
-        self.undone_exempt = match &self.faults {
-            Some(session) => session
-                .lifecycles()
-                .iter()
-                .zip(&self.nodes)
-                .filter(|(l, p)| l.is_exempt() && !p.is_done())
-                .count(),
-            None => 0,
-        };
-        // Arbitrary state edits invalidate any sparsity assumption: every
-        // node may now have work, so the next round steps all of them.
-        if let Some(f) = &mut self.frontier {
-            f.wake_all();
-        }
-    }
-
     /// Immutable access to all protocol states, indexed by node id.
     pub fn nodes(&self) -> &[P] {
         &self.nodes
-    }
-
-    /// The cost account accumulated so far.
-    pub fn cost(&self) -> &CostAccount {
-        &self.cost
-    }
-
-    /// Per-channel breakdown of the channel-scoped counters of
-    /// [`cost`](Self::cost): entry `c` carries channel `c`'s rounds, slot
-    /// classification (idle / success / collision / erased), write attempts,
-    /// and lane counters.  Point-to-point counters (`p2p_messages`,
-    /// `dropped_messages`, `crashed_rounds`) are not channel-scoped and stay
-    /// zero here.  Summing the channel-scoped counters over all `K` entries
-    /// reproduces the global account's.
-    pub fn channel_costs(&self) -> &[CostAccount] {
-        &self.chan_cost
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// State (idle / success / collision) of channel `chan`'s most recently
@@ -1052,45 +899,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 .iter()
                 .map(|s| s.outbox.arena.capacity())
                 .sum::<usize>()
-    }
-
-    /// Returns `true` when every node is done, no message is in flight, and
-    /// every channel's last slot was idle.
-    ///
-    /// The slot condition makes quiescence consistent across substrates: a
-    /// write resolved in the final round produces feedback that every
-    /// attached node hears (the paper's channel model), so the engine
-    /// executes one more round to deliver it instead of dropping it —
-    /// exactly as the asynchronous engine, which cannot quiesce with a write
-    /// pending, and as the reference engine (pinned by the
-    /// `engine_conformance` suite).
-    ///
-    /// O(1): the engine tracks done-state transitions across steps, the
-    /// in-flight count is the arena length, and the non-idle channel count
-    /// is cached at slot resolution.
-    ///
-    /// Under an installed fault plan, nodes whose lifecycle is `Off` or
-    /// `Crashed` are **exempt**: they count as settled whether or not their
-    /// protocol reports done (a crashed node can never step again to finish).
-    /// Tracked exactly as `done + undone-exempt == n`, maintained at
-    /// lifecycle transitions.
-    pub fn is_quiescent(&self) -> bool {
-        self.done_count + self.undone_exempt == self.nodes.len()
-            && self.arena.is_empty()
-            && self.nonidle_slots == 0
-            && self.nonidle_lanes == 0
-    }
-
-    /// Executes one round for every node and resolves one slot per channel.
-    ///
-    /// With a fault plan installed the round's lifecycle transitions apply
-    /// **first** (crashes at round start), then only `Operational` nodes
-    /// step.
-    pub fn step_round(&mut self) {
-        self.apply_fault_round();
-        let (ctx, nodes, active, shards) = self.step_parts();
-        step_chunk(ctx, nodes, 0, active, &mut shards[0]);
-        self.finish_round();
     }
 
     /// Splits the engine into the disjoint borrows of a stepping pass: the
@@ -1209,69 +1017,26 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             }
             self.lane_counts[c] += 1;
         }
+        // The resolve boundary proper ([`settle_slot`] / [`settle_lanes`]:
+        // draws, classification, charges).  An erased winner's payload is
+        // simply dropped — its handle expires with the delivery epoch.
         self.cost.add_round();
+        let (faults, round) = (self.faults.as_ref(), self.round);
         self.nonidle_slots = 0;
-        for (c, &count) in self.chan_counts.iter().enumerate() {
-            self.chan_cost[c].add_round();
-            if count == 0 {
-                // An idle slot can never be erased: erasure models the loss
-                // of a transmission, and nothing was transmitted.
-                self.slot_outcomes[c] = ChannelOutcome::Idle;
-                self.cost.add_channel_slot(0);
-                self.chan_cost[c].add_channel_slot(0);
-            } else if self
-                .faults
-                .as_ref()
-                .is_some_and(|s| s.erases_slot(self.round, ChannelId(c as u16)))
-            {
-                // Erasure at the resolve boundary: the winner's payload (if
-                // any) is discarded — its handle simply expires with the
-                // delivery epoch — and every attached listener observes the
-                // distinguished `Erased` feedback next round.
-                self.slot_outcomes[c] = ChannelOutcome::Erased;
-                self.nonidle_slots += 1;
-                self.cost.add_erased_slot(u64::from(count));
-                self.chan_cost[c].add_erased_slot(u64::from(count));
-            } else {
-                self.nonidle_slots += 1;
-                self.cost.add_channel_slot(u64::from(count));
-                self.chan_cost[c].add_channel_slot(u64::from(count));
-            }
-        }
-        // Lane sub-slots: idle lanes cost nothing (see
-        // [`CostAccount::lanes_busy`]); an erasure shares the channel's slot
-        // draw — the round's transmission on that channel is lost as a
-        // whole — and corruption flips one seeded bit of the resolved word
-        // at this boundary, so every hearer observes the same word.
         self.nonidle_lanes = 0;
-        for (c, &count) in self.lane_counts.iter().enumerate() {
-            if count == 0 {
-                self.prev_lanes[c] = LaneOutcome::Idle;
-            } else if self
-                .faults
-                .as_ref()
-                .is_some_and(|s| s.erases_slot(self.round, ChannelId(c as u16)))
-            {
-                self.prev_lanes[c] = LaneOutcome::Erased;
-                self.nonidle_lanes += 1;
-                self.cost.add_erased_lanes(u64::from(count));
-                self.chan_cost[c].add_erased_lanes(u64::from(count));
-            } else {
-                let mut word = self.lane_accum[c];
-                if let Some(bit) = self
-                    .faults
-                    .as_ref()
-                    .and_then(|s| s.corrupts_lane(self.round, ChannelId(c as u16)))
-                {
-                    word ^= 1u64 << bit;
-                    self.cost.add_corrupted_payloads(1);
-                    self.chan_cost[c].add_corrupted_payloads(1);
-                }
-                self.prev_lanes[c] = LaneOutcome::Word(word);
-                self.nonidle_lanes += 1;
-                self.cost.add_lane_slot(u64::from(count));
-                self.chan_cost[c].add_lane_slot(u64::from(count));
+        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
+            let chan = ChannelId(c as u16);
+            let writers = u64::from(self.chan_counts[c]);
+            match settle_slot(faults, round, chan, writers, &mut self.cost, cost) {
+                SlotState::Idle => self.slot_outcomes[c] = ChannelOutcome::Idle,
+                SlotState::Erased => self.slot_outcomes[c] = ChannelOutcome::Erased,
+                SlotState::Success | SlotState::Collision => {}
             }
+            self.nonidle_slots += usize::from(writers > 0);
+            let (writers, word) = (u64::from(self.lane_counts[c]), self.lane_accum[c]);
+            self.prev_lanes[c] =
+                settle_lanes(faults, round, chan, writers, word, &mut self.cost, cost);
+            self.nonidle_lanes += usize::from(writers > 0);
         }
         self.chan_writes.clear();
         self.lane_writes.clear();
@@ -1541,15 +1306,10 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         staged
     }
 
-    /// Runs until quiescence or until `max_rounds` rounds have elapsed in total.
-    pub fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        self.run_until(max_rounds, |_| false)
-    }
-
     /// Runs until `predicate` over the node states becomes true, quiescence,
-    /// or the round limit; returns the outcome as for [`SyncEngine::run`].
+    /// or the round limit; returns the outcome as for [`EngineControl::run`].
     ///
-    /// Like [`SyncEngine::run`], the condition is re-checked after the final
+    /// Like [`EngineControl::run`], the condition is re-checked after the final
     /// permitted round, so a predicate satisfied exactly on the last budgeted
     /// round reports [`RunOutcome::Completed`].
     pub fn run_until<F: FnMut(&[P]) -> bool>(
@@ -1576,6 +1336,92 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     }
 }
 
+/// Nodes in a quiescence-exempt lifecycle state (`Off` / `Crashed`) that are
+/// not done — the engine's `undone_exempt` counter, recounted from scratch.
+fn exempt_undone<P: Protocol>(faults: Option<&FaultSession>, nodes: &[P]) -> usize {
+    faults.map_or(0, |session| {
+        session
+            .lifecycles()
+            .iter()
+            .zip(nodes)
+            .filter(|(l, p)| l.is_exempt() && !p.is_done())
+            .count()
+    })
+}
+
+impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
+    fn step_round(&mut self) {
+        self.apply_fault_round();
+        let (ctx, nodes, active, shards) = self.step_parts();
+        step_chunk(ctx, nodes, 0, active, &mut shards[0]);
+        self.finish_round();
+    }
+
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// O(1): the engine tracks done-state transitions across steps, the
+    /// in-flight count is the arena length, the non-idle channel count is
+    /// cached at slot resolution, and exempt nodes are tracked exactly as
+    /// `done + undone-exempt == n`, maintained at lifecycle transitions.
+    fn is_quiescent(&self) -> bool {
+        self.done_count + self.undone_exempt == self.nodes.len()
+            && self.arena.is_empty()
+            && self.nonidle_slots == 0
+            && self.nonidle_lanes == 0
+    }
+
+    fn cost(&self) -> CostAccount {
+        self.cost
+    }
+
+    fn channel_costs(&self) -> Vec<CostAccount> {
+        self.chan_cost.clone()
+    }
+
+    fn channel_count(&self) -> u16 {
+        self.channels.channels()
+    }
+
+    fn reattach(&mut self, masks: &[u64]) {
+        assert_eq!(
+            masks.len(),
+            self.graph.node_count(),
+            "re-attachment covers {} nodes, graph has {}",
+            masks.len(),
+            self.graph.node_count()
+        );
+        self.channels.reattach(masks);
+        if let Some(f) = &mut self.frontier {
+            f.reattach(self.channels.channels(), masks);
+        }
+    }
+
+    /// Recounts the done nodes afterwards so the O(1) quiescence tracking
+    /// stays sound.
+    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            f(NodeId(i), node);
+        }
+        self.done_count = self.nodes.iter().filter(|p| p.is_done()).count();
+        self.undone_exempt = exempt_undone(self.faults.as_ref(), &self.nodes);
+        // Arbitrary state edits invalidate any sparsity assumption: every
+        // node may now have work, so the next round steps all of them.
+        if let Some(f) = &mut self.frontier {
+            f.wake_all();
+        }
+    }
+
+    fn node(&self, v: NodeId) -> &P {
+        &self.nodes[v.index()]
+    }
+
+    fn fault_session(&self) -> Option<&FaultSession> {
+        self.faults.as_ref()
+    }
+}
+
 #[cfg(feature = "parallel")]
 impl<'g, P> SyncEngine<'g, P>
 where
@@ -1590,7 +1436,7 @@ where
     /// chunks, each with a private staging shard; the shards are merged in
     /// node-index order afterwards, so the result — node states, message
     /// order, slot outcomes, and [`CostAccount`] — is bit-for-bit identical
-    /// to [`SyncEngine::step_round`].
+    /// to [`EngineControl::step_round`].
     pub fn step_round_parallel(&mut self, threads: usize) {
         let n = self.nodes.len();
         let workers = threads.clamp(1, n.max(1));
@@ -1619,7 +1465,7 @@ where
         self.finish_round();
     }
 
-    /// [`SyncEngine::run`], but stepping each round with
+    /// [`EngineControl::run`], but stepping each round with
     /// [`SyncEngine::step_round_parallel`].  Deterministic: produces exactly
     /// the same outcome as the sequential run.
     pub fn run_parallel(&mut self, max_rounds: u64, threads: usize) -> RunOutcome {
@@ -1638,7 +1484,6 @@ where
 mod tests {
     use super::*;
     use crate::channel::SlotOutcome;
-    use crate::control::EngineControl;
     use netsim_graph::generators;
 
     #[test]
@@ -1858,11 +1703,13 @@ mod tests {
         // Four nodes, two channels, uniform attachment: two disjoint writer
         // pairs would collide on one channel but succeed on two.
         let g = generators::complete(4);
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(2), |id| ShardBeacon {
-            chan: ChannelId((id.index() % 2) as u16),
-            heard: Vec::new(),
-            rounds: 0,
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(2))
+            .build_flat(|id| ShardBeacon {
+                chan: ChannelId((id.index() % 2) as u16),
+                heard: Vec::new(),
+                rounds: 0,
+            });
         let out = eng.run(10);
         assert!(out.is_completed());
         // Two writers per channel -> both channels collide; nobody hears a
@@ -1878,11 +1725,13 @@ mod tests {
         // so each channel has exactly two writers again — but with four
         // channels every write succeeds.
         let sharded = ChannelSet::sharded(4, 4, |v| ChannelId(v.index() as u16));
-        let mut eng = SyncEngine::with_channels(&g, sharded, |id| ShardBeacon {
-            chan: ChannelId(id.index() as u16),
-            heard: Vec::new(),
-            rounds: 0,
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(sharded)
+            .build_flat(|id| ShardBeacon {
+                chan: ChannelId(id.index() as u16),
+                heard: Vec::new(),
+                rounds: 0,
+            });
         let out = eng.run(10);
         assert!(out.is_completed());
         assert_eq!(eng.cost().slots_success, 4);
@@ -1941,8 +1790,9 @@ mod tests {
         let expected_bit = plan
             .corrupts_lane(0, ChannelId(0))
             .expect("rate 1.0 must fire");
-        let mut eng = SyncEngine::new(&g, |id| LaneMarker { id, heard: None });
-        eng.set_fault_plan(plan);
+        let mut eng = EngineBuilder::new(&g)
+            .fault_plan(plan)
+            .build_flat(|id| LaneMarker { id, heard: None });
         let out = eng.run(10);
         assert!(out.is_completed());
         let expected = 0b111u64 ^ (1 << expected_bit);
@@ -1955,9 +1805,11 @@ mod tests {
     #[test]
     fn per_round_slot_accounting_covers_every_channel() {
         let g = generators::ring(4);
-        let mut eng = SyncEngine::with_channels(&g, ChannelSet::uniform(3), |_| Collider {
-            saw_collision: false,
-        });
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelSet::uniform(3))
+            .build_flat(|_| Collider {
+                saw_collision: false,
+            });
         let out = eng.run(5);
         assert!(out.is_completed());
         // Every round resolves three slots; only channel 0 ever collides.
@@ -2193,12 +2045,13 @@ mod tests {
     #[test]
     fn certain_erasure_turns_success_into_erased_feedback() {
         let g = generators::complete(4);
-        let mut eng = SyncEngine::new(&g, |id| ErasedProbe {
-            id,
-            observed: None,
-            done: false,
-        });
-        eng.set_fault_plan(FaultPlan::from_rates(11, 1.0, 0.0, 0.0, 0.0));
+        let mut eng = EngineBuilder::new(&g)
+            .fault_plan(FaultPlan::from_rates(11, 1.0, 0.0, 0.0, 0.0))
+            .build_flat(|id| ErasedProbe {
+                id,
+                observed: None,
+                done: false,
+            });
         let out = eng.run(10);
         assert!(out.is_completed());
         for v in g.nodes() {
@@ -2216,11 +2069,12 @@ mod tests {
     #[test]
     fn certain_drops_sever_the_point_to_point_medium() {
         let g = generators::path(4);
-        let mut eng = SyncEngine::new(&g, |id| Flood {
-            have: id == NodeId(0),
-            sent: false,
-        });
-        eng.set_fault_plan(FaultPlan::from_rates(5, 0.0, 1.0, 0.0, 0.0));
+        let mut eng = EngineBuilder::new(&g)
+            .fault_plan(FaultPlan::from_rates(5, 0.0, 1.0, 0.0, 0.0))
+            .build_flat(|id| Flood {
+                have: id == NodeId(0),
+                sent: false,
+            });
         let out = eng.run(6);
         // The token can never propagate: every copy is dropped at the
         // delivery boundary.
@@ -2258,21 +2112,22 @@ mod tests {
     fn scheduled_crash_skips_steps_and_recover_rejoins() {
         use crate::fault::FaultEvent;
         let g = generators::ring(3);
-        let mut eng = SyncEngine::new(&g, |_| Ticker {
-            steps: 0,
-            recovered: false,
-            goal: 8,
-        });
-        eng.set_fault_plan(FaultPlan::none().with_events(vec![
-            FaultEvent::Crash {
-                round: 2,
-                node: NodeId(1),
-            },
-            FaultEvent::Recover {
-                round: 5,
-                node: NodeId(1),
-            },
-        ]));
+        let mut eng = EngineBuilder::new(&g)
+            .fault_plan(FaultPlan::none().with_events(vec![
+                FaultEvent::Crash {
+                    round: 2,
+                    node: NodeId(1),
+                },
+                FaultEvent::Recover {
+                    round: 5,
+                    node: NodeId(1),
+                },
+            ]))
+            .build_flat(|_| Ticker {
+                steps: 0,
+                recovered: false,
+                goal: 8,
+            });
         let out = eng.run(30);
         assert!(out.is_completed());
         // Node 1 misses rounds 2..=5 (crashed 2-4, booting 5), so it reaches
@@ -2290,15 +2145,16 @@ mod tests {
     fn permanent_crash_is_exempt_from_quiescence() {
         use crate::fault::FaultEvent;
         let g = generators::ring(3);
-        let mut eng = SyncEngine::new(&g, |_| Ticker {
-            steps: 0,
-            recovered: false,
-            goal: 3,
-        });
-        eng.set_fault_plan(FaultPlan::none().with_events(vec![FaultEvent::Crash {
-            round: 1,
-            node: NodeId(2),
-        }]));
+        let mut eng = EngineBuilder::new(&g)
+            .fault_plan(FaultPlan::none().with_events(vec![FaultEvent::Crash {
+                round: 1,
+                node: NodeId(2),
+            }]))
+            .build_flat(|_| Ticker {
+                steps: 0,
+                recovered: false,
+                goal: 3,
+            });
         let out = eng.run(20);
         // Node 2 can never report done, but a crashed node is exempt: the
         // run completes once the survivors finish.
@@ -2341,22 +2197,23 @@ mod tests {
         // the dense `scheduled_crash_skips_steps_and_recover_rejoins` run
         // round for round.
         let g = generators::ring(3);
-        let mut eng = SyncEngine::new(&g, |_| ArmedTicker {
-            steps: 0,
-            recovered: false,
-            goal: 8,
-        });
-        eng.enable_sparse_stepping();
-        eng.set_fault_plan(FaultPlan::none().with_events(vec![
-            FaultEvent::Crash {
-                round: 2,
-                node: NodeId(1),
-            },
-            FaultEvent::Recover {
-                round: 5,
-                node: NodeId(1),
-            },
-        ]));
+        let mut eng = EngineBuilder::new(&g)
+            .sparse(true)
+            .fault_plan(FaultPlan::none().with_events(vec![
+                FaultEvent::Crash {
+                    round: 2,
+                    node: NodeId(1),
+                },
+                FaultEvent::Recover {
+                    round: 5,
+                    node: NodeId(1),
+                },
+            ]))
+            .build_flat(|_| ArmedTicker {
+                steps: 0,
+                recovered: false,
+                goal: 8,
+            });
         let out = eng.run(30);
         assert!(out.is_completed());
         assert_eq!(out.rounds(), 12);
@@ -2373,16 +2230,17 @@ mod tests {
     fn sparse_permanent_crash_stays_exempt_and_completes() {
         use crate::fault::FaultEvent;
         let g = generators::ring(3);
-        let mut eng = SyncEngine::new(&g, |_| ArmedTicker {
-            steps: 0,
-            recovered: false,
-            goal: 3,
-        });
-        eng.enable_sparse_stepping();
-        eng.set_fault_plan(FaultPlan::none().with_events(vec![FaultEvent::Crash {
-            round: 1,
-            node: NodeId(2),
-        }]));
+        let mut eng = EngineBuilder::new(&g)
+            .sparse(true)
+            .fault_plan(FaultPlan::none().with_events(vec![FaultEvent::Crash {
+                round: 1,
+                node: NodeId(2),
+            }]))
+            .build_flat(|_| ArmedTicker {
+                steps: 0,
+                recovered: false,
+                goal: 3,
+            });
         let out = eng.run(20);
         // Node 2 crashes while armed and can never report done; the
         // exemption must still let the sparse run quiesce.
@@ -2404,8 +2262,9 @@ mod tests {
         assert!(dense.run(100).is_completed());
         // Dense stepping visits every node every round.
         assert_eq!(dense.total_stepped(), 64 * dense.round());
-        let mut eng = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
-        eng.enable_sparse_stepping();
+        let mut eng = EngineBuilder::new(&g)
+            .sparse(true)
+            .build_flat(|v| BfsBuild::new(v, NodeId(0)));
         assert!(eng.sparse_stepping());
         let out = eng.run(100);
         assert!(out.is_completed());
@@ -2432,17 +2291,18 @@ mod tests {
     fn null_and_zero_rate_plans_change_nothing() {
         let g = generators::Family::RandomConnected.generate(40, 3);
         let run = |plan: Option<FaultPlan>| {
-            let mut eng = SyncEngine::new(&g, |id| Flood {
+            let mut builder = EngineBuilder::new(&g);
+            if let Some(plan) = plan {
+                builder = builder.fault_plan(plan);
+            }
+            let mut eng = builder.build_flat(|id| Flood {
                 have: id == NodeId(0),
                 sent: false,
             });
-            if let Some(plan) = plan {
-                eng.set_fault_plan(plan);
-            }
             let out = eng.run(200);
             assert!(out.is_completed());
             let states: Vec<(bool, bool)> = eng.nodes().iter().map(|n| (n.have, n.sent)).collect();
-            (out, *eng.cost(), states)
+            (out, eng.cost(), states)
         };
         let bare = run(None);
         assert_eq!(run(Some(FaultPlan::none())), bare);
@@ -2461,12 +2321,14 @@ mod tests {
             have: id == NodeId(0),
             sent: false,
         };
-        let mut seq = SyncEngine::new(&g, init);
-        seq.set_fault_plan(plan.clone());
+        let mut seq = EngineBuilder::new(&g)
+            .fault_plan(plan.clone())
+            .build_flat(init);
         let seq_out = seq.run(400);
         for threads in [2usize, 5] {
-            let mut par = SyncEngine::new(&g, init);
-            par.set_fault_plan(plan.clone());
+            let mut par = EngineBuilder::new(&g)
+                .fault_plan(plan.clone())
+                .build_flat(init);
             let par_out = par.run_parallel(400, threads);
             assert_eq!(seq_out, par_out);
             assert_eq!(seq.cost(), par.cost());
@@ -2486,10 +2348,9 @@ mod tests {
         // find no member in their word range.
         let g = generators::ring(300);
         for threads in [2usize, 3, 8] {
-            let mut seq = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
-            let mut par = SyncEngine::new(&g, |v| BfsBuild::new(v, NodeId(0)));
-            seq.enable_sparse_stepping();
-            par.enable_sparse_stepping();
+            let sparse = EngineBuilder::new(&g).sparse(true);
+            let mut seq = sparse.build_flat(|v| BfsBuild::new(v, NodeId(0)));
+            let mut par = sparse.build_flat(|v| BfsBuild::new(v, NodeId(0)));
             while !seq.is_quiescent() {
                 seq.step_round();
                 par.step_round_parallel(threads);

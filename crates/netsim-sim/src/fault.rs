@@ -409,12 +409,12 @@ impl FaultSession {
     }
 
     /// Delegates to [`FaultPlan::erases_slot`].
-    pub fn erases_slot(&self, round: u64, chan: ChannelId) -> bool {
+    pub(crate) fn erases_slot(&self, round: u64, chan: ChannelId) -> bool {
         self.plan.erases_slot(round, chan)
     }
 
     /// Delegates to [`FaultPlan::corrupts_lane`].
-    pub fn corrupts_lane(&self, round: u64, chan: ChannelId) -> Option<u32> {
+    pub(crate) fn corrupts_lane(&self, round: u64, chan: ChannelId) -> Option<u32> {
         self.plan.corrupts_lane(round, chan)
     }
 

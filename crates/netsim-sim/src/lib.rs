@@ -61,10 +61,10 @@
 //!   free list and pools its callback buffers;
 //! * quiescence checks are O(1) in both engines (incremental done-node
 //!   counter + in-flight counters) instead of O(n) rescans per round/tick;
-//! * **active-set stepping** (opt-in: [`SyncEngine::enable_sparse_stepping`],
-//!   [`AsyncEngine::enable_sparse_boundaries`],
-//!   [`ReferenceEngine::enable_sparse_stepping`]) makes per-round cost
-//!   proportional to the *active* node set, not `n`: the engine maintains a
+//! * **active-set stepping** (opt-in: [`EngineBuilder::sparse`]; on a bare
+//!   [`AsyncEngine`], [`AsyncEngine::enable_sparse_boundaries`]) makes
+//!   per-round cost proportional to the *active* node set, not `n`: the
+//!   engine maintains a
 //!   frontier — nodes with a non-empty inbox, a non-idle outcome on an
 //!   attached channel, a lifecycle transition, or an explicit
 //!   [`RoundIo::wake_me`] / [`AsyncCtx::wake_me`] self-wakeup — and steps
@@ -96,7 +96,7 @@
 //!
 //! ```
 //! use netsim_graph::{generators, NodeId};
-//! use netsim_sim::{protocols::BfsBuild, SyncEngine};
+//! use netsim_sim::{protocols::BfsBuild, EngineControl, SyncEngine};
 //!
 //! let g = generators::ring(8);
 //! let mut engine = SyncEngine::new(&g, |id| BfsBuild::new(id, NodeId(0)));
@@ -124,15 +124,13 @@ pub mod wire;
 
 pub use async_engine::{AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol};
 pub use channel::{
-    fdma_slot_lengths, resolve_lanes, resolve_slot, resolve_slots, ChannelId, ChannelSet,
-    LaneOutcome, SlotOutcome, SlotState, MAX_CHANNELS,
+    fdma_slot_lengths, resolve_lanes, resolve_slot, resolve_slots, settle_lanes, settle_slot,
+    ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState, MAX_CHANNELS,
 };
 pub use control::{EngineBuilder, EngineControl};
 pub use engine::{RunOutcome, SyncEngine};
 pub use fault::{FaultEvent, FaultPlan, FaultSession, NodeLifecycle};
-pub use lockstep::{
-    lockstep_config, reconciled_channel_costs, reconciled_cost, reconciled_cost_faulted, Lockstep,
-};
+pub use lockstep::{lockstep_config, Lockstep};
 pub use metrics::CostAccount;
 pub use node::{
     DrainSends, DrainSendsWithSender, Inbox, InboxIter, OutboxBuffer, Protocol, RoundIo,

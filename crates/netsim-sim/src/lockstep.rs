@@ -1,5 +1,5 @@
 //! Round-for-round replay of a synchronous [`Protocol`] on the
-//! [`AsyncEngine`](crate::AsyncEngine).
+//! [`AsyncEngine`].
 //!
 //! With `slot_ticks = 1` and `max_delay_ticks = 1` every message sent while
 //! round `r` executes arrives before the slot boundary that starts round
@@ -12,10 +12,11 @@
 //! `on_start` round observes the axiomatic all-idle slots *preceding* time
 //! 0 without the engine counting them, while a synchronous run's final round
 //! resolves all-idle slots no step ever observes.  Both runs execute the
-//! same number of steps, so a lockstep [`CostAccount`](crate::CostAccount)
-//! matches the synchronous one after adding exactly one all-idle round
-//! ([`lockstep_config`] documents the configuration; the conformance harness
-//! applies the adjustment).
+//! same number of steps, so a lockstep [`CostAccount`] matches the
+//! synchronous one after adding exactly one all-idle round — the adjustment
+//! the [`EngineControl`] impl below folds into
+//! [`cost`](EngineControl::cost) and
+//! [`channel_costs`](EngineControl::channel_costs).
 //!
 //! The real-socket backend (`netsim-io`) solves the same round-framing
 //! problem across *processes* instead of inside one event queue: each host
@@ -25,8 +26,11 @@
 //! wire-format sibling of this adapter's slot-boundary discipline, and the
 //! fourth substrate of the conformance matrix.
 
-use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncProtocol, StagedSend};
+use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, StagedSend};
 use crate::channel::{LaneOutcome, SlotOutcome};
+use crate::control::EngineControl;
+use crate::fault::FaultSession;
+use crate::metrics::CostAccount;
 use crate::node::{Inbox, Protocol, RoundIo, Slots};
 use netsim_graph::NodeId;
 
@@ -41,59 +45,18 @@ pub fn lockstep_config() -> AsyncConfig {
     }
 }
 
-/// Reconciles a lockstep run's [`CostAccount`](crate::CostAccount) with the
-/// synchronous engines' accounting by adding the one axiomatic all-idle
-/// round (plus its `k` idle slots) the `on_start` round observed without
-/// the engine counting it — see the module docs.  After this adjustment the
-/// account must be bit-identical to the synchronous run's.
-pub fn reconciled_cost(mut cost: crate::CostAccount, k: u16) -> crate::CostAccount {
+/// Adds the one axiomatic all-idle round (and its idle slot on each of `k`
+/// channels) the `on_start` round observed without the engine counting it —
+/// see the module docs.
+fn add_axiom_round(cost: &mut CostAccount, k: u16) {
     cost.add_round();
     for _ in 0..k {
         cost.add_channel_slot(0);
     }
-    cost
-}
-
-/// Per-channel counterpart of [`reconciled_cost`]: adds the one axiomatic
-/// all-idle round (and its idle slot) to every channel's account.  After
-/// this adjustment the per-channel accounts of a lockstep run
-/// ([`AsyncEngine::channel_costs`](crate::AsyncEngine::channel_costs)) are
-/// bit-identical to the synchronous engines' — the channel-scoped counters
-/// carry no churn, so no faulted variant is needed.
-pub fn reconciled_channel_costs(costs: &[crate::CostAccount]) -> Vec<crate::CostAccount> {
-    costs
-        .iter()
-        .map(|&c| {
-            let mut c = c;
-            c.add_round();
-            c.add_channel_slot(0);
-            c
-        })
-        .collect()
-}
-
-/// [`reconciled_cost`] for runs with an installed
-/// [`FaultPlan`](crate::FaultPlan): the synchronous run's final all-idle
-/// round also charges that round's churn, which the lockstep run's last
-/// boundary never accounts.  `crashed_final` is the engine's final
-/// non-operational count
-/// ([`FaultSession::non_operational_count`](crate::FaultSession::non_operational_count)
-/// after the run) — both engines apply the same fault rounds, so the final
-/// lifecycle census is shared, and no faults can fire in the all-idle round
-/// itself (no writers to erase, no sends to drop, by the definition of
-/// quiescence).
-pub fn reconciled_cost_faulted(
-    cost: crate::CostAccount,
-    k: u16,
-    crashed_final: u64,
-) -> crate::CostAccount {
-    let mut cost = reconciled_cost(cost, k);
-    cost.add_crashed_rounds(crashed_final);
-    cost
 }
 
 /// Adapter that replays a synchronous [`Protocol`] on the
-/// [`AsyncEngine`](crate::AsyncEngine) in lockstep (see the module docs).
+/// [`AsyncEngine`] in lockstep (see the module docs).
 ///
 /// The adapter owns **no buffers** besides the round's inbox: it overrides
 /// [`AsyncProtocol::on_boundary`] and builds the inner protocol's
@@ -221,10 +184,76 @@ impl<P: Protocol> AsyncProtocol for Lockstep<P> {
     }
 }
 
+/// The async substrate on the engine surface, through the [`Lockstep`]
+/// adapter under [`lockstep_config`]: `on_start` is round 0 and tick `t`'s
+/// boundary is round `t`, so `round()` is `tick + started`.  Node access
+/// unwraps the adapter, so generic drivers see the wrapped protocol
+/// directly, and the accounts carry the one axiomatic all-idle round of the
+/// module docs from the first round on.
+impl<'g, P: Protocol> EngineControl<P> for AsyncEngine<'g, Lockstep<P>> {
+    fn step_round(&mut self) {
+        self.advance();
+    }
+
+    fn round(&self) -> u64 {
+        self.tick() + u64::from(self.started())
+    }
+
+    fn is_quiescent(&self) -> bool {
+        AsyncEngine::is_quiescent(self)
+    }
+
+    /// With a fault plan the synchronous run's final all-idle round also
+    /// charges that round's churn, which the lockstep run's last boundary
+    /// never accounts: both engines apply the same fault rounds, so the
+    /// current non-operational census is that charge (no other fault can
+    /// fire in an all-idle round — no writers to erase, no sends to drop).
+    fn cost(&self) -> CostAccount {
+        let mut cost = *AsyncEngine::cost(self);
+        if self.started() {
+            add_axiom_round(&mut cost, self.channels().channels());
+            let crashed =
+                AsyncEngine::fault_session(self).map_or(0, FaultSession::non_operational_count);
+            cost.add_crashed_rounds(crashed);
+        }
+        cost
+    }
+
+    /// The channel-scoped counters carry no churn, so the axiom round is the
+    /// whole adjustment.
+    fn channel_costs(&self) -> Vec<CostAccount> {
+        let mut costs = AsyncEngine::channel_costs(self).to_vec();
+        if self.started() {
+            costs.iter_mut().for_each(|c| add_axiom_round(c, 1));
+        }
+        costs
+    }
+
+    fn channel_count(&self) -> u16 {
+        self.channels().channels()
+    }
+
+    fn reattach(&mut self, masks: &[u64]) {
+        AsyncEngine::reattach(self, masks);
+    }
+
+    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
+        AsyncEngine::update_nodes(self, |v, adapter| f(v, &mut adapter.inner));
+    }
+
+    fn node(&self, v: NodeId) -> &P {
+        &AsyncEngine::node(self, v).inner
+    }
+
+    fn fault_session(&self) -> Option<&FaultSession> {
+        AsyncEngine::fault_session(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AsyncEngine, ChannelSet, SyncEngine};
+    use crate::{ChannelSet, EngineBuilder};
     use netsim_graph::generators;
 
     /// Each node broadcasts its id once and folds what it hears.
@@ -261,7 +290,7 @@ mod tests {
             heard: 0,
             sent: false,
         };
-        let mut sync = SyncEngine::with_channels(&g, ChannelSet::single(), init);
+        let mut sync = EngineBuilder::new(&g).build_flat(init);
         assert!(sync.run(100).is_completed());
         let mut lock =
             AsyncEngine::with_channels(&g, lockstep_config(), ChannelSet::single(), |v| {

@@ -420,6 +420,7 @@ impl Protocol for ChannelShardedSum {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::{EngineBuilder, EngineControl};
     use crate::engine::SyncEngine;
     use crate::fault::{FaultEvent, FaultPlan};
     use netsim_graph::{generators, traversal, SpanningForest};
@@ -502,10 +503,9 @@ mod tests {
         let g = generators::ring(n);
         let values: Vec<u64> = (0..n as u64).map(|i| i * 31 + 5).collect();
         for k in [1u16, 4, 16] {
-            let mut eng =
-                SyncEngine::with_channels(&g, ChannelShardedSum::channel_set(n, k), |v| {
-                    ChannelShardedSum::new(v, n, k, values[v.index()])
-                });
+            let mut eng = EngineBuilder::new(&g)
+                .channels(ChannelShardedSum::channel_set(n, k))
+                .build_flat(|v| ChannelShardedSum::new(v, n, k, values[v.index()]));
             let out = eng.run(1000);
             assert!(out.is_completed(), "k={k}");
             // K channels cut the schedule to ceil(n/K) writing rounds plus
@@ -533,10 +533,10 @@ mod tests {
         let g = generators::ring(n);
         let values: Vec<u64> = (0..n as u64).map(|i| i * 31 + 5).collect();
         let k = 4u16;
-        let mut eng = SyncEngine::with_channels(&g, ChannelShardedSum::channel_set(n, k), |v| {
-            ChannelShardedSum::new(v, n, k, values[v.index()])
-        });
-        eng.set_fault_plan(FaultPlan::from_rates(0xE5A5, 0.25, 0.0, 0.0, 0.0));
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelShardedSum::channel_set(n, k))
+            .fault_plan(FaultPlan::from_rates(0xE5A5, 0.25, 0.0, 0.0, 0.0))
+            .build_flat(|v| ChannelShardedSum::new(v, n, k, values[v.index()]));
         let out = eng.run(1000);
         assert!(out.is_completed());
         assert!(eng.cost().erased_slots > 0);
@@ -560,19 +560,19 @@ mod tests {
         let n = 9;
         let g = generators::ring(n);
         let values: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
-        let mut eng = SyncEngine::with_channels(&g, ChannelShardedSum::channel_set(n, 1), |v| {
-            ChannelShardedSum::new(v, n, 1, values[v.index()])
-        });
-        eng.set_fault_plan(FaultPlan::none().with_events(vec![
-            FaultEvent::Crash {
-                round: 2,
-                node: NodeId(4),
-            },
-            FaultEvent::Recover {
-                round: 8,
-                node: NodeId(4),
-            },
-        ]));
+        let mut eng = EngineBuilder::new(&g)
+            .channels(ChannelShardedSum::channel_set(n, 1))
+            .fault_plan(FaultPlan::none().with_events(vec![
+                FaultEvent::Crash {
+                    round: 2,
+                    node: NodeId(4),
+                },
+                FaultEvent::Recover {
+                    round: 8,
+                    node: NodeId(4),
+                },
+            ]))
+            .build_flat(|v| ChannelShardedSum::new(v, n, 1, values[v.index()]));
         let out = eng.run(1000);
         assert!(out.is_completed());
         let heard: u64 = values.iter().sum::<u64>() - values[4];

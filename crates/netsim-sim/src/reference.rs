@@ -13,14 +13,14 @@
 //! * **equivalence testing** — the property tests and the
 //!   `engine_conformance` suite assert that the zero-allocation, arena-backed
 //!   [`SyncEngine`](crate::SyncEngine) produces identical per-node final
-//!   states, delivery traces, [`RunOutcome`], and [`CostAccount`] on random
+//!   states, delivery traces, [`RunOutcome`](crate::RunOutcome), and [`CostAccount`] on random
 //!   protocols and topologies.  This engine deliberately stays on the seed's
 //!   **clone path**: every staged payload is cloned out of the outbox
 //!   ([`OutboxBuffer::drain_sends`]) into per-node pending queues, one owned
 //!   message per delivery — the semantics the arena path must reproduce
 //!   bit-for-bit;
 //! * **oracle** — the drivers written against
-//!   [`EngineControl`](crate::EngineControl) (sharded MST, sharded global
+//!   [`EngineControl`] (sharded MST, sharded global
 //!   function, re-sharding) run on it unchanged, so their four-substrate
 //!   pinning tests have a deliberately naive instantiation to agree with.
 //!
@@ -29,7 +29,7 @@
 use crate::channel::{
     resolve_lanes, resolve_slots, ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState,
 };
-use crate::engine::RunOutcome;
+use crate::control::{EngineBuilder, EngineControl};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::metrics::CostAccount;
 use crate::node::{Inbox, OutboxBuffer, Protocol, RoundIo, Slots};
@@ -55,13 +55,10 @@ pub struct ReferenceEngine<'g, P: Protocol> {
     prev_lanes: Vec<LaneOutcome>,
     cost: CostAccount,
     /// Per-channel breakdown of the channel-scoped counters in `cost`;
-    /// length `K`.  Mirrors
-    /// [`SyncEngine::channel_costs`](crate::SyncEngine::channel_costs)
-    /// bit-for-bit.
+    /// length `K`.  Mirrors the flat engine's bit-for-bit.
     chan_cost: Vec<CostAccount>,
     round: u64,
-    /// Injected-fault session, when [`ReferenceEngine::set_fault_plan`]
-    /// installed one.
+    /// Injected-fault session, when the builder installed a plan.
     faults: Option<FaultSession>,
     /// Opt-in sparse stepping: recompute the active set from full state
     /// every round (brute force, O(n)) and step only its members.  This is
@@ -83,77 +80,49 @@ pub struct ReferenceEngine<'g, P: Protocol> {
 
 impl<'g, P: Protocol> ReferenceEngine<'g, P> {
     /// Creates an engine over `graph` with the paper's single-channel model,
-    /// instantiating each node's protocol with `init(node_id)`.
+    /// instantiating each node's protocol with `init(node_id)`: shorthand for
+    /// [`EngineBuilder::new(graph).build_reference(init)`](EngineBuilder).
     pub fn new<F: FnMut(NodeId) -> P>(graph: &'g Graph, init: F) -> Self {
-        ReferenceEngine::with_channels(graph, ChannelSet::single(), init)
+        EngineBuilder::new(graph).build_reference(init)
     }
 
-    /// Creates an engine over `graph` and an explicit multiaccess
-    /// [`ChannelSet`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel set's per-node attachment table does not cover
-    /// exactly the graph's node count.
-    pub fn with_channels<F: FnMut(NodeId) -> P>(
+    /// The constructor behind [`EngineBuilder::build_reference`]: the
+    /// builder's four settings plus the per-node initialiser.  Sparse
+    /// stepping here is brute force: instead of maintaining a frontier
+    /// incrementally, every round recomputes the active set from full
+    /// state — a node steps iff it is operational and has a non-empty
+    /// pending queue, hears a non-idle outcome on an attached channel, was
+    /// promoted to `Operational` this round, asked for a wakeup via
+    /// [`RoundIo::wake_me`] last round, or a step-all event (round 0,
+    /// re-attachment, `update_nodes`) is pending.
+    pub(crate) fn build<F: FnMut(NodeId) -> P>(
         graph: &'g Graph,
         channels: ChannelSet,
+        plan: Option<FaultPlan>,
+        sparse: bool,
         mut init: F,
     ) -> Self {
-        if let Some(len) = channels.table_len() {
-            assert_eq!(
-                len,
-                graph.node_count(),
-                "channel attachment table covers {len} nodes, graph has {}",
-                graph.node_count()
-            );
-        }
+        let n = graph.node_count();
         let nodes = graph.nodes().map(&mut init).collect();
         let k = channels.channels();
         ReferenceEngine {
             graph,
             nodes,
             channels,
-            pending: vec![Vec::new(); graph.node_count()],
-            next_pending: vec![Vec::new(); graph.node_count()],
+            pending: vec![Vec::new(); n],
+            next_pending: vec![Vec::new(); n],
             prev_slots: (0..k).map(|_| SlotOutcome::Idle).collect(),
             prev_lanes: vec![LaneOutcome::Idle; k as usize],
             cost: CostAccount::new(),
             chan_cost: vec![CostAccount::new(); k as usize],
             round: 0,
-            faults: None,
-            sparse: false,
-            woken: Vec::new(),
-            next_woken: Vec::new(),
-            step_all: false,
+            faults: plan.map(|plan| FaultSession::new(plan, n)),
+            sparse,
+            woken: if sparse { vec![false; n] } else { Vec::new() },
+            next_woken: if sparse { vec![false; n] } else { Vec::new() },
+            step_all: sparse,
             last_stepped: Vec::new(),
         }
-    }
-
-    /// Switches the engine to sparse (active-set) stepping; the brute-force
-    /// counterpart of
-    /// [`SyncEngine::enable_sparse_stepping`](crate::SyncEngine::enable_sparse_stepping),
-    /// with the same frontier-safety contract on the protocol.  Instead of
-    /// maintaining a frontier incrementally, every round recomputes the
-    /// active set from full state — a node steps iff it is operational and
-    /// has a non-empty pending queue, hears a non-idle outcome on an
-    /// attached channel, was promoted to `Operational` this round, asked
-    /// for a wakeup via [`RoundIo::wake_me`] last round, or a step-all
-    /// event (round 0, re-attachment, `update_nodes`) is pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds have already executed.
-    pub fn enable_sparse_stepping(&mut self) {
-        assert_eq!(
-            self.round, 0,
-            "sparse stepping must be enabled before round 0"
-        );
-        let n = self.graph.node_count();
-        self.sparse = true;
-        self.step_all = true;
-        self.woken = vec![false; n];
-        self.next_woken = vec![false; n];
     }
 
     /// `true` when sparse (active-set) stepping is enabled.
@@ -166,25 +135,6 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
     /// this brute-force set against the flat engine's incremental frontier.
     pub fn last_stepped(&self) -> Option<&[u32]> {
         self.sparse.then_some(self.last_stepped.as_slice())
-    }
-
-    /// Installs a deterministic [`FaultPlan`]; must be called before the
-    /// first round executes.  Bit-identical semantics to
-    /// [`SyncEngine::set_fault_plan`](crate::SyncEngine::set_fault_plan) —
-    /// same application points, same seeded draws — pinned by the
-    /// `engine_conformance` fault dimension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rounds have already executed.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        assert_eq!(self.round, 0, "fault plan must be installed before round 0");
-        self.faults = Some(FaultSession::new(plan, self.graph.node_count()));
-    }
-
-    /// The installed fault session, if any.
-    pub fn fault_session(&self) -> Option<&FaultSession> {
-        self.faults.as_ref()
     }
 
     /// Applies the current round's lifecycle transitions and charges the
@@ -219,69 +169,9 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
         &self.channels
     }
 
-    /// Applies a dynamic attachment snapshot between rounds; identical
-    /// semantics to [`SyncEngine::reattach`](crate::SyncEngine::reattach)
-    /// (the next round observes pending slot outcomes and gates writes under
-    /// the new masks), pinned by the `engine_conformance` suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `masks` does not cover exactly the graph's node count or a
-    /// mask addresses a channel beyond the set's `K`.
-    pub fn reattach(&mut self, masks: &[u64]) {
-        assert_eq!(
-            masks.len(),
-            self.graph.node_count(),
-            "re-attachment covers {} nodes, graph has {}",
-            masks.len(),
-            self.graph.node_count()
-        );
-        self.channels.reattach(masks);
-        // Attachment changes what every node hears next round.
-        if self.sparse {
-            self.step_all = true;
-        }
-    }
-
-    /// Immutable access to a node's protocol state.
-    pub fn node(&self, v: NodeId) -> &P {
-        &self.nodes[v.index()]
-    }
-
-    /// Mutably visits every node's protocol state between rounds; the
-    /// clone-path counterpart of
-    /// [`SyncEngine::update_nodes`](crate::SyncEngine::update_nodes) (this
-    /// engine rescans for quiescence, so no counter maintenance is needed).
-    pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            f(NodeId(i), node);
-        }
-        // Arbitrary state edits invalidate any sparsity assumption.
-        if self.sparse {
-            self.step_all = true;
-        }
-    }
-
     /// Immutable access to all protocol states, indexed by node id.
     pub fn nodes(&self) -> &[P] {
         &self.nodes
-    }
-
-    /// Per-channel breakdown of the channel-scoped counters of
-    /// [`cost`](Self::cost); see
-    /// [`SyncEngine::channel_costs`](crate::SyncEngine::channel_costs).
-    pub fn channel_costs(&self) -> &[CostAccount] {
-        &self.chan_cost
-    }
-
-    /// The cost account accumulated so far.
-    pub fn cost(&self) -> &CostAccount {
-        &self.cost
-    }
-
-    /// Rounds executed so far.
-    pub fn round(&self) -> u64 {
-        self.round
     }
 
     /// State (idle / success / collision) of channel `chan`'s most recently
@@ -290,38 +180,24 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
         SlotState::from(&self.prev_slots[chan.index()])
     }
 
-    /// Returns `true` when every node is done, no message is in flight, and
-    /// every channel's last slot was idle (a non-idle outcome is feedback
-    /// every attached node still gets to hear — see
-    /// [`SyncEngine::is_quiescent`](crate::SyncEngine::is_quiescent)).
-    /// O(n + K): full rescan, as in the original implementation.  Nodes in
-    /// an exempt lifecycle state (`Off` / `Crashed`) count as settled, as in
-    /// the flat engine.
-    pub fn is_quiescent(&self) -> bool {
-        self.nodes.iter().enumerate().all(|(i, p)| {
-            p.is_done()
-                || self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|s| s.lifecycle(NodeId(i)).is_exempt())
-        }) && self.pending.iter().all(Vec::is_empty)
-            && self.prev_slots.iter().all(SlotOutcome::is_idle)
-            && self.prev_lanes.iter().all(LaneOutcome::is_idle)
-    }
-
     /// Outcome of channel `chan`'s most recently resolved lane sub-slot.
     pub fn last_lanes(&self, chan: ChannelId) -> LaneOutcome {
         self.prev_lanes[chan.index()]
     }
 
-    /// Executes one round for every node and resolves one slot per channel.
-    ///
+    /// Consumes the engine, returning the node states and the cost account.
+    pub fn into_parts(self) -> (Vec<P>, CostAccount) {
+        (self.nodes, self.cost)
+    }
+}
+
+impl<'g, P: Protocol> EngineControl<P> for ReferenceEngine<'g, P> {
     /// With a fault plan installed: lifecycle transitions apply first, only
     /// `Operational` nodes step (a skipped node's pending queue is discarded
     /// unread by the swap — inbound messages to a crashed node are lost
     /// without being counted as drops), dropped sends never enter the
     /// next-round queues, and erased slots overwrite the resolved outcome.
-    pub fn step_round(&mut self) {
+    fn step_round(&mut self) {
         if self.sparse {
             // Rotate the wakeup buffers: last round's `wake_me` requests
             // become this round's wakes, and boot promotions applied below
@@ -489,31 +365,75 @@ impl<'g, P: Protocol> ReferenceEngine<'g, P> {
         self.round += 1;
     }
 
-    /// Runs until quiescence or until `max_rounds` rounds have elapsed in total.
-    pub fn run(&mut self, max_rounds: u64) -> RunOutcome {
-        while self.round < max_rounds {
-            if self.is_quiescent() {
-                return RunOutcome::Completed { rounds: self.round };
-            }
-            self.step_round();
-        }
-        if self.is_quiescent() {
-            RunOutcome::Completed { rounds: self.round }
-        } else {
-            RunOutcome::RoundLimit { rounds: self.round }
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// O(n + K): full rescan, as in the original implementation.
+    fn is_quiescent(&self) -> bool {
+        self.nodes.iter().enumerate().all(|(i, p)| {
+            p.is_done()
+                || self
+                    .faults
+                    .as_ref()
+                    .is_some_and(|s| s.lifecycle(NodeId(i)).is_exempt())
+        }) && self.pending.iter().all(Vec::is_empty)
+            && self.prev_slots.iter().all(SlotOutcome::is_idle)
+            && self.prev_lanes.iter().all(LaneOutcome::is_idle)
+    }
+
+    fn cost(&self) -> CostAccount {
+        self.cost
+    }
+
+    fn channel_costs(&self) -> Vec<CostAccount> {
+        self.chan_cost.clone()
+    }
+
+    fn channel_count(&self) -> u16 {
+        self.channels.channels()
+    }
+
+    fn reattach(&mut self, masks: &[u64]) {
+        assert_eq!(
+            masks.len(),
+            self.graph.node_count(),
+            "re-attachment covers {} nodes, graph has {}",
+            masks.len(),
+            self.graph.node_count()
+        );
+        self.channels.reattach(masks);
+        // Attachment changes what every node hears next round.
+        if self.sparse {
+            self.step_all = true;
         }
     }
 
-    /// Consumes the engine, returning the node states and the cost account.
-    pub fn into_parts(self) -> (Vec<P>, CostAccount) {
-        (self.nodes, self.cost)
+    /// This engine rescans for quiescence, so no counter maintenance is
+    /// needed.
+    fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            f(NodeId(i), node);
+        }
+        // Arbitrary state edits invalidate any sparsity assumption.
+        if self.sparse {
+            self.step_all = true;
+        }
+    }
+
+    fn node(&self, v: NodeId) -> &P {
+        &self.nodes[v.index()]
+    }
+
+    fn fault_session(&self) -> Option<&FaultSession> {
+        self.faults.as_ref()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EngineControl, SyncEngine};
+    use crate::SyncEngine;
     use netsim_graph::generators;
 
     /// Gossip-max: every node floods the largest id it has seen until nothing
@@ -585,10 +505,9 @@ mod tests {
                     best: (id.index() as u64).wrapping_mul(2654435761) % 1000,
                     started: false,
                 };
-                let mut fast = SyncEngine::new(&g, init);
-                let mut slow = ReferenceEngine::new(&g, init);
-                fast.set_fault_plan(plan.clone());
-                slow.set_fault_plan(plan.clone());
+                let faulted = EngineBuilder::new(&g).fault_plan(plan.clone());
+                let mut fast = faulted.build_flat(init);
+                let mut slow = faulted.build_reference(init);
                 let fast_out = fast.run(limit);
                 let slow_out = slow.run(limit);
                 assert_eq!(fast_out, slow_out);

@@ -9,7 +9,7 @@
 //!
 //! 1. [`ContentionMonitor`] watches per-channel
 //!    [`CostAccount`] deltas
-//!    ([`SyncEngine::channel_costs`](crate::SyncEngine::channel_costs) and
+//!    ([`EngineControl::channel_costs`](crate::EngineControl::channel_costs) and
 //!    friends) between observation points and, when the hottest channel's
 //!    load exceeds a configured skew bound over the coldest's, emits a
 //!    [`ReshardDecision`] pairing them.
@@ -672,6 +672,7 @@ impl Protocol for ReshardNode {
 mod tests {
     use super::*;
     use crate::channel::ChannelSet;
+    use crate::control::{EngineBuilder, EngineControl};
     use crate::engine::SyncEngine;
     use netsim_graph::generators;
 
@@ -748,8 +749,9 @@ mod tests {
         let spec = ReshardSpec::new(roster.clone(), ChannelId(0), ChannelId(1), 7);
         // Every roster node attached to the hot channel.
         let channels = ChannelSet::from_masks(2, vec![0b01; n]);
-        let mut eng =
-            SyncEngine::with_channels(&g, channels, |v| ReshardNode::new(spec.clone(), v));
+        let mut eng = EngineBuilder::new(&g)
+            .channels(channels)
+            .build_flat(|v| ReshardNode::new(spec.clone(), v));
         let outcome = eng.run(100);
         assert!(outcome.is_completed(), "protocol quiesces");
         let leader = eng.node(NodeId(0));

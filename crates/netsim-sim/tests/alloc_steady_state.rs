@@ -448,8 +448,9 @@ fn engines_meet_their_allocation_contracts() {
     // the next writer: 0 allocations/round.
     let small = generators::Family::Grid.generate(64, 7);
     let n = small.node_count();
-    let mut chan_frames =
-        SyncEngine::with_channels(&small, ChannelSet::uniform(2), |id| ChannelFrameHeartbeat {
+    let mut chan_frames = EngineBuilder::new(&small)
+        .channels(ChannelSet::uniform(2))
+        .build_flat(|id| ChannelFrameHeartbeat {
             id,
             n,
             acc: 1,
@@ -688,8 +689,9 @@ impl Protocol for SparseToken {
 fn sparse_million_node_idle_rounds_are_allocation_free_and_o_frontier() {
     let n = 1usize << 20;
     let g = netsim_graph::topologies::degree_bounded_expander(n, 4, 11);
-    let mut eng = SyncEngine::new(&g, |id| SparseToken { id });
-    eng.enable_sparse_stepping();
+    let mut eng = EngineBuilder::new(&g)
+        .sparse(true)
+        .build_flat(|id| SparseToken { id });
     // Warm up: round 0 is the all-active boot round; a few more rounds take
     // every pooled buffer (frontier member list, touched list, staging,
     // arena) to its constant-traffic high-water mark.
@@ -807,7 +809,7 @@ fn sparse_sharded_rounds_stay_allocation_free_across_reattach() {
     let chans = assignment(1);
     let (new_masks, states) = (masks(&chans), shard_states(&chans, k));
     eng.reattach(&new_masks);
-    eng.update_nodes(|v, p| *p = states[v.index()].clone());
+    eng.update_nodes(&mut |v, p| *p = states[v.index()].clone());
 
     let before = allocs();
     eng.step_round();

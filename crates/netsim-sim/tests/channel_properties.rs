@@ -23,7 +23,10 @@
 //!    reference engine leaves the runs bit-for-bit identical.
 
 use netsim_graph::{generators, NodeId};
-use netsim_sim::{resolve_slots, ChannelId, ChannelSet, Protocol, RoundIo, SlotOutcome};
+use netsim_sim::{
+    resolve_slots, ChannelId, ChannelSet, EngineBuilder, EngineControl, Protocol, RoundIo,
+    SlotOutcome,
+};
 use proptest::prelude::*;
 
 fn mix(a: u64, b: u64) -> u64 {
@@ -198,9 +201,9 @@ proptest! {
             state: mix(seed, v.index() as u64),
             rounds_active: active + (v.index() as u32 % 3),
         };
-        let channels = ChannelSet::uniform(k);
-        let mut flat = netsim_sim::SyncEngine::with_channels(&g, channels.clone(), init);
-        let mut reference = netsim_sim::ReferenceEngine::with_channels(&g, channels, init);
+        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(k));
+        let mut flat = builder.build_flat(init);
+        let mut reference = builder.build_reference(init);
         let flat_out = flat.run(1000);
         let ref_out = reference.run(1000);
         prop_assert_eq!(flat_out, ref_out);
@@ -279,9 +282,9 @@ proptest! {
             .map(|b| (2 + b * 4, masks_at(b)))
             .collect();
 
-        let channels = ChannelSet::uniform(k);
-        let mut flat = netsim_sim::SyncEngine::with_channels(&g, channels.clone(), init);
-        let mut reference = netsim_sim::ReferenceEngine::with_channels(&g, channels, init);
+        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(k));
+        let mut flat = builder.build_flat(init);
+        let mut reference = builder.build_reference(init);
         let mut next_flat = 0;
         while !flat.is_quiescent() && flat.round() < 1000 {
             if next_flat < schedule.len() && schedule[next_flat].0 == flat.round() {
@@ -321,12 +324,12 @@ fn slot_outcomes_independent_of_shard_merge_order() {
             state: mix(seed, v.index() as u64),
             rounds_active: 12 + (v.index() as u32 % 4),
         };
-        let channels = ChannelSet::uniform(k);
-        let mut seq = netsim_sim::SyncEngine::with_channels(&g, channels.clone(), init);
+        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(k));
+        let mut seq = builder.build_flat(init);
         let seq_out = seq.run(1000);
         assert!(seq_out.is_completed());
         for threads in [2usize, 3, 8] {
-            let mut par = netsim_sim::SyncEngine::with_channels(&g, channels.clone(), init);
+            let mut par = builder.build_flat(init);
             let par_out = par.run_parallel(1000, threads);
             assert_eq!(seq_out, par_out, "n={n} k={k} threads={threads}");
             assert_eq!(seq.cost(), par.cost(), "n={n} k={k} threads={threads}");

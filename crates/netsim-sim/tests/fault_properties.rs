@@ -16,8 +16,8 @@
 
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
-    ChannelId, ChannelSet, FaultEvent, FaultPlan, FaultSession, NodeLifecycle, Protocol,
-    ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
+    ChannelId, ChannelSet, EngineBuilder, EngineControl, FaultEvent, FaultPlan, FaultSession,
+    NodeLifecycle, Protocol, RoundIo, SlotOutcome,
 };
 use proptest::prelude::*;
 
@@ -93,7 +93,7 @@ fn fault_trace(plan: &FaultPlan, n: usize, k: u16, rounds: u64) -> Vec<u64> {
             trace.push(mix(v.index() as u64, mix(from as u64 + 1, to as u64 + 17)));
         });
         for c in 0..k {
-            trace.push(u64::from(session.erases_slot(round, ChannelId(c))));
+            trace.push(u64::from(plan.erases_slot(round, ChannelId(c))));
         }
         for from in 0..n {
             for to in 0..n {
@@ -192,9 +192,8 @@ proptest! {
         let null = FaultPlan::none();
         prop_assert!(null.is_null());
 
-        let mut bare = SyncEngine::with_channels(&g, channels.clone(), init);
-        let mut nulled = SyncEngine::with_channels(&g, channels, init);
-        nulled.set_fault_plan(null);
+        let mut bare = EngineBuilder::new(&g).channels(channels.clone()).build_flat(init);
+        let mut nulled = EngineBuilder::new(&g).channels(channels).fault_plan(null).build_flat(init);
         let bare_out = bare.run(5_000);
         let nulled_out = nulled.run(5_000);
         prop_assert_eq!(bare_out, nulled_out);
@@ -230,11 +229,9 @@ proptest! {
             state: mix(seed, v.index() as u64),
             rounds_active: active + (v.index() as u32 % 3),
         };
-        let channels = ChannelSet::uniform(k);
-        let mut flat = SyncEngine::with_channels(&g, channels.clone(), init);
-        let mut reference = ReferenceEngine::with_channels(&g, channels, init);
-        flat.set_fault_plan(plan.clone());
-        reference.set_fault_plan(plan);
+        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(k)).fault_plan(plan);
+        let mut flat = builder.build_flat(init);
+        let mut reference = builder.build_reference(init);
         let flat_out = flat.run(5_000);
         let ref_out = reference.run(5_000);
         prop_assert_eq!(flat_out, ref_out);

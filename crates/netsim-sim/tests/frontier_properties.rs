@@ -18,8 +18,8 @@
 
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
-    lockstep_config, AsyncEngine, ChannelId, ChannelSet, FaultEvent, FaultPlan, Lockstep, Protocol,
-    ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
+    lockstep_config, AsyncEngine, ChannelId, ChannelSet, EngineBuilder, EngineControl, FaultEvent,
+    FaultPlan, Lockstep, Protocol, RoundIo, SlotOutcome,
 };
 use proptest::prelude::*;
 
@@ -220,11 +220,11 @@ fn downed_channel_listeners_never_enter_the_frontier() {
             rounds_active: 10 + (v.index() as u32 % 3),
         };
         let run = |sparse: bool| {
-            let mut eng = SyncEngine::with_channels(&g, channels.clone(), init);
-            if sparse {
-                eng.enable_sparse_stepping();
-            }
-            eng.set_fault_plan(plan.clone());
+            let mut eng = EngineBuilder::new(&g)
+                .channels(channels.clone())
+                .sparse(sparse)
+                .fault_plan(plan.clone())
+                .build_flat(init);
             let mut rounds = 0u64;
             while !eng.is_quiescent() && rounds < 5_000 {
                 eng.step_round();
@@ -240,7 +240,7 @@ fn downed_channel_listeners_never_enter_the_frontier() {
                 rounds += 1;
             }
             assert!(eng.is_quiescent(), "erase_p={erase_p}: run did not quiesce");
-            let cost = *eng.cost();
+            let cost = eng.cost();
             let lifecycles = eng.fault_session().expect("plan").lifecycles().to_vec();
             let (nodes, _) = eng.into_parts();
             (nodes, cost, lifecycles, rounds)
@@ -279,12 +279,9 @@ proptest! {
         let plan = random_plan(n, fault_seed);
         let init = probe_init(seed, active);
         let channels = ChannelSet::uniform(k);
-        let mut flat = SyncEngine::with_channels(&g, channels.clone(), &init);
-        flat.enable_sparse_stepping();
-        flat.set_fault_plan(plan.clone());
-        let mut reference = ReferenceEngine::with_channels(&g, channels, &init);
-        reference.enable_sparse_stepping();
-        reference.set_fault_plan(plan);
+        let builder = EngineBuilder::new(&g).channels(channels).sparse(true).fault_plan(plan);
+        let mut flat = builder.build_flat(&init);
+        let mut reference = builder.build_reference(&init);
 
         let mut rounds = 0u64;
         while !flat.is_quiescent() && rounds < 5_000 {
@@ -321,16 +318,13 @@ proptest! {
         let plan = random_plan(n, fault_seed);
         let init = probe_init(seed, active);
         let channels = ChannelSet::uniform(k);
+        let builder = EngineBuilder::new(&g).channels(channels.clone()).fault_plan(plan.clone());
 
         // Flat sync engine.
         let run_flat = |sparse: bool| {
-            let mut eng = SyncEngine::with_channels(&g, channels.clone(), &init);
-            if sparse {
-                eng.enable_sparse_stepping();
-            }
-            eng.set_fault_plan(plan.clone());
+            let mut eng = builder.clone().sparse(sparse).build_flat(&init);
             assert!(eng.run(5_000).is_completed());
-            let cost = *eng.cost();
+            let cost = eng.cost();
             let lifecycles = eng.fault_session().expect("plan").lifecycles().to_vec();
             let (nodes, _) = eng.into_parts();
             (nodes, cost, lifecycles)
@@ -339,13 +333,9 @@ proptest! {
 
         // Clone-path reference engine.
         let run_ref = |sparse: bool| {
-            let mut eng = ReferenceEngine::with_channels(&g, channels.clone(), &init);
-            if sparse {
-                eng.enable_sparse_stepping();
-            }
-            eng.set_fault_plan(plan.clone());
+            let mut eng = builder.clone().sparse(sparse).build_reference(&init);
             assert!(eng.run(5_000).is_completed());
-            let cost = *eng.cost();
+            let cost = eng.cost();
             let lifecycles = eng.fault_session().expect("plan").lifecycles().to_vec();
             let (nodes, _) = eng.into_parts();
             (nodes, cost, lifecycles)

@@ -8,7 +8,9 @@ use multimedia_net::multimedia::{
     partition::{deterministic, randomized},
     MultimediaNetwork,
 };
-use multimedia_net::sim::{Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine};
+use multimedia_net::sim::{
+    EngineControl, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
+};
 use multimedia_net::symmetry::{
     is_maximal_independent, is_proper_coloring, mis_with_roots, three_color, RootedForest,
 };
