@@ -26,7 +26,7 @@
 //! docs).  A `Success` slot **moves** the winning message into its outcome —
 //! never cloned — and parks it in the graveyard after the boundary.
 //!
-//! # Pooled staging
+//! # Pooled staging: stage the pass, fold once
 //!
 //! The hot path is allocation-free in steady state, for `Copy` **and**
 //! heap-carrying payloads: in-flight payloads live in a reference-counted
@@ -34,18 +34,33 @@
 //! in-flight copy is a slab handle, each delivery a reference-count
 //! decrement), deliveries hand the protocol a `&Msg`, and retired heap
 //! payloads are parked in a graveyard that [`AsyncCtx::recycle_payload`]
-//! hands back to senders.  A callback stages its sends and writes into
-//! engine-owned buffers the [`AsyncCtx`] borrows in place — no engine state
-//! is moved out per callback — and adapters replaying a synchronous
-//! [`Protocol`](crate::Protocol) ([`Lockstep`](crate::Lockstep)) borrow one
-//! engine-owned [`OutboxBuffer`] the same way instead of keeping per-node
-//! buffers.  Quiescence is O(1) via a done-node counter.
+//! hands back to senders.
+//!
+//! Callbacks run in **passes** — the start callbacks, one tick's due
+//! deliveries, one boundary's `on_boundary` calls — and every callback of a
+//! pass stages its sends, channel and lane writes and wakeups into the
+//! engine's one sender-tagged [`OutboxBuffer`], the round shape of the flat
+//! engine and the wire host.  The buffer is folded into the in-flight heap,
+//! the slot's write queue and the wake set **once per pass**, at exactly
+//! three points: after the start pass, after a tick's deliveries (before
+//! that tick's boundary counts its writers — a send staged at tick `t` is
+//! due at `t + 1` at the earliest, so nothing staged by a delivery could
+//! have been due in the same loop), and after a boundary's callbacks.  The
+//! fold walks the sends in **staging order** — callbacks in dispatch order,
+//! calls in issue order — drawing one delay per surviving copy, so that
+//! order is part of the determinism tuple: it fixes the delay RNG stream
+//! and the event sequence numbers that break same-tick delivery ties.
+//! Adapters replaying a synchronous [`Protocol`](crate::Protocol)
+//! ([`Lockstep`](crate::Lockstep)) build their [`RoundIo`](crate::RoundIo)
+//! over the same buffer, so a replayed step is staged exactly once.
+//! Quiescence is O(1) via a done-node counter.
 
 use crate::channel::{
     settle_lanes, settle_slot, ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState,
     MAX_CHANNELS,
 };
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
+use crate::frontier::{Active, Frontier};
 use crate::metrics::CostAccount;
 use crate::node::OutboxBuffer;
 use netsim_graph::{Graph, NodeId};
@@ -84,6 +99,17 @@ impl Default for AsyncConfig {
 /// / [`on_lanes_on`](Self::on_lanes_on) and inherit the fan-out; adapters that
 /// consume a whole boundary at once (the [`Lockstep`](crate::Lockstep) replay)
 /// override `on_boundary` and never see a per-channel copy.
+///
+/// Callbacks run in **passes** — the start callbacks, one tick's due
+/// deliveries, one boundary — and what they send, write or request is
+/// staged for the pass and folded into the engine once, after it: after the
+/// start pass, after a tick's deliveries (before that tick's boundary
+/// resolves, so a write from `on_message` at a boundary tick still counts
+/// in the closing slot), and after a boundary's callbacks.  A callback
+/// therefore never observes another callback's outputs of the same pass,
+/// and the order in which it issues its own `send` / `send_all` calls is
+/// part of the determinism tuple: the fold draws delays and numbers events
+/// in staging order.
 pub trait AsyncProtocol {
     /// Message type used on both media.
     type Msg: Clone;
@@ -181,35 +207,22 @@ pub trait AsyncProtocol {
     fn on_recover(&mut self) {}
 }
 
-/// A send staged by a callback, in request order: the interleaving of
-/// unicasts and broadcasts is preserved so delivery tie-breaks (event
-/// sequence numbers) match the order the protocol issued them in.
-#[derive(Debug)]
-pub(crate) enum StagedSend<M> {
-    /// `send(to, msg)`.
-    One(NodeId, M),
-    /// `send_all(msg)` — interned once, fanned out as slab handles.
-    All(M),
-}
-
 /// Output collector handed to the [`AsyncProtocol`] callbacks.
 ///
-/// Every buffer behind it is engine-owned, borrowed for the one callback and
-/// folded into the engine afterwards, so callbacks do not allocate in steady
-/// state.  The `pub(crate)` fields are the [`Lockstep`](crate::Lockstep)
-/// adapter's staging surface.
+/// Everything a callback sends, writes or requests is **staged** into the
+/// engine's one pooled, sender-tagged [`OutboxBuffer`] and folded into the
+/// engine once the whole pass of callbacks has run (see
+/// [`AsyncProtocol`]), so callbacks do not allocate in steady state.  The
+/// `pub(crate)` fields are the [`Lockstep`](crate::Lockstep) adapter's
+/// staging surface.
 #[derive(Debug)]
 pub struct AsyncCtx<'a, M> {
     node: NodeId,
     tick: u64,
     neighbors: netsim_graph::Neighbors<'a>,
-    pub(crate) sends: &'a mut Vec<StagedSend<M>>,
     pub(crate) graveyard: &'a mut Vec<M>,
-    /// Channel writes staged by this callback.
-    pub(crate) chan_writes: &'a mut Vec<(ChannelId, M)>,
-    /// Lane writes staged by this callback.
-    pub(crate) lane_writes: &'a mut Vec<(ChannelId, u64)>,
-    /// The engine's one pooled round-staging buffer, empty between callbacks.
+    /// The engine's one staging buffer, shared by every callback of the
+    /// pass; this node's entries are its tail.
     pub(crate) outbox: &'a mut OutboxBuffer<M>,
     /// The engine's pooled per-channel outcome slices: the boundary's
     /// outcomes during [`AsyncProtocol::on_boundary`], all idle otherwise.
@@ -219,9 +232,6 @@ pub struct AsyncCtx<'a, M> {
     k: u16,
     /// Attachment bitmask of this node.
     pub(crate) attached: u64,
-    /// Set by [`AsyncCtx::wake_me`]; the engine folds it into the sparse
-    /// boundary-dispatch set (ignored under dense dispatch).
-    pub(crate) woken: &'a mut bool,
 }
 
 impl<'a, M: Clone> AsyncCtx<'a, M> {
@@ -263,7 +273,8 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
             self.node,
             to
         );
-        self.sends.push(StagedSend::One(to, msg));
+        let h = self.outbox.arena.intern(msg);
+        self.outbox.entries.push((to, self.node, h));
     }
 
     /// Sends a message to every neighbour.
@@ -272,8 +283,13 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
     /// one reference per neighbour; no clones are made however large the
     /// degree.
     pub fn send_all(&mut self, msg: M) {
-        if !self.neighbors.targets().is_empty() {
-            self.sends.push(StagedSend::All(msg));
+        let targets = self.neighbors.targets();
+        if targets.is_empty() {
+            return;
+        }
+        let h = self.outbox.arena.intern(msg);
+        for &to in targets {
+            self.outbox.entries.push((to, self.node, h));
         }
     }
 
@@ -303,7 +319,8 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
             "{:?} attempted to write to unattached {chan:?}",
             self.node
         );
-        self.chan_writes.push((chan, msg));
+        let h = self.outbox.arena.intern(msg);
+        self.outbox.chan_writes.push((chan, self.node, h));
     }
 
     /// Stages a lane write on channel `chan` for the current slot: the
@@ -328,7 +345,7 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
             "{:?} attempted to write lanes on unattached {chan:?}",
             self.node
         );
-        self.lane_writes.push((chan, word));
+        self.outbox.lane_writes.push((chan, self.node, word));
     }
 
     /// Schedules this node for dispatch at the **next slot boundary**.
@@ -345,7 +362,7 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
     /// quiescence — exactly as for the synchronous engines.  No-op under
     /// dense dispatch.
     pub fn wake_me(&mut self) {
-        *self.woken = true;
+        self.outbox.wakes.push(self.node);
     }
 
     /// Number of channels `K` of the engine's [`ChannelSet`].
@@ -441,7 +458,7 @@ impl<M> PayloadSlab<M> {
 
 /// The in-flight point-to-point queue and the delay adversary feeding it,
 /// grouped so the send fold schedules deliveries while the engine's other
-/// fields (fault session, slab, send scratch) are borrowed side by side.
+/// fields (fault session, slab, staging buffer) are borrowed side by side.
 struct Flight {
     rng: StdRng,
     /// Min-heap of in-flight messages, ordered by `(tick, sequence)`.
@@ -481,14 +498,9 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     /// `(node, channel)` pairs with a queued lane write this slot, in
     /// request order.
     lane_writers: Vec<(NodeId, ChannelId)>,
-    /// Pooled callback send buffer.
-    send_scratch: Vec<StagedSend<P::Msg>>,
-    /// Pooled callback channel-write buffer.
-    chan_write_scratch: Vec<(ChannelId, P::Msg)>,
-    /// Pooled callback lane-write buffer.
-    lane_write_scratch: Vec<(ChannelId, u64)>,
-    /// The one round-staging buffer lent to replay adapters through
-    /// [`AsyncCtx`]; unallocated unless a callback uses it.
+    /// The one sender-tagged staging buffer every callback of a pass — and
+    /// every replay adapter's `RoundIo` — writes into; empty between passes
+    /// (see [`AsyncEngine::fold_staged`]).
     outbox: OutboxBuffer<P::Msg>,
     /// Pooled per-boundary lane outcomes, one per channel; all idle outside
     /// a boundary.
@@ -524,27 +536,63 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     /// charges it as that slot's churn, mirroring the synchronous engine's
     /// per-round accounting under the lockstep mapping.
     pending_crashed: u64,
-    /// Opt-in sparse boundary dispatch; `false` dispatches every node at
-    /// every slot boundary.
-    sparse: bool,
-    /// Dense bitset over nodes marked for the next boundary dispatch
-    /// (dedup for `wake_list`); sparse mode only.
-    wake_bits: Vec<u64>,
-    /// Overflow list of the marked nodes (unordered while accumulating).
-    wake_list: Vec<u32>,
-    /// The next boundary dispatches every node (re-attachment,
-    /// `update_nodes`, a non-idle outcome under uniform attachment).
-    wake_all: bool,
+    /// Wake set of the opt-in sparse boundary dispatch; `None` dispatches
+    /// every node at every slot boundary.
+    frontier: Option<Frontier>,
 }
 
-/// Marks node `v` in the sparse boundary-dispatch set (bitset-deduped);
-/// free function so fault-session closures can call it with the engine
-/// partially borrowed.
-fn mark_wake(bits: &mut [u64], list: &mut Vec<u32>, v: usize) {
-    let (word, bit) = (v >> 6, 1u64 << (v & 63));
-    if bits[word] & bit == 0 {
-        bits[word] |= bit;
-        list.push(v as u32);
+/// The disjoint borrows of one **pass** of callbacks (start, a tick's
+/// deliveries, a boundary), split from the engine once per pass so the
+/// per-callback body touches no engine field twice; see
+/// [`AsyncEngine::pass_parts`].
+struct Pass<'a, P: AsyncProtocol> {
+    graph: &'a Graph,
+    nodes: &'a mut [P],
+    channels: &'a ChannelSet,
+    /// Fault lifecycle gate; `None` without a plan (everyone operational).
+    lifecycles: Option<&'a [NodeLifecycle]>,
+    slab: &'a mut PayloadSlab<P::Msg>,
+    outbox: &'a mut OutboxBuffer<P::Msg>,
+    slots: &'a [SlotOutcome<P::Msg>],
+    lanes: &'a [LaneOutcome],
+    tick: u64,
+    /// Sparse dispatch reads the staged wakeups at the fold; dense dispatch
+    /// never does, so it drops them per callback instead of letting the
+    /// list grow to `n`.
+    keep_wakes: bool,
+    /// Done transitions of the pass so far; settled once, at the fold.
+    done_delta: isize,
+}
+
+impl<P: AsyncProtocol> Pass<'_, P> {
+    /// Runs one callback on node `vi` unless its lifecycle gates it;
+    /// returns whether it ran.  Forced inline so each pass loop compiles to
+    /// a straight-line body around the protocol's callback (left to the
+    /// inliner, the dense boundary loop ran ≈ 17 % slower).
+    #[inline(always)]
+    fn call(&mut self, vi: usize, f: impl FnOnce(&mut P, &mut AsyncCtx<'_, P::Msg>)) -> bool {
+        if self.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
+            return false;
+        }
+        let (v, node) = (NodeId(vi), &mut self.nodes[vi]);
+        let was_done = node.is_done();
+        let mut ctx = AsyncCtx {
+            node: v,
+            tick: self.tick,
+            neighbors: self.graph.neighbors(v),
+            graveyard: &mut self.slab.graveyard,
+            outbox: &mut *self.outbox,
+            slots: self.slots,
+            lanes: self.lanes,
+            k: self.channels.channels(),
+            attached: self.channels.mask(v),
+        };
+        f(node, &mut ctx);
+        self.done_delta += isize::from(node.is_done()) - isize::from(was_done);
+        if !self.keep_wakes {
+            self.outbox.wakes.clear();
+        }
+        true
     }
 }
 
@@ -612,9 +660,6 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             writers: Vec::new(),
             lane_slot_writes: vec![None; graph.node_count() * k],
             lane_writers: Vec::new(),
-            send_scratch: Vec::new(),
-            chan_write_scratch: Vec::new(),
-            lane_write_scratch: Vec::new(),
             outbox: OutboxBuffer::new(),
             lane_scratch: vec![LaneOutcome::Idle; k],
             lane_counts: vec![0; k],
@@ -629,10 +674,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             faults: None,
             undone_exempt: 0,
             pending_crashed: 0,
-            sparse: false,
-            wake_bits: Vec::new(),
-            wake_list: Vec::new(),
-            wake_all: false,
+            frontier: None,
         }
     }
 
@@ -659,21 +701,16 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             !self.started && self.tick == 0,
             "sparse boundaries must be enabled before the engine starts"
         );
-        self.sparse = true;
-        self.wake_bits = vec![0; self.graph.node_count().div_ceil(64)];
+        // A frontier is born all-active for the flat engine's round 0; here
+        // the start callbacks play that role, so consume it.
+        let mut frontier = Frontier::new(self.graph.node_count(), &self.channels);
+        frontier.advance();
+        self.frontier = Some(frontier);
     }
 
     /// `true` when sparse boundary dispatch is enabled.
     pub fn sparse_boundaries(&self) -> bool {
-        self.sparse
-    }
-
-    /// Marks `v` for the next boundary dispatch; no-op under dense dispatch
-    /// or when a dispatch-all boundary is already pending.
-    fn wake_for_boundary(&mut self, v: usize) {
-        if self.sparse && !self.wake_all {
-            mark_wake(&mut self.wake_bits, &mut self.wake_list, v);
-        }
+        self.frontier.is_some()
     }
 
     /// Installs a deterministic [`FaultPlan`]; must be called before the
@@ -716,9 +753,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         let nodes = &mut self.nodes;
         let done_count = &mut self.done_count;
         let undone_exempt = &mut self.undone_exempt;
-        let sparse = self.sparse && !self.wake_all;
-        let wake_bits = &mut self.wake_bits;
-        let wake_list = &mut self.wake_list;
+        let frontier = &mut self.frontier;
         session.apply_round(round, |v, _, to| match to {
             NodeLifecycle::Crashed => {
                 *undone_exempt += usize::from(!nodes[v.index()].is_done());
@@ -735,17 +770,12 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             }
             // Lifecycle wakeup: the rejoining node hears the next boundary.
             NodeLifecycle::Operational => {
-                if sparse {
-                    mark_wake(wake_bits, wake_list, v.index());
+                if let Some(f) = frontier {
+                    f.wake(v.index());
                 }
             }
             NodeLifecycle::Off => {}
         });
-    }
-
-    /// `true` when `v` currently receives callbacks (no plan ⇒ always).
-    fn is_node_operational(&self, v: NodeId) -> bool {
-        self.faults.as_ref().is_none_or(|s| s.is_operational(v))
     }
 
     /// The multiaccess channel substrate.
@@ -778,8 +808,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         );
         self.channels.reattach(masks);
         // Attachment changes what every node hears at the next boundary.
-        if self.sparse {
-            self.wake_all = true;
+        if let Some(f) = &mut self.frontier {
+            f.reattach(self.channels.channels(), masks);
         }
     }
 
@@ -802,8 +832,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             None => 0,
         };
         // Arbitrary state edits invalidate any sparsity assumption.
-        if self.sparse {
-            self.wake_all = true;
+        if let Some(f) = &mut self.frontier {
+            f.wake_all();
         }
     }
 
@@ -853,105 +883,97 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         (self.nodes, self.cost)
     }
 
-    /// Runs one protocol callback on node `v` over the engine's pooled
-    /// buffers (borrowed in place, nothing moved out), then folds its
-    /// outputs (sends, channel and lane writes, done transition, wakeup)
-    /// back into the engine.
-    fn dispatch<F>(&mut self, v: NodeId, f: F)
-    where
-        F: FnOnce(&mut P, &mut AsyncCtx<'_, P::Msg>),
-    {
-        let k = self.channels.channels() as usize;
-        let node = &mut self.nodes[v.index()];
-        let was_done = node.is_done();
-        let mut woken = false;
-        let mut ctx = AsyncCtx {
-            node: v,
-            tick: self.tick,
-            neighbors: self.graph.neighbors(v),
-            sends: &mut self.send_scratch,
-            graveyard: &mut self.slab.graveyard,
-            chan_writes: &mut self.chan_write_scratch,
-            lane_writes: &mut self.lane_write_scratch,
+    /// Splits the engine into the disjoint borrows of one pass of callbacks
+    /// (as `SyncEngine::step_parts` does for a round): the per-callback
+    /// state, the in-flight queue and the sparse wake set.
+    fn pass_parts(&mut self) -> (Pass<'_, P>, &mut Flight, &mut Option<Frontier>) {
+        let pass = Pass {
+            graph: self.graph,
+            nodes: &mut self.nodes,
+            channels: &self.channels,
+            lifecycles: self.faults.as_ref().map(|s| s.lifecycles()),
+            slab: &mut self.slab,
             outbox: &mut self.outbox,
             slots: &self.outcome_scratch,
             lanes: &self.lane_scratch,
-            k: k as u16,
-            attached: self.channels.mask(v),
-            woken: &mut woken,
+            tick: self.tick,
+            keep_wakes: self.frontier.is_some(),
+            done_delta: 0,
         };
-        f(node, &mut ctx);
-        let now_done = node.is_done();
+        (pass, &mut self.flight, &mut self.frontier)
+    }
+
+    /// Folds a finished pass into the engine — its done transitions and, in
+    /// staging order, everything it staged — and retires the staging epoch.
+    /// Runs at exactly three points: after the start pass, after a tick's
+    /// deliveries, after a boundary's callbacks (see the module docs).
+    fn fold_staged(&mut self, done_delta: isize) {
         self.done_count = self
             .done_count
-            .checked_add_signed(isize::from(now_done) - isize::from(was_done))
+            .checked_add_signed(done_delta)
             .expect("done count balances");
-        if woken {
-            self.wake_for_boundary(v.index());
+        let k = self.channels.channels() as usize;
+        let staged = &mut self.outbox;
+        if let Some(f) = &mut self.frontier {
+            f.wake_run(staged.wakes.drain(..).map(NodeId::index));
         }
 
-        // Message drops apply before a send ever enters the in-flight heap:
-        // a dropped copy is charged as sent (plus the drop counter) but
-        // never scheduled; a broadcast is interned with the *surviving*
-        // reference count only.  The drop coin is keyed by the sending tick
-        // and the directed edge — under the lockstep configuration the tick
-        // is the round, giving bit-identical drops to the round engines.
-        let (tick, max_delay) = (self.tick, self.config.max_delay_ticks);
-        let faults = self.faults.as_ref();
-        let drops = |to: NodeId| faults.is_some_and(|s| s.drops_message(tick, v, to));
-        for staged in self.send_scratch.drain(..) {
-            match staged {
-                StagedSend::One(to, msg) => {
-                    self.cost.add_messages(1);
-                    if drops(to) {
-                        self.cost.add_dropped_messages(1);
-                        self.slab.park(msg, k);
-                    } else {
-                        let slot = self.slab.intern(msg, 1);
-                        self.flight.schedule(tick, max_delay, v, to, slot);
-                    }
-                }
-                StagedSend::All(msg) => {
-                    let targets = self.graph.neighbors(v).targets();
-                    debug_assert!(!targets.is_empty());
-                    let surviving = targets.iter().filter(|&&to| !drops(to)).count();
-                    self.cost.add_messages(targets.len() as u64);
-                    self.cost
-                        .add_dropped_messages((targets.len() - surviving) as u64);
-                    if surviving == 0 {
-                        self.slab.park(msg, k);
-                    } else {
-                        let slot = self.slab.intern(msg, surviving as u32);
-                        for &to in targets.iter().filter(|&&to| !drops(to)) {
-                            self.flight.schedule(tick, max_delay, v, to, slot);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fold the staged channel writes into the per-(node, channel) queue;
-        // only the last request per channel per slot counts, a replaced
-        // payload retires to the graveyard for recycling.
-        for (chan, msg) in self.chan_write_scratch.drain(..) {
-            let queued = &mut self.slot_writes[v.index() * k + chan.index()];
-            match queued.replace(msg) {
+        // Only the last request per node, channel and slot counts — whether
+        // the earlier one came from this pass or from an earlier callback
+        // of the slot; a replaced payload retires to the graveyard.
+        for (chan, v, h) in staged.chan_writes.drain(..) {
+            let msg = staged.arena.take(h);
+            match self.slot_writes[v.index() * k + chan.index()].replace(msg) {
                 Some(old) => self.slab.park(old, k),
                 None => self.writers.push((v, chan)),
             }
         }
-
         // Lane words OR-merge per (node, channel) instead of replacing.
-        for (chan, word) in self.lane_write_scratch.drain(..) {
-            let queued = &mut self.lane_slot_writes[v.index() * k + chan.index()];
-            match queued {
+        for (chan, v, word) in staged.lane_writes.drain(..) {
+            match &mut self.lane_slot_writes[v.index() * k + chan.index()] {
                 Some(w) => *w |= word,
-                None => {
+                queued => {
                     *queued = Some(word);
                     self.lane_writers.push((v, chan));
                 }
             }
         }
+
+        // A run of entries sharing a handle is one `send` / `send_all` call:
+        // its payload is interned once, with the *surviving* reference
+        // count.  Drops apply before a copy ever enters the in-flight heap —
+        // charged as sent (plus the drop counter), never scheduled — and
+        // the coin is keyed by the sending tick and the directed edge: under
+        // the lockstep configuration the tick is the round, giving
+        // bit-identical drops to the round engines.
+        let (tick, max_delay) = (self.tick, self.config.max_delay_ticks);
+        for copies in staged.entries.chunk_by_mut(|a, b| a.2 == b.2) {
+            let (_, from, h) = copies[0];
+            let mut surviving = copies.len();
+            if let Some(faults) = &self.faults {
+                surviving = 0;
+                for i in 0..copies.len() {
+                    if !faults.drops_message(tick, from, copies[i].0) {
+                        copies[surviving] = copies[i];
+                        surviving += 1;
+                    }
+                }
+            }
+            self.cost.add_messages(copies.len() as u64);
+            self.cost
+                .add_dropped_messages((copies.len() - surviving) as u64);
+            let msg = staged.arena.take(h);
+            if surviving == 0 {
+                self.slab.park(msg, k);
+                continue;
+            }
+            let slot = self.slab.intern(msg, surviving as u32);
+            for &(to, ..) in &copies[..surviving] {
+                self.flight.schedule(tick, max_delay, from, to, slot);
+            }
+        }
+        staged.entries.clear();
+        staged.arena.expire();
     }
 
     /// Returns `true` when every node is done, nothing is in flight, and no
@@ -966,31 +988,32 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     }
 
     fn deliver_due(&mut self) {
-        while let Some(&Reverse((when, _, _, _, _))) = self.flight.heap.peek() {
-            if when > self.tick {
+        let (mut pass, flight, frontier) = self.pass_parts();
+        while let Some(&Reverse((when, _, to, from, slot))) = flight.heap.peek() {
+            if when > pass.tick {
                 break;
             }
-            let Reverse((_, _, to, from, slot)) = self.flight.heap.pop().expect("peeked");
+            flight.heap.pop();
             // Check the payload out of the slab for the duration of the
-            // callback (the callback may intern new payloads into the same
-            // slab), then check it back in: it stays in its slot while other
-            // deliveries of the same broadcast are outstanding and retires
-            // to the free list + graveyard after the last one.
-            let msg = self.slab.check_out(slot);
+            // callback, then check it back in: it stays in its slot while
+            // other deliveries of the same broadcast are outstanding and
+            // retires to the free list + graveyard after the last one.
+            let msg = pass.slab.check_out(slot);
             // A message arriving at a non-operational node is silently lost
             // (not a counted drop — it *was* delivered, there is just nobody
-            // there to read it); the slab reference is still released.
-            if self.is_node_operational(NodeId(to)) {
-                self.dispatch(NodeId(to), |node, ctx| {
-                    node.on_message(NodeId(from), &msg, ctx)
-                });
-                // A delivery is boundary work: the receiver may have state
-                // to surface at the next `on_slot_on` round (the lockstep
-                // adapter steps on buffered inboxes, for one).
-                self.wake_for_boundary(to);
+            // there to read it); the slab reference is still released.  A
+            // delivery is boundary work: the receiver may have state to
+            // surface at the next `on_boundary` (the lockstep adapter steps
+            // on buffered inboxes, for one).
+            if pass.call(to, |node, ctx| node.on_message(NodeId(from), &msg, ctx)) {
+                if let Some(f) = frontier {
+                    f.wake(to);
+                }
             }
-            self.slab.check_in(slot, msg);
+            pass.slab.check_in(slot, msg);
         }
+        let done_delta = pass.done_delta;
+        self.fold_staged(done_delta);
     }
 
     fn resolve_slot_boundary(&mut self) {
@@ -1084,66 +1107,44 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         }
 
         // A non-idle outcome is feedback every *attached* node hears, so
-        // under sparse dispatch those nodes join the boundary's wake set
-        // (uniform attachment short-circuits to a dispatch-all boundary).
-        if self.sparse {
-            let mut nonidle_mask = 0u64;
+        // under sparse dispatch the channel's listeners join the boundary's
+        // wake set (uniform attachment wakes everyone).
+        if let Some(frontier) = &mut self.frontier {
             for (c, outcome) in self.outcome_scratch.iter().enumerate() {
                 if !outcome.is_idle() || !self.lane_scratch[c].is_idle() {
-                    nonidle_mask |= 1 << c;
-                }
-            }
-            if nonidle_mask != 0 {
-                match self.channels.masks_table() {
-                    None => self.wake_all = true,
-                    Some(masks) => {
-                        if !self.wake_all {
-                            for (v, &mask) in masks.iter().enumerate() {
-                                if mask & nonidle_mask != 0 {
-                                    mark_wake(&mut self.wake_bits, &mut self.wake_list, v);
-                                }
-                            }
-                        }
-                    }
+                    frontier.wake_channel(c);
                 }
             }
         }
 
         // Dispatch the boundary: one `on_boundary` call per node over the
-        // pooled outcome slices, so the per-callback bookkeeping (done
-        // tracking, send draining) is not multiplied by K.  Dense (or a
-        // dispatch-all wake): every operational node.  Sparse: only the
-        // marked nodes, in ascending node index — identical to dense for
-        // boundary-safe protocols, because a skipped callback would have
-        // observed only idle outcomes and staged nothing (in particular, no
-        // RNG draws are skipped).
-        if self.sparse && !self.wake_all {
-            // Wakes raised *during* these callbacks are self-wakes of the
-            // node being dispatched (its bit is already cleared below), so
-            // they accumulate cleanly for the next boundary.
-            let mut list = std::mem::take(&mut self.wake_list);
-            list.sort_unstable();
-            for &vi in &list {
-                let v = vi as usize;
-                self.wake_bits[v >> 6] &= !(1u64 << (v & 63));
-                self.dispatch_boundary(NodeId(v));
+        // pooled outcome slices, so the per-callback bookkeeping is not
+        // multiplied by K.  Dense (or an all-active wake set): every
+        // operational node.  Sparse: only the woken nodes, in ascending node
+        // index — identical to dense for boundary-safe protocols, because a
+        // skipped callback would have observed only idle outcomes and staged
+        // nothing (in particular, no RNG draws are skipped).  Wakeups raised
+        // by these callbacks are staged like everything else and reach the
+        // *next* boundary's set at the fold.
+        let n = self.nodes.len();
+        let (mut pass, _, frontier) = self.pass_parts();
+        let boundary = |node: &mut P, ctx: &mut AsyncCtx<'_, P::Msg>| {
+            node.on_boundary(ctx.slots, ctx.lanes, ctx)
+        };
+        match frontier.as_mut().map(Frontier::advance) {
+            Some(Active::Members(woken)) => {
+                for vi in woken.ones(0..n.div_ceil(64)) {
+                    pass.call(vi, boundary);
+                }
             }
-            // Hand the (drained) buffer back without clobbering wakes the
-            // callbacks just accumulated into `self.wake_list`.
-            list.clear();
-            list.append(&mut self.wake_list);
-            self.wake_list = list;
-        } else {
-            if self.sparse {
-                // Dispatch-all boundary consumes the accumulated wake state.
-                self.wake_all = false;
-                self.wake_bits.fill(0);
-                self.wake_list.clear();
-            }
-            for v in self.graph.nodes() {
-                self.dispatch_boundary(v);
+            _ => {
+                for vi in 0..n {
+                    pass.call(vi, boundary);
+                }
             }
         }
+        let done_delta = pass.done_delta;
+        self.fold_staged(done_delta);
 
         // Retire the boundary's winning payloads for recycling.
         for outcome in &mut self.outcome_scratch {
@@ -1153,14 +1154,6 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             }
         }
         self.lane_scratch.fill(LaneOutcome::Idle);
-    }
-
-    /// Hands node `v` the boundary resolved into the pooled outcome slices;
-    /// non-operational nodes hear nothing.
-    fn dispatch_boundary(&mut self, v: NodeId) {
-        if self.is_node_operational(v) {
-            self.dispatch(v, |node, ctx| node.on_boundary(ctx.slots, ctx.lanes, ctx));
-        }
     }
 
     /// Runs until quiescence or until `max_ticks` ticks have elapsed.
@@ -1196,11 +1189,13 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         if !self.started {
             self.started = true;
             self.apply_fault_round(0);
-            for v in self.graph.nodes() {
-                if self.is_node_operational(v) {
-                    self.dispatch(v, |node, ctx| node.on_start(ctx));
-                }
+            let n = self.nodes.len();
+            let (mut pass, ..) = self.pass_parts();
+            for vi in 0..n {
+                pass.call(vi, |node, ctx| node.on_start(ctx));
             }
+            let done_delta = pass.done_delta;
+            self.fold_staged(done_delta);
             return;
         }
         self.tick += 1;

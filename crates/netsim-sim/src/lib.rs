@@ -113,6 +113,7 @@ mod channel;
 pub mod control;
 mod engine;
 pub mod fault;
+mod frontier;
 pub mod lockstep;
 mod metrics;
 mod node;

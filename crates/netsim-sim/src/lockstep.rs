@@ -26,7 +26,7 @@
 //! wire-format sibling of this adapter's slot-boundary discipline, and the
 //! fourth substrate of the conformance matrix.
 
-use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, StagedSend};
+use crate::async_engine::{AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol};
 use crate::channel::{LaneOutcome, SlotOutcome};
 use crate::control::EngineControl;
 use crate::fault::FaultSession;
@@ -62,9 +62,10 @@ fn add_axiom_round(cost: &mut CostAccount, k: u16) {
 /// [`AsyncProtocol::on_boundary`] and builds the inner protocol's
 /// [`RoundIo`] directly over the engine's pooled per-channel outcome slices
 /// (one borrowed broadcast per boundary — a slot winner is never cloned per
-/// node) and over the one [`OutboxBuffer`](crate::OutboxBuffer) the engine
-/// lends through [`AsyncCtx`], whose staged outputs it forwards onto the
-/// context before returning.
+/// node) and over the one sender-tagged [`OutboxBuffer`](crate::OutboxBuffer)
+/// every [`AsyncCtx`] of the pass stages into.  The step's outputs are
+/// already where the engine folds them from — a `send_all` is one interned
+/// payload however large the degree — so nothing is forwarded.
 #[derive(Debug)]
 pub struct Lockstep<P: Protocol> {
     inner: P,
@@ -132,21 +133,10 @@ impl<P: Protocol> Lockstep<P> {
             outbox: &mut *ctx.outbox,
         };
         self.inner.step(&mut io);
+        // Sends, writes and wakeups stay staged in the engine's buffer (the
+        // window applied the neighbour / attachment / K checks); the engine
+        // folds them with the rest of the pass.
         self.inbox.clear();
-        // Forward the staged outputs onto the context (the window already
-        // applied the neighbour / attachment / K checks).  A wakeup request
-        // keeps a `wake_me`-adopting protocol self-arming under sparse
-        // boundary dispatch; channel writes move out before the sends,
-        // whose drain retires the payload epoch the write handles point into.
-        let outbox = &mut *ctx.outbox;
-        outbox.take_wakes(|_| *ctx.woken = true);
-        outbox.take_channel_writes(|chan, _, msg| ctx.chan_writes.push((chan, msg)));
-        outbox.take_lane_writes(|chan, _, word| ctx.lane_writes.push((chan, word)));
-        ctx.sends.extend(
-            outbox
-                .drain_sends()
-                .map(|(to, msg)| StagedSend::One(to, msg)),
-        );
     }
 }
 

@@ -131,8 +131,8 @@ impl<M> OutboxBuffer<M> {
     }
 
     /// Moves every wakeup requested through [`RoundIo::wake_me`] out of the
-    /// buffer, in request order. Simulation wrappers (the async lockstep
-    /// adapter) forward these onto their own wakeup substrate.
+    /// buffer, in request order. Simulation wrappers (the reference engine,
+    /// the wire backend) forward these onto their own wakeup substrate.
     pub fn take_wakes(&mut self, mut f: impl FnMut(NodeId)) {
         for v in self.wakes.drain(..) {
             f(v);
@@ -147,8 +147,8 @@ impl<M> OutboxBuffer<M> {
     /// Moves every staged channel write out as `(channel, writer, message)`,
     /// in staging order, leaving the point-to-point sends untouched.
     ///
-    /// Simulation wrappers (the async lockstep adapter, the reference
-    /// engine) use this to forward writes onto their own substrate; it must
+    /// Simulation wrappers (the reference engine, the wire backend) use
+    /// this to forward writes onto their own substrate; it must
     /// run **before** [`OutboxBuffer::drain_sends`], whose completion retires
     /// the payload epoch the write handles point into.
     pub fn take_channel_writes(&mut self, mut f: impl FnMut(ChannelId, NodeId, M)) {
@@ -168,8 +168,8 @@ impl<M> OutboxBuffer<M> {
     /// Moves every staged lane write out as `(channel, writer, word)`, in
     /// staging order (at most one entry per node and channel — same-node
     /// repeats were OR-merged at staging time).  Simulation wrappers (the
-    /// async lockstep adapter, the reference engine, the wire backend) use
-    /// this to forward lane words onto their own substrate.
+    /// reference engine, the wire backend) use this to forward lane words
+    /// onto their own substrate.
     pub fn take_lane_writes(&mut self, mut f: impl FnMut(ChannelId, NodeId, u64)) {
         for (chan, from, word) in self.lane_writes.drain(..) {
             f(chan, from, word);

@@ -19,7 +19,8 @@
 //! construction allocations independent of `n`, 0 allocations per
 //! steady-state round for `u64` and `Vec<u8>`-frame payloads, and **zero**
 //! clones of slot winners — a boundary is one borrowed broadcast, not a
-//! private copy per node.
+//! private copy per node — and a whole build + run in a constant number of
+//! allocations; a third pins that a replayed `send_all` is interned once.
 //!
 //! A separate test covers the arena-reuse property: over a 1 000-round run
 //! the payload slab's capacity and high-water mark stay at one round's
@@ -567,6 +568,82 @@ fn lockstep_substrate_is_pooled_and_clone_free() {
     );
     assert!(frames.cost().slots_success >= 40);
     assert!(frames.nodes().iter().all(|p| p.inner().acc > 1));
+
+    // The benchmark's shape (`chansum-lockstep`): building the substrate and
+    // running the sum to quiescence allocates a small constant number of
+    // times — every unfinished node requests a wakeup every round, and a
+    // dense run drops those requests as they are staged instead of growing
+    // a list of them to `n`.
+    let run_allocs = |n: usize| {
+        let ring = generators::ring(n);
+        let before = allocs();
+        let mut eng = EngineBuilder::new(&ring)
+            .channels(ChannelShardedSum::channel_set(n, 4))
+            .build_lockstep(|v| ChannelShardedSum::new(v, n, 4, v.index() as u64));
+        assert!(eng.run(n as u64), "the sum finishes in n / 4 + 1 rounds");
+        allocs() - before
+    };
+    let big = run_allocs(8192);
+    assert!(big <= 18, "lockstep build + run made {big} allocations");
+    assert_eq!(
+        big,
+        run_allocs(2048),
+        "lockstep build + run allocations grow with n"
+    );
+}
+
+/// The hub of a star broadcasts one frame per round, rebuilt in a recycled
+/// buffer; the leaves only listen.
+struct HubBroadcast {
+    rounds_left: u32,
+    heard: u64,
+}
+
+impl Protocol for HubBroadcast {
+    type Msg = CountedFrame;
+    fn step(&mut self, io: &mut RoundIo<'_, CountedFrame>) {
+        self.heard += io.inbox().len() as u64;
+        if self.rounds_left > 0 {
+            self.rounds_left -= 1;
+            if io.degree() > 1 {
+                let mut frame = io.recycle_payload().unwrap_or_default();
+                frame.0.clear();
+                frame.0.resize(64, self.rounds_left as u8);
+                io.send_all(frame);
+            }
+        }
+    }
+    fn is_done(&self) -> bool {
+        self.rounds_left == 0
+    }
+}
+
+/// A `send_all` replayed through the lockstep adapter is what
+/// [`AsyncCtx::send_all`] documents — interned **once**, no clones however
+/// large the degree: the only copies are the adapter's one inbox clone per
+/// *delivery*, and the slab holds one slot per broadcast in flight, not one
+/// per copy.
+#[test]
+fn lockstep_broadcast_interns_once_and_clones_per_delivery_only() {
+    let (degree, rounds) = (8, 20);
+    let star = generators::star(degree + 1);
+    let mut eng = EngineBuilder::new(&star).build_lockstep(|_| HubBroadcast {
+        rounds_left: rounds,
+        heard: 0,
+    });
+    let before = frame_clones();
+    assert!(eng.run(100));
+    let deliveries = u64::from(rounds) * degree as u64;
+    assert_eq!(eng.cost().p2p_messages, deliveries);
+    let heard: u64 = eng.nodes().iter().map(|p| p.inner().heard).sum();
+    assert_eq!(heard, deliveries);
+    assert_eq!(
+        frame_clones() - before,
+        deliveries,
+        "one clone per delivery, none per send"
+    );
+    // Under the lockstep configuration one broadcast is in flight at a time.
+    assert_eq!(eng.payload_slab_capacity(), 1);
 }
 
 /// `TreeBroadcast` steady state: once a node has forwarded, its step must
