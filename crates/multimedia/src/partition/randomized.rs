@@ -156,7 +156,7 @@ pub fn partition(net: &MultimediaNetwork, seed: u64) -> RandomizedOutcome {
                 let touches_unlabeled = g
                     .neighbor_targets(u)
                     .iter()
-                    .any(|&v| label[v.index()].is_none());
+                    .any(|&v| label[v as usize].is_none());
                 tree_has_unlabeled_link[r.index()] |= touches_unlabeled;
             }
         }

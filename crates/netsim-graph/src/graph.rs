@@ -18,8 +18,16 @@
 //!   of `n` and `m` (at most six vectors, enforced by the `graph_alloc`
 //!   integration test), and
 //! * keeps every traversal cache-friendly: the hot BFS/scatter loops read
-//!   only the 8-byte `targets` entries instead of pulling the interleaved
+//!   only the 4-byte `targets` entries instead of pulling the interleaved
 //!   `(NodeId, EdgeId)` pairs through the cache.
+//!
+//! Both row arrays store **32-bit** indices (the CSR index space is 32-bit,
+//! which [`GraphBuilder::new`] enforces): a row entry costs 4 + 4 bytes, not
+//! the 8 + 8 of the public `usize`-backed [`NodeId`] / [`EdgeId`] handles.
+//! The views convert at the boundary — [`Neighbors::iter`],
+//! [`Neighbors::target`] and friends hand out `NodeId` / `EdgeId` — and only
+//! the raw-slice accessors ([`Neighbors::targets`], [`Graph::csr`], …)
+//! expose the `u32` storage.
 //!
 //! Each CSR row is ordered by ascending **edge key** `(weight, edge id)`, the
 //! globally consistent total order every algorithm in the workspace observes
@@ -167,21 +175,21 @@ impl Edge {
 ///
 /// Hot paths that only need the neighbour nodes should use
 /// [`Neighbors::targets`] (or [`Graph::neighbor_targets`]) to stream the flat
-/// `NodeId` slice without touching the edge-id array at all.
+/// `u32` node-index slice without touching the edge-id array at all.
 #[derive(Clone, Copy, Debug)]
 pub struct Neighbors<'a> {
-    targets: &'a [NodeId],
-    edge_ids: &'a [EdgeId],
+    targets: &'a [u32],
+    edge_ids: &'a [u32],
 }
 
 impl<'a> Neighbors<'a> {
-    /// Builds a view over externally owned parallel slices (used by detached
-    /// simulator windows and tests).
+    /// Builds a view over externally owned parallel slices of node and edge
+    /// indices (used by detached simulator windows and tests).
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
-    pub fn new(targets: &'a [NodeId], edge_ids: &'a [EdgeId]) -> Self {
+    pub fn new(targets: &'a [u32], edge_ids: &'a [u32]) -> Self {
         assert_eq!(
             targets.len(),
             edge_ids.len(),
@@ -210,22 +218,25 @@ impl<'a> Neighbors<'a> {
         self.targets.is_empty()
     }
 
-    /// The neighbour nodes, as a flat slice.
+    /// The neighbour nodes' indices, as a flat slice.
     #[inline]
-    pub fn targets(&self) -> &'a [NodeId] {
+    pub fn targets(&self) -> &'a [u32] {
         self.targets
     }
 
-    /// The incident edge ids, parallel to [`Neighbors::targets`].
+    /// The incident edges' indices, parallel to [`Neighbors::targets`].
     #[inline]
-    pub fn edge_ids(&self) -> &'a [EdgeId] {
+    pub fn edge_ids(&self) -> &'a [u32] {
         self.edge_ids
     }
 
     /// The `i`-th `(neighbour, edge id)` pair, if in range.
     #[inline]
     pub fn get(&self, i: usize) -> Option<(NodeId, EdgeId)> {
-        Some((*self.targets.get(i)?, *self.edge_ids.get(i)?))
+        Some((
+            NodeId(*self.targets.get(i)? as usize),
+            EdgeId(*self.edge_ids.get(i)? as usize),
+        ))
     }
 
     /// The `i`-th neighbour node.
@@ -235,13 +246,21 @@ impl<'a> Neighbors<'a> {
     /// Panics if `i >= len()`.
     #[inline]
     pub fn target(&self, i: usize) -> NodeId {
-        self.targets[i]
+        NodeId(self.targets[i] as usize)
     }
 
-    /// Returns `true` when `v` is among the neighbours.
+    /// Returns `true` when `v` is among the neighbours.  An id beyond the
+    /// 32-bit row space is never one (it is not narrowed into a row entry).
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.targets.contains(&v)
+        self.position(v).is_some()
+    }
+
+    /// Row position of neighbour `v`, if present.
+    #[inline]
+    fn position(&self, v: NodeId) -> Option<usize> {
+        let v = u32::try_from(v.index()).ok()?;
+        self.targets.iter().position(|&t| t == v)
     }
 
     /// Iterator over `(neighbour, edge id)` pairs.
@@ -264,8 +283,8 @@ impl<'a> IntoIterator for Neighbors<'a> {
 /// Iterator over the `(NodeId, EdgeId)` pairs of a [`Neighbors`] view.
 #[derive(Clone, Debug)]
 pub struct NeighborsIter<'a> {
-    targets: std::slice::Iter<'a, NodeId>,
-    edge_ids: std::slice::Iter<'a, EdgeId>,
+    targets: std::slice::Iter<'a, u32>,
+    edge_ids: std::slice::Iter<'a, u32>,
 }
 
 impl Iterator for NeighborsIter<'_> {
@@ -273,7 +292,8 @@ impl Iterator for NeighborsIter<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(NodeId, EdgeId)> {
-        Some((*self.targets.next()?, *self.edge_ids.next()?))
+        let (t, e) = (*self.targets.next()?, *self.edge_ids.next()?);
+        Some((NodeId(t as usize), EdgeId(e as usize)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -286,7 +306,8 @@ impl ExactSizeIterator for NeighborsIter<'_> {}
 impl DoubleEndedIterator for NeighborsIter<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<(NodeId, EdgeId)> {
-        Some((*self.targets.next_back()?, *self.edge_ids.next_back()?))
+        let (t, e) = (*self.targets.next_back()?, *self.edge_ids.next_back()?);
+        Some((NodeId(t as usize), EdgeId(e as usize)))
     }
 }
 
@@ -299,9 +320,9 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
 /// Adjacency is a flat `(offsets, targets, edge_ids)` compressed-sparse-row
 /// triple: node `v`'s incident links are the parallel slices
 /// `targets[offsets[v]..offsets[v + 1]]` / `edge_ids[offsets[v]..offsets[v + 1]]`,
-/// each row in ascending `(weight, edge id)` key order.  [`Graph::neighbors`]
-/// hands out a [`Neighbors`] view over a row; [`Graph::csr`] exposes the raw
-/// triple for bulk consumers.
+/// each row in ascending `(weight, edge id)` key order, every entry a `u32`
+/// index.  [`Graph::neighbors`] hands out a [`Neighbors`] view over a row;
+/// [`Graph::csr`] exposes the raw triple for bulk consumers.
 ///
 /// # Construction
 ///
@@ -336,10 +357,11 @@ pub struct Graph {
     /// CSR row index: node `v`'s incident links live at positions
     /// `offsets[v]..offsets[v + 1]` of `targets` / `edge_ids`; length `n + 1`.
     offsets: Vec<u32>,
-    /// Flat neighbour array (length `2m`), rows ordered by ascending edge key.
-    targets: Vec<NodeId>,
-    /// Flat incident-edge array, parallel to `targets`.
-    edge_ids: Vec<EdgeId>,
+    /// Flat neighbour-index array (length `2m`), rows ordered by ascending
+    /// edge key.
+    targets: Vec<u32>,
+    /// Flat incident-edge-index array, parallel to `targets`.
+    edge_ids: Vec<u32>,
 }
 
 impl Default for Graph {
@@ -457,18 +479,17 @@ impl Graph {
         let order = key_order(&edges, max_weight);
         // Scatter in edge-key order; each row fills in ascending key order
         // because the scatter preserves the visit order per row.
-        let mut targets = vec![NodeId(0); half_edges];
-        let mut edge_ids = vec![EdgeId(0); half_edges];
+        let mut targets = vec![0u32; half_edges];
+        let mut edge_ids = vec![0u32; half_edges];
         for r in order {
-            let (u, v) = (r.u as usize, r.v as usize);
-            let id = EdgeId(r.index as usize);
-            let pu = offsets[u] as usize;
-            offsets[u] += 1;
-            targets[pu] = NodeId(v);
+            let (u, v, id) = (r.u, r.v, r.index);
+            let pu = offsets[u as usize] as usize;
+            offsets[u as usize] += 1;
+            targets[pu] = v;
             edge_ids[pu] = id;
-            let pv = offsets[v] as usize;
-            offsets[v] += 1;
-            targets[pv] = NodeId(u);
+            let pv = offsets[v as usize] as usize;
+            offsets[v as usize] += 1;
+            targets[pv] = u;
             edge_ids[pv] = id;
         }
         // Every cursor now sits on the start of the next row.
@@ -491,13 +512,14 @@ impl Graph {
             let row = self.neighbors(v);
             let stamp = v.index() as u32;
             for &t in row.targets() {
-                if seen_by[t.index()] == stamp {
+                if seen_by[t as usize] == stamp {
                     // Report the later of the two, as the insert-time check does.
+                    let t = NodeId(t as usize);
                     let later = row.iter().filter(|&(w, _)| w == t).map(|(_, e)| e).max();
                     let e = self.edge(later.expect("the row holds the duplicate"));
                     reject_edge(e.u, e.v);
                 }
-                seen_by[t.index()] = stamp;
+                seen_by[t as usize] = stamp;
             }
         }
     }
@@ -594,33 +616,34 @@ impl Graph {
         }
     }
 
-    /// Neighbour nodes of `v` only (no edge ids), in ascending edge-key
-    /// order.  The cache-minimal view for traversals.
+    /// Neighbour node indices of `v` only (no edge ids), in ascending
+    /// edge-key order.  The cache-minimal view for traversals.
     #[inline]
-    pub fn neighbor_targets(&self, v: NodeId) -> &[NodeId] {
+    pub fn neighbor_targets(&self, v: NodeId) -> &[u32] {
         let (a, b) = self.row(v);
         &self.targets[a..b]
     }
 
-    /// The raw CSR triple `(offsets, targets, edge_ids)`.
+    /// The raw CSR triple `(offsets, targets, edge_ids)`, every entry a
+    /// `u32` index.
     ///
     /// Exposed for bulk consumers (benchmarks, serialisers) that want to walk
     /// the flat arrays directly; everyone else should go through
     /// [`Graph::neighbors`].
-    pub fn csr(&self) -> (&[u32], &[NodeId], &[EdgeId]) {
+    pub fn csr(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.offsets, &self.targets, &self.edge_ids)
     }
 
-    /// Looks up the edge between `u` and `v`, if any.
+    /// Looks up the edge between `u` and `v`, if any (`None` for an id
+    /// beyond the 32-bit row space, which no row can hold).
     pub fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
         let nbrs = self.neighbors(u);
-        let i = nbrs.targets().iter().position(|&w| w == v)?;
-        Some(nbrs.edge_ids()[i])
+        nbrs.position(v).map(|i| EdgeId(nbrs.edge_ids[i] as usize))
     }
 
     /// Returns `true` when `u` and `v` are adjacent.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbor_targets(u).contains(&v)
+        self.neighbors(u).contains(v)
     }
 
     /// Sum of all edge weights.
@@ -900,8 +923,8 @@ mod tests {
         // Node 0 is incident to weight-3 (edge 0) and weight-2 (edge 2) links;
         // the lighter link must come first in the ordered adjacency row.
         let nbrs = g.neighbors(NodeId(0));
-        assert_eq!(g.weight(nbrs.edge_ids()[0]), 2);
-        assert_eq!(g.weight(nbrs.edge_ids()[1]), 3);
+        assert_eq!(g.weight(EdgeId(nbrs.edge_ids()[0] as usize)), 2);
+        assert_eq!(g.weight(EdgeId(nbrs.edge_ids()[1] as usize)), 3);
     }
 
     #[test]
@@ -939,18 +962,28 @@ mod tests {
         assert_eq!(nbrs.iter().len(), 2);
         let empty = Neighbors::empty();
         assert!(empty.is_empty());
-        let t = [NodeId(5)];
-        let e = [EdgeId(9)];
-        let one = Neighbors::new(&t, &e);
+        let one = Neighbors::new(&[5], &[9]);
         assert_eq!(one.get(0), Some((NodeId(5), EdgeId(9))));
+    }
+
+    #[test]
+    fn ids_beyond_the_row_space_are_never_neighbours() {
+        // Rows store `u32` indices: an id that only matches a neighbour once
+        // truncated to 32 bits must read as a non-neighbour, not alias it.
+        let g = triangle();
+        let alias = NodeId((1 << 32) | 1);
+        assert!(g.neighbors(NodeId(0)).contains(NodeId(1)));
+        assert!(!g.neighbors(NodeId(0)).contains(alias));
+        assert!(!g.has_edge(NodeId(0), alias));
+        assert_eq!(g.find_edge(NodeId(0), alias), None);
+        assert!(g.find_edge(NodeId(0), NodeId(1)).is_some());
+        assert!(!g.has_edge(NodeId(0), NodeId(usize::MAX)));
     }
 
     #[test]
     #[should_panic]
     fn neighbors_new_rejects_length_mismatch() {
-        let t = [NodeId(1), NodeId(2)];
-        let e = [EdgeId(0)];
-        let _ = Neighbors::new(&t, &e);
+        let _ = Neighbors::new(&[1, 2], &[0]);
     }
 
     #[test]
@@ -1002,7 +1035,7 @@ mod tests {
         let g = b.build();
         assert!(g.edge_key(EdgeId(0)) < g.edge_key(EdgeId(1)));
         // Equal weights: node 1's row must list edge 0 before edge 1.
-        assert_eq!(g.neighbors(NodeId(1)).edge_ids(), &[EdgeId(0), EdgeId(1)]);
+        assert_eq!(g.neighbors(NodeId(1)).edge_ids(), &[0, 1]);
     }
 
     #[test]

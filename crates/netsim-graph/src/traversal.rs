@@ -73,10 +73,11 @@ pub fn bfs(g: &Graph, source: NodeId) -> BfsTree {
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()].expect("queued node has a distance");
         for &v in g.neighbor_targets(u) {
-            if dist[v.index()].is_none() {
-                dist[v.index()] = Some(du + 1);
-                parent[v.index()] = Some(u);
-                queue.push_back(v);
+            let v = v as usize;
+            if dist[v].is_none() {
+                dist[v] = Some(du + 1);
+                parent[v] = Some(u);
+                queue.push_back(NodeId(v));
             }
         }
     }
@@ -170,9 +171,10 @@ pub fn connected_components(g: &Graph) -> ComponentSet {
         while let Some(u) = queue.pop_front() {
             nodes.push(u);
             for &v in g.neighbor_targets(u) {
-                if comp_of[v.index()] == usize::MAX {
-                    comp_of[v.index()] = idx;
-                    queue.push_back(v);
+                let v = v as usize;
+                if comp_of[v] == usize::MAX {
+                    comp_of[v] = idx;
+                    queue.push_back(NodeId(v));
                 }
             }
         }

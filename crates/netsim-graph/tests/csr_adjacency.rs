@@ -34,14 +34,14 @@ fn naive_adjacency(g: &Graph) -> Vec<Vec<(NodeId, EdgeId)>> {
 /// The finalisation's specification, written the slow obvious way: order the
 /// edge indices by `(weight, index)` with the standard comparison sort, push
 /// every edge onto both endpoints' rows in that order, flatten the rows.
-fn spec_csr(n: usize, edges: &[(usize, usize, Weight)]) -> (Vec<u32>, Vec<NodeId>, Vec<EdgeId>) {
+fn spec_csr(n: usize, edges: &[(usize, usize, Weight)]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
     let mut order: Vec<usize> = (0..edges.len()).collect();
     order.sort_by_key(|&i| (edges[i].2, i));
     let mut rows = vec![Vec::new(); n];
     for i in order {
         let (u, v, _) = edges[i];
-        rows[u].push((NodeId(v), EdgeId(i)));
-        rows[v].push((NodeId(u), EdgeId(i)));
+        rows[u].push((v as u32, i as u32));
+        rows[v].push((u as u32, i as u32));
     }
     let mut offsets = vec![0u32];
     for row in &rows {

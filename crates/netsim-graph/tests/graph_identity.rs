@@ -33,11 +33,11 @@ fn fold_graph(mut h: u64, g: &Graph) -> u64 {
     for &o in offsets {
         h = fold(h, o as u64);
     }
-    for t in targets {
-        h = fold(h, t.index() as u64);
+    for &t in targets {
+        h = fold(h, u64::from(t));
     }
-    for e in edge_ids {
-        h = fold(h, e.index() as u64);
+    for &e in edge_ids {
+        h = fold(h, u64::from(e));
     }
     h
 }

@@ -267,6 +267,8 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
     ///
     /// Panics if `to` is not a neighbour.
     pub fn send(&mut self, to: NodeId, msg: M) {
+        // `contains` never narrows an id beyond the 32-bit row space, so the
+        // `as u32` below only ever sees a checked neighbour index.
         assert!(
             self.neighbors.contains(to),
             "{:?} attempted to send to non-neighbour {:?}",
@@ -274,7 +276,8 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
             to
         );
         let h = self.outbox.arena.intern(msg);
-        self.outbox.entries.push((to, self.node, h));
+        let from = self.node.index() as u32;
+        self.outbox.entries.push((to.index() as u32, from, h));
     }
 
     /// Sends a message to every neighbour.
@@ -288,9 +291,9 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
             return;
         }
         let h = self.outbox.arena.intern(msg);
-        for &to in targets {
-            self.outbox.entries.push((to, self.node, h));
-        }
+        let from = self.node.index() as u32;
+        let staged = targets.iter().map(|&to| (to, from, h));
+        self.outbox.entries.extend(staged);
     }
 
     /// Requests a write on the **default** channel in the current slot (the
@@ -362,7 +365,7 @@ impl<'a, M: Clone> AsyncCtx<'a, M> {
     /// quiescence — exactly as for the synchronous engines.  No-op under
     /// dense dispatch.
     pub fn wake_me(&mut self) {
-        self.outbox.wakes.push(self.node);
+        self.outbox.wakes.push(self.node.index() as u32);
     }
 
     /// Number of channels `K` of the engine's [`ChannelSet`].
@@ -915,7 +918,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         let k = self.channels.channels() as usize;
         let staged = &mut self.outbox;
         if let Some(f) = &mut self.frontier {
-            f.wake_run(staged.wakes.drain(..).map(NodeId::index));
+            f.wake_run(staged.wakes.drain(..).map(|v| v as usize));
         }
 
         // Only the last request per node, channel and slot counts — whether
@@ -949,11 +952,12 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         let (tick, max_delay) = (self.tick, self.config.max_delay_ticks);
         for copies in staged.entries.chunk_by_mut(|a, b| a.2 == b.2) {
             let (_, from, h) = copies[0];
+            let from = NodeId(from as usize);
             let mut surviving = copies.len();
             if let Some(faults) = &self.faults {
                 surviving = 0;
                 for i in 0..copies.len() {
-                    if !faults.drops_message(tick, from, copies[i].0) {
+                    if !faults.drops_message(tick, from, NodeId(copies[i].0 as usize)) {
                         copies[surviving] = copies[i];
                         surviving += 1;
                     }
@@ -969,6 +973,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             }
             let slot = self.slab.intern(msg, surviving as u32);
             for &(to, ..) in &copies[..surviving] {
+                let to = NodeId(to as usize);
                 self.flight.schedule(tick, max_delay, from, to, slot);
             }
         }

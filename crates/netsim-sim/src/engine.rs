@@ -15,14 +15,17 @@
 //! round:
 //!
 //! * the **inbox arena** — a CSR-style layout: one flat
-//!   `Vec<(from, handle)>` plus an `offsets` index such that node `v`'s
-//!   inbox for the current round is `arena[offsets[v]..offsets[v + 1]]`;
+//!   `Vec<(from, handle)>` of 8-byte entries plus an `offsets` index such
+//!   that node `v`'s inbox for the current round is
+//!   `arena[offsets[v]..offsets[v + 1]]`;
 //! * the **staging buffer** — sends of the current round, appended in
-//!   sender order as `(to, from, handle)` triples through the pooled
-//!   [`OutboxBuffer`].
+//!   sender order as 12-byte `(to, from, handle)` triples through the pooled
+//!   [`OutboxBuffer`] (a broadcast copies its `u32` CSR row straight in).
 //!
-//! Payloads themselves never enter either buffer: a send interns its payload
-//! once into a [`PayloadArena`](crate::PayloadArena) and both buffers move
+//! Both buffers store node ids as 32-bit indices — the graph's CSR index
+//! space — and [`Inbox`] hands senders back out as [`NodeId`]s.  Payloads
+//! themselves never enter either buffer: a send interns its payload once
+//! into a [`PayloadArena`](crate::PayloadArena) and both buffers move
 //! 4-byte [`PayloadHandle`](crate::PayloadHandle)s — a broadcast over `d`
 //! links stores one payload, not `d` clones, so non-`Copy` message types
 //! (`Vec<u8>` frames, wrapper enums) ride the same zero-copy path as `u64`s.
@@ -105,7 +108,7 @@ use crate::control::{EngineBuilder, EngineControl};
 use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
 use crate::frontier::{Active, Frontier};
 use crate::metrics::CostAccount;
-use crate::node::{Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Staged};
+use crate::node::{Delivery, Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Staged};
 use crate::payload::{PayloadArena, PayloadHandle};
 use netsim_graph::{Graph, NodeId};
 
@@ -239,7 +242,7 @@ impl<M> Default for Shard<M> {
 /// sequential or per worker.
 struct StepCtx<'a, M> {
     graph: &'a Graph,
-    arena: &'a [(NodeId, PayloadHandle)],
+    arena: &'a [Delivery],
     payloads: &'a PayloadArena<M>,
     /// Dense inbox index: node `v` reads `arena[offsets[v]..offsets[v + 1]]`.
     offsets: &'a [usize],
@@ -377,8 +380,9 @@ pub struct SyncEngine<'g, P: Protocol> {
     channels: ChannelSet,
     /// Flat inbox arena for the current round: node `v` receives
     /// `arena[offsets[v]..offsets[v + 1]]`, ordered by sender index.  Each
-    /// entry is `(from, payload handle)`; the payload lives in `payloads`.
-    arena: Vec<(NodeId, PayloadHandle)>,
+    /// entry is `(from index, payload handle)`; the payload lives in
+    /// `payloads`.
+    arena: Vec<Delivery>,
     /// Delivery-side payload arena: resolves the handles in `arena` **and**
     /// the slot winners in `slot_outcomes`.  Swaps roles with the staging
     /// arena(s) inside the shards every round.
@@ -717,7 +721,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             // folds the round's `wake_me` requests into the next frontier.
             self.last_stepped.append(&mut shard.stepped_list);
             match &mut self.frontier {
-                Some(f) => f.wake_run(shard.outbox.wakes.drain(..).map(NodeId::index)),
+                Some(f) => f.wake_run(shard.outbox.wakes.drain(..).map(|v| v as usize)),
                 None => shard.outbox.wakes.clear(),
             }
         }
@@ -880,7 +884,10 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         let staged = stage.len();
         if let Some(session) = &self.faults {
             let round = self.round;
-            stage.retain(|&(to, from, _)| !session.drops_message(round, from, to));
+            stage.retain(|&(to, from, _)| {
+                let (from, to) = (NodeId(from as usize), NodeId(to as usize));
+                !session.drops_message(round, from, to)
+            });
             let dropped = staged - stage.len();
             if dropped > 0 {
                 self.cost.add_dropped_messages(dropped as u64);
@@ -922,7 +929,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             let mut jumps = 0usize;
             let mut prev_block = 0usize;
             for entry in stage.iter() {
-                let b = entry.0.index() >> shift;
+                let b = entry.0 as usize >> shift;
                 jumps += usize::from(b < prev_block);
                 prev_block = b;
             }
@@ -935,17 +942,16 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             self.block_cursors.clear();
             self.block_cursors.resize(blocks + 1, 0);
             for entry in stage.iter() {
-                self.block_cursors[(entry.0.index() >> shift) + 1] += 1;
+                self.block_cursors[(entry.0 as usize >> shift) + 1] += 1;
             }
             for b in 1..=blocks {
                 self.block_cursors[b] += self.block_cursors[b - 1];
             }
             if self.scratch.len() < k {
-                self.scratch
-                    .resize(k, (NodeId(0), NodeId(0), PayloadHandle::DANGLING));
+                self.scratch.resize(k, (0, 0, PayloadHandle::DANGLING));
             }
             for entry in stage.iter() {
-                let b = entry.0.index() >> shift;
+                let b = entry.0 as usize >> shift;
                 let pos = self.block_cursors[b] as usize;
                 self.block_cursors[b] += 1;
                 self.scratch[pos] = *entry;
@@ -965,7 +971,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 let hi = (lo + (1 << shift)).min(n);
                 self.heads[lo..hi].fill(NIL);
                 for i in (start..end).rev() {
-                    let to = self.scratch[i].0.index();
+                    let to = self.scratch[i].0 as usize;
                     self.links[i] = self.heads[to];
                     self.heads[to] = i as u32;
                 }
@@ -983,7 +989,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             // ---- Small graphs / block-local traffic: single-pass bucket. --
             self.heads.fill(NIL);
             for i in (0..k).rev() {
-                let to = stage[i].0.index();
+                let to = stage[i].0 as usize;
                 self.links[i] = self.heads[to];
                 self.heads[to] = i as u32;
             }
@@ -1041,7 +1047,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         // an empty chain is what discovers a touched receiver, so the pass
         // is O(messages) with no per-node scan.
         for i in (0..k).rev() {
-            let to = stage[i].0.index();
+            let to = stage[i].0 as usize;
             if heads[to] == NIL {
                 touched.push(to as u32);
             }

@@ -61,12 +61,19 @@ pub trait Protocol {
     fn on_recover(&mut self) {}
 }
 
-/// A staged point-to-point message: `(to, from, payload handle)`.
+/// A staged point-to-point message: `(to, from, payload handle)`, the two
+/// nodes as 32-bit indices (the graph's CSR index space).
 ///
 /// The payload itself lives in the staging [`PayloadArena`]; the triple is
-/// `Copy`, so the engine's bucketing passes move 20-byte records regardless
+/// `Copy`, so the engine's bucketing passes move 12-byte records regardless
 /// of the message type.
-pub(crate) type Staged = (NodeId, NodeId, PayloadHandle);
+pub(crate) type Staged = (u32, u32, PayloadHandle);
+const _: () = assert!(std::mem::size_of::<Staged>() == 12);
+
+/// One flat-engine inbox entry: `(sender index, payload handle)`, 8 bytes;
+/// [`Inbox`] hands the sender out as a [`NodeId`].
+pub(crate) type Delivery = (u32, PayloadHandle);
+const _: () = assert!(std::mem::size_of::<Delivery>() == 8);
 
 /// A reusable buffer of staged sends plus the arena their payloads are
 /// interned in, pooled across rounds by the engine.
@@ -91,11 +98,11 @@ pub struct OutboxBuffer<M> {
     /// entirely; same-node same-channel writes are OR-merged at staging
     /// time, keeping at most one entry per `(node, channel)`.
     pub(crate) lane_writes: Vec<(ChannelId, NodeId, u64)>,
-    /// Self-scheduled wakeups requested through [`RoundIo::wake_me`]: nodes
-    /// asking to be on the next round's activity frontier.  Engines running
-    /// dense ignore (and clear) them; the sparse stepping mode folds them
-    /// into the frontier.
-    pub(crate) wakes: Vec<NodeId>,
+    /// Self-scheduled wakeups requested through [`RoundIo::wake_me`]: the
+    /// indices of nodes asking to be on the next round's activity frontier.
+    /// Engines running dense ignore (and clear) them; the sparse stepping
+    /// mode folds them into the frontier.
+    pub(crate) wakes: Vec<u32>,
 }
 
 impl<M> OutboxBuffer<M> {
@@ -135,7 +142,7 @@ impl<M> OutboxBuffer<M> {
     /// the wire backend) forward these onto their own wakeup substrate.
     pub fn take_wakes(&mut self, mut f: impl FnMut(NodeId)) {
         for v in self.wakes.drain(..) {
-            f(v);
+            f(NodeId(v as usize));
         }
     }
 
@@ -237,7 +244,7 @@ impl<M> OutboxBuffer<M> {
         );
         let OutboxBuffer { entries, arena, .. } = self;
         for (to, _, h) in entries.drain(..) {
-            f(to, arena.get(h));
+            f(NodeId(to as usize), arena.get(h));
         }
         arena.expire();
     }
@@ -291,7 +298,7 @@ impl<'a, M: Clone> Iterator for DrainSendsWithSender<'a, M> {
         } else {
             self.arena.take(h)
         };
-        Some((to, from, msg))
+        Some((NodeId(to as usize), NodeId(from as usize), msg))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -327,9 +334,22 @@ enum InboxEntries<'a, M> {
     Direct(&'a [(NodeId, M)]),
     /// Arena handles (one interned `M` per *send*, shared by broadcasts).
     Arena {
-        entries: &'a [(NodeId, PayloadHandle)],
+        entries: &'a [Delivery],
         payloads: &'a PayloadArena<M>,
     },
+}
+
+impl<'a, M> InboxEntries<'a, M> {
+    /// The `i`-th delivery, senders converted to [`NodeId`] at this boundary.
+    #[inline]
+    fn get(self, i: usize) -> Option<(NodeId, &'a M)> {
+        match self {
+            InboxEntries::Direct(s) => s.get(i).map(|(from, m)| (*from, m)),
+            InboxEntries::Arena { entries, payloads } => entries
+                .get(i)
+                .map(|&(from, h)| (NodeId(from as usize), payloads.get(h))),
+        }
+    }
 }
 
 impl<'a, M> Clone for Inbox<'a, M> {
@@ -355,10 +375,7 @@ impl<'a, M> Inbox<'a, M> {
     }
 
     /// A view over arena handles; used by the flat engines.
-    pub(crate) fn arena(
-        entries: &'a [(NodeId, PayloadHandle)],
-        payloads: &'a PayloadArena<M>,
-    ) -> Self {
+    pub(crate) fn arena(entries: &'a [Delivery], payloads: &'a PayloadArena<M>) -> Self {
         Inbox {
             entries: InboxEntries::Arena { entries, payloads },
         }
@@ -386,12 +403,7 @@ impl<'a, M> Inbox<'a, M> {
 
     /// The `i`-th delivery (senders ascending), if any.
     pub fn get(&self, i: usize) -> Option<(NodeId, &'a M)> {
-        match self.entries {
-            InboxEntries::Direct(s) => s.get(i).map(|(from, m)| (*from, m)),
-            InboxEntries::Arena { entries, payloads } => {
-                entries.get(i).map(|&(from, h)| (from, payloads.get(h)))
-            }
-        }
+        self.entries.get(i)
     }
 
     /// The first delivery, if any.
@@ -438,15 +450,9 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     type Item = (NodeId, &'a M);
 
     fn next(&mut self) -> Option<(NodeId, &'a M)> {
-        let i = self.next;
-        let item = match self.entries {
-            InboxEntries::Direct(s) => s.get(i).map(|(from, m)| (*from, m)),
-            InboxEntries::Arena { entries, payloads } => {
-                entries.get(i).map(|&(from, h)| (from, payloads.get(h)))
-            }
-        };
+        let item = self.entries.get(self.next);
         if item.is_some() {
-            self.next = i + 1;
+            self.next += 1;
         }
         item
     }
@@ -580,6 +586,10 @@ impl<'a, M: Clone> RoundIo<'a, M> {
         assert!(
             (1..=crate::channel::MAX_CHANNELS as usize).contains(&k),
             "detached RoundIo needs 1..=64 channel outcomes, got {k}"
+        );
+        assert!(
+            u32::try_from(node.index()).is_ok(),
+            "{node:?} is beyond the 32-bit node index space"
         );
         RoundIo {
             node,
@@ -769,6 +779,8 @@ impl<'a, M: Clone> RoundIo<'a, M> {
     /// Panics if `to` is not a neighbour of this node: the point-to-point
     /// medium only connects adjacent processors.
     pub fn send(&mut self, to: NodeId, msg: M) {
+        // `contains` never narrows an id beyond the 32-bit row space, so the
+        // `as u32` below only ever sees a checked neighbour index.
         assert!(
             self.neighbors.contains(to),
             "{:?} attempted to send to non-neighbour {:?}",
@@ -776,24 +788,25 @@ impl<'a, M: Clone> RoundIo<'a, M> {
             to
         );
         let h = self.outbox.arena.intern(msg);
-        self.outbox.entries.push((to, self.node, h));
+        let from = self.node.index() as u32;
+        self.outbox.entries.push((to.index() as u32, from, h));
     }
 
     /// Sends `msg` to every neighbour.
     ///
     /// Intern-on-broadcast: the payload is stored **once** and every
     /// neighbour's delivery entry shares the handle, so a degree-`d`
-    /// broadcast costs one payload move plus `d` staged 20-byte records —
-    /// not `d` clones.
+    /// broadcast costs one payload move plus `d` staged 12-byte records
+    /// copied straight off the CSR row — not `d` clones.
     pub fn send_all(&mut self, msg: M) {
         let targets = self.neighbors.targets();
         if targets.is_empty() {
             return;
         }
         let h = self.outbox.arena.intern(msg);
-        for &v in targets {
-            self.outbox.entries.push((v, self.node, h));
-        }
+        let from = self.node.index() as u32;
+        let staged = targets.iter().map(|&to| (to, from, h));
+        self.outbox.entries.extend(staged);
     }
 
     /// Writes `msg` to the **default** channel ([`ChannelId::DEFAULT`]) in
@@ -925,7 +938,7 @@ impl<'a, M: Clone> RoundIo<'a, M> {
     /// messages in flight, all slots idle); a node that needs more rounds
     /// must report `!is_done()`, not merely keep waking itself.
     pub fn wake_me(&mut self) {
-        self.outbox.wakes.push(self.node);
+        self.outbox.wakes.push(self.node.index() as u32);
     }
 
     /// Returns `true` if this node has staged a write on any channel this
@@ -943,10 +956,9 @@ impl<'a, M: Clone> RoundIo<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim_graph::EdgeId;
 
-    const TARGETS: [NodeId; 2] = [NodeId(1), NodeId(2)];
-    const EDGES: [EdgeId; 2] = [EdgeId(0), EdgeId(1)];
+    const TARGETS: [u32; 2] = [1, 2];
+    const EDGES: [u32; 2] = [0, 1];
 
     fn make_io<'a>(
         neighbors: Neighbors<'a>,
@@ -999,8 +1011,8 @@ mod tests {
 
     #[test]
     fn outbox_is_reusable_across_rounds() {
-        let targets = [NodeId(1)];
-        let edges = [EdgeId(0)];
+        let targets = [1];
+        let edges = [0];
         let prev = SlotOutcome::Idle;
         let mut outbox = OutboxBuffer::new();
         for round in 0..3u64 {
@@ -1025,8 +1037,8 @@ mod tests {
         // expiry parks them for `recycle_payload` (the synchronizer's loop);
         // the moving `drain_sends` transfers ownership out instead — exactly
         // the seed semantics — leaving nothing to recycle.
-        let targets = [NodeId(1)];
-        let edges = [EdgeId(0)];
+        let targets = [1];
+        let edges = [0];
         let prev: SlotOutcome<Vec<u8>> = SlotOutcome::Idle;
         let mut outbox: OutboxBuffer<Vec<u8>> = OutboxBuffer::new();
         for round in 0..4u64 {
@@ -1129,7 +1141,7 @@ mod tests {
         let mut arena = PayloadArena::new();
         let h1 = arena.intern(10u32);
         let h2 = arena.intern(20u32);
-        let entries = [(NodeId(1), h1), (NodeId(4), h2)];
+        let entries = [(1, h1), (4, h2)];
         let a = Inbox::direct(&direct);
         let b = Inbox::arena(&entries, &arena);
         assert_eq!(a.len(), b.len());
@@ -1148,6 +1160,34 @@ mod tests {
         let mut outbox = OutboxBuffer::new();
         let mut io = make_io(Neighbors::new(&TARGETS, &EDGES), &[], &prev, &mut outbox);
         io.send(NodeId(9), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "attempted to send to non-neighbour")]
+    fn send_to_id_aliasing_a_neighbour_above_2_pow_32_panics() {
+        // `(1 << 32) | 1` truncates to neighbour 1; it must not pass as it.
+        let prev = SlotOutcome::Idle;
+        let mut outbox = OutboxBuffer::new();
+        let mut io = make_io(Neighbors::new(&TARGETS, &EDGES), &[], &prev, &mut outbox);
+        assert!(!io.neighbors().contains(NodeId((1 << 32) | 1)));
+        io.send(NodeId((1 << 32) | 1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the 32-bit node index space")]
+    fn detached_window_rejects_a_node_beyond_2_pow_32() {
+        // Staged records tag the sender as a `u32`; a wider id would alias.
+        let prev = SlotOutcome::<u32>::Idle;
+        let mut outbox = OutboxBuffer::new();
+        let neighbors = Neighbors::new(&TARGETS, &EDGES);
+        let _ = RoundIo::detached(
+            NodeId(1 << 32),
+            0,
+            neighbors,
+            Inbox::empty(),
+            &prev,
+            &mut outbox,
+        );
     }
 
     #[test]
