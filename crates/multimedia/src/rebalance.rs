@@ -31,7 +31,7 @@
 use crate::model::MultimediaNetwork;
 use crate::mst::{on_substrate, MergeSubstrate};
 use netsim_graph::NodeId;
-use netsim_sim::reshard::{ContentionMonitor, ReshardNode, ReshardSpec};
+use netsim_sim::reshard::{ContentionMonitor, ReshardNode, ReshardSpec, MAX_ROSTER};
 use netsim_sim::{
     protocols::ChannelShardedSum, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
     FaultPlan, Protocol, RoundIo, MAX_CHANNELS,
@@ -215,6 +215,10 @@ impl RebalanceRun {
 /// exercises the protocol's abort path: a partitioned notify census vetoes
 /// the attempt and the monitor simply fires again after the next window.
 ///
+/// A decision whose merged hot + cold roster has fewer than two members or
+/// more than [`MAX_ROSTER`] is skipped: no attempt runs and no
+/// [`ReshardEvent`] is recorded.
+///
 /// # Panics
 ///
 /// Panics if `values.len() != n`, `n == 0`, `chans.len() != n`, or any
@@ -364,12 +368,13 @@ where
         if window + 1 == windows {
             continue; // no further window would benefit
         }
-        let mut roster: Vec<NodeId> = g
-            .nodes()
-            .filter(|&v| chan_of[v.index()] == decision.hot || chan_of[v.index()] == decision.cold)
-            .collect();
-        roster.sort();
-        if roster.len() < 2 {
+        let on_roster = |v: NodeId| {
+            let c = chan_of[v.index()];
+            c == decision.hot || c == decision.cold
+        };
+        // Ascending, as `ReshardSpec` requires: `g.nodes()` is.
+        let roster: Vec<NodeId> = g.nodes().filter(|&v| on_roster(v)).collect();
+        if !(2..=MAX_ROSTER).contains(&roster.len()) {
             continue;
         }
         let spec = ReshardSpec::new(
@@ -383,7 +388,7 @@ where
         let reshard_masks: Vec<u64> = g
             .nodes()
             .map(|v| {
-                if roster.binary_search(&v).is_ok() {
+                if on_roster(v) {
                     1u64 << decision.hot.index()
                 } else {
                     1u64 << chan_of[v.index()].index()
@@ -392,7 +397,7 @@ where
             .collect();
         eng.reattach(&reshard_masks);
         eng.update_nodes(&mut |v, p| {
-            *p = RebalancePhase::Reshard(if roster.binary_search(&v).is_ok() {
+            *p = RebalancePhase::Reshard(if on_roster(v) {
                 ReshardNode::new(spec.clone(), v)
             } else {
                 ReshardNode::bystander()
@@ -647,6 +652,95 @@ mod tests {
             assert_eq!(other.cost, run.cost, "{which:?}");
             assert_eq!(other.checksum(), run.checksum(), "{which:?}");
         }
+    }
+
+    #[test]
+    fn schedule_is_pinned_on_the_mmbench_instance_shape() {
+        // `reshard-loop-flat`'s shape (ring, K = 16, Zipf exponent 1, skew 2,
+        // its walk seed, six windows; its own n in release, a small one in
+        // debug): a change to the members' work at the cut that alters a
+        // cut, a checksum or the traffic fails here, not in the bench.
+        // Each pinned event is `(window, cut, tree_checksum, migrated)`.
+        let (n, rounds, p2p, migrations, events) = if cfg!(debug_assertions) {
+            (
+                1_024,
+                1_422,
+                585,
+                450,
+                [
+                    (0, 117, 368_347_317, 153),
+                    (1, 67, 1_097_764_744, 87),
+                    (2, 42, 721_279_945, 63),
+                    (3, 115, 2_783_237_071, 87),
+                    (4, 22, 3_744_794_099, 60),
+                ],
+            )
+        } else {
+            (
+                8_192,
+                11_301,
+                6_408,
+                4_106,
+                [
+                    (0, 661, 2_864_231_612, 1_436),
+                    (1, 536, 904_427_440, 714),
+                    (2, 692, 1_906_718_081, 685),
+                    (3, 425, 625_555_210, 568),
+                    (4, 167, 887_794_321, 703),
+                ],
+            )
+        };
+        let net = MultimediaNetwork::new(generators::ring(n));
+        let chans = zipf_channels(n, 16, 1);
+        let run = rebalanced_sum(
+            &net,
+            &values(n),
+            &chans,
+            16,
+            6,
+            Some(2),
+            0x5eed,
+            None,
+            MergeSubstrate::Flat,
+        );
+        assert_eq!(
+            (run.rounds(), run.cost.p2p_messages, run.migrations),
+            (rounds, p2p, migrations)
+        );
+        assert!(run.events.iter().all(|e| e.committed), "{:?}", run.events);
+        let got: Vec<(u32, u32, u32, u32)> = run
+            .events
+            .iter()
+            .map(|e| (e.window, e.cut, e.tree_checksum, e.migrated))
+            .collect();
+        assert_eq!(got, events);
+    }
+
+    /// K = 2 shards of 8 193 and 8 192 nodes: at skew 1 the monitor pairs
+    /// them, and their merged roster is one member over `MAX_ROSTER`.  The
+    /// attempt is skipped — no event, no panic — and both windows total.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a 16 385-node run; release only")]
+    fn a_roster_over_the_limit_skips_the_attempt() {
+        let n = MAX_ROSTER + 1;
+        let net = MultimediaNetwork::new(generators::ring(n));
+        let vals = values(n);
+        let chans: Vec<ChannelId> = (0..n).map(|v| ChannelId(u16::from(v > n / 2))).collect();
+        let run = rebalanced_sum(
+            &net,
+            &vals,
+            &chans,
+            2,
+            2,
+            Some(1),
+            0x5eed,
+            None,
+            MergeSubstrate::Flat,
+        );
+        let expect: u64 = vals.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        assert_eq!(run.window_totals, vec![expect; 2]);
+        assert!(run.events.is_empty(), "{:?}", run.events);
+        assert_eq!(run.migrations, 0);
     }
 
     #[test]

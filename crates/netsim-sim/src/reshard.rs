@@ -305,6 +305,9 @@ pub fn balance_cut(parents: &[u32]) -> (usize, usize) {
 /// Membership of the subtree rooted at `cut`: `members[i]` is `true` iff
 /// `i` lies in `cut`'s subtree (the side that migrates to the cold
 /// channel).  Out-of-range or root cuts yield an empty membership.
+///
+/// An oracle: a roster member answers the same question for one index at a
+/// time by walking its parent chain, without building child lists.
 pub fn subtree_members(parents: &[u32], cut: usize) -> Vec<bool> {
     let m = parents.len();
     let mut members = vec![false; m];
@@ -330,12 +333,26 @@ pub fn subtree_members(parents: &[u32], cut: usize) -> Vec<bool> {
 /// FNV-1a digest of a parent array and cut choice, folded to 32 bits: the
 /// audit value the cut broadcast carries so every mirror can verify its
 /// streamed tree against the leader's private one.
+///
+/// The leader computes it for its cut broadcast; a roster member folds the same
+/// digest entry by entry as the stream arrives, so this is its oracle.
 pub fn tree_checksum(parents: &[u32], cut: usize) -> u32 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &p in parents {
-        h = (h ^ u64::from(p)).wrapping_mul(0x100_0000_01b3);
-    }
-    h = (h ^ cut as u64).wrapping_mul(0x100_0000_01b3);
+    let h = parents
+        .iter()
+        .fold(FNV_OFFSET, |h, &p| fnv(h, u64::from(p)));
+    fold32(fnv(h, cut as u64))
+}
+
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step over a whole word.
+fn fnv(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x100_0000_01b3)
+}
+
+/// Folds a 64-bit digest to the 32 bits the cut word carries.
+fn fold32(h: u64) -> u32 {
     (h ^ (h >> 32)) as u32
 }
 
@@ -413,6 +430,11 @@ enum Phase {
 /// meaning the subtree reported by [`migrating`](Self::migrating) moves to
 /// the cold channel, `false` meaning the attempt aborted and nothing moves.
 ///
+/// A member never rebuilds the tree.  It mirrors the stream in 2 bytes per
+/// entry, folds the audit checksum as entries arrive, and answers "is roster
+/// index `i` in the cut subtree?" by walking `i`'s parent chain, so its work
+/// at the cut is O(depth · degree) with no allocation.
+///
 /// [`bystander`]: Self::bystander
 #[derive(Clone, Debug)]
 pub struct ReshardNode {
@@ -420,8 +442,12 @@ pub struct ReshardNode {
     my_idx: u32,
     /// Leader only: the private walk (streamed, never shared directly).
     walk: Option<Vec<u32>>,
-    /// Parent entries as heard on the stream; `mirror[0] == 0`.
-    mirror: Vec<u32>,
+    /// Parent entries as heard on the stream, clamped into the roster;
+    /// `mirror[0] == 0`.  [`MAX_ROSTER`] keeps every index in 16 bits.
+    mirror: Vec<u16>,
+    /// FNV-1a fold of `mirror[0..=received]`, the prefix of
+    /// [`tree_checksum`]'s digest.
+    digest: u64,
     /// Count of parent entries applied (entries cover indices
     /// `1..=received`).
     received: usize,
@@ -430,8 +456,8 @@ pub struct ReshardNode {
     invalid: bool,
     cut: u32,
     checksum: u32,
-    /// Migrating-side membership by roster index (from the mirror tree).
-    members: Vec<bool>,
+    /// The cut word arrived (cleared again by a crash).
+    heard_cut: bool,
     /// Notifies this node expects in the veto round, from the shared tree.
     expected: u64,
     committed: Option<bool>,
@@ -451,13 +477,14 @@ impl ReshardNode {
             spec: Some(spec),
             my_idx,
             walk,
-            mirror: vec![0u32; m],
+            mirror: vec![0; m],
+            digest: fnv(FNV_OFFSET, 0),
             received: 0,
             phase: Phase::Stream,
             invalid: false,
             cut: 0,
             checksum: 0,
-            members: Vec::new(),
+            heard_cut: false,
             expected: 0,
             committed: None,
         }
@@ -470,12 +497,13 @@ impl ReshardNode {
             my_idx: 0,
             walk: None,
             mirror: Vec::new(),
+            digest: 0,
             received: 0,
             phase: Phase::Done,
             invalid: false,
             cut: 0,
             checksum: 0,
-            members: Vec::new(),
+            heard_cut: false,
             expected: 0,
             committed: None,
         }
@@ -490,16 +518,12 @@ impl ReshardNode {
     /// Whether this node is on the migrating (cut-subtree) side.  Only
     /// meaningful once [`committed`](Self::committed) is `Some(true)`.
     pub fn migrating(&self) -> bool {
-        self.members
-            .get(self.my_idx as usize)
-            .copied()
-            .unwrap_or(false)
+        self.heard_cut && !self.invalid && self.in_cut_subtree(self.my_idx as usize)
     }
 
     /// The cut child index broadcast by the leader, once heard.
     pub fn cut_child(&self) -> Option<u32> {
-        (self.phase == Phase::Done && self.spec.is_some() && !self.members.is_empty())
-            .then_some(self.cut)
+        (self.phase == Phase::Done && self.spec.is_some() && self.heard_cut).then_some(self.cut)
     }
 
     /// The tree checksum broadcast by the leader, once heard.
@@ -511,21 +535,40 @@ impl ReshardNode {
     /// (identical on every member that reached a verdict).  Empty unless
     /// the attempt committed.
     pub fn migrating_nodes(&self) -> Vec<NodeId> {
+        // A commit implies a valid mirror: an invalid member vetoes.
         if self.committed != Some(true) {
             return Vec::new();
         }
         let spec = self.spec.as_ref().expect("verdict implies roster member");
         spec.roster
             .iter()
-            .zip(self.members.iter())
-            .filter_map(|(&v, &m)| m.then_some(v))
+            .enumerate()
+            .filter_map(|(i, &v)| self.in_cut_subtree(i).then_some(v))
             .collect()
     }
 
+    /// Whether roster index `i` lies in the cut subtree of the mirror: walks
+    /// `i`'s parent chain until it meets the root (no) or the cut (yes).
+    /// Equals `subtree_members(mirror, cut)[i]` on any mirror; the hop bound
+    /// ends the walk on a corrupted, cyclic one.
+    fn in_cut_subtree(&self, i: usize) -> bool {
+        let cut = self.cut as usize;
+        let mut v = i;
+        for _ in 0..self.mirror.len() {
+            if v == 0 {
+                return false;
+            }
+            if v == cut {
+                return true;
+            }
+            v = usize::from(self.mirror[v]);
+        }
+        false
+    }
+
     /// Applies one heard lane word to the mirror / state machine.
-    fn apply_stream_word(&mut self, w: u64, io: &RoundIo<'_, u64>) {
-        let spec = self.spec.as_ref().expect("stream phase implies roster");
-        let m = spec.len();
+    fn apply_stream_word(&mut self, w: u64) {
+        let m = self.mirror.len();
         match w & OP_MASK {
             OP_PARENTS => {
                 let count = ((w >> 60) & 0b11) as usize;
@@ -538,14 +581,16 @@ impl ReshardNode {
                     return;
                 }
                 for i in 0..count {
-                    let p = ((w >> (30 - 14 * i)) & 0x3FFF) as u32;
+                    let p = ((w >> (30 - 14 * i)) & 0x3FFF) as usize;
                     let idx = 1 + self.received;
-                    if p as usize >= m || p as usize == idx {
+                    if p >= m || p == idx {
                         self.invalid = true;
                     }
-                    // Clamp so downstream traversals stay in bounds; the
+                    // Clamp so parent-chain walks stay in bounds; the
                     // checksum audit catches the divergence regardless.
-                    self.mirror[idx] = p.min((m - 1) as u32);
+                    let p = p.min(m - 1) as u16;
+                    self.mirror[idx] = p;
+                    self.digest = fnv(self.digest, u64::from(p));
                     self.received += 1;
                 }
             }
@@ -555,29 +600,14 @@ impl ReshardNode {
                 }
                 let cut = ((w >> 48) & 0x3FFF) as u32;
                 let ck = ((w >> 16) & 0xFFFF_FFFF) as u32;
-                if cut == 0 || cut as usize >= m || ck != tree_checksum(&self.mirror, cut as usize)
-                {
+                // `digest` covers the whole mirror now, so this is
+                // `tree_checksum(mirror, cut)`.
+                if cut == 0 || cut as usize >= m || ck != fold32(fnv(self.digest, u64::from(cut))) {
                     self.invalid = true;
                 }
                 self.cut = cut;
                 self.checksum = ck;
-                self.members = if self.invalid {
-                    vec![false; m]
-                } else {
-                    subtree_members(&self.mirror, cut as usize)
-                };
-                // Predict the veto-round notify census from the shared
-                // tree: one notify per migrating roster graph-neighbour.
-                let spec = self.spec.as_ref().expect("stream phase implies roster");
-                let mut expected = 0u64;
-                for (u, _) in io.neighbors() {
-                    if let Ok(i) = spec.roster.binary_search(&u) {
-                        if self.members[i] {
-                            expected += 1;
-                        }
-                    }
-                }
-                self.expected = expected;
+                self.heard_cut = true;
                 self.phase = Phase::Veto;
             }
             _ => {} // unrecognised opcode (corruption): ignored, retried
@@ -617,19 +647,28 @@ impl Protocol for ReshardNode {
         match self.phase {
             Phase::Stream => {
                 if let LaneOutcome::Word(w) = io.prev_lanes_on(hot) {
-                    self.apply_stream_word(w, io);
+                    self.apply_stream_word(w);
                 }
                 if self.phase == Phase::Veto {
                     // The cut landed this very step: send the notifies now
-                    // so next round's census counts them.
-                    if self.members.get(self.my_idx as usize) == Some(&true) {
-                        let roster = &self.spec.as_ref().expect("roster member").roster;
-                        for (u, _) in io.neighbors() {
-                            if roster.binary_search(&u).is_ok() {
-                                io.send(u, NOTIFY);
-                            }
+                    // so next round's census counts them, and predict that
+                    // census from the shared tree — one notify per migrating
+                    // roster graph-neighbour.
+                    let migrating = self.migrating();
+                    let roster = &self.spec.as_ref().expect("roster member").roster;
+                    let mut expected = 0u64;
+                    for (u, _) in io.neighbors() {
+                        let Ok(i) = roster.binary_search(&u) else {
+                            continue;
+                        };
+                        if migrating {
+                            io.send(u, NOTIFY);
+                        }
+                        if !self.invalid && self.in_cut_subtree(i) {
+                            expected += 1;
                         }
                     }
+                    self.expected = expected;
                 } else if self.my_idx == 0 {
                     if let Some(w) = self.leader_word() {
                         io.write_lanes_on(hot, w);
@@ -663,7 +702,7 @@ impl Protocol for ReshardNode {
         if self.spec.is_some() && self.phase != Phase::Done {
             self.phase = Phase::Done;
             self.committed = Some(false);
-            self.members.clear();
+            self.heard_cut = false;
         }
     }
 }
@@ -713,6 +752,68 @@ mod tests {
         // the smallest index.
         let star = vec![0, 0, 0, 0];
         assert_eq!(balance_cut(&star), (1, 1));
+    }
+
+    /// A leader whose mirror heard `entries` (raw 14-bit parents of indices
+    /// `1..m`) on the stream, packed by its own word builder.
+    fn streamed(entries: &[u32]) -> ReshardNode {
+        let m = entries.len() + 1;
+        let roster = (0..m).map(NodeId).collect();
+        let spec = ReshardSpec::new(roster, ChannelId(0), ChannelId(1), 0);
+        let mut node = ReshardNode::new(spec, NodeId(0));
+        node.walk = Some(std::iter::once(0).chain(entries.iter().copied()).collect());
+        while node.received < m - 1 {
+            let w = node.leader_word().expect("leader");
+            node.apply_stream_word(w);
+        }
+        node
+    }
+
+    /// The member's parent-chain walk and streamed digest against the
+    /// oracles, at every cut (the root and one out of range included).
+    fn assert_member_matches_oracles(what: &str, entries: &[u32]) {
+        let m = entries.len() + 1;
+        let clamped: Vec<u32> = std::iter::once(0)
+            .chain(entries.iter().map(|&p| p.min(m as u32 - 1)))
+            .collect();
+        let mut node = streamed(entries);
+        let mirror: Vec<u32> = node.mirror.iter().map(|&p| u32::from(p)).collect();
+        assert_eq!(
+            mirror, clamped,
+            "{what}: the mirror stores the clamped entries"
+        );
+        for cut in 0..=m {
+            node.cut = cut as u32;
+            for (i, &member) in subtree_members(&clamped, cut).iter().enumerate() {
+                assert_eq!(node.in_cut_subtree(i), member, "{what}: cut={cut} i={i}");
+            }
+            assert_eq!(
+                fold32(fnv(node.digest, cut as u64)),
+                tree_checksum(&clamped, cut),
+                "{what}: cut={cut}"
+            );
+        }
+    }
+
+    /// A member's per-index parent-chain walk and running digest equal the
+    /// whole-tree oracles on real walks and on mirrors a corrupted stream
+    /// can leave behind; on the cyclic ones only the hop bound ends the walk.
+    #[test]
+    fn parent_chain_and_streamed_digest_match_the_oracles() {
+        for (m, seed) in [(2, 1), (3, 2), (17, 3), (200, 4), (2574, 0x5eed)] {
+            assert_member_matches_oracles(&format!("wilson m={m}"), &wilson_parents(m, seed)[1..]);
+        }
+        // Hand-corrupted mirrors of m = 8 (entries for indices 1..=7).
+        let corrupted: [(&str, [u32; 7]); 5] = [
+            ("self-parent", [0, 1, 3, 0, 4, 5, 6]),
+            ("2-cycle off the root", [0, 1, 4, 3, 4, 1, 6]),
+            ("cycle through the cut", [2, 3, 1, 2, 4, 0, 5]),
+            ("out-of-range entries", [0, 8, 0x3FFF, 2, 9, 100, 6]),
+            ("a path, the deepest tree", [0, 1, 2, 3, 4, 5, 6]),
+        ];
+        for (what, entries) in corrupted {
+            assert_member_matches_oracles(what, &entries);
+        }
     }
 
     #[test]

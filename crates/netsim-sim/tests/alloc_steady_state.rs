@@ -26,10 +26,15 @@
 //! the payload slab's capacity and high-water mark stay at one round's
 //! traffic (handles freed by the expiry of round `r` are reissued in round
 //! `r + 1`), and the reference engine stays on the clone path.
+//!
+//! A re-sharding attempt over a 2 048-member roster is pinned too: one
+//! stream mirror per member to build, a constant number of allocations to
+//! run to the verdict.
 
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
     protocols::{ChannelShardedSum, TreeBroadcast},
+    reshard::{ReshardNode, ReshardSpec},
     AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, ChannelId, ChannelSet, EngineBuilder,
     EngineControl, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
 };
@@ -819,6 +824,38 @@ fn sparse_million_node_idle_rounds_are_allocation_free_and_o_frontier() {
         "sparse idle rounds allocated {idle_allocs} times over 10 rounds"
     );
     assert!(eng.is_quiescent());
+}
+
+/// One re-sharding attempt over a ring with every node on the roster.
+/// Building it allocates one stream mirror per member plus a constant (the
+/// leader's walk, the engine); running it to the verdict allocates a
+/// constant number of times (the leader's cut among them), because a member
+/// answers the cut from its parent chain and its running digest instead of
+/// rebuilding the tree (≈ 9 allocations per member when it did).
+#[test]
+fn reshard_attempt_allocates_a_mirror_per_member_and_nothing_per_member_at_the_cut() {
+    let m = 2048;
+    let ring = generators::ring(m);
+    let spec = ReshardSpec::new((0..m).map(NodeId).collect(), ChannelId(0), ChannelId(1), 7);
+    let builder = EngineBuilder::new(&ring)
+        .channels(ChannelSet::from_masks(2, vec![0b01; m]))
+        .sparse(true);
+    let before = allocs();
+    let mut eng = builder.build_flat(|v| ReshardNode::new(spec.clone(), v));
+    let build_allocs = allocs() - before;
+    let before = allocs();
+    let completed = eng.run((m as u64).div_ceil(3) + 18).is_completed();
+    let run_allocs = allocs() - before;
+    assert!(completed, "the attempt quiesces");
+    assert!(eng.nodes().iter().all(|p| p.committed() == Some(true)));
+    assert!(
+        build_allocs <= m as u64 + 64,
+        "building the attempt made {build_allocs} allocations for {m} members"
+    );
+    assert!(
+        run_allocs <= 64,
+        "running the attempt made {run_allocs} allocations for {m} members"
+    );
 }
 
 /// Per-node sharded-sum states for an arbitrary channel assignment: ranks in
