@@ -5,10 +5,9 @@
 //! for every result, a measured table whose *shape* (growth exponents, who
 //! wins, crossovers) can be compared against the claimed bound:
 //!
-//! * the `experiments` binary (`cargo run -p bench --bin experiments --release`)
-//!   prints the tables and, with `--json`, writes them as exact records;
-//! * the Criterion benches (`cargo bench`) time the same workloads for
-//!   regression tracking.
+//! the `experiments` binary (`cargo run -p bench --bin experiments --release`)
+//! prints the tables and, with `--json`, writes them as exact records.  Host
+//! time is the repo benchmark's concern (`BENCHMARK.json`, `benchmark/`).
 
 #![forbid(unsafe_code)]
 

@@ -1138,7 +1138,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         };
         match frontier.as_mut().map(Frontier::advance) {
             Some(Active::Members(woken)) => {
-                for vi in woken.ones(0..n.div_ceil(64)) {
+                for vi in woken.ones() {
                     pass.call(vi, boundary);
                 }
             }

@@ -94,12 +94,12 @@
 //! # Determinism contract
 //!
 //! Each node's inbox is ordered by the **sender's node index** (and, per
-//! sender, by send order within the round).  Quiescence is tracked in O(1)
-//! with a done-node counter and the in-flight arena length.  With the
-//! `parallel` feature, [`SyncEngine::step_round_parallel`] steps nodes in
-//! contiguous index chunks on scoped threads and merges the per-thread
-//! shards in node-index order, so parallel runs are bit-for-bit identical to
-//! sequential ones.
+//! sender, by send order within the round).  One sequential pass steps the
+//! active nodes in ascending index into one staging buffer, so sends,
+//! channel writes and lane words are all staged in node-index order and a
+//! run is a pure function of the graph, the protocol states and the fault
+//! plan.  Quiescence is tracked in O(1) with a done-node counter and the
+//! in-flight arena length.
 
 use crate::channel::{
     settle_lanes, settle_slot, ChannelId, ChannelOutcome, ChannelSet, LaneOutcome, SlotState,
@@ -210,37 +210,11 @@ impl RunOutcome {
     }
 }
 
-/// Per-worker staging state: sends and channel writes produced by a
-/// contiguous chunk of nodes (both staged inside the [`OutboxBuffer`], as
-/// handle triples over its payload arena), plus the chunk's done-transition
-/// balance.  The sequential engine uses exactly one shard; the `parallel`
-/// feature gives each worker thread its own and merges them in node-index
-/// order.
-#[derive(Debug)]
-struct Shard<M> {
-    outbox: OutboxBuffer<M>,
-    done_delta: isize,
-    /// Nodes actually stepped by this shard this round.
-    stepped: u64,
-    /// Node indices stepped by this shard this round, in step order; only
-    /// recorded under sparse stepping (pooled, drained by `finish_round`).
-    stepped_list: Vec<u32>,
-}
-
-impl<M> Default for Shard<M> {
-    fn default() -> Self {
-        Shard {
-            outbox: OutboxBuffer::new(),
-            done_delta: 0,
-            stepped: 0,
-            stepped_list: Vec::new(),
-        }
-    }
-}
-
-/// Shared immutable context of one round's stepping pass, dense or sparse,
-/// sequential or per worker.
-struct StepCtx<'a, M> {
+/// One round's stepping pass, dense or sparse: what every step reads (the
+/// delivery side of the round), the engine's one staging [`OutboxBuffer`]
+/// every step writes into, and the pass's done-transition balance and step
+/// count, folded into the engine by [`SyncEngine::finish_round`].
+struct Pass<'a, M> {
     graph: &'a Graph,
     arena: &'a [Delivery],
     payloads: &'a PayloadArena<M>,
@@ -256,92 +230,56 @@ struct StepCtx<'a, M> {
     prev_lanes: &'a [LaneOutcome],
     round: u64,
     lifecycles: Option<&'a [NodeLifecycle]>,
+    outbox: &'a mut OutboxBuffer<M>,
+    /// Node indices stepped, ascending; recorded only under sparse stepping.
+    stepped_list: &'a mut Vec<u32>,
+    done_delta: isize,
+    stepped: u64,
 }
 
-impl<M> Clone for StepCtx<'_, M> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<M> Copy for StepCtx<'_, M> {}
-
-/// Steps node `vi` once, staging its outputs into `shard`; `SPARSE` selects
-/// the inbox index and records the node in the shard's stepped list.  The
-/// one step body of the engine: forced inline so each loop of [`step_chunk`]
-/// compiles to a straight-line body around `P::step` (as a closure it was
-/// not inlined, which cost the frontier loop ≈ 5 ns a step).  A
-/// non-operational node (per the fault lifecycle slice) neither steps nor
-/// stages — a node that crashed while on the frontier is skipped exactly
-/// like the dense path skips it, with no done-delta, and its frontier slot
-/// simply expires with this round.
-#[inline(always)]
-fn step_node<P: Protocol, const SPARSE: bool>(
-    ctx: &StepCtx<'_, P::Msg>,
-    vi: usize,
-    node: &mut P,
-    shard: &mut Shard<P::Msg>,
-) {
-    if ctx.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
-        return;
-    }
-    let entries = if !SPARSE {
-        &ctx.arena[ctx.offsets[vi]..ctx.offsets[vi + 1]]
-    } else if ctx.inbox_epoch[vi] == ctx.arena_epoch {
-        let (start, len) = ctx.inbox_ranges[vi];
-        &ctx.arena[start as usize..(start + len) as usize]
-    } else {
-        &[]
-    };
-    let v = NodeId(vi);
-    let was_done = node.is_done();
-    let mut io = RoundIo {
-        node: v,
-        round: ctx.round,
-        neighbors: ctx.graph.neighbors(v),
-        inbox: Inbox::arena(entries, ctx.payloads),
-        slots: Slots::Arena {
-            outcomes: ctx.slot_outcomes,
-            payloads: ctx.payloads,
-        },
-        lanes: ctx.prev_lanes,
-        attached: ctx.channels.mask(v),
-        outbox: &mut shard.outbox,
-    };
-    node.step(&mut io);
-    shard.done_delta += isize::from(node.is_done()) - isize::from(was_done);
-    shard.stepped += 1;
-    if SPARSE {
-        shard.stepped_list.push(vi as u32);
-    }
-}
-
-/// Steps the `active` nodes of `chunk` (node indices
-/// `base..base + chunk.len()`, `base` a multiple of 64) in ascending index.
-/// Nodes off the frontier are never touched: no per-node state of theirs is
-/// read, cloned, or iterated.  Free function so the sequential and parallel
-/// paths share it and the borrows stay disjoint.
-fn step_chunk<P: Protocol>(
-    ctx: StepCtx<'_, P::Msg>,
-    chunk: &mut [P],
-    base: usize,
-    active: Active<'_>,
-    shard: &mut Shard<P::Msg>,
-) {
-    match active {
-        Active::Dense => {
-            for (i, node) in chunk.iter_mut().enumerate() {
-                step_node::<P, false>(&ctx, base + i, node, shard);
-            }
+impl<M> Pass<'_, M> {
+    /// Steps node `vi` once, staging its outputs into the outbox; `SPARSE`
+    /// selects the inbox index and records the node in the stepped list.
+    /// The one step body of the engine: forced inline so each loop of
+    /// [`SyncEngine::step_active`] compiles to a straight-line body around
+    /// `P::step` (as a closure it was not inlined, which cost the frontier
+    /// loop ≈ 5 ns a step).  A non-operational node (per the fault lifecycle
+    /// slice) neither steps nor stages — a node that crashed while on the
+    /// frontier is skipped exactly like the dense path skips it, with no
+    /// done-delta, and its frontier slot simply expires with this round.
+    #[inline(always)]
+    fn step<P: Protocol<Msg = M>, const SPARSE: bool>(&mut self, vi: usize, node: &mut P) {
+        if self.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
+            return;
         }
-        Active::All => {
-            for (i, node) in chunk.iter_mut().enumerate() {
-                step_node::<P, true>(&ctx, base + i, node, shard);
-            }
-        }
-        Active::Members(set) => {
-            for vi in set.ones(base >> 6..(base + chunk.len()).div_ceil(64)) {
-                step_node::<P, true>(&ctx, vi, &mut chunk[vi - base], shard);
-            }
+        let entries = if !SPARSE {
+            &self.arena[self.offsets[vi]..self.offsets[vi + 1]]
+        } else if self.inbox_epoch[vi] == self.arena_epoch {
+            let (start, len) = self.inbox_ranges[vi];
+            &self.arena[start as usize..(start + len) as usize]
+        } else {
+            &[]
+        };
+        let v = NodeId(vi);
+        let was_done = node.is_done();
+        let mut io = RoundIo {
+            node: v,
+            round: self.round,
+            neighbors: self.graph.neighbors(v),
+            inbox: Inbox::arena(entries, self.payloads),
+            slots: Slots::Arena {
+                outcomes: self.slot_outcomes,
+                payloads: self.payloads,
+            },
+            lanes: self.prev_lanes,
+            attached: self.channels.mask(v),
+            outbox: &mut *self.outbox,
+        };
+        node.step(&mut io);
+        self.done_delta += isize::from(node.is_done()) - isize::from(was_done);
+        self.stepped += 1;
+        if SPARSE {
+            self.stepped_list.push(vi as u32);
         }
     }
 }
@@ -385,19 +323,16 @@ pub struct SyncEngine<'g, P: Protocol> {
     arena: Vec<Delivery>,
     /// Delivery-side payload arena: resolves the handles in `arena` **and**
     /// the slot winners in `slot_outcomes`.  Swaps roles with the staging
-    /// arena(s) inside the shards every round.
+    /// arena inside `outbox` every round.
     payloads: PayloadArena<P::Msg>,
     /// CSR index into `arena`; length `n + 1`.
     offsets: Vec<usize>,
-    /// Pooled staging state (one shard sequentially; one per worker with the
-    /// `parallel` feature).
-    shards: Vec<Shard<P::Msg>>,
+    /// Pooled staging buffer of the current round: every stepped node's
+    /// sends, channel writes, lane words and wakeups, in node-index order.
+    outbox: OutboxBuffer<P::Msg>,
     /// Per-channel outcome of the last resolved round, winners as handles
     /// into `payloads`; length `K`.
     slot_outcomes: Vec<ChannelOutcome>,
-    /// Pooled merged channel writes of the current round (handles into the
-    /// freshly rotated delivery arena).
-    chan_writes: Vec<(ChannelId, NodeId, PayloadHandle)>,
     /// Pooled per-channel writer counters; length `K`.
     chan_counts: Vec<u32>,
     /// Channels of `slot_outcomes` that are currently non-idle; cached so
@@ -406,8 +341,6 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Per-channel lane sub-slot outcome of the last resolved round; length
     /// `K`.  Lane words are bare `u64`s, so they bypass the payload arena.
     prev_lanes: Vec<LaneOutcome>,
-    /// Pooled merged lane writes of the current round.
-    lane_writes: Vec<(ChannelId, NodeId, u64)>,
     /// Pooled per-channel lane writer counters; length `K`.
     lane_counts: Vec<u32>,
     /// Pooled per-channel OR-accumulators of the lane fold; length `K`.
@@ -499,13 +432,11 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             arena: Vec::new(),
             payloads: PayloadArena::new(),
             offsets: vec![0; n + 1],
-            shards: vec![Shard::default()],
+            outbox: OutboxBuffer::new(),
             slot_outcomes: vec![ChannelOutcome::Idle; k],
-            chan_writes: Vec::new(),
             chan_counts: vec![0; k],
             nonidle_slots: 0,
             prev_lanes: vec![LaneOutcome::Idle; k],
-            lane_writes: Vec::new(),
             lane_counts: vec![0; k],
             lane_accum: vec![0; k],
             nonidle_lanes: 0,
@@ -659,78 +590,92 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         &self.payloads
     }
 
-    /// Total payload slots across the delivery arena and every staging
-    /// arena — the engine's whole payload-slab footprint, which must stop
-    /// growing once per-round traffic reaches its high-water mark.
+    /// Total payload slots across the delivery and the staging arena — the
+    /// engine's whole payload-slab footprint, which must stop growing once
+    /// per-round traffic reaches its high-water mark.
     pub fn payload_slab_capacity(&self) -> usize {
-        self.payloads.capacity()
-            + self
-                .shards
-                .iter()
-                .map(|s| s.outbox.arena.capacity())
-                .sum::<usize>()
+        self.payloads.capacity() + self.outbox.arena.capacity()
     }
 
-    /// Splits the engine into the disjoint borrows of a stepping pass: the
-    /// shared read-only context, the node states, the nodes to step and the
-    /// staging shards.  Under sparse stepping this rotates the frontier —
-    /// this round's lifecycle wakeups included,
-    /// [`SyncEngine::apply_fault_round`] has already run.
-    #[allow(clippy::type_complexity)]
-    fn step_parts(
-        &mut self,
-    ) -> (
-        StepCtx<'_, P::Msg>,
-        &mut [P],
-        Active<'_>,
-        &mut [Shard<P::Msg>],
-    ) {
-        let ctx = StepCtx {
-            graph: self.graph,
-            arena: &self.arena,
-            payloads: &self.payloads,
-            offsets: &self.offsets,
-            inbox_epoch: &self.inbox_epoch,
-            inbox_ranges: &self.inbox_ranges,
-            arena_epoch: self.arena_epoch,
-            channels: &self.channels,
-            slot_outcomes: &self.slot_outcomes,
-            prev_lanes: &self.prev_lanes,
-            round: self.round,
-            lifecycles: self.faults.as_ref().map(|s| s.lifecycles()),
+    /// Steps this round's active nodes in ascending index into the staging
+    /// outbox: every node under dense stepping, the frontier under sparse
+    /// stepping — rotated here, after [`SyncEngine::apply_fault_round`] has
+    /// added this round's lifecycle wakeups.  Nodes off the frontier are
+    /// never touched: no per-node state of theirs is read, cloned, or
+    /// iterated.  Returns the pass's done-transition balance and step count.
+    fn step_active(&mut self) -> (isize, u64) {
+        let SyncEngine {
+            graph,
+            nodes,
+            arena,
+            payloads,
+            offsets,
+            outbox,
+            channels,
+            slot_outcomes,
+            prev_lanes,
+            round,
+            faults,
+            frontier,
+            inbox_epoch,
+            inbox_ranges,
+            arena_epoch,
+            last_stepped,
+            ..
+        } = self;
+        last_stepped.clear();
+        let mut pass = Pass {
+            graph,
+            arena,
+            payloads,
+            offsets,
+            inbox_epoch,
+            inbox_ranges,
+            arena_epoch: *arena_epoch,
+            channels,
+            slot_outcomes,
+            prev_lanes,
+            round: *round,
+            lifecycles: faults.as_ref().map(|s| s.lifecycles()),
+            outbox,
+            stepped_list: last_stepped,
+            done_delta: 0,
+            stepped: 0,
         };
-        let active = self
-            .frontier
-            .as_mut()
-            .map_or(Active::Dense, Frontier::advance);
-        (ctx, &mut self.nodes, active, &mut self.shards)
-    }
-
-    /// Post-step bookkeeping shared by the sequential and parallel paths:
-    /// fold shard deltas, rebuild the inbox arena for the next round, resolve
-    /// every channel's slot, and advance the clock.
-    fn finish_round(&mut self) {
-        let mut delta = 0isize;
-        let mut stepped = 0u64;
-        self.last_stepped.clear();
-        for shard in &mut self.shards {
-            delta += std::mem::take(&mut shard.done_delta);
-            stepped += std::mem::take(&mut shard.stepped);
-            // Sparse stepping records which nodes stepped (shards hold
-            // contiguous index ranges, so shard order is ascending) and
-            // folds the round's `wake_me` requests into the next frontier.
-            self.last_stepped.append(&mut shard.stepped_list);
-            match &mut self.frontier {
-                Some(f) => f.wake_run(shard.outbox.wakes.drain(..).map(|v| v as usize)),
-                None => shard.outbox.wakes.clear(),
+        match frontier.as_mut().map_or(Active::Dense, Frontier::advance) {
+            Active::Dense => {
+                for (vi, node) in nodes.iter_mut().enumerate() {
+                    pass.step::<P, false>(vi, node);
+                }
+            }
+            Active::All => {
+                for (vi, node) in nodes.iter_mut().enumerate() {
+                    pass.step::<P, true>(vi, node);
+                }
+            }
+            Active::Members(set) => {
+                for vi in set.ones() {
+                    pass.step::<P, true>(vi, &mut nodes[vi]);
+                }
             }
         }
+        (pass.done_delta, pass.stepped)
+    }
+
+    /// Post-step bookkeeping: fold the pass's done-delta, step count and
+    /// `wake_me` requests, rebuild the inbox arena for the next round,
+    /// resolve every channel's slot, and advance the clock.
+    fn finish_round(&mut self, done_delta: isize, stepped: u64) {
         self.done_count = self
             .done_count
-            .checked_add_signed(delta)
+            .checked_add_signed(done_delta)
             .expect("done count balances");
         self.stepped_last_round = stepped;
         self.total_stepped += stepped;
+        match &mut self.frontier {
+            Some(f) => f.wake_run(self.outbox.wakes.drain(..).map(|v| v as usize)),
+            None => self.outbox.wakes.clear(),
+        }
 
         let messages = if self.frontier.is_some() {
             self.rebuild_arena_sparse()
@@ -755,18 +700,19 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         self.round += 1;
     }
 
-    /// Resolves one slot per channel from the merged channel writes (staged
-    /// as handles into the freshly rotated delivery arena by
-    /// [`SyncEngine::rebuild_arena`]): the winner's outcome carries its
-    /// `PayloadHandle`, so no message is cloned — the handle resolves in the
-    /// next round's steps and the payload expires with its epoch like any
-    /// delivered send.  Pooled counters only; O(K + writes).
+    /// Resolves one slot per channel from the round's staged channel writes,
+    /// read in place from the outbox in node-index order (their handles
+    /// resolve in the delivery arena [`SyncEngine::rotate_epoch`] has just
+    /// rotated in): the winner's outcome carries its `PayloadHandle`, so no
+    /// message is cloned — the handle resolves in the next round's steps and
+    /// the payload expires with its epoch like any delivered send.  Pooled
+    /// counters only; O(K + writes).
     fn resolve_channels(&mut self) {
         self.chan_counts.fill(0);
         // First write per channel wins the `Success` slot; with more writers
         // the outcome is a collision regardless, so tracking the first is
         // order-independent (pinned by `tests/channel_properties.rs`).
-        for &(chan, from, handle) in &self.chan_writes {
+        for &(chan, from, handle) in &self.outbox.chan_writes {
             let c = chan.index();
             self.chan_counts[c] += 1;
             if self.chan_counts[c] == 1 {
@@ -778,7 +724,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         // Lane sub-slots OR-merge instead of colliding: fold the staged
         // words per channel (order-independent — OR is commutative).
         self.lane_counts.fill(0);
-        for &(chan, _, word) in &self.lane_writes {
+        for &(chan, _, word) in &self.outbox.lane_writes {
             let c = chan.index();
             if self.lane_counts[c] == 0 {
                 self.lane_accum[c] = word;
@@ -808,79 +754,28 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 settle_lanes(faults, round, chan, writers, word, &mut self.cost, cost);
             self.nonidle_lanes += usize::from(writers > 0);
         }
-        self.chan_writes.clear();
-        self.lane_writes.clear();
+        self.outbox.chan_writes.clear();
+        self.outbox.lane_writes.clear();
     }
 
     /// Shared prologue of the dense and sparse arena rebuilds: rotates the
-    /// payload epoch — the payloads delivered this round expire (heap
-    /// payloads move to the graveyard for recycling) and the staging arena
-    /// becomes the delivery arena for the next round, a wholesale swap
-    /// sequentially, a worker-order merge with handle rebasing under the
-    /// `parallel` feature — then merges the worker shards' channel writes
-    /// and staged sends in node-index order (into `shards[0]`) and applies
-    /// message drops at the delivery boundary.  Returns the pre-drop staged
-    /// count.
-    fn rotate_and_merge(&mut self) -> u64 {
-        // ---- Payload epoch rotation. ---------------------------------------
+    /// payload epoch, then applies message drops at the delivery boundary.
+    /// Returns the pre-drop staged count.
+    fn rotate_epoch(&mut self) -> u64 {
+        // The payloads delivered this round expire (heap payloads move to
+        // the graveyard for recycling); the staging arena, with this round's
+        // payloads, becomes the delivery arena, so the staged sends' and
+        // channel writes' handles resolve there next round; the expired
+        // delivery arena becomes the staging arena of the next round.
         self.payloads.expire();
-        if self.shards.len() == 1 {
-            // Sequential: the staging arena (with this round's payloads)
-            // becomes the delivery arena; the expired delivery arena — its
-            // graveyard now holding the recyclable payloads — becomes the
-            // staging arena of the next round.
-            std::mem::swap(&mut self.payloads, &mut self.shards[0].outbox.arena);
-        } else {
-            // Parallel: hand the expired heap payloads back to the staging
-            // arenas senders actually intern into, then merge the per-worker
-            // staging arenas into the delivery arena in worker order,
-            // rebasing each worker's handles by its merge offset.
-            let workers = self.shards.len();
-            let mut next = 0usize;
-            while let Some(p) = self.payloads.recycle() {
-                self.shards[next % workers].outbox.arena.donate(p);
-                next += 1;
-            }
-            for shard in &mut self.shards {
-                let offset = shard.outbox.arena.drain_live_into(&mut self.payloads);
-                if offset != 0 {
-                    for entry in &mut shard.outbox.entries {
-                        entry.2 = PayloadHandle(entry.2 .0 + offset);
-                    }
-                    for write in &mut shard.outbox.chan_writes {
-                        write.2 = PayloadHandle(write.2 .0 + offset);
-                    }
-                }
-            }
-        }
-
-        // Merge the staged channel writes in shard (= node-index) order; the
-        // handles now resolve in the rotated delivery arena, ready for
-        // `resolve_channels`.
-        debug_assert!(self.chan_writes.is_empty());
-        for shard in &mut self.shards {
-            self.chan_writes.append(&mut shard.outbox.chan_writes);
-        }
-
-        // Lane words are bare `u64`s — no handles to rebase, so the merge is
-        // a plain append in shard (= node-index) order.
-        debug_assert!(self.lane_writes.is_empty());
-        for shard in &mut self.shards {
-            self.lane_writes.append(&mut shard.outbox.lane_writes);
-        }
-
-        // Merge worker shards in node-index order (no-op sequentially).
-        let (first, rest) = self.shards.split_at_mut(1);
-        let stage = &mut first[0].outbox.entries;
-        for shard in rest {
-            stage.append(&mut shard.outbox.entries);
-        }
+        std::mem::swap(&mut self.payloads, &mut self.outbox.arena);
 
         // Message drops apply at the delivery boundary: a dropped message
         // was *sent* (it is counted in `p2p_messages` via the pre-drop
         // total) but never reaches the receiver's inbox arena.  The retained
         // order is unchanged (`retain` is stable), and the dropped payloads
         // expire with the staging epoch like any undelivered handle.
+        let stage = &mut self.outbox.entries;
         let staged = stage.len();
         if let Some(session) = &self.faults {
             let round = self.round;
@@ -907,8 +802,8 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// staging buffer into contiguous receiver blocks so the chain pass
     /// works on cache-resident slices (see the module docs).
     fn rebuild_arena(&mut self) -> u64 {
-        let staged = self.rotate_and_merge();
-        let stage = &mut self.shards[0].outbox.entries;
+        let staged = self.rotate_epoch();
+        let stage = &mut self.outbox.entries;
         let k = stage.len();
         let n = self.heads.len();
         assert!(k < NIL as usize, "more than 2^32 - 1 messages in one round");
@@ -1019,9 +914,9 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// dense paths re-fill `heads` wholesale, which a sparse round cannot
     /// afford.
     fn rebuild_arena_sparse(&mut self) -> u64 {
-        let staged = self.rotate_and_merge();
+        let staged = self.rotate_epoch();
         let SyncEngine {
-            shards,
+            outbox,
             arena,
             links,
             heads,
@@ -1032,7 +927,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             frontier,
             ..
         } = self;
-        let stage = &mut shards[0].outbox.entries;
+        let stage = &mut outbox.entries;
         let k = stage.len();
         assert!(k < NIL as usize, "more than 2^32 - 1 messages in one round");
 
@@ -1078,30 +973,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         staged
     }
 
-    /// Runs until `predicate` over the node states becomes true, quiescence,
-    /// or the round limit; returns the outcome as for [`EngineControl::run`].
-    ///
-    /// Like [`EngineControl::run`], the condition is re-checked after the final
-    /// permitted round, so a predicate satisfied exactly on the last budgeted
-    /// round reports [`RunOutcome::Completed`].
-    pub fn run_until<F: FnMut(&[P]) -> bool>(
-        &mut self,
-        max_rounds: u64,
-        mut predicate: F,
-    ) -> RunOutcome {
-        while self.round < max_rounds {
-            if predicate(&self.nodes) || self.is_quiescent() {
-                return RunOutcome::Completed { rounds: self.round };
-            }
-            self.step_round();
-        }
-        if predicate(&self.nodes) || self.is_quiescent() {
-            RunOutcome::Completed { rounds: self.round }
-        } else {
-            RunOutcome::RoundLimit { rounds: self.round }
-        }
-    }
-
     /// Consumes the engine, returning the node states and the cost account.
     pub fn into_parts(self) -> (Vec<P>, CostAccount) {
         (self.nodes, self.cost)
@@ -1124,9 +995,8 @@ fn exempt_undone<P: Protocol>(faults: Option<&FaultSession>, nodes: &[P]) -> usi
 impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
     fn step_round(&mut self) {
         self.apply_fault_round();
-        let (ctx, nodes, active, shards) = self.step_parts();
-        step_chunk(ctx, nodes, 0, active, &mut shards[0]);
-        self.finish_round();
+        let (done_delta, stepped) = self.step_active();
+        self.finish_round(done_delta, stepped);
     }
 
     fn round(&self) -> u64 {
@@ -1191,64 +1061,6 @@ impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
 
     fn fault_session(&self) -> Option<&FaultSession> {
         self.faults.as_ref()
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'g, P> SyncEngine<'g, P>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-{
-    /// Executes one round stepping nodes on up to `threads` scoped threads.
-    ///
-    /// Within a round every node only reads previous-round state (the inbox
-    /// arena and the previous slot outcome), so intra-round stepping is
-    /// embarrassingly parallel.  Nodes are split into contiguous index
-    /// chunks, each with a private staging shard; the shards are merged in
-    /// node-index order afterwards, so the result — node states, message
-    /// order, slot outcomes, and [`CostAccount`] — is bit-for-bit identical
-    /// to [`EngineControl::step_round`].
-    pub fn step_round_parallel(&mut self, threads: usize) {
-        let n = self.nodes.len();
-        let workers = threads.clamp(1, n.max(1));
-        if workers <= 1 {
-            return self.step_round();
-        }
-        while self.shards.len() < workers {
-            self.shards.push(Shard::default());
-        }
-        self.apply_fault_round();
-        let (ctx, nodes, active, shards) = self.step_parts();
-        // Word-aligned contiguous chunks, so each worker owns a whole word
-        // range of the frontier bitset; merging the shards in worker order
-        // reproduces the sequential ascending step order bit-for-bit.
-        let chunk_len = n.div_ceil(workers).next_multiple_of(64);
-        std::thread::scope(|scope| {
-            for (ci, (chunk, shard)) in nodes.chunks_mut(chunk_len).zip(shards).enumerate() {
-                let base = ci * chunk_len;
-                let words = base >> 6..(base + chunk.len()).div_ceil(64);
-                if matches!(active, Active::Members(set) if set.ones(words).next().is_none()) {
-                    continue; // nothing of the frontier falls in this chunk
-                }
-                scope.spawn(move || step_chunk(ctx, chunk, base, active, shard));
-            }
-        });
-        self.finish_round();
-    }
-
-    /// [`EngineControl::run`], but stepping each round with
-    /// [`SyncEngine::step_round_parallel`].  Deterministic: produces exactly
-    /// the same outcome as the sequential run.
-    pub fn run_parallel(&mut self, max_rounds: u64, threads: usize) -> RunOutcome {
-        while self.round < max_rounds && !self.is_quiescent() {
-            self.step_round_parallel(threads);
-        }
-        if self.is_quiescent() {
-            RunOutcome::Completed { rounds: self.round }
-        } else {
-            RunOutcome::RoundLimit { rounds: self.round }
-        }
     }
 }
 
@@ -1573,36 +1385,6 @@ mod tests {
         assert!(!out.is_completed());
         assert_eq!(out.rounds(), 4);
         assert_eq!(eng.round(), 4);
-    }
-
-    #[test]
-    fn run_until_predicate() {
-        let g = generators::path(5);
-        let mut eng = SyncEngine::new(&g, |id| Flood {
-            have: id == NodeId(0),
-            sent: false,
-        });
-        let out = eng.run_until(100, |nodes| nodes.iter().filter(|n| n.have).count() >= 3);
-        assert!(out.is_completed());
-        assert!(out.rounds() <= 4);
-        let (nodes, cost) = eng.into_parts();
-        assert_eq!(nodes.len(), 5);
-        assert!(cost.rounds >= 2);
-    }
-
-    #[test]
-    fn run_until_predicate_met_on_last_budgeted_round() {
-        // On a path, the flood reaches a third node during the third step
-        // (round index 2); a budget of exactly 3 rounds must still report
-        // completion via the post-loop re-check.
-        let g = generators::path(5);
-        let mut eng = SyncEngine::new(&g, |id| Flood {
-            have: id == NodeId(0),
-            sent: false,
-        });
-        let out = eng.run_until(3, |nodes| nodes.iter().filter(|n| n.have).count() >= 3);
-        assert!(out.is_completed());
-        assert_eq!(out.rounds(), 3);
     }
 
     /// Every node sends a distinct tag to every neighbour each round; the
@@ -2009,81 +1791,5 @@ mod tests {
             run(Some(FaultPlan::from_rates(9, 0.0, 0.0, 0.0, 0.0))),
             bare
         );
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_faulted_run_matches_sequential() {
-        let g = generators::Family::RingOfCliques.generate(120, 7);
-        let plan = FaultPlan::from_rates(13, 0.1, 0.1, 0.02, 0.3);
-        let init = |id: NodeId| Flood {
-            have: id == NodeId(0),
-            sent: false,
-        };
-        let mut seq = EngineBuilder::new(&g)
-            .fault_plan(plan.clone())
-            .build_flat(init);
-        let seq_out = seq.run(400);
-        for threads in [2usize, 5] {
-            let mut par = EngineBuilder::new(&g)
-                .fault_plan(plan.clone())
-                .build_flat(init);
-            let par_out = par.run_parallel(400, threads);
-            assert_eq!(seq_out, par_out);
-            assert_eq!(seq.cost(), par.cost());
-            for v in g.nodes() {
-                assert_eq!(seq.node(v).have, par.node(v).have);
-                assert_eq!(seq.lifecycle(v), par.lifecycle(v));
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_sparse_rounds_match_sequential() {
-        use crate::protocols::BfsBuild;
-        // 300 nodes: worker chunks are word-aligned, the last one partial;
-        // the BFS wave keeps the frontier to a few nodes, so most workers
-        // find no member in their word range.
-        let g = generators::ring(300);
-        for threads in [2usize, 3, 8] {
-            let sparse = EngineBuilder::new(&g).sparse(true);
-            let mut seq = sparse.build_flat(|v| BfsBuild::new(v, NodeId(0)));
-            let mut par = sparse.build_flat(|v| BfsBuild::new(v, NodeId(0)));
-            while !seq.is_quiescent() {
-                seq.step_round();
-                par.step_round_parallel(threads);
-                assert_eq!(seq.last_stepped(), par.last_stepped());
-            }
-            assert!(par.is_quiescent());
-            assert_eq!(seq.cost(), par.cost());
-            for v in g.nodes() {
-                assert_eq!(seq.node(v).depth(), par.node(v).depth());
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let g = generators::Family::Grid.generate(100, 3);
-        let mut seq = SyncEngine::new(&g, |id| Flood {
-            have: id == NodeId(0),
-            sent: false,
-        });
-        let seq_out = seq.run(1000);
-        for threads in [2usize, 3, 8] {
-            let mut par = SyncEngine::new(&g, |id| Flood {
-                have: id == NodeId(0),
-                sent: false,
-            });
-            let par_out = par.run_parallel(1000, threads);
-            assert_eq!(seq_out, par_out);
-            assert_eq!(seq.cost(), par.cost());
-            for v in g.nodes() {
-                assert_eq!(seq.node(v).have, par.node(v).have);
-                assert_eq!(seq.node(v).sent, par.node(v).sent);
-            }
-        }
     }
 }

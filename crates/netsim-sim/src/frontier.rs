@@ -53,17 +53,13 @@ impl BitLevels {
         }
     }
 
-    /// The members whose word index lies in `words`, ascending.
-    pub(crate) fn ones(&self, words: std::ops::Range<usize>) -> Ones<'_> {
-        let si = words.start >> 6;
-        let summary = &self.summary[..words.end.div_ceil(64)];
+    /// The members, ascending.
+    pub(crate) fn ones(&self) -> Ones<'_> {
         Ones {
-            words: &self.words[..words.end],
-            summary,
-            si,
-            pending: summary
-                .get(si)
-                .map_or(0, |&s| s & (!0 << (words.start & 63))),
+            words: &self.words,
+            summary: &self.summary,
+            si: 0,
+            pending: self.summary.first().copied().unwrap_or(0),
             wi: 0,
             word: 0,
         }
@@ -81,7 +77,7 @@ fn word_ones(si: usize, mut bits: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Ascending iterator over a word range of a [`BitLevels`].
+/// Ascending iterator over the members of a [`BitLevels`].
 pub(crate) struct Ones<'a> {
     words: &'a [u64],
     summary: &'a [u64],
@@ -105,8 +101,7 @@ impl Iterator for Ones<'_> {
             }
             self.wi = self.si << 6 | self.pending.trailing_zeros() as usize;
             self.pending &= self.pending - 1;
-            // The last summary word may describe words past the range end.
-            self.word = *self.words.get(self.wi)?;
+            self.word = self.words[self.wi];
         }
         let v = self.wi << 6 | self.word.trailing_zeros() as usize;
         self.word &= self.word - 1;
@@ -247,7 +242,7 @@ mod tests {
     fn members(active: Active<'_>) -> Option<Vec<usize>> {
         match active {
             Active::Dense | Active::All => None,
-            Active::Members(set) => Some(set.ones(0..set.words.len()).collect()),
+            Active::Members(set) => Some(set.ones().collect()),
         }
     }
 
@@ -262,17 +257,9 @@ mod tests {
         set.set(64); // idempotent
         let mut sorted = picks.to_vec();
         sorted.sort_unstable();
-        let words = set.words.len();
-        assert_eq!(set.ones(0..words).collect::<Vec<_>>(), sorted);
-        // Word sub-ranges (the parallel sharding): start past a summary
-        // word, end inside one.
-        let from_4096: Vec<usize> = sorted.iter().copied().filter(|&v| v >= 4096).collect();
-        assert_eq!(set.ones(64..words).collect::<Vec<_>>(), from_4096);
-        let below_4160: Vec<usize> = sorted.iter().copied().filter(|&v| v < 4160).collect();
-        assert_eq!(set.ones(0..65).collect::<Vec<_>>(), below_4160);
-        assert_eq!(set.ones(1..64).collect::<Vec<_>>(), [64, 4095]);
+        assert_eq!(set.ones().collect::<Vec<_>>(), sorted);
         set.clear();
-        assert_eq!(set.ones(0..words).next(), None);
+        assert_eq!(set.ones().next(), None);
         assert!(set.words.iter().chain(&set.summary).all(|&w| w == 0));
     }
 

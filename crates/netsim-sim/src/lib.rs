@@ -80,10 +80,9 @@
 //! payloads travel as arena handles or as reference-engine clones.
 //!
 //! **Determinism contract:** each node's inbox is ordered by the sender's
-//! node index (then send order); with the opt-in `parallel` feature,
-//! intra-round stepping fans out over scoped threads with per-thread shards
-//! merged in node-index order, so runs stay bit-for-bit reproducible.
-//! `Protocol::is_done` must only change during `step` — which is the only
+//! node index (then send order): the flat engine steps the nodes in one
+//! ascending pass into one staging buffer, so runs are bit-for-bit
+//! reproducible.  `Protocol::is_done` must only change during `step` — which is the only
 //! mutable access the engines expose.
 //!
 //! The flat engine's steady state allocates nothing per round, and a

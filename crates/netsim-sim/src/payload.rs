@@ -193,22 +193,6 @@ impl<M> PayloadArena<M> {
             self.graveyard.push(payload);
         }
     }
-
-    /// Moves every live payload of this epoch into `dst` (preserving order)
-    /// and ends the epoch here.  Returns the handle offset: a handle `h`
-    /// issued by this arena now resolves in `dst` as `h + offset`.
-    ///
-    /// Used by the parallel engine path to merge per-worker staging arenas
-    /// into the delivery arena in worker order.
-    pub(crate) fn drain_live_into(&mut self, dst: &mut PayloadArena<M>) -> u32 {
-        let offset = dst.live as u32;
-        for slot in &mut self.slots[..self.live] {
-            let payload = slot.take().expect("live slot holds a payload");
-            dst.intern(payload);
-        }
-        self.live = 0;
-        offset
-    }
 }
 
 impl<M> Default for PayloadArena<M> {
@@ -293,19 +277,5 @@ mod tests {
         // exceeds the slab capacity (one epoch's worth).
         assert!(a.recyclable() <= a.capacity());
         assert_eq!(a.capacity(), 4);
-    }
-
-    #[test]
-    fn drain_live_into_preserves_order_and_offsets() {
-        let mut src: PayloadArena<Vec<u8>> = PayloadArena::new();
-        let mut dst: PayloadArena<Vec<u8>> = PayloadArena::new();
-        dst.intern(vec![0]);
-        let h = src.intern(vec![1]);
-        src.intern(vec![2]);
-        let offset = src.drain_live_into(&mut dst);
-        assert_eq!(offset, 1);
-        assert_eq!(src.live(), 0);
-        assert_eq!(dst.live(), 3);
-        assert_eq!(dst.get(PayloadHandle(h.0 + offset)), &[1]);
     }
 }

@@ -1,22 +1,17 @@
 //! Property tests of the multi-channel slot substrate.
 //!
-//! Three order-independence contracts (plus the dynamic-attachment
-//! snapshot semantics of [`ChannelSet::reattach`]):
+//! Two order-independence contracts (plus the dynamic-attachment snapshot
+//! semantics of [`ChannelSet::reattach`]):
 //!
 //! 1. **writer arrival order** — a channel's slot outcome (idle / success /
 //!    collision, winner identity *and* winner payload) is a function of the
 //!    *set* of writes, not of the order they arrive in: [`resolve_slots`]
 //!    must produce identical outcomes for any permutation of the write list,
 //!    and a scripted multi-channel protocol must observe identical outcomes
-//!    on the flat [`SyncEngine`] (which merges writes in node-index order)
+//!    on the flat [`SyncEngine`] (which stages writes in node-index order)
 //!    and the [`ReferenceEngine`] (which collects them per node in step
 //!    order);
-//! 2. **shard merge order** — with the `parallel` feature, stepping the
-//!    nodes in 2, 3, or 8 worker shards and merging the per-shard channel
-//!    writes must leave every per-channel outcome (and hence every node
-//!    state and the whole [`CostAccount`](netsim_sim::CostAccount))
-//!    bit-for-bit identical to the sequential run;
-//! 3. **re-attachment snapshots** — [`ChannelSet::reattach`] is a pure
+//! 2. **re-attachment snapshots** — [`ChannelSet::reattach`] is a pure
 //!    snapshot (any permutation of earlier snapshots followed by the same
 //!    final one yields the same set as [`ChannelSet::from_masks`]), and a
 //!    phase-boundary re-attachment schedule replayed on the flat and the
@@ -183,7 +178,7 @@ proptest! {
         }
     }
 
-    /// Contract 1b: the flat engine (writes merged in node-index order, slot
+    /// Contract 1b: the flat engine (writes staged in node-index order, slot
     /// winners delivered by arena handle) and the reference engine (writes
     /// collected per stepping node, winners cloned) observe identical
     /// per-channel outcomes on random scripted traffic.
@@ -214,7 +209,7 @@ proptest! {
         prop_assert_eq!(flat_nodes, ref_nodes);
     }
 
-    /// Contract 3a: a re-attachment is a pure snapshot — applying any
+    /// Contract 2a: a re-attachment is a pure snapshot — applying any
     /// permutation of a sequence of intermediate snapshots before the final
     /// one leaves the set exactly [`ChannelSet::from_masks`] of the final
     /// masks, with no dependence on history or application order.
@@ -251,7 +246,7 @@ proptest! {
         prop_assert_eq!(&a, &ChannelSet::from_masks(k, final_masks));
     }
 
-    /// Contract 3b: a phase-boundary re-attachment schedule replayed on both
+    /// Contract 2b: a phase-boundary re-attachment schedule replayed on both
     /// synchronous substrates — the flat engine (snapshot applied to the
     /// handle-based slot path) and the reference engine (clone path) — gives
     /// bit-for-bit identical node states and cost accounts.
@@ -307,39 +302,5 @@ proptest! {
         let (ref_nodes, ref_cost) = reference.into_parts();
         prop_assert_eq!(flat_cost, ref_cost);
         prop_assert_eq!(flat_nodes, ref_nodes);
-    }
-}
-
-/// Contract 2: per-channel slot outcomes are independent of the `parallel`
-/// feature's shard merge order — any worker count produces the sequential
-/// run bit-for-bit.
-#[cfg(feature = "parallel")]
-#[test]
-fn slot_outcomes_independent_of_shard_merge_order() {
-    for (n, k, seed) in [(40usize, 4u16, 3u64), (64, 6, 17), (33, 1, 99)] {
-        let g = generators::random_connected(n, 0.12, seed);
-        let init = |v: NodeId| ScriptedWriters {
-            id: v.index() as u64,
-            seed,
-            state: mix(seed, v.index() as u64),
-            rounds_active: 12 + (v.index() as u32 % 4),
-        };
-        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(k));
-        let mut seq = builder.build_flat(init);
-        let seq_out = seq.run(1000);
-        assert!(seq_out.is_completed());
-        for threads in [2usize, 3, 8] {
-            let mut par = builder.build_flat(init);
-            let par_out = par.run_parallel(1000, threads);
-            assert_eq!(seq_out, par_out, "n={n} k={k} threads={threads}");
-            assert_eq!(seq.cost(), par.cost(), "n={n} k={k} threads={threads}");
-            for v in g.nodes() {
-                assert_eq!(
-                    seq.node(v),
-                    par.node(v),
-                    "n={n} k={k} threads={threads} node {v:?}"
-                );
-            }
-        }
     }
 }
