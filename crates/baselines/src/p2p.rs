@@ -9,7 +9,7 @@
 use netsim_graph::{NodeId, SpanningForest};
 use netsim_sim::{
     protocols::{BfsBuild, Convergecast, TreeBroadcast},
-    CostAccount, EngineControl, SyncEngine,
+    CostAccount, EngineBuilder, EngineControl,
 };
 
 /// Result of a point-to-point-only global computation.
@@ -60,7 +60,7 @@ where
     assert_eq!(inputs.len(), n, "one input per processor");
 
     // Stage 1: BFS spanning tree.
-    let mut bfs = SyncEngine::new(graph, |id| BfsBuild::new(id, root));
+    let mut bfs = EngineBuilder::new(graph).build_flat(|id| BfsBuild::new(id, root));
     let outcome = bfs.run(4 * n as u64 + 16);
     assert!(
         outcome.is_completed(),
@@ -78,7 +78,7 @@ where
     assert_eq!(forest.tree_count(), 1, "graph must be connected");
 
     // Stage 2: convergecast to the root.
-    let mut up = SyncEngine::new(graph, |v| {
+    let mut up = EngineBuilder::new(graph).build_flat(|v| {
         Convergecast::new(
             forest.parent(v),
             forest.children(v).len(),
@@ -92,7 +92,7 @@ where
     let up_cost = up.cost();
 
     // Stage 3: broadcast the value down the tree.
-    let mut down = SyncEngine::new(graph, |v| {
+    let mut down = EngineBuilder::new(graph).build_flat(|v| {
         let children: Vec<NodeId> = forest.children(v).to_vec();
         let val = if v == root { Some(value.clone()) } else { None };
         TreeBroadcast::new(children, val)

@@ -20,7 +20,7 @@ use multimedia::{
     size, synchronizer,
 };
 use netsim_graph::{generators::Family, log_star, NodeId};
-use netsim_sim::{protocols::BfsBuild, AsyncConfig, EngineControl, SyncEngine};
+use netsim_sim::{protocols::BfsBuild, AsyncConfig, EngineBuilder, EngineControl};
 
 const USAGE: &str = "usage: experiments [--quick] [--exp ID...] [--json FILE]
   --quick      smaller sweeps
@@ -371,7 +371,8 @@ fn e6(opts: &Opts, all: &mut Vec<Record>) {
         let net = workload(Family::Grid, n, 4);
         let root = NodeId(0);
         // Synchronous reference.
-        let mut sync_engine = SyncEngine::new(net.graph(), |id| BfsBuild::new(id, root));
+        let mut sync_engine =
+            EngineBuilder::new(net.graph()).build_flat(|id| BfsBuild::new(id, root));
         sync_engine.run(100_000);
         let sync_cost = sync_engine.cost();
         records.push(Record::new(

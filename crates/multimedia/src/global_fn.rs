@@ -28,7 +28,7 @@ use channel_access::{backoff, capetanakis, Contender};
 use netsim_graph::{ceil_log2, log_star, NodeId, SpanningForest};
 use netsim_sim::{
     protocols::Convergecast, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
-    Protocol, RoundIo, SlotOutcome, SyncEngine, MAX_CHANNELS,
+    Protocol, RoundIo, SlotOutcome, MAX_CHANNELS,
 };
 
 /// A commutative semigroup element: the domain of a global sensitive function.
@@ -119,7 +119,7 @@ pub fn local_aggregate<T: Semigroup>(
 ) -> (Vec<(NodeId, T)>, CostAccount) {
     let g = net.graph();
     assert_eq!(inputs.len(), g.node_count(), "one input per processor");
-    let mut engine = SyncEngine::new(g, |v| {
+    let mut engine = EngineBuilder::new(g).build_flat(|v| {
         Convergecast::new(
             forest.parent(v),
             forest.children(v).len(),

@@ -85,9 +85,8 @@ use std::time::{Duration, Instant};
 use netsim_graph::{Graph, NodeId};
 use netsim_sim::wire::{Frame, WireMsg, HEADER_LEN, TRAILER_LEN};
 use netsim_sim::{
-    settle_lanes, settle_slot, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl,
-    FaultPlan, FaultSession, Inbox, LaneOutcome, NodeLifecycle, OutboxBuffer, Protocol, RoundIo,
-    SlotOutcome, SlotState,
+    ChannelFold, ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl, FaultPlan,
+    FaultSession, Gate, Inbox, OutboxBuffer, Protocol, RoundIo, Tally,
 };
 
 /// Flush threshold for per-destination frame batches; comfortably under the
@@ -138,23 +137,15 @@ where
     local: Vec<NodeId>,
     nodes: Vec<P>,
     session: Option<FaultSession>,
-    /// Owned nodes that are done or fault-exempt, kept current around each
-    /// `step` and lifecycle transition (the engine's `done_count +
-    /// undone_exempt`); [`recount_settled`](Self::recount_settled) re-seeds
-    /// it wherever states or lifecycles change wholesale.
-    settled: u32,
+    /// The owned nodes' [`Tally`], kept current around each `step` and
+    /// lifecycle transition and recounted wherever states or lifecycles
+    /// change wholesale; its settled count is this host's quiescence share.
+    tally: Tally,
     /// The whole round's staging: every owned node steps into this one
     /// buffer, then `begin_round` translates it to frames in one pass.
     outbox: OutboxBuffer<P::Msg>,
     round: u64,
     cost: CostAccount,
-    /// Per-channel breakdown of the channel-scoped counters in `cost`.
-    /// Slot resolution is replicated identically on every host from the
-    /// broadcast frames, so each host's per-channel accounts equal the
-    /// simulator's global ones, exactly like `cost`.
-    chan_cost: Vec<CostAccount>,
-    prev_slots: Vec<SlotOutcome<P::Msg>>,
-    prev_lanes: Vec<LaneOutcome>,
     /// Flat delivery arena for the round about to step: every owned node's
     /// inbox back to back, each in (sender index, sequence) order.
     inbox: Vec<(NodeId, P::Msg)>,
@@ -164,23 +155,25 @@ where
     inbox_ranges: Vec<(u32, u32)>,
     inbox_epoch: Vec<u64>,
     /// Raw p2p arrivals for the round being collected, as
-    /// `(local slot of the receiver, sender, sequence, payload)`.
+    /// `(local slot of the receiver, sender, sequence, payload)`.  This and
+    /// the two channel lists below are the frames heard so far, which
+    /// [`round_complete`](Self::round_complete) checks against the barriers.
     arrivals: Vec<(u32, NodeId, u32, P::Msg)>,
     /// Slot writes heard this round (the broadcast bus contents).
     slot_writes: Vec<(ChannelId, NodeId, P::Msg)>,
     /// Lane words heard this round (already per-node OR-merged at senders).
     lane_writes: Vec<(ChannelId, NodeId, u64)>,
-    /// Pooled per-channel writer counts for `finish_round`.
-    slot_counts: Vec<u32>,
-    lane_counts: Vec<u64>,
+    /// Every channel's outcome of the last finished round and busy mask
+    /// (the quiescence snapshot's), plus the per-channel accounts.  Slot
+    /// resolution is replicated identically on every host from the broadcast
+    /// frames, so each host's per-channel accounts equal the simulator's
+    /// global ones, like `cost`.
+    fold: ChannelFold<P::Msg>,
     barriers: Vec<BarrierInfo>,
     /// The `sent_to` table of the barrier this host is about to send.
     sent_to: Vec<u32>,
     /// Storage for the next decoded barrier's `sent_to` table.
     spare_sent_to: Vec<u32>,
-    got_p2p: u32,
-    got_slots: u32,
-    got_lanes: u32,
     /// Frames that belong to a round we have not finished collecting yet.
     pending: Vec<Frame<P::Msg>>,
     /// `pending`'s double buffer: `finish_round` swaps the two so replaying
@@ -197,8 +190,6 @@ where
     in_round: bool,
     /// Global in-flight message count after the last finished round.
     q_inflight: u64,
-    /// Non-idle slots resolved in the last finished round.
-    q_nonidle: u32,
     recv_buf: Box<[u8]>,
 }
 
@@ -248,8 +239,10 @@ where
             .map(NodeId)
             .collect();
         let nodes: Vec<P> = local.iter().map(|&v| init(v)).collect();
-        let k = channels.channels() as usize;
-        let mut bound = WireHost {
+        let owned = local.iter().map(|v| v.index()).zip(&nodes);
+        let tally = Tally::recount(None, owned, P::is_done);
+        let fold = ChannelFold::new(channels.channels());
+        Ok(WireHost {
             graph,
             host,
             hosts,
@@ -267,23 +260,16 @@ where
             local,
             nodes,
             session: None,
-            settled: 0,
+            tally,
             outbox: OutboxBuffer::new(),
             round: 0,
             cost: CostAccount::default(),
-            chan_cost: vec![CostAccount::default(); k],
-            prev_slots: (0..k).map(|_| SlotOutcome::Idle).collect(),
-            prev_lanes: vec![LaneOutcome::Idle; k],
             slot_writes: Vec::new(),
             lane_writes: Vec::new(),
-            slot_counts: vec![0; k],
-            lane_counts: vec![0; k],
+            fold,
             barriers: vec![BarrierInfo::default(); hosts as usize],
             sent_to: vec![0; hosts as usize],
             spare_sent_to: Vec::new(),
-            got_p2p: 0,
-            got_slots: 0,
-            got_lanes: 0,
             pending: Vec::new(),
             replay: Vec::new(),
             hello_seen: vec![false; hosts as usize],
@@ -291,11 +277,8 @@ where
             settled_from_barrier: vec![false; hosts as usize],
             in_round: false,
             q_inflight: 0,
-            q_nonidle: 0,
             recv_buf: vec![0u8; 65536].into_boxed_slice(),
-        };
-        bound.settled = bound.recount_settled();
-        Ok(bound)
+        })
     }
 
     /// The socket address this host is listening on.
@@ -321,7 +304,8 @@ where
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         assert_eq!(self.round, 0, "fault plan must be installed before round 0");
         self.session = Some(FaultSession::new(plan, self.graph.node_count()));
-        self.settled = self.recount_settled();
+        let owned = self.local.iter().map(|v| v.index()).zip(&self.nodes);
+        self.tally = Tally::recount(self.session.as_ref(), owned, P::is_done);
     }
 
     /// The live fault session, when a plan is installed.
@@ -332,22 +316,7 @@ where
     /// Number of owned nodes that are done or fault-exempt right now — this
     /// host's contribution to the distributed quiescence condition.
     pub fn local_settled(&self) -> u32 {
-        self.settled
-    }
-
-    /// The every-node scan `settled` is the running value of.
-    fn recount_settled(&self) -> u32 {
-        self.local
-            .iter()
-            .zip(&self.nodes)
-            .filter(|&(&v, node)| {
-                node.is_done()
-                    || self
-                        .session
-                        .as_ref()
-                        .is_some_and(|s| s.lifecycle(v).is_exempt())
-            })
-            .count() as u32
+        self.tally.settled() as u32
     }
 
     /// Broadcasts a [`Frame::Hello`] to every peer (self included).
@@ -358,7 +327,7 @@ where
             hosts: self.hosts,
             nodes: self.graph.node_count() as u32,
             k: self.channels.channels(),
-            settled: self.settled,
+            settled: self.local_settled(),
         };
         self.endpoint.broadcast(&hello)?;
         self.endpoint.flush_all()
@@ -424,8 +393,7 @@ where
                 }
                 Ok(())
             }
-            Frame::Barrier { round, host, .. } if host >= self.hosts => {
-                let _ = round;
+            Frame::Barrier { host, .. } if host >= self.hosts => {
                 Err(bad_frame("barrier from out-of-range host"))
             }
             frame => {
@@ -453,33 +421,22 @@ where
                         }
                         let slot = to.index() / self.hosts as usize;
                         self.arrivals.push((slot as u32, from, seq, payload));
-                        self.got_p2p += 1;
+                    }
+                    Frame::Slot { chan, from, .. } | Frame::Lanes { chan, from, .. }
+                        if chan.0 >= self.channels.channels()
+                            || from.index() >= self.graph.node_count() =>
+                    {
+                        return Err(bad_frame("channel frame out of range"));
                     }
                     Frame::Slot {
                         chan,
                         from,
                         payload,
                         ..
-                    } => {
-                        if chan.0 >= self.channels.channels()
-                            || from.index() >= self.graph.node_count()
-                        {
-                            return Err(bad_frame("slot frame out of range"));
-                        }
-                        self.slot_writes.push((chan, from, payload));
-                        self.got_slots += 1;
-                    }
+                    } => self.slot_writes.push((chan, from, payload)),
                     Frame::Lanes {
                         chan, from, word, ..
-                    } => {
-                        if chan.0 >= self.channels.channels()
-                            || from.index() >= self.graph.node_count()
-                        {
-                            return Err(bad_frame("lane frame out of range"));
-                        }
-                        self.lane_writes.push((chan, from, word));
-                        self.got_lanes += 1;
-                    }
+                    } => self.lane_writes.push((chan, from, word)),
                     Frame::Barrier {
                         host,
                         settled,
@@ -538,25 +495,15 @@ where
         );
         let round = self.round;
 
-        // 1. Lifecycle transitions + crashed-round charge, exactly as the
-        //    engine's apply_fault_round: recovery hooks fire on the way to
-        //    Booting, and the charge uses post-transition lifecycles.
+        // 1. Lifecycle transitions of the owned nodes (recovery hooks fire
+        //    on the way to Booting) and the crashed-round charge, which uses
+        //    the post-transition lifecycles of every node.
         if let Some(session) = self.session.as_mut() {
-            let nodes = &mut self.nodes;
-            let settled = &mut self.settled;
-            let (host, n_hosts) = (self.host, self.hosts);
-            session.apply_round(round, |v, was, now| {
-                if owner_of(n_hosts, v) != host {
-                    return;
-                }
-                let node = &mut nodes[v.index() / n_hosts as usize];
-                let before = was.is_exempt() || node.is_done();
-                if now == NodeLifecycle::Booting {
-                    node.on_recover();
-                }
-                let after = now.is_exempt() || node.is_done();
-                *settled = *settled + u32::from(after) - u32::from(before);
-            });
+            let (host, hosts) = (self.host, self.hosts);
+            let visit = |v, _| (owner_of(hosts, v) == host).then_some(v.index() / hosts as usize);
+            let (is_done, on_recover) = (P::is_done, P::on_recover);
+            self.tally
+                .apply_faults(session, round, &mut self.nodes, visit, is_done, on_recover);
             session.charge_round(&mut self.cost);
         }
 
@@ -564,8 +511,10 @@ where
         //    the one staging buffer.  A downed node's delivered inbox is
         //    never read and goes stale with its epoch stamp — the simulator
         //    drops such payloads unread the same way.
+        let mut gate = Gate::new(self.session.as_ref(), &mut self.tally);
+        let (slots, lanes) = (self.fold.slots(), self.fold.lanes());
         for (slot, (&v, node)) in self.local.iter().zip(&mut self.nodes).enumerate() {
-            if !self.session.as_ref().is_none_or(|s| s.is_operational(v)) {
+            if !gate.admits(v.index()) {
                 continue;
             }
             let inbox = if self.inbox_epoch[slot] == round {
@@ -579,47 +528,51 @@ where
                 round,
                 self.graph.neighbors(v),
                 Inbox::direct(inbox),
-                &self.prev_slots,
+                slots,
                 &mut self.outbox,
             )
             .with_attachment(self.channels.mask(v))
-            .with_lanes(&self.prev_lanes);
-            let was = node.is_done();
+            .with_lanes(lanes);
+            let was_done = node.is_done();
             node.step(&mut io);
-            self.settled = self.settled + u32::from(node.is_done()) - u32::from(was);
+            gate.book(was_done, node.is_done());
         }
-        debug_assert_eq!(self.settled, self.recount_settled());
+        gate.finish();
+        let owned = self.local.iter().map(|v| v.index()).zip(&self.nodes);
+        debug_assert_eq!(
+            self.tally,
+            Tally::recount(self.session.as_ref(), owned, P::is_done)
+        );
 
         // 3. Translate the staged round.  Channel writes first (the send
         //    drain retires the payload epoch they point into): each becomes
         //    a Slot frame on the broadcast bus.
         let tx = &mut self.endpoint;
-        let mut sent = Ok(());
-        let mut slot_frames: u32 = 0;
+        let (mut sent, mut slot_frames, mut lane_frames) = (Ok(()), 0u32, 0u32);
+        let mut bus = |frame: &Frame<P::Msg>| {
+            if sent.is_ok() {
+                sent = tx.broadcast(frame);
+            }
+        };
         self.outbox.take_channel_writes(|chan, from, payload| {
             slot_frames += 1;
-            if sent.is_ok() {
-                sent = tx.broadcast(&Frame::Slot {
-                    round,
-                    chan,
-                    from,
-                    payload,
-                });
-            }
+            bus(&Frame::Slot {
+                round,
+                chan,
+                from,
+                payload,
+            });
         });
         // Lane words ride the same bus, one frame per (node, channel);
         // receivers OR them channel-wise.
-        let mut lane_frames: u32 = 0;
         self.outbox.take_lane_writes(|chan, from, word| {
             lane_frames += 1;
-            if sent.is_ok() {
-                sent = tx.broadcast(&Frame::<P::Msg>::Lanes {
-                    round,
-                    chan,
-                    from,
-                    word,
-                });
-            }
+            bus(&Frame::Lanes {
+                round,
+                chan,
+                from,
+                word,
+            });
         });
         sent?;
         // Sends in staging order, which is the order the per-(host, round)
@@ -658,7 +611,7 @@ where
         let barrier: Frame<P::Msg> = Frame::Barrier {
             round,
             host: self.host,
-            settled: self.settled,
+            settled: self.tally.settled() as u32,
             staged,
             dropped,
             slot_frames,
@@ -682,15 +635,15 @@ where
         if !self.in_round || self.barriers.iter().any(|b| !b.heard) {
             return false;
         }
-        let mut want_p2p = 0u32;
-        let mut want_slots = 0u32;
-        let mut want_lanes = 0u32;
-        for b in &self.barriers {
-            want_p2p += b.sent_to[self.host as usize];
-            want_slots += b.slot_frames;
-            want_lanes += b.lane_frames;
-        }
-        self.got_p2p == want_p2p && self.got_slots == want_slots && self.got_lanes == want_lanes
+        let host = self.host as usize;
+        self.arrivals.len() as u64 == self.barrier_total(|b| b.sent_to[host])
+            && self.slot_writes.len() as u64 == self.barrier_total(|b| b.slot_frames)
+            && self.lane_writes.len() as u64 == self.barrier_total(|b| b.lane_frames)
+    }
+
+    /// `f` summed over the round's barriers, one per host.
+    fn barrier_total(&self, f: impl Fn(&BarrierInfo) -> u32) -> u64 {
+        self.barriers.iter().map(|b| u64::from(f(b))).sum()
     }
 
     /// Resolves the round from the collected frames: channel outcomes (with
@@ -711,64 +664,27 @@ where
 
         // Global cost: every host applies the same totals, so each local
         // CostAccount equals the engine's global one.
-        let mut staged = 0u64;
-        let mut dropped = 0u64;
-        let mut inflight = 0u64;
-        for b in &self.barriers {
-            staged += b.staged as u64;
-            dropped += b.dropped as u64;
-            inflight += b.sent_to.iter().map(|&s| s as u64).sum::<u64>();
-        }
+        let staged = self.barrier_total(|b| b.staged);
+        let dropped = self.barrier_total(|b| b.dropped);
+        let inflight = self.barrier_total(|b| b.sent_to.iter().sum());
         self.cost.add_messages(staged);
         if dropped > 0 {
             self.cost.add_dropped_messages(dropped);
         }
-        self.cost.add_round();
 
-        // Slot fold: writer counts per channel decide the outcome
-        // (order-independent); a sole writer's payload is the winner.
-        self.slot_counts.fill(0);
-        for &(chan, _, _) in &self.slot_writes {
-            self.slot_counts[chan.index()] += 1;
-        }
-        for outcome in self.prev_slots.iter_mut() {
-            *outcome = SlotOutcome::Idle;
-        }
-        let mut nonidle = 0u32;
-        for (chan, from, payload) in self.slot_writes.drain(..) {
-            let c = chan.index();
-            if self.slot_counts[c] == 1 {
-                self.prev_slots[c] = SlotOutcome::Success { from, msg: payload };
-            }
-        }
-        // Lane fold: OR the broadcast words per channel (order-independent).
-        self.lane_counts.fill(0);
-        for lane in self.prev_lanes.iter_mut() {
-            *lane = LaneOutcome::Idle;
+        // Channel fold: writer counts per channel decide the outcome
+        // (order-independent) and a sole writer's payload is the winner;
+        // lane words OR together.  The resolve boundary proper — erasure and
+        // corruption draws keyed on the executed round, classification,
+        // charges — is the engines' shared core.
+        for (chan, from, msg) in self.slot_writes.drain(..) {
+            self.fold.write(chan, from, msg, drop);
         }
         for (chan, _, word) in self.lane_writes.drain(..) {
-            let c = chan.index();
-            self.lane_counts[c] += 1;
-            self.prev_lanes[c] = LaneOutcome::Word(self.prev_lanes[c].word().unwrap_or(0) | word);
+            self.fold.write_lanes(chan, word);
         }
-        // The resolve boundary proper — erasure and corruption draws keyed
-        // on the executed round, classification, charges — is the engines'
-        // shared core.
         let session = self.session.as_ref();
-        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
-            let chan = ChannelId(c as u16);
-            let writers = u64::from(self.slot_counts[c]);
-            match settle_slot(session, round, chan, writers, &mut self.cost, cost) {
-                SlotState::Idle | SlotState::Success => {}
-                SlotState::Collision => self.prev_slots[c] = SlotOutcome::Collision,
-                SlotState::Erased => self.prev_slots[c] = SlotOutcome::Erased,
-            }
-            nonidle += u32::from(writers > 0);
-            let (writers, word) = (self.lane_counts[c], self.prev_lanes[c].word().unwrap_or(0));
-            self.prev_lanes[c] =
-                settle_lanes(session, round, chan, writers, word, &mut self.cost, cost);
-            nonidle += u32::from(writers > 0);
-        }
+        self.fold.settle(session, round, &mut self.cost, drop);
 
         // Deliver: sort the arrivals by (receiver, sender index, staging
         // sequence) — the simulator's inbox order, independent of datagram
@@ -790,15 +706,11 @@ where
 
         // Quiescence snapshot for the boundary before the next round.
         self.q_inflight = inflight;
-        self.q_nonidle = nonidle;
 
         // Reset collection state and admit early arrivals for round + 1.
         for b in self.barriers.iter_mut() {
             b.heard = false;
         }
-        self.got_p2p = 0;
-        self.got_slots = 0;
-        self.got_lanes = 0;
         self.round += 1;
         self.in_round = false;
         let mut replay = std::mem::replace(&mut self.pending, std::mem::take(&mut self.replay));
@@ -815,7 +727,7 @@ where
     /// exactly (given fresh settled counts, which barriers provide).
     pub fn is_quiescent(&self) -> bool {
         let settled: u64 = self.settled_remote.iter().map(|&s| s as u64).sum();
-        settled == self.graph.node_count() as u64 && self.q_inflight == 0 && self.q_nonidle == 0
+        settled == self.graph.node_count() as u64 && self.q_inflight == 0 && self.fold.busy() == 0
     }
 
     /// Overrides the cached settled count for host `h`.  This is the
@@ -840,11 +752,12 @@ where
     /// the next barrier.
     pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
         assert!(!self.in_round, "update_nodes mid-round");
-        for (slot, &v) in self.local.iter().enumerate() {
-            f(v, &mut self.nodes[slot]);
+        for (&v, node) in self.local.iter().zip(&mut self.nodes) {
+            f(v, node);
         }
-        self.settled = self.recount_settled();
-        self.settled_remote[self.host as usize] = self.settled;
+        let owned = self.local.iter().map(|v| v.index()).zip(&self.nodes);
+        self.tally = Tally::recount(self.session.as_ref(), owned, P::is_done);
+        self.settled_remote[self.host as usize] = self.local_settled();
         self.settled_from_barrier[self.host as usize] = true;
     }
 
@@ -873,7 +786,7 @@ where
     /// [`cost`](Self::cost); replicated identically on every host, like the
     /// global account.
     pub fn channel_costs(&self) -> &[CostAccount] {
-        &self.chan_cost
+        self.fold.costs()
     }
 
     /// Rounds finished so far.

@@ -53,16 +53,14 @@
 //! Adapters replaying a synchronous [`Protocol`](crate::Protocol)
 //! ([`Lockstep`](crate::Lockstep)) build their [`RoundIo`](crate::RoundIo)
 //! over the same buffer, so a replayed step is staged exactly once.
-//! Quiescence is O(1) via a done-node counter.
+//! Quiescence is O(1) via the shared [`Tally`].
 
-use crate::channel::{
-    settle_lanes, settle_slot, ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState,
-    MAX_CHANNELS,
-};
-use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
+use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome};
+use crate::fault::{FaultPlan, FaultSession};
 use crate::frontier::{Active, Frontier};
 use crate::metrics::CostAccount;
 use crate::node::OutboxBuffer;
+use crate::round::{self, boot_wakes, ChannelFold, Gate, Tally};
 use netsim_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -505,35 +503,23 @@ pub struct AsyncEngine<'g, P: AsyncProtocol> {
     /// every replay adapter's `RoundIo` — writes into; empty between passes
     /// (see [`AsyncEngine::fold_staged`]).
     outbox: OutboxBuffer<P::Msg>,
-    /// Pooled per-boundary lane outcomes, one per channel; all idle outside
-    /// a boundary.
-    lane_scratch: Vec<LaneOutcome>,
-    /// Pooled per-channel lane writer counters; length `K`.
-    lane_counts: Vec<u32>,
-    /// Pooled per-boundary slot outcomes, one per channel; all idle outside
-    /// a boundary.  The winners are **moved** in from `slot_writes` (never
-    /// cloned) and parked in the slab graveyard after the boundary's
-    /// callbacks, so heap payloads written to a channel are recycled like
-    /// any delivered message.
-    outcome_scratch: Vec<SlotOutcome<P::Msg>>,
-    /// Pooled per-channel writer counters; length `K`.
-    chan_counts: Vec<u32>,
+    /// Pooled per-boundary outcomes, one slot and one lane sub-slot per
+    /// channel, all idle outside a boundary.  The winners are **moved** in
+    /// from `slot_writes` (never cloned) and parked in the slab graveyard
+    /// after the boundary's callbacks, so heap payloads written to a channel
+    /// are recycled like any delivered message.  Its per-channel accounts
+    /// match the synchronous engines' under the lockstep configuration after
+    /// the [`EngineControl`](crate::EngineControl) impl's reconciliation
+    /// (see the [`lockstep`](crate::lockstep) docs).
+    fold: ChannelFold<P::Msg>,
     tick: u64,
     cost: CostAccount,
-    /// Per-channel breakdown of the channel-scoped counters in `cost`;
-    /// length `K`.  Under the lockstep configuration it matches the
-    /// synchronous engines' after the [`EngineControl`](crate::EngineControl)
-    /// impl's reconciliation (see the [`lockstep`](crate::lockstep) docs).
-    chan_cost: Vec<CostAccount>,
     started: bool,
-    /// Nodes currently reporting [`AsyncProtocol::is_done`].
-    done_count: usize,
+    /// Done and undone-exempt node counts; keeps quiescence O(1).
+    tally: Tally,
     /// Injected-fault session, when [`AsyncEngine::set_fault_plan`]
     /// installed one.  Fault *rounds* advance once per tick.
     faults: Option<FaultSession>,
-    /// Nodes in an exempt lifecycle state (`Off` / `Crashed`) that are not
-    /// done; keeps the faulted quiescence check O(1).
-    undone_exempt: usize,
     /// Non-operational node count captured at the top of the current tick
     /// (before that tick's lifecycle transitions); the next slot boundary
     /// charges it as that slot's churn, mirroring the synchronous engine's
@@ -552,8 +538,7 @@ struct Pass<'a, P: AsyncProtocol> {
     graph: &'a Graph,
     nodes: &'a mut [P],
     channels: &'a ChannelSet,
-    /// Fault lifecycle gate; `None` without a plan (everyone operational).
-    lifecycles: Option<&'a [NodeLifecycle]>,
+    gate: Gate<'a>,
     slab: &'a mut PayloadSlab<P::Msg>,
     outbox: &'a mut OutboxBuffer<P::Msg>,
     slots: &'a [SlotOutcome<P::Msg>],
@@ -563,18 +548,16 @@ struct Pass<'a, P: AsyncProtocol> {
     /// never does, so it drops them per callback instead of letting the
     /// list grow to `n`.
     keep_wakes: bool,
-    /// Done transitions of the pass so far; settled once, at the fold.
-    done_delta: isize,
 }
 
 impl<P: AsyncProtocol> Pass<'_, P> {
-    /// Runs one callback on node `vi` unless its lifecycle gates it;
-    /// returns whether it ran.  Forced inline so each pass loop compiles to
-    /// a straight-line body around the protocol's callback (left to the
+    /// Runs one callback on node `vi` inside the pass's [`Gate`]; returns
+    /// whether it ran.  Forced inline so each pass loop compiles to a
+    /// straight-line body around the protocol's callback (left to the
     /// inliner, the dense boundary loop ran ≈ 17 % slower).
     #[inline(always)]
     fn call(&mut self, vi: usize, f: impl FnOnce(&mut P, &mut AsyncCtx<'_, P::Msg>)) -> bool {
-        if self.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
+        if !self.gate.admits(vi) {
             return false;
         }
         let (v, node) = (NodeId(vi), &mut self.nodes[vi]);
@@ -591,7 +574,7 @@ impl<P: AsyncProtocol> Pass<'_, P> {
             attached: self.channels.mask(v),
         };
         f(node, &mut ctx);
-        self.done_delta += isize::from(node.is_done()) - isize::from(was_done);
+        self.gate.book(was_done, node.is_done());
         if !self.keep_wakes {
             self.outbox.wakes.clear();
         }
@@ -607,7 +590,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     }
 
     /// Creates an engine over `graph` and an explicit multiaccess
-    /// [`ChannelSet`].
+    /// [`ChannelSet`] (whose constructors already hold `K` and every mask
+    /// in range, so the per-callback windows never re-check them).
     ///
     /// # Panics
     ///
@@ -633,19 +617,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 graph.node_count()
             );
         }
-        // Validated once here (and kept by `ChannelSet::reattach`), so the
-        // per-callback windows — `AsyncCtx`, the lockstep adapter's
-        // `RoundIo` — never re-check K range, mask fit or lane length.
-        let full = ChannelSet::full_mask(channels.channels());
-        assert!(
-            (1..=MAX_CHANNELS).contains(&channels.channels())
-                && channels
-                    .masks_table()
-                    .is_none_or(|t| t.iter().all(|m| m & !full == 0)),
-            "channel set must have 1..={MAX_CHANNELS} channels and masks within them"
-        );
         let nodes: Vec<P> = graph.nodes().map(&mut init).collect();
-        let done_count = nodes.iter().filter(|p| p.is_done()).count();
+        let tally = Tally::recount(None, nodes.iter().enumerate(), P::is_done);
         let k = channels.channels() as usize;
         AsyncEngine {
             graph,
@@ -664,18 +637,13 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             lane_slot_writes: vec![None; graph.node_count() * k],
             lane_writers: Vec::new(),
             outbox: OutboxBuffer::new(),
-            lane_scratch: vec![LaneOutcome::Idle; k],
-            lane_counts: vec![0; k],
-            outcome_scratch: (0..k).map(|_| SlotOutcome::Idle).collect(),
-            chan_counts: vec![0; k],
+            fold: ChannelFold::new(channels.channels()),
             channels,
             tick: 0,
             cost: CostAccount::new(),
-            chan_cost: vec![CostAccount::new(); k],
             started: false,
-            done_count,
+            tally,
             faults: None,
-            undone_exempt: 0,
             pending_crashed: 0,
             frontier: None,
         }
@@ -732,12 +700,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             "fault plan must be installed before the engine starts"
         );
         let session = FaultSession::new(plan, self.graph.node_count());
-        self.undone_exempt = session
-            .lifecycles()
-            .iter()
-            .zip(&self.nodes)
-            .filter(|(l, p)| l.is_exempt() && !p.is_done())
-            .count();
+        let nodes = self.nodes.iter().enumerate();
+        self.tally = Tally::recount(Some(&session), nodes, P::is_done);
         self.faults = Some(session);
     }
 
@@ -746,39 +710,17 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         self.faults.as_ref()
     }
 
-    /// Applies fault round `round`'s lifecycle transitions; no-op without a
-    /// fault plan.
+    /// Applies fault round `round`'s lifecycle transitions (a rejoining
+    /// node hears the next boundary), capturing the churn the next boundary
+    /// charges first; no-op without a fault plan.
     fn apply_fault_round(&mut self, round: u64) {
-        let Some(session) = &mut self.faults else {
-            return;
-        };
-        self.pending_crashed = session.non_operational_count();
-        let nodes = &mut self.nodes;
-        let done_count = &mut self.done_count;
-        let undone_exempt = &mut self.undone_exempt;
-        let frontier = &mut self.frontier;
-        session.apply_round(round, |v, _, to| match to {
-            NodeLifecycle::Crashed => {
-                *undone_exempt += usize::from(!nodes[v.index()].is_done());
-            }
-            NodeLifecycle::Booting => {
-                let node = &mut nodes[v.index()];
-                let was = node.is_done();
-                *undone_exempt -= usize::from(!was);
-                node.on_recover();
-                let now = node.is_done();
-                *done_count = done_count
-                    .checked_add_signed(isize::from(now) - isize::from(was))
-                    .expect("done count balances");
-            }
-            // Lifecycle wakeup: the rejoining node hears the next boundary.
-            NodeLifecycle::Operational => {
-                if let Some(f) = frontier {
-                    f.wake(v.index());
-                }
-            }
-            NodeLifecycle::Off => {}
-        });
+        if let Some(session) = &mut self.faults {
+            self.pending_crashed = session.non_operational_count();
+            let (nodes, visit) = (&mut self.nodes, boot_wakes(&mut self.frontier));
+            let (is_done, on_recover) = (P::is_done, P::on_recover);
+            self.tally
+                .apply_faults(session, round, nodes, visit, is_done, on_recover);
+        }
     }
 
     /// The multiaccess channel substrate.
@@ -802,42 +744,18 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// Panics if `masks` does not cover exactly the graph's node count or a
     /// mask addresses a channel beyond the set's `K`.
     pub fn reattach(&mut self, masks: &[u64]) {
-        assert_eq!(
-            masks.len(),
-            self.graph.node_count(),
-            "re-attachment covers {} nodes, graph has {}",
-            masks.len(),
-            self.graph.node_count()
-        );
-        self.channels.reattach(masks);
-        // Attachment changes what every node hears at the next boundary.
-        if let Some(f) = &mut self.frontier {
-            f.reattach(self.channels.channels(), masks);
-        }
+        let n = self.graph.node_count();
+        round::reattach(n, &mut self.channels, &mut self.frontier, masks);
     }
 
     /// Mutably visits every node's protocol state (call between slot
     /// boundaries, e.g. at quiescence between phases of a multi-phase
-    /// pipeline), then recounts the done nodes so the O(1) quiescence
-    /// tracking stays sound.
-    pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, mut f: F) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            f(NodeId(i), node);
-        }
-        self.done_count = self.nodes.iter().filter(|p| p.is_done()).count();
-        self.undone_exempt = match &self.faults {
-            Some(session) => session
-                .lifecycles()
-                .iter()
-                .zip(&self.nodes)
-                .filter(|(l, p)| l.is_exempt() && !p.is_done())
-                .count(),
-            None => 0,
-        };
-        // Arbitrary state edits invalidate any sparsity assumption.
-        if let Some(f) = &mut self.frontier {
-            f.wake_all();
-        }
+    /// pipeline), then recounts the [`Tally`] so the O(1) quiescence
+    /// tracking stays sound, and dispatches every node at the next boundary.
+    pub fn update_nodes<F: FnMut(NodeId, &mut P)>(&mut self, f: F) {
+        let faults = self.faults.as_ref();
+        self.tally =
+            round::update_nodes(&mut self.nodes, f, P::is_done, faults, &mut self.frontier);
     }
 
     /// Cost account (rounds = slots elapsed).
@@ -852,7 +770,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// configuration the [`EngineControl`](crate::EngineControl) impl's
     /// `channel_costs` is the one to compare with a synchronous run.
     pub fn channel_costs(&self) -> &[CostAccount] {
-        &self.chan_cost
+        self.fold.costs()
     }
 
     /// Current time in ticks.
@@ -887,34 +805,30 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     }
 
     /// Splits the engine into the disjoint borrows of one pass of callbacks
-    /// (as `SyncEngine::step_parts` does for a round): the per-callback
-    /// state, the in-flight queue and the sparse wake set.
+    /// (as the flat engine's `step_active` does for a round): the
+    /// per-callback state, the in-flight queue and the sparse wake set.
     fn pass_parts(&mut self) -> (Pass<'_, P>, &mut Flight, &mut Option<Frontier>) {
         let pass = Pass {
             graph: self.graph,
             nodes: &mut self.nodes,
             channels: &self.channels,
-            lifecycles: self.faults.as_ref().map(|s| s.lifecycles()),
+            gate: Gate::new(self.faults.as_ref(), &mut self.tally),
             slab: &mut self.slab,
             outbox: &mut self.outbox,
-            slots: &self.outcome_scratch,
-            lanes: &self.lane_scratch,
+            slots: self.fold.slots(),
+            lanes: self.fold.lanes(),
             tick: self.tick,
             keep_wakes: self.frontier.is_some(),
-            done_delta: 0,
         };
         (pass, &mut self.flight, &mut self.frontier)
     }
 
-    /// Folds a finished pass into the engine — its done transitions and, in
-    /// staging order, everything it staged — and retires the staging epoch.
+    /// Folds everything a finished pass staged into the engine, in staging
+    /// order, and retires the staging epoch (the pass's done transitions
+    /// went to the [`Tally`] at [`Gate::finish`]).
     /// Runs at exactly three points: after the start pass, after a tick's
     /// deliveries, after a boundary's callbacks (see the module docs).
-    fn fold_staged(&mut self, done_delta: isize) {
-        self.done_count = self
-            .done_count
-            .checked_add_signed(done_delta)
-            .expect("done count balances");
+    fn fold_staged(&mut self) {
         let k = self.channels.channels() as usize;
         let staged = &mut self.outbox;
         if let Some(f) = &mut self.frontier {
@@ -986,7 +900,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
     /// nodes whose lifecycle is `Off` or `Crashed` count as settled — they
     /// can never take another callback.
     pub fn is_quiescent(&self) -> bool {
-        self.done_count + self.undone_exempt == self.nodes.len()
+        self.tally.settled() == self.nodes.len()
             && self.flight.heap.is_empty()
             && self.writers.is_empty()
             && self.lane_writers.is_empty()
@@ -1017,8 +931,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             }
             pass.slab.check_in(slot, msg);
         }
-        let done_delta = pass.done_delta;
-        self.fold_staged(done_delta);
+        pass.gate.finish();
+        self.fold_staged();
     }
 
     fn resolve_slot_boundary(&mut self) {
@@ -1027,99 +941,35 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         // counterpart delivers a handle); colliding payloads retire straight
         // to the graveyard.  Everything here is pooled.
         let k = self.channels.channels() as usize;
-        debug_assert!(self.outcome_scratch.iter().all(SlotOutcome::is_idle));
-        self.chan_counts.fill(0);
-        for i in 0..self.writers.len() {
-            let (v, chan) = self.writers[i];
-            let c = chan.index();
-            let msg = self.slot_writes[v.index() * k + c]
-                .take()
-                .expect("queued write");
-            self.chan_counts[c] += 1;
-            match std::mem::replace(&mut self.outcome_scratch[c], SlotOutcome::Collision) {
-                SlotOutcome::Idle => {
-                    self.outcome_scratch[c] = SlotOutcome::Success { from: v, msg }
-                }
-                SlotOutcome::Success { msg: prev, .. } => {
-                    self.slab.park(prev, k);
-                    self.slab.park(msg, k);
-                }
-                SlotOutcome::Collision => self.slab.park(msg, k),
-                // Erasure is applied only after this fold completes.
-                SlotOutcome::Erased => unreachable!("erasure happens post-fold"),
-            }
+        debug_assert!(self.fold.slots().iter().all(SlotOutcome::is_idle));
+        let slab = &mut self.slab;
+        for (v, chan) in self.writers.drain(..) {
+            let msg = self.slot_writes[v.index() * k + chan.index()].take();
+            self.fold
+                .write(chan, v, msg.expect("queued write"), |m| slab.park(m, k));
         }
-        self.writers.clear();
-        // Lane sub-slots fold the same way, except words OR together instead
-        // of colliding.
-        debug_assert!(self.lane_scratch.iter().all(LaneOutcome::is_idle));
-        self.lane_counts.fill(0);
-        for i in 0..self.lane_writers.len() {
-            let (v, chan) = self.lane_writers[i];
-            let c = chan.index();
-            let word = self.lane_slot_writes[v.index() * k + c]
-                .take()
-                .expect("queued lane write");
-            self.lane_counts[c] += 1;
-            self.lane_scratch[c] = match self.lane_scratch[c] {
-                LaneOutcome::Idle => LaneOutcome::Word(word),
-                LaneOutcome::Word(w) => LaneOutcome::Word(w | word),
-                LaneOutcome::Erased => unreachable!("erasure happens post-fold"),
-            };
+        for (v, chan) in self.lane_writers.drain(..) {
+            let word = self.lane_slot_writes[v.index() * k + chan.index()].take();
+            self.fold
+                .write_lanes(chan, word.expect("queued lane write"));
         }
-        self.lane_writers.clear();
-        self.cost.add_round();
         // Churn accounting: this boundary accounts the slot whose writes
         // were staged up to the previous tick, so it is charged the
         // non-operational count captured before this tick's transitions.
         if self.pending_crashed > 0 {
             self.cost.add_crashed_rounds(self.pending_crashed);
         }
-        // Erasure at the resolve boundary, busy slots only.  The slot being
-        // resolved carries the writes of the *previous* round under the
-        // lockstep mapping, so the erasure coin is keyed by boundary
-        // index − 1 — bit-identical to the round engines' `(round, channel)`
-        // draw when `slot_ticks == 1`.
+        // The slot being resolved carries the writes of the *previous* round
+        // under the lockstep mapping, so the erasure coin is keyed by
+        // boundary index − 1 — bit-identical to the round engines'
+        // `(round, channel)` draw when `slot_ticks == 1`.  An erased winner's
+        // payload is recycled like any retired message.
         let erase_round = (self.tick / self.config.slot_ticks).saturating_sub(1);
-        let faults = self.faults.as_ref();
-        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
-            let chan = ChannelId(c as u16);
-            let writers = u64::from(self.chan_counts[c]);
-            if settle_slot(faults, erase_round, chan, writers, &mut self.cost, cost)
-                == SlotState::Erased
-            {
-                // The winner's payload (if any) is discarded at the resolve
-                // boundary and recycled like any retired message.
-                if let SlotOutcome::Success { msg, .. } =
-                    std::mem::replace(&mut self.outcome_scratch[c], SlotOutcome::Erased)
-                {
-                    self.slab.park(msg, k);
-                }
-            }
-            let (writers, word) = (
-                u64::from(self.lane_counts[c]),
-                self.lane_scratch[c].word().unwrap_or(0),
-            );
-            self.lane_scratch[c] = settle_lanes(
-                faults,
-                erase_round,
-                chan,
-                writers,
-                word,
-                &mut self.cost,
-                cost,
-            );
-        }
-
-        // A non-idle outcome is feedback every *attached* node hears, so
-        // under sparse dispatch the channel's listeners join the boundary's
-        // wake set (uniform attachment wakes everyone).
+        let park = |lost| slab.park(lost, k);
+        self.fold
+            .settle(self.faults.as_ref(), erase_round, &mut self.cost, park);
         if let Some(frontier) = &mut self.frontier {
-            for (c, outcome) in self.outcome_scratch.iter().enumerate() {
-                if !outcome.is_idle() || !self.lane_scratch[c].is_idle() {
-                    frontier.wake_channel(c);
-                }
-            }
+            frontier.wake_channels(self.fold.busy());
         }
 
         // Dispatch the boundary: one `on_boundary` call per node over the
@@ -1148,17 +998,11 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
                 }
             }
         }
-        let done_delta = pass.done_delta;
-        self.fold_staged(done_delta);
+        pass.gate.finish();
+        self.fold_staged();
 
         // Retire the boundary's winning payloads for recycling.
-        for outcome in &mut self.outcome_scratch {
-            if let SlotOutcome::Success { msg, .. } = std::mem::replace(outcome, SlotOutcome::Idle)
-            {
-                self.slab.park(msg, k);
-            }
-        }
-        self.lane_scratch.fill(LaneOutcome::Idle);
+        self.fold.clear(|msg| self.slab.park(msg, k));
     }
 
     /// Runs until quiescence or until `max_ticks` ticks have elapsed.
@@ -1199,8 +1043,8 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
             for vi in 0..n {
                 pass.call(vi, |node, ctx| node.on_start(ctx));
             }
-            let done_delta = pass.done_delta;
-            self.fold_staged(done_delta);
+            pass.gate.finish();
+            self.fold_staged();
             return;
         }
         self.tick += 1;
@@ -1215,6 +1059,7 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::NodeLifecycle;
     use netsim_graph::generators;
 
     /// Node 0 sends a token to all neighbours; every receiver acknowledges on

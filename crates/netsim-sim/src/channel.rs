@@ -22,9 +22,6 @@
 //! protocols written against the paper's one-channel model run unchanged on
 //! any `ChannelSet` whose channel 0 they are attached to.
 
-use crate::fault::FaultSession;
-use crate::metrics::CostAccount;
-use crate::payload::PayloadHandle;
 use netsim_graph::NodeId;
 
 /// Identifier of one channel of a [`ChannelSet`].
@@ -241,29 +238,6 @@ impl Default for ChannelSet {
     }
 }
 
-/// Handle-based slot outcome used inside the flat engines: the winning
-/// message lives in the round's delivery [`PayloadArena`](crate::PayloadArena)
-/// and the outcome carries only its handle, so resolving a slot never clones
-/// the winner (see [`RoundIo::prev_slot_on`](crate::RoundIo::prev_slot_on)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ChannelOutcome {
-    /// Nobody wrote.
-    Idle,
-    /// Exactly one node wrote; the payload is interned in the delivery arena.
-    Success {
-        /// The node whose write succeeded.
-        from: NodeId,
-        /// Handle of the winning payload in the round's delivery arena.
-        handle: PayloadHandle,
-    },
-    /// Two or more nodes wrote.
-    Collision,
-    /// The slot carried at least one write but was erased by an injected
-    /// channel fault (see [`FaultPlan`](crate::FaultPlan)); the winner's
-    /// payload is discarded at the resolve boundary.
-    Erased,
-}
-
 /// Outcome of one channel slot, as observed by **every** node.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SlotOutcome<M> {
@@ -328,6 +302,21 @@ impl<M> SlotOutcome<M> {
             _ => None,
         }
     }
+
+    /// The same outcome over `f` of the winning message — how the flat
+    /// engine's handle-carrying outcomes (`SlotOutcome<PayloadHandle>`)
+    /// resolve against the delivery arena.
+    pub(crate) fn map<'s, N>(&'s self, f: impl FnOnce(&'s M) -> N) -> SlotOutcome<N> {
+        match self {
+            SlotOutcome::Idle => SlotOutcome::Idle,
+            SlotOutcome::Success { from, msg } => SlotOutcome::Success {
+                from: *from,
+                msg: f(msg),
+            },
+            SlotOutcome::Collision => SlotOutcome::Collision,
+            SlotOutcome::Erased => SlotOutcome::Erased,
+        }
+    }
 }
 
 /// Outcome of one channel's **lane sub-slot**, as observed by every attached
@@ -386,8 +375,9 @@ impl LaneOutcome {
 /// Resolves every channel's lane sub-slot from the flat list of
 /// `(channel, writer, word)` attempts: the outcome of channel `c` is the OR
 /// of every word staged on it ([`LaneOutcome::Idle`] with zero writers).
-/// The clone-free sibling of [`resolve_slots`], shared by the reference
-/// engine and the wire backend; the flat engines fold in place instead.
+/// The clone-free sibling of [`resolve_slots`], used by the reference
+/// engine; the other substrates fold through
+/// [`ChannelFold`](crate::ChannelFold) instead.
 ///
 /// # Panics
 ///
@@ -427,8 +417,8 @@ pub fn resolve_slot<M: Clone>(writes: &[(NodeId, M)]) -> SlotOutcome<M> {
 /// Resolves every channel of a `k`-channel set from the flat list of
 /// `(channel, writer, message)` attempts, cloning each winning message into
 /// its outcome — the **clone path** used by the
-/// [`ReferenceEngine`](crate::ReferenceEngine) (the flat engines resolve to
-/// arena handles instead).  Attempts on the same channel may appear anywhere
+/// [`ReferenceEngine`](crate::ReferenceEngine) (the other substrates fold
+/// through [`ChannelFold`](crate::ChannelFold)).  Attempts on the same channel may appear anywhere
 /// in the list; the outcome of every channel is independent of the order of
 /// `writes` (property-tested in `tests/channel_properties.rs`).
 ///
@@ -484,75 +474,6 @@ impl<M> From<SlotOutcome<M>> for SlotState {
     fn from(o: SlotOutcome<M>) -> Self {
         SlotState::from(&o)
     }
-}
-
-/// The **resolve boundary** of one channel's message slot, stated once for
-/// the flat engine, the lockstep boundary and the wire host (the
-/// [`ReferenceEngine`](crate::ReferenceEngine) spells its own copy out on
-/// purpose — it is the oracle the other three are compared against).
-///
-/// Classifies the slot of `chan` in `round` from its writer count, applies
-/// the fault plan's erasure draw, and charges both accounts: `chan_cost`
-/// one round, and `cost` / `chan_cost` the slot.  An idle slot is never
-/// erased — erasure models the loss of a transmission, and nothing was
-/// transmitted.  The caller keeps only its storage-specific part: which
-/// payload a `Success` carries and what becomes of an erased winner.
-#[inline]
-pub fn settle_slot(
-    faults: Option<&FaultSession>,
-    round: u64,
-    chan: ChannelId,
-    writers: u64,
-    cost: &mut CostAccount,
-    chan_cost: &mut CostAccount,
-) -> SlotState {
-    chan_cost.add_round();
-    if writers > 0 && faults.is_some_and(|s| s.erases_slot(round, chan)) {
-        cost.add_erased_slot(writers);
-        chan_cost.add_erased_slot(writers);
-        return SlotState::Erased;
-    }
-    cost.add_channel_slot(writers);
-    chan_cost.add_channel_slot(writers);
-    match writers {
-        0 => SlotState::Idle,
-        1 => SlotState::Success,
-        _ => SlotState::Collision,
-    }
-}
-
-/// The resolve boundary of one channel's **lane sub-slot**, the sibling of
-/// [`settle_slot`]: `word` is the OR fold of the `writers` staged words
-/// (ignored when `writers == 0`).  Idle lanes cost nothing; an erasure
-/// shares the channel's slot draw — the round's transmission on that
-/// channel is lost as a whole; corruption flips one seeded bit of the
-/// folded word here, so every hearer observes the same word.
-#[inline]
-pub fn settle_lanes(
-    faults: Option<&FaultSession>,
-    round: u64,
-    chan: ChannelId,
-    writers: u64,
-    mut word: u64,
-    cost: &mut CostAccount,
-    chan_cost: &mut CostAccount,
-) -> LaneOutcome {
-    if writers == 0 {
-        return LaneOutcome::Idle;
-    }
-    if faults.is_some_and(|s| s.erases_slot(round, chan)) {
-        cost.add_erased_lanes(writers);
-        chan_cost.add_erased_lanes(writers);
-        return LaneOutcome::Erased;
-    }
-    if let Some(bit) = faults.and_then(|s| s.corrupts_lane(round, chan)) {
-        word ^= 1u64 << bit;
-        cost.add_corrupted_payloads(1);
-        chan_cost.add_corrupted_payloads(1);
-    }
-    cost.add_lane_slot(writers);
-    chan_cost.add_lane_slot(writers);
-    LaneOutcome::Word(word)
 }
 
 /// Converts an **unslotted** channel into a slotted one using a second
@@ -741,10 +662,20 @@ mod tests {
     /// The resolve core against the reference functions and the plan's own
     /// draws: for every writer count × lane writer count × plan on K = 2,
     /// the verdict, the lane outcome and both accounts are what
-    /// `resolve_slots` / `resolve_lanes` + `FaultPlan` give.
+    /// `resolve_slots` / `resolve_lanes` + `FaultPlan` give.  Then the
+    /// pooled [`ChannelFold`] the substrates settle through, over seeded
+    /// random rounds of writes on K = 3 under the same plans: the same slot
+    /// outcomes (winners included) and lane outcomes as the reference
+    /// resolution + plan draws, every discarded payload handed back, the
+    /// same accounts as settling each channel on its own, and the busy mask
+    /// of the channels that carried a write.
     #[test]
     fn settle_core_matches_reference_resolution_and_plan_draws() {
-        use crate::fault::FaultPlan;
+        use crate::fault::{FaultPlan, FaultSession};
+        use crate::metrics::CostAccount;
+        use crate::round::{settle_lanes, settle_slot, ChannelFold};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         let plans = [
             None,
             Some(FaultPlan::from_rates(3, 1.0, 0.0, 0.0, 0.0)),
@@ -808,6 +739,72 @@ mod tests {
                 // An idle slot is never erased, whatever the plan says.
                 assert_eq!(state == SlotState::Idle, w == 0, "{case}");
                 assert_eq!(lane.is_idle(), lw == 0, "{case}");
+            }
+
+            // One fold for every round, so the reset between rounds counts
+            // and the accounts accumulate.
+            let (k, faults) = (3u16, session.as_ref());
+            let mut fold = ChannelFold::new(k);
+            let mut want_chan = [CostAccount::new(); 3];
+            let mut rng = StdRng::seed_from_u64(29);
+            for round in 0..64u64 {
+                let mut chan = || ChannelId(rng.gen_range(0..k));
+                let writes: Vec<_> = (0..6).map(|i| (chan(), NodeId(i), i)).collect();
+                let lanes: Vec<_> = (0..4)
+                    .map(|i| (chan(), NodeId(i), 1u64 << (9 * i)))
+                    .collect();
+                let writes = &writes[..rng.gen_range(0..=6)];
+                let lanes = &lanes[..rng.gen_range(0..=4)];
+                let mut lost = Vec::new();
+                for &(chan, from, msg) in writes {
+                    fold.write(chan, from, msg, |m| lost.push(m));
+                }
+                for &(chan, _, word) in lanes {
+                    fold.write_lanes(chan, word);
+                }
+                let mut cost = CostAccount::new();
+                fold.settle(faults, round, &mut cost, |m| lost.push(m));
+
+                let (ref_slots, ref_lanes) = (resolve_slots(k, writes), resolve_lanes(k, lanes));
+                let mut want = CostAccount::new();
+                want.add_round();
+                let mut want_lost: Vec<_> = writes.iter().map(|w| w.2).collect();
+                for (c, want_chan) in want_chan.iter_mut().enumerate() {
+                    let chan = ChannelId(c as u16);
+                    let case = format!("plan {plan:?} round {round} {chan:?}");
+                    let erased = plan.as_ref().is_some_and(|p| p.erases_slot(round, chan));
+                    let want_slot = match &ref_slots[c] {
+                        SlotOutcome::Idle => SlotOutcome::Idle,
+                        _ if erased => SlotOutcome::Erased,
+                        kept => kept.clone(),
+                    };
+                    assert_eq!(fold.slots()[c], want_slot, "{case}");
+                    want_lost.retain(|&m| want_slot.message() != Some(&m));
+                    let want_lane = match ref_lanes[c] {
+                        LaneOutcome::Word(_) if erased => LaneOutcome::Erased,
+                        LaneOutcome::Word(w) => {
+                            match plan.as_ref().and_then(|p| p.corrupts_lane(round, chan)) {
+                                Some(bit) => LaneOutcome::Word(w ^ (1 << bit)),
+                                None => LaneOutcome::Word(w),
+                            }
+                        }
+                        idle => idle,
+                    };
+                    assert_eq!(fold.lanes()[c], want_lane, "{case}");
+                    let carried = !ref_slots[c].is_idle() || !ref_lanes[c].is_idle();
+                    assert_eq!(fold.busy() >> c & 1 == 1, carried, "{case}");
+                    let count = |n: usize| n as u64;
+                    let w = count(writes.iter().filter(|x| x.0 == chan).count());
+                    let lw = count(lanes.iter().filter(|x| x.0 == chan).count());
+                    let word = ref_lanes[c].word().unwrap_or(0);
+                    settle_slot(faults, round, chan, w, &mut want, want_chan);
+                    settle_lanes(faults, round, chan, lw, word, &mut want, want_chan);
+                }
+                // Every payload but a surviving winner is handed back.
+                lost.sort_unstable();
+                let case = format!("plan {plan:?} round {round}");
+                assert_eq!(lost, want_lost, "{case}");
+                assert_eq!((cost, fold.costs()), (want, &want_chan[..]), "{case}");
             }
         }
     }

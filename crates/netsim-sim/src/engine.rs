@@ -98,18 +98,17 @@
 //! active nodes in ascending index into one staging buffer, so sends,
 //! channel writes and lane words are all staged in node-index order and a
 //! run is a pure function of the graph, the protocol states and the fault
-//! plan.  Quiescence is tracked in O(1) with a done-node counter and the
+//! plan.  Quiescence is tracked in O(1) with the shared [`Tally`] and the
 //! in-flight arena length.
 
-use crate::channel::{
-    settle_lanes, settle_slot, ChannelId, ChannelOutcome, ChannelSet, LaneOutcome, SlotState,
-};
+use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState};
 use crate::control::{EngineBuilder, EngineControl};
-use crate::fault::{FaultPlan, FaultSession, NodeLifecycle};
+use crate::fault::{FaultPlan, FaultSession};
 use crate::frontier::{Active, Frontier};
 use crate::metrics::CostAccount;
 use crate::node::{Delivery, Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Staged};
 use crate::payload::{PayloadArena, PayloadHandle};
+use crate::round::{self, boot_wakes, ChannelFold, Gate, Tally};
 use netsim_graph::{Graph, NodeId};
 
 /// Chain terminator for the receiver-bucketing pass.
@@ -212,8 +211,7 @@ impl RunOutcome {
 
 /// One round's stepping pass, dense or sparse: what every step reads (the
 /// delivery side of the round), the engine's one staging [`OutboxBuffer`]
-/// every step writes into, and the pass's done-transition balance and step
-/// count, folded into the engine by [`SyncEngine::finish_round`].
+/// every step writes into, and the pass's [`Gate`] and step count.
 struct Pass<'a, M> {
     graph: &'a Graph,
     arena: &'a [Delivery],
@@ -226,30 +224,30 @@ struct Pass<'a, M> {
     inbox_ranges: &'a [(u32, u32)],
     arena_epoch: u64,
     channels: &'a ChannelSet,
-    slot_outcomes: &'a [ChannelOutcome],
-    prev_lanes: &'a [LaneOutcome],
+    /// The last resolved round's outcomes (slot winners as handles into
+    /// `payloads`), as slices: read through the [`ChannelFold`] on every
+    /// step, they cost the step loop ≈ 5 %.
+    slots: &'a [SlotOutcome<PayloadHandle>],
+    lanes: &'a [LaneOutcome],
     round: u64,
-    lifecycles: Option<&'a [NodeLifecycle]>,
+    gate: Gate<'a>,
     outbox: &'a mut OutboxBuffer<M>,
     /// Node indices stepped, ascending; recorded only under sparse stepping.
     stepped_list: &'a mut Vec<u32>,
-    done_delta: isize,
     stepped: u64,
 }
 
 impl<M> Pass<'_, M> {
-    /// Steps node `vi` once, staging its outputs into the outbox; `SPARSE`
-    /// selects the inbox index and records the node in the stepped list.
-    /// The one step body of the engine: forced inline so each loop of
-    /// [`SyncEngine::step_active`] compiles to a straight-line body around
-    /// `P::step` (as a closure it was not inlined, which cost the frontier
-    /// loop ≈ 5 ns a step).  A non-operational node (per the fault lifecycle
-    /// slice) neither steps nor stages — a node that crashed while on the
-    /// frontier is skipped exactly like the dense path skips it, with no
-    /// done-delta, and its frontier slot simply expires with this round.
+    /// Steps node `vi` once inside the pass's [`Gate`], staging its outputs
+    /// into the outbox; `SPARSE` selects the inbox index and records the
+    /// node in the stepped list.  The one step body of the engine: forced
+    /// inline so each loop of [`SyncEngine::step_active`] compiles to a
+    /// straight-line body around `P::step`.  A node that crashed while on
+    /// the frontier is gated exactly like the dense path gates it, and its
+    /// frontier slot simply expires with this round.
     #[inline(always)]
     fn step<P: Protocol<Msg = M>, const SPARSE: bool>(&mut self, vi: usize, node: &mut P) {
-        if self.lifecycles.is_some_and(|l| !l[vi].is_operational()) {
+        if !self.gate.admits(vi) {
             return;
         }
         let entries = if !SPARSE {
@@ -262,21 +260,20 @@ impl<M> Pass<'_, M> {
         };
         let v = NodeId(vi);
         let was_done = node.is_done();
-        let mut io = RoundIo {
+        node.step(&mut RoundIo {
             node: v,
             round: self.round,
             neighbors: self.graph.neighbors(v),
             inbox: Inbox::arena(entries, self.payloads),
             slots: Slots::Arena {
-                outcomes: self.slot_outcomes,
+                outcomes: self.slots,
                 payloads: self.payloads,
             },
-            lanes: self.prev_lanes,
+            lanes: self.lanes,
             attached: self.channels.mask(v),
             outbox: &mut *self.outbox,
-        };
-        node.step(&mut io);
-        self.done_delta += isize::from(node.is_done()) - isize::from(was_done);
+        });
+        self.gate.book(was_done, node.is_done());
         self.stepped += 1;
         if SPARSE {
             self.stepped_list.push(vi as u32);
@@ -322,7 +319,7 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// `payloads`.
     arena: Vec<Delivery>,
     /// Delivery-side payload arena: resolves the handles in `arena` **and**
-    /// the slot winners in `slot_outcomes`.  Swaps roles with the staging
+    /// the slot winners in `fold`.  Swaps roles with the staging
     /// arena inside `outbox` every round.
     payloads: PayloadArena<P::Msg>,
     /// CSR index into `arena`; length `n + 1`.
@@ -330,24 +327,12 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Pooled staging buffer of the current round: every stepped node's
     /// sends, channel writes, lane words and wakeups, in node-index order.
     outbox: OutboxBuffer<P::Msg>,
-    /// Per-channel outcome of the last resolved round, winners as handles
-    /// into `payloads`; length `K`.
-    slot_outcomes: Vec<ChannelOutcome>,
-    /// Pooled per-channel writer counters; length `K`.
-    chan_counts: Vec<u32>,
-    /// Channels of `slot_outcomes` that are currently non-idle; cached so
-    /// quiescence stays O(1).
-    nonidle_slots: usize,
-    /// Per-channel lane sub-slot outcome of the last resolved round; length
-    /// `K`.  Lane words are bare `u64`s, so they bypass the payload arena.
-    prev_lanes: Vec<LaneOutcome>,
-    /// Pooled per-channel lane writer counters; length `K`.
-    lane_counts: Vec<u32>,
-    /// Pooled per-channel OR-accumulators of the lane fold; length `K`.
-    lane_accum: Vec<u64>,
-    /// Channels of `prev_lanes` that are currently non-idle; cached so
-    /// quiescence stays O(1).
-    nonidle_lanes: usize,
+    /// Every channel's outcome of the last resolved round — slot winners
+    /// as handles into `payloads`, lane words bare — and busy mask (cached,
+    /// so quiescence stays O(1)), plus the per-channel accounts: the
+    /// contention signal [`reshard::ContentionMonitor`](crate::reshard)
+    /// consumes as deltas.
+    fold: ChannelFold<PayloadHandle>,
     /// Pooled per-receiver chain heads for the bucketing pass; length `n`.
     heads: Vec<u32>,
     /// Pooled chain links, parallel to the staging buffer.
@@ -358,23 +343,13 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Pooled per-block write cursors of the radix pass; length `blocks + 1`.
     block_cursors: Vec<u32>,
     cost: CostAccount,
-    /// Per-channel breakdown of the channel-scoped counters in `cost`
-    /// (rounds, slot classification, lane classification, corruption);
-    /// length `K`.  Point-to-point counters stay global-only.  This is the
-    /// contention signal [`reshard::ContentionMonitor`](crate::reshard)
-    /// consumes as deltas.
-    chan_cost: Vec<CostAccount>,
     round: u64,
-    /// Number of nodes currently reporting [`Protocol::is_done`]; maintained
-    /// incrementally so quiescence is O(1).
-    done_count: usize,
+    /// Done and undone-exempt node counts, maintained incrementally so
+    /// quiescence is O(1).
+    tally: Tally,
     /// Injected-fault session, when [`EngineBuilder::fault_plan`] installed
     /// one; `None` keeps every fault check off the hot path.
     faults: Option<FaultSession>,
-    /// Number of nodes in a quiescence-exempt lifecycle state (`Off` /
-    /// `Crashed`) that are *not* done; maintained at lifecycle transitions so
-    /// the faulted quiescence check stays O(1).
-    undone_exempt: usize,
     /// Activity frontier of the opt-in sparse stepping mode; `None` runs
     /// dense (every node steps every round).
     frontier: Option<Frontier>,
@@ -423,33 +398,23 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     ) -> Self {
         let nodes: Vec<P> = graph.nodes().map(&mut init).collect();
         let n = graph.node_count();
-        let k = channels.channels() as usize;
-        let done_count = nodes.iter().filter(|p| p.is_done()).count();
         let faults = plan.map(|plan| FaultSession::new(plan, n));
-        let undone_exempt = exempt_undone(faults.as_ref(), &nodes);
+        let tally = Tally::recount(faults.as_ref(), nodes.iter().enumerate(), P::is_done);
         SyncEngine {
             graph,
             arena: Vec::new(),
             payloads: PayloadArena::new(),
             offsets: vec![0; n + 1],
             outbox: OutboxBuffer::new(),
-            slot_outcomes: vec![ChannelOutcome::Idle; k],
-            chan_counts: vec![0; k],
-            nonidle_slots: 0,
-            prev_lanes: vec![LaneOutcome::Idle; k],
-            lane_counts: vec![0; k],
-            lane_accum: vec![0; k],
-            nonidle_lanes: 0,
+            fold: ChannelFold::new(channels.channels()),
             heads: vec![NIL; n],
             links: Vec::new(),
             scratch: Vec::new(),
             block_cursors: Vec::new(),
             cost: CostAccount::new(),
-            chan_cost: vec![CostAccount::new(); k],
             round: 0,
-            done_count,
+            tally,
             faults,
-            undone_exempt,
             // Epoch 0 stamps must all read stale until the first sparse
             // rebuild, hence the arena starts at epoch 1.
             frontier: sparse.then(|| Frontier::new(n, &channels)),
@@ -492,48 +457,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         self.frontier.as_ref().map(|_| self.last_stepped.as_slice())
     }
 
-    /// Applies the current round's lifecycle transitions (crashes, recover
-    /// hooks, boot promotions) and charges the round's churn; no-op without
-    /// a fault plan.
-    fn apply_fault_round(&mut self) {
-        let Some(session) = &mut self.faults else {
-            return;
-        };
-        let nodes = &mut self.nodes;
-        let done_count = &mut self.done_count;
-        let undone_exempt = &mut self.undone_exempt;
-        let frontier = &mut self.frontier;
-        session.apply_round(self.round, |v, _, to| match to {
-            // Entering an exempt state: always from Operational/Booting.
-            NodeLifecycle::Crashed => {
-                *undone_exempt += usize::from(!nodes[v.index()].is_done());
-            }
-            // Leaving an exempt state: the recover hook may re-initialise
-            // the node, so rebalance the done counter around it.
-            NodeLifecycle::Booting => {
-                let node = &mut nodes[v.index()];
-                let was = node.is_done();
-                *undone_exempt -= usize::from(!was);
-                node.on_recover();
-                let now = node.is_done();
-                *done_count = done_count
-                    .checked_add_signed(isize::from(now) - isize::from(was))
-                    .expect("done count balances");
-            }
-            // A boot promotion is a lifecycle wakeup: the rejoining node
-            // steps this very round, exactly as under dense stepping.  The
-            // frontier bitset dedups against a wake it may already hold
-            // (e.g. as a message receiver).
-            NodeLifecycle::Operational => {
-                if let Some(f) = frontier {
-                    f.wake(v.index());
-                }
-            }
-            NodeLifecycle::Off => {}
-        });
-        session.charge_round(&mut self.cost);
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -558,12 +481,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     ///
     /// Panics if `chan` is not a channel of the engine's [`ChannelSet`].
     pub fn last_slot_state(&self, chan: ChannelId) -> SlotState {
-        match self.slot_outcomes[chan.index()] {
-            ChannelOutcome::Idle => SlotState::Idle,
-            ChannelOutcome::Success { .. } => SlotState::Success,
-            ChannelOutcome::Collision => SlotState::Collision,
-            ChannelOutcome::Erased => SlotState::Erased,
-        }
+        SlotState::from(&self.fold.slots()[chan.index()])
     }
 
     /// Outcome of channel `chan`'s most recently resolved lane sub-slot
@@ -573,7 +491,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     ///
     /// Panics if `chan` is not a channel of the engine's [`ChannelSet`].
     pub fn last_lanes(&self, chan: ChannelId) -> LaneOutcome {
-        self.prev_lanes[chan.index()]
+        self.fold.lanes()[chan.index()]
     }
 
     /// Number of point-to-point messages currently in flight (sent last
@@ -599,11 +517,11 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
 
     /// Steps this round's active nodes in ascending index into the staging
     /// outbox: every node under dense stepping, the frontier under sparse
-    /// stepping — rotated here, after [`SyncEngine::apply_fault_round`] has
-    /// added this round's lifecycle wakeups.  Nodes off the frontier are
-    /// never touched: no per-node state of theirs is read, cloned, or
-    /// iterated.  Returns the pass's done-transition balance and step count.
-    fn step_active(&mut self) -> (isize, u64) {
+    /// stepping — rotated here, after the round's lifecycle transitions have
+    /// added their wakeups.  Nodes off the frontier are never touched: no
+    /// per-node state of theirs is read, cloned, or iterated.  Returns the
+    /// pass's step count.
+    fn step_active(&mut self) -> u64 {
         let SyncEngine {
             graph,
             nodes,
@@ -612,10 +530,10 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             offsets,
             outbox,
             channels,
-            slot_outcomes,
-            prev_lanes,
+            fold,
             round,
             faults,
+            tally,
             frontier,
             inbox_epoch,
             inbox_ranges,
@@ -633,13 +551,12 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             inbox_ranges,
             arena_epoch: *arena_epoch,
             channels,
-            slot_outcomes,
-            prev_lanes,
+            slots: fold.slots(),
+            lanes: fold.lanes(),
             round: *round,
-            lifecycles: faults.as_ref().map(|s| s.lifecycles()),
+            gate: Gate::new(faults.as_ref(), tally),
             outbox,
             stepped_list: last_stepped,
-            done_delta: 0,
             stepped: 0,
         };
         match frontier.as_mut().map_or(Active::Dense, Frontier::advance) {
@@ -659,17 +576,14 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 }
             }
         }
-        (pass.done_delta, pass.stepped)
+        pass.gate.finish();
+        pass.stepped
     }
 
-    /// Post-step bookkeeping: fold the pass's done-delta, step count and
-    /// `wake_me` requests, rebuild the inbox arena for the next round,
-    /// resolve every channel's slot, and advance the clock.
-    fn finish_round(&mut self, done_delta: isize, stepped: u64) {
-        self.done_count = self
-            .done_count
-            .checked_add_signed(done_delta)
-            .expect("done count balances");
+    /// Post-step bookkeeping: fold the pass's step count and `wake_me`
+    /// requests, rebuild the inbox arena for the next round, resolve every
+    /// channel's slot, and advance the clock.
+    fn finish_round(&mut self, stepped: u64) {
         self.stepped_last_round = stepped;
         self.total_stepped += stepped;
         match &mut self.frontier {
@@ -683,79 +597,22 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             self.rebuild_arena()
         };
         self.cost.add_messages(messages);
-        self.resolve_channels();
-        // Slot wakeups: a non-idle outcome — message slot *or* lane
-        // sub-slot — is channel feedback that every *attached* node observes
-        // next round, so the channel's listeners must step.
+        // The channel writes, read in place from the outbox: their handles
+        // resolve in the delivery arena `rotate_epoch` has just rotated in,
+        // so a `Success` carries the winner's handle and no message is
+        // cloned; an erased winner expires with its epoch like any send.
+        for (chan, from, handle) in self.outbox.chan_writes.drain(..) {
+            self.fold.write(chan, from, handle, drop);
+        }
+        for (chan, _, word) in self.outbox.lane_writes.drain(..) {
+            self.fold.write_lanes(chan, word);
+        }
+        let faults = self.faults.as_ref();
+        self.fold.settle(faults, self.round, &mut self.cost, drop);
         if let Some(frontier) = &mut self.frontier {
-            if self.nonidle_slots > 0 || self.nonidle_lanes > 0 {
-                let outcomes = self.slot_outcomes.iter().zip(&self.prev_lanes);
-                for (c, (slot, lanes)) in outcomes.enumerate() {
-                    if !matches!(slot, ChannelOutcome::Idle) || !lanes.is_idle() {
-                        frontier.wake_channel(c);
-                    }
-                }
-            }
+            frontier.wake_channels(self.fold.busy());
         }
         self.round += 1;
-    }
-
-    /// Resolves one slot per channel from the round's staged channel writes,
-    /// read in place from the outbox in node-index order (their handles
-    /// resolve in the delivery arena [`SyncEngine::rotate_epoch`] has just
-    /// rotated in): the winner's outcome carries its `PayloadHandle`, so no
-    /// message is cloned — the handle resolves in the next round's steps and
-    /// the payload expires with its epoch like any delivered send.  Pooled
-    /// counters only; O(K + writes).
-    fn resolve_channels(&mut self) {
-        self.chan_counts.fill(0);
-        // First write per channel wins the `Success` slot; with more writers
-        // the outcome is a collision regardless, so tracking the first is
-        // order-independent (pinned by `tests/channel_properties.rs`).
-        for &(chan, from, handle) in &self.outbox.chan_writes {
-            let c = chan.index();
-            self.chan_counts[c] += 1;
-            if self.chan_counts[c] == 1 {
-                self.slot_outcomes[c] = ChannelOutcome::Success { from, handle };
-            } else {
-                self.slot_outcomes[c] = ChannelOutcome::Collision;
-            }
-        }
-        // Lane sub-slots OR-merge instead of colliding: fold the staged
-        // words per channel (order-independent — OR is commutative).
-        self.lane_counts.fill(0);
-        for &(chan, _, word) in &self.outbox.lane_writes {
-            let c = chan.index();
-            if self.lane_counts[c] == 0 {
-                self.lane_accum[c] = word;
-            } else {
-                self.lane_accum[c] |= word;
-            }
-            self.lane_counts[c] += 1;
-        }
-        // The resolve boundary proper ([`settle_slot`] / [`settle_lanes`]:
-        // draws, classification, charges).  An erased winner's payload is
-        // simply dropped — its handle expires with the delivery epoch.
-        self.cost.add_round();
-        let (faults, round) = (self.faults.as_ref(), self.round);
-        self.nonidle_slots = 0;
-        self.nonidle_lanes = 0;
-        for (c, cost) in self.chan_cost.iter_mut().enumerate() {
-            let chan = ChannelId(c as u16);
-            let writers = u64::from(self.chan_counts[c]);
-            match settle_slot(faults, round, chan, writers, &mut self.cost, cost) {
-                SlotState::Idle => self.slot_outcomes[c] = ChannelOutcome::Idle,
-                SlotState::Erased => self.slot_outcomes[c] = ChannelOutcome::Erased,
-                SlotState::Success | SlotState::Collision => {}
-            }
-            self.nonidle_slots += usize::from(writers > 0);
-            let (writers, word) = (u64::from(self.lane_counts[c]), self.lane_accum[c]);
-            self.prev_lanes[c] =
-                settle_lanes(faults, round, chan, writers, word, &mut self.cost, cost);
-            self.nonidle_lanes += usize::from(writers > 0);
-        }
-        self.outbox.chan_writes.clear();
-        self.outbox.lane_writes.clear();
     }
 
     /// Shared prologue of the dense and sparse arena rebuilds: rotates the
@@ -979,39 +836,29 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     }
 }
 
-/// Nodes in a quiescence-exempt lifecycle state (`Off` / `Crashed`) that are
-/// not done — the engine's `undone_exempt` counter, recounted from scratch.
-fn exempt_undone<P: Protocol>(faults: Option<&FaultSession>, nodes: &[P]) -> usize {
-    faults.map_or(0, |session| {
-        session
-            .lifecycles()
-            .iter()
-            .zip(nodes)
-            .filter(|(l, p)| l.is_exempt() && !p.is_done())
-            .count()
-    })
-}
-
 impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
+    /// Lifecycle transitions (recover hooks, boot wakeups) and the round's
+    /// churn charge first, then the stepping pass and its fold.
     fn step_round(&mut self) {
-        self.apply_fault_round();
-        let (done_delta, stepped) = self.step_active();
-        self.finish_round(done_delta, stepped);
+        if let Some(session) = &mut self.faults {
+            let (nodes, visit) = (&mut self.nodes, boot_wakes(&mut self.frontier));
+            let (is_done, on_recover) = (P::is_done, P::on_recover);
+            self.tally
+                .apply_faults(session, self.round, nodes, visit, is_done, on_recover);
+            session.charge_round(&mut self.cost);
+        }
+        let stepped = self.step_active();
+        self.finish_round(stepped);
     }
 
     fn round(&self) -> u64 {
         self.round
     }
 
-    /// O(1): the engine tracks done-state transitions across steps, the
-    /// in-flight count is the arena length, the non-idle channel count is
-    /// cached at slot resolution, and exempt nodes are tracked exactly as
-    /// `done + undone-exempt == n`, maintained at lifecycle transitions.
+    /// O(1): the [`Tally`] tracks done and exempt nodes, the in-flight count
+    /// is the arena length, and the busy channels are cached at resolution.
     fn is_quiescent(&self) -> bool {
-        self.done_count + self.undone_exempt == self.nodes.len()
-            && self.arena.is_empty()
-            && self.nonidle_slots == 0
-            && self.nonidle_lanes == 0
+        self.tally.settled() == self.nodes.len() && self.arena.is_empty() && self.fold.busy() == 0
     }
 
     fn cost(&self) -> CostAccount {
@@ -1019,7 +866,7 @@ impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
     }
 
     fn channel_costs(&self) -> Vec<CostAccount> {
-        self.chan_cost.clone()
+        self.fold.costs().to_vec()
     }
 
     fn channel_count(&self) -> u16 {
@@ -1027,32 +874,16 @@ impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
     }
 
     fn reattach(&mut self, masks: &[u64]) {
-        assert_eq!(
-            masks.len(),
-            self.graph.node_count(),
-            "re-attachment covers {} nodes, graph has {}",
-            masks.len(),
-            self.graph.node_count()
-        );
-        self.channels.reattach(masks);
-        if let Some(f) = &mut self.frontier {
-            f.reattach(self.channels.channels(), masks);
-        }
+        let n = self.graph.node_count();
+        round::reattach(n, &mut self.channels, &mut self.frontier, masks);
     }
 
-    /// Recounts the done nodes afterwards so the O(1) quiescence tracking
-    /// stays sound.
+    /// Recounts the [`Tally`] afterwards so the O(1) quiescence tracking
+    /// stays sound, and steps every node next round.
     fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId, &mut P)) {
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            f(NodeId(i), node);
-        }
-        self.done_count = self.nodes.iter().filter(|p| p.is_done()).count();
-        self.undone_exempt = exempt_undone(self.faults.as_ref(), &self.nodes);
-        // Arbitrary state edits invalidate any sparsity assumption: every
-        // node may now have work, so the next round steps all of them.
-        if let Some(f) = &mut self.frontier {
-            f.wake_all();
-        }
+        let faults = self.faults.as_ref();
+        self.tally =
+            round::update_nodes(&mut self.nodes, f, P::is_done, faults, &mut self.frontier);
     }
 
     fn node(&self, v: NodeId) -> &P {
@@ -1068,6 +899,7 @@ impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
 mod tests {
     use super::*;
     use crate::channel::SlotOutcome;
+    use crate::fault::NodeLifecycle;
     use netsim_graph::generators;
 
     #[test]

@@ -186,12 +186,16 @@ impl Frontier {
         self.all = true;
     }
 
-    /// Schedules every node attached to channel `c`.
-    pub(crate) fn wake_channel(&mut self, c: usize) {
-        match self.listeners.get(c) {
-            Some(members) if !self.all => self.next.or_from(members),
-            Some(_) => {}
-            None => self.all = true,
+    /// Schedules the listeners of every channel in `busy` (a
+    /// [`ChannelFold::busy`](crate::ChannelFold::busy) mask): a non-idle
+    /// slot or lane outcome is feedback every attached node observes.
+    pub(crate) fn wake_channels(&mut self, busy: u64) {
+        for c in word_ones(0, busy) {
+            match self.listeners.get(c) {
+                Some(members) if !self.all => self.next.or_from(members),
+                Some(_) => {}
+                None => self.all = true,
+            }
         }
     }
 
@@ -277,7 +281,7 @@ mod tests {
         f.wake(3);
         assert_eq!(members(f.advance()), Some(vec![3, 4, 64, 130]));
         // Uniform attachment: channel feedback reaches everyone.
-        f.wake_channel(0);
+        f.wake_channels(0b01);
         assert_eq!(members(f.advance()), None);
     }
 
@@ -290,7 +294,7 @@ mod tests {
         }
         let mut f = Frontier::new(n, &ChannelSet::from_masks(2, masks.clone()));
         assert_eq!(members(f.advance()), None);
-        f.wake_channel(1);
+        f.wake_channels(0b10);
         assert_eq!(members(f.advance()), Some(vec![3, 64, n - 1]));
         // Move node 3 off channel 1 and node 70 onto both channels: after
         // the re-attachment's own all-active round, a wake of channel 1
@@ -299,7 +303,7 @@ mod tests {
         masks[70] = 0b11;
         f.reattach(2, &masks);
         assert_eq!(members(f.advance()), None);
-        f.wake_channel(1);
+        f.wake_channels(0b10);
         assert_eq!(members(f.advance()), Some(vec![64, 70, n - 1]));
     }
 }

@@ -120,12 +120,13 @@ pub mod payload;
 pub mod protocols;
 pub mod reference;
 pub mod reshard;
+mod round;
 pub mod wire;
 
 pub use async_engine::{AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol};
 pub use channel::{
-    fdma_slot_lengths, resolve_lanes, resolve_slot, resolve_slots, settle_lanes, settle_slot,
-    ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState, MAX_CHANNELS,
+    fdma_slot_lengths, resolve_lanes, resolve_slot, resolve_slots, ChannelId, ChannelSet,
+    LaneOutcome, SlotOutcome, SlotState, MAX_CHANNELS,
 };
 pub use control::{EngineBuilder, EngineControl};
 pub use engine::{RunOutcome, SyncEngine};
@@ -137,4 +138,5 @@ pub use node::{
 };
 pub use payload::{PayloadArena, PayloadHandle};
 pub use reference::ReferenceEngine;
+pub use round::{settle_lanes, settle_slot, ChannelFold, Gate, Tally};
 pub use wire::{Frame, WireError, WireMsg};

@@ -117,8 +117,10 @@ impl<P: Protocol> Lockstep<P> {
             }
         }
         // The window replays the node's real attachment (sharded channel
-        // sets included) and trusts the K range / mask fit / lane length the
-        // engine validated at construction.  The round index is the engine's
+        // sets included) and trusts the K range and mask fit `ChannelSet`
+        // guarantees by construction (its fields are private; every
+        // constructor and `reattach` check both) and the engine's K-long
+        // lane slice.  The round index is the engine's
         // tick, not a local counter: under the lockstep configuration
         // boundary `t` steps round `t`, and a node that missed steps while
         // crashed must resume at the *current* round.

@@ -19,7 +19,7 @@
 //! `(sender, &payload)` pairs whether the engine stores materialised
 //! messages (the reference clone path) or arena handles (the flat engines).
 
-use crate::channel::{ChannelId, ChannelOutcome, LaneOutcome, SlotOutcome};
+use crate::channel::{ChannelId, LaneOutcome, SlotOutcome};
 use crate::payload::{PayloadArena, PayloadHandle};
 use netsim_graph::{Neighbors, NodeId};
 
@@ -477,9 +477,10 @@ impl<'a, M> ExactSizeIterator for InboxIter<'a, M> {}
 pub(crate) enum Slots<'a, M> {
     /// One owned [`SlotOutcome`] per channel.
     Direct(&'a [SlotOutcome<M>]),
-    /// One [`ChannelOutcome`] per channel, winners resolved in `payloads`.
+    /// One handle-carrying outcome per channel, winners resolved in
+    /// `payloads`.
     Arena {
-        outcomes: &'a [ChannelOutcome],
+        outcomes: &'a [SlotOutcome<PayloadHandle>],
         payloads: &'a PayloadArena<M>,
     },
 }
@@ -501,21 +502,8 @@ impl<'a, M> Slots<'a, M> {
 
     fn get(&self, c: usize) -> SlotOutcome<&'a M> {
         match *self {
-            Slots::Direct(s) => match &s[c] {
-                SlotOutcome::Idle => SlotOutcome::Idle,
-                SlotOutcome::Success { from, msg } => SlotOutcome::Success { from: *from, msg },
-                SlotOutcome::Collision => SlotOutcome::Collision,
-                SlotOutcome::Erased => SlotOutcome::Erased,
-            },
-            Slots::Arena { outcomes, payloads } => match outcomes[c] {
-                ChannelOutcome::Idle => SlotOutcome::Idle,
-                ChannelOutcome::Success { from, handle } => SlotOutcome::Success {
-                    from,
-                    msg: payloads.get(handle),
-                },
-                ChannelOutcome::Collision => SlotOutcome::Collision,
-                ChannelOutcome::Erased => SlotOutcome::Erased,
-            },
+            Slots::Direct(s) => s[c].map(|msg| msg),
+            Slots::Arena { outcomes, payloads } => outcomes[c].map(|&h| payloads.get(h)),
         }
     }
 }
