@@ -169,17 +169,13 @@ impl Fragments {
 /// non-core nodes (Step 6 of the deterministic partition, and GHS-style
 /// merging in general).
 pub(crate) fn reroot_at(parent: &mut [Option<NodeId>], new_root: NodeId) {
-    let mut chain = vec![new_root];
-    let mut cur = new_root;
-    while let Some(p) = parent[cur.index()] {
-        chain.push(p);
-        cur = p;
+    // In-place list reversal: each node on the path takes the previous one
+    // as its parent, starting with `None` for `new_root`.
+    let (mut prev, mut cur) = (None, Some(new_root));
+    while let Some(v) = cur {
+        cur = std::mem::replace(&mut parent[v.index()], prev);
+        prev = Some(v);
     }
-    // Reverse pointers: chain[j+1]'s parent becomes chain[j].
-    for w in chain.windows(2) {
-        parent[w[1].index()] = Some(w[0]);
-    }
-    parent[new_root.index()] = None;
 }
 
 #[cfg(test)]

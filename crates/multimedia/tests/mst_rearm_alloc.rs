@@ -1,17 +1,20 @@
 //! Pins the heap diet of the sharded drivers' per-node phase state with a
 //! counting global allocator (the pattern of
-//! `netsim-sim/tests/alloc_steady_state.rs`; one `#[test]`, per-thread
-//! counter, so the libtest harness threads stay out of the measurement):
-//! constructing a [`MergePhase`] or a [`ShardedGlobalFn`] allocates
-//! nothing at all, and after the first phase, `reattach` + an
-//! `update_nodes` re-arm + a whole phase run of [`MergePhase`] on the flat
-//! engine allocates the same number of times whatever `n`.
+//! `netsim-sim/tests/alloc_steady_state.rs`; per-thread counter, so the
+//! libtest harness threads stay out of the measurement): constructing a
+//! [`MergePhase`] or a [`ShardedGlobalFn`] allocates nothing at all, and
+//! after the first phase, `reattach` + an `update_nodes` re-arm + a whole
+//! phase run of [`MergePhase`] on the flat engine allocates the same number
+//! of times whatever `n`.  The deterministic partition those drivers start
+//! from allocates per phase, not per node.
 
 use channel_access::assigned::{LaneElectionSeries, Seat};
 use multimedia::global_fn::{ShardedGlobalFn, Sum};
 use multimedia::mst::{MergeCandidate, MergePhase, PhaseSeat};
-use multimedia::WeightStations;
-use netsim_graph::{generators, Graph};
+use multimedia::partition::deterministic;
+use multimedia::{MultimediaNetwork, WeightStations};
+use netsim_graph::generators::{self, Family};
+use netsim_graph::Graph;
 use netsim_sim::{ChannelId, ChannelSet, EngineBuilder, EngineControl};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -175,4 +178,34 @@ fn rearmed_merge_phase_allocates_independently_of_n() {
     // Measured 0: the first phase already grew every engine buffer to the
     // handshake's high-water mark.
     assert!(small <= 4, "re-armed phase allocated {small} times");
+}
+
+/// Allocations of one deterministic partition of an `n`-node ring of
+/// cliques, and its phase count.
+fn partition_allocs(n: usize) -> (u64, u32) {
+    let net = MultimediaNetwork::new(Family::RingOfCliques.generate(n, 3));
+    let before = allocs();
+    let outcome = deterministic::partition(&net);
+    let spent = allocs() - before;
+    assert_eq!(outcome.forest.node_count(), n);
+    (spent, outcome.phases)
+}
+
+/// What one deterministic partition of a 2 048- or 8 192-node ring of
+/// cliques may allocate: a few per-phase vectors per phase (6 and 7 phases;
+/// 474 and 595 allocations measured in a debug build, 435 and 539 in
+/// release), nothing per node or per walk.  Building a per-node `Vec` in a
+/// tree walk took it to ≈ 8 000 and ≈ 31 000.
+const PARTITION_ALLOC_BUDGET: u64 = 800;
+
+#[test]
+fn partition_allocates_per_phase_not_per_node() {
+    for n in [2_048, 8_192] {
+        let (spent, phases) = partition_allocs(n);
+        assert!(
+            spent <= PARTITION_ALLOC_BUDGET,
+            "partition of n = {n} allocated {spent} times over {phases} phases \
+             (budget {PARTITION_ALLOC_BUDGET}); its tree walks must not allocate"
+        );
+    }
 }

@@ -118,29 +118,33 @@ impl SpanningForest {
                 }
             }
         }
-        // Resolve roots, detecting cycles with an iterative walk + memo.
+        // Resolve roots with two walks per unresolved start: the first
+        // marks its path up to a resolved node or a root (meeting its own
+        // mark again is a cycle), the second writes the root along it.
         let mut root_of: Vec<Option<NodeId>> = vec![None; n];
+        let mut on_walk = vec![false; n];
         for v in g.nodes() {
             if root_of[v.index()].is_some() {
                 continue;
             }
-            let mut chain = Vec::new();
             let mut cur = v;
             let root = loop {
                 if let Some(r) = root_of[cur.index()] {
                     break r;
                 }
-                if chain.contains(&cur) {
+                if on_walk[cur.index()] {
                     return Err(ForestError::Cycle(v));
                 }
-                chain.push(cur);
+                on_walk[cur.index()] = true;
                 match parent[cur.index()] {
                     None => break cur,
                     Some(p) => cur = p,
                 }
             };
-            for x in chain {
+            let mut cur = Some(v);
+            while let Some(x) = cur.filter(|x| root_of[x.index()].is_none()) {
                 root_of[x.index()] = Some(root);
+                cur = parent[x.index()];
             }
         }
         let root_of: Vec<NodeId> = root_of.into_iter().map(|r| r.expect("resolved")).collect();

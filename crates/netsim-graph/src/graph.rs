@@ -328,15 +328,20 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
 ///
 /// The triple is built in one streaming pass over the edge list, by
 /// [`GraphBuilder::build`] (or again by [`Graph::map_weights`]).  A stable
-/// least-significant-digit radix sort orders packed `(weight, index, u, v)`
-/// records by weight — as many 11-bit digit passes as the largest weight has
+/// least-significant-digit radix sort orders packed 12-byte `(weight, index)`
+/// keys by weight — as many 11-bit digit passes as the largest weight has
 /// digits, equal weights staying in index order because the input is
-/// index-ascending — and the rows are scattered from those records front to
-/// back, so the only random memory accesses are the row cursors and the CSR
-/// writes themselves.  That takes a constant number of heap allocations (the
-/// offsets, the two CSR arrays, one or two record buffers), and the result
-/// is a pure function of the edge list: the same `add_edge` calls give
-/// byte-identical arrays.
+/// index-ascending — and the rows are scattered from those keys front to
+/// back.  Each key's endpoints are read back from the edge list by index, so
+/// the random memory accesses are that one read per edge, the row cursors
+/// and the CSR writes themselves.  That takes a constant number of heap
+/// allocations (the offsets, the two CSR arrays, one or two key buffers),
+/// and the result is a pure function of the edge list: the same `add_edge`
+/// calls give byte-identical arrays.
+///
+/// The edge list itself is stored as 16-byte records with `u32` endpoints;
+/// [`Graph::edge`], [`Graph::get_edge`] and [`Graph::edges`] hand out the
+/// public [`Edge`] by value.
 ///
 /// # Examples
 ///
@@ -353,7 +358,7 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Graph {
-    edges: Vec<Edge>,
+    edges: Vec<StoredEdge>,
     /// CSR row index: node `v`'s incident links live at positions
     /// `offsets[v]..offsets[v + 1]` of `targets` / `edge_ids`; length `n + 1`.
     offsets: Vec<u32>,
@@ -370,18 +375,37 @@ impl Default for Graph {
     }
 }
 
-/// One edge as the ordering and scatter passes carry it: the sort key's
-/// weight plus everything the row scatter needs, so neither pass ever goes
-/// back to the edge list.  Endpoints and index fit 32 bits because the CSR
-/// index space does; packing to 4-byte alignment drops the padding a `u64`
-/// field would add (20 bytes, not 24, through every pass).
+/// One edge as the graph and its builder store it: the endpoints as `u32`
+/// indices (the CSR index space is 32-bit), 16 bytes instead of the public
+/// [`Edge`]'s 24.  [`Graph::edge`] and friends hand out `Edge` by value.
+#[derive(Clone, Copy, Debug)]
+struct StoredEdge {
+    u: u32,
+    v: u32,
+    weight: Weight,
+}
+
+impl StoredEdge {
+    /// The public record.
+    #[inline]
+    fn edge(self) -> Edge {
+        Edge {
+            u: NodeId(self.u as usize),
+            v: NodeId(self.v as usize),
+            weight: self.weight,
+        }
+    }
+}
+
+/// One edge as the ordering pass carries it: the sort key alone, the weight
+/// plus the edge's index.  The row scatter reads the endpoints back from the
+/// edge list by that index.  Packing to 4-byte alignment drops the padding a
+/// `u64` field would add (12 bytes, not 16, through every pass).
 #[derive(Clone, Copy, Default)]
 #[repr(C, packed(4))]
 struct KeyedEdge {
     weight: Weight,
     index: u32,
-    u: u32,
-    v: u32,
 }
 
 /// Width of one radix digit of the weight.
@@ -415,23 +439,21 @@ fn radix_pass(src: impl Iterator<Item = KeyedEdge> + Clone, dst: &mut [KeyedEdge
     }
 }
 
-/// The edges in ascending `(weight, index)` order, as [`KeyedEdge`] records.
+/// The edges in ascending `(weight, index)` order, as [`KeyedEdge`] keys.
 ///
 /// Least-significant-digit radix sort over the weight alone: every pass is
 /// stable and the first one reads the edge list, which is index-ascending,
 /// so equal weights end in index order without the index ever being
 /// compared.  The number of passes is the number of [`DIGIT_BITS`]-wide
 /// digits in `max_weight` (at least one); a second buffer exists only when
-/// there is a second pass.
-fn key_order(edges: &[Edge], max_weight: Weight) -> Vec<KeyedEdge> {
+/// there is a second pass.  Both buffers hold 12-byte keys, not edges.
+fn key_order(edges: &[StoredEdge], max_weight: Weight) -> Vec<KeyedEdge> {
     let passes = (Weight::BITS - max_weight.leading_zeros())
         .div_ceil(DIGIT_BITS)
         .max(1);
     let keyed = edges.iter().enumerate().map(|(i, e)| KeyedEdge {
         weight: e.weight,
         index: i as u32,
-        u: e.u.index() as u32,
-        v: e.v.index() as u32,
     });
     let mut sorted = vec![KeyedEdge::default(); edges.len()];
     radix_pass(keyed, &mut sorted, 0);
@@ -448,19 +470,21 @@ fn key_order(edges: &[Edge], max_weight: Weight) -> Vec<KeyedEdge> {
 impl Graph {
     /// Builds the CSR triple from an edge list as described under
     /// *Construction* on [`Graph`]: count degrees, order the edges by the
-    /// global edge key (`key_order`), scatter the ordered records into
+    /// global edge key (`key_order`), scatter the ordered keys into
     /// per-node rows.  The scatter preserves the visit order per row, so
     /// every row comes out key-sorted without any per-row sorting, and the
     /// total order is exactly `sort_by_key(|i| (weight[i], i))`.
     ///
     /// Allocates the offsets (which serve as the row cursors during the
     /// scatter and are shifted back afterwards), the two CSR arrays and one
-    /// or two record buffers (two when the largest weight needs more than
-    /// one radix digit) — nothing per node or per edge.
+    /// or two key buffers (two when the largest weight needs more than one
+    /// radix digit) — nothing per node or per edge.  At most two key buffers
+    /// or one key buffer and the two row arrays are live at once: 24 or 28
+    /// bytes per edge on top of the edge list and the offsets.
     ///
     /// Endpoints must be in range; duplicate edges are the caller's concern
     /// ([`GraphBuilder::build`] checks them).
-    pub(crate) fn from_parts(n: usize, edges: Vec<Edge>) -> Self {
+    fn from_parts(n: usize, edges: Vec<StoredEdge>) -> Self {
         let half_edges = edges.len() * 2;
         assert!(
             half_edges < u32::MAX as usize && n < u32::MAX as usize,
@@ -471,8 +495,8 @@ impl Graph {
         let mut offsets = vec![0u32; n + 1];
         let mut max_weight = 0;
         for e in &edges {
-            offsets[e.u.index()] += 1;
-            offsets[e.v.index()] += 1;
+            offsets[e.u as usize] += 1;
+            offsets[e.v as usize] += 1;
             max_weight = max_weight.max(e.weight);
         }
         exclusive_prefix_sum(&mut offsets);
@@ -482,7 +506,8 @@ impl Graph {
         let mut targets = vec![0u32; half_edges];
         let mut edge_ids = vec![0u32; half_edges];
         for r in order {
-            let (u, v, id) = (r.u, r.v, r.index);
+            let id = r.index;
+            let StoredEdge { u, v, .. } = edges[id as usize];
             let pu = offsets[u as usize] as usize;
             offsets[u as usize] += 1;
             targets[pu] = v;
@@ -552,25 +577,27 @@ impl Graph {
         (0..self.edge_count()).map(EdgeId)
     }
 
-    /// Iterator over all edge records.
-    pub fn edges(&self) -> impl Iterator<Item = &Edge> + '_ {
-        self.edges.iter()
+    /// Iterator over all edge records in id order, each an [`Edge`] by value
+    /// (the graph stores 16-byte `u32`-endpoint records and widens them on
+    /// the way out).
+    pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
+        self.edges.iter().map(|e| e.edge())
     }
 
-    /// Returns the edge record for `e`.
+    /// The edge record for `e`, by value (see [`Graph::edges`]).
     ///
     /// # Panics
     ///
     /// Panics if `e` is out of range.
     #[inline]
-    pub fn edge(&self, e: EdgeId) -> &Edge {
-        &self.edges[e.index()]
+    pub fn edge(&self, e: EdgeId) -> Edge {
+        self.edges[e.index()].edge()
     }
 
-    /// Returns the edge record for `e` if it exists.
+    /// The edge record for `e` by value, if it exists.
     #[inline]
-    pub fn get_edge(&self, e: EdgeId) -> Option<&Edge> {
-        self.edges.get(e.index())
+    pub fn get_edge(&self, e: EdgeId) -> Option<Edge> {
+        self.edges.get(e.index()).map(|e| e.edge())
     }
 
     /// Weight of edge `e`.
@@ -669,10 +696,9 @@ impl Graph {
             .edges
             .iter()
             .enumerate()
-            .map(|(i, e)| Edge {
-                u: e.u,
-                v: e.v,
+            .map(|(i, e)| StoredEdge {
                 weight: f(EdgeId(i), e.weight),
+                ..*e
             })
             .collect();
         Graph::from_parts(self.node_count(), edges)
@@ -699,7 +725,7 @@ impl Graph {
 /// stable radix ordering of the edges by the global `(weight, edge id)` key
 /// and one row scatter (see *Construction* on [`Graph`]).  It performs a
 /// **constant number of heap allocations** (at most six vectors: offsets,
-/// two CSR arrays, one or two record buffers, and the stamp array of the
+/// two CSR arrays, one or two key buffers, and the stamp array of the
 /// deferred duplicate check) however large the graph is, and the resulting
 /// neighbour order is a deterministic function of the edge list: rebuilding
 /// from the same `add_edge` calls always yields byte-identical adjacency.
@@ -718,7 +744,7 @@ impl Graph {
 #[derive(Clone, Debug, Default)]
 pub struct GraphBuilder {
     n: usize,
-    edges: Vec<Edge>,
+    edges: Vec<StoredEdge>,
     /// Packed keys ([`edge_key`]) of the edges added so far, once somebody
     /// has asked a membership question; empty cell until then.  Membership
     /// only — never iterated — so the hasher cannot influence the edge list.
@@ -807,7 +833,7 @@ impl GraphBuilder {
     fn seen(&self) -> &EdgeSet {
         self.seen.get_or_init(|| {
             let mut seen = EdgeSet::with_capacity_and_hasher(self.edges.len(), Default::default());
-            for e in &self.edges {
+            for e in self.edges.iter().map(|e| e.edge()) {
                 if !seen.insert(edge_key(e.u, e.v)) {
                     reject_edge(e.u, e.v);
                 }
@@ -827,10 +853,15 @@ impl GraphBuilder {
         seen.insert(edge_key(u, v)).then(|| self.push(u, v, weight))
     }
 
-    /// Appends an edge that passed its checks.
+    /// Appends an edge that passed its checks; in-range endpoints are below
+    /// 2³² ([`GraphBuilder::new`] enforces it), so narrowing them is exact.
     fn push(&mut self, u: NodeId, v: NodeId, weight: Weight) -> EdgeId {
         let id = EdgeId(self.edges.len());
-        self.edges.push(Edge { u, v, weight });
+        self.edges.push(StoredEdge {
+            u: u.index() as u32,
+            v: v.index() as u32,
+            weight,
+        });
         id
     }
 
@@ -1053,6 +1084,12 @@ mod tests {
         let g = triangle();
         assert_eq!(g.total_weight(), 6);
         assert_eq!(g.max_degree(), 2);
+    }
+
+    #[test]
+    fn stored_and_sorted_records_are_16_and_12_bytes() {
+        assert_eq!(std::mem::size_of::<StoredEdge>(), 16);
+        assert_eq!(std::mem::size_of::<KeyedEdge>(), 12);
     }
 
     #[test]

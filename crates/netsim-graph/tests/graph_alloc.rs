@@ -4,7 +4,10 @@
 //! constant number of heap allocations, and so does a whole
 //! `Family::generate` of a generator that knows its edge count up front.
 //!
-//! Mirrors the engine's `alloc_steady_state` test; the counter is per
+//! The same allocator also books live and peak heap bytes, which bounds the
+//! transient memory of `build()` by the record sizes it sorts and scatters.
+//!
+//! Mirrors the engine's `alloc_steady_state` test; the counters are per
 //! thread, so tests running concurrently do not perturb each other.
 
 use netsim_graph::generators::{self, Family};
@@ -14,14 +17,27 @@ use std::cell::Cell;
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
+    static PEAK_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 fn bump() {
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
-/// Counts every allocation entry point on the current thread and delegates
-/// to the system allocator.
+/// Books `grown` bytes allocated and `freed` bytes released on this thread
+/// and raises the peak.  A block freed here but allocated on another thread
+/// saturates at zero rather than wrapping.
+fn track(grown: usize, freed: usize) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        let now = (live.get() + grown).saturating_sub(freed);
+        live.set(now);
+        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
+    });
+}
+
+/// Counts every allocation entry point on the current thread, books the
+/// live bytes, and delegates to the system allocator.
 struct CountingAllocator;
 
 // SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
@@ -29,20 +45,26 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();
+        track(layout.size(), 0);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(0, layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump();
+        // A moved block is briefly both: book the new size before the old.
+        track(new_size, 0);
+        track(0, layout.size());
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump();
+        track(layout.size(), 0);
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -52,6 +74,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocs() -> u64 {
     THREAD_ALLOCS.with(Cell::get)
+}
+
+/// Runs `f` and returns its result with the peak of this thread's live heap
+/// bytes during the call, above what was live when it started.
+fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|peak| peak.set(start));
+    let out = f();
+    (out, PEAK_BYTES.with(Cell::get) - start)
 }
 
 /// `build()` may allocate six vectors — the offsets (which double as the row
@@ -143,5 +174,45 @@ fn preferential_attachment_generates_in_constant_allocations() {
     assert!(
         large <= BUILD_ALLOC_BUDGET + 3,
         "generate() allocated {large} times; expected edges + pool + weights + the build's six"
+    );
+}
+
+#[test]
+fn csr_finalisation_peak_stays_within_two_key_buffers() {
+    // The n = 50 000 tree-plus-chords workload of the allocation-count test:
+    // weights up to 2n need two radix digits, so the sort runs with both key
+    // buffers.
+    let n = 50_000;
+    let mut builder = GraphBuilder::new(n);
+    for i in 1..n {
+        let parent = (i.wrapping_mul(0x9e37_79b9) ^ (i >> 3)) % i;
+        builder.add_edge(NodeId(i), NodeId(parent), i as u64);
+    }
+    for i in 0..n {
+        let _ = builder.try_add_edge(NodeId(i), NodeId((i + n / 2) % n), (n + i) as u64);
+    }
+    // `try_add_edge` made the builder hash its edges, and `build()` frees
+    // that set before it sorts, which would hide the peak under the freed
+    // bytes.  Re-feed the same edge list through `add_edge` (as the
+    // generators do), so the builder holds the edge list alone.
+    let g = builder.build();
+    let m = g.edge_count();
+    let mut builder = GraphBuilder::new(n);
+    for e in g.edges() {
+        builder.add_edge(e.u, e.v, e.weight);
+    }
+    drop(g);
+
+    let (g, peak) = peak_bytes_during(|| builder.build());
+    assert_eq!(g.edge_count(), m);
+    // The offsets, plus the larger of the sort phase (two 12-byte key
+    // buffers) and the scatter phase (one key buffer and the two `u32` row
+    // arrays): 28 bytes per edge.  With 20-byte keys carrying the endpoints
+    // it was 40.
+    let bound = 28 * m + 4 * (n + 1) + 64 * 1024;
+    assert!(
+        peak <= bound,
+        "GraphBuilder::build peaked {peak} bytes above the builder on n={n}, m={m} \
+         (bound {bound} = 28·m + 4·(n + 1) + 64 KiB)"
     );
 }

@@ -86,10 +86,12 @@
 //! attachment it wakes everyone.  The bitsets cost `(2 + K) · n / 8` bytes.
 //!
 //! Idle nodes are skipped *lazily*: the sparse inbox index is a per-node
-//! `(start, len)` range stamped with the epoch of the rebuild that wrote it,
-//! and only the receivers of the round's messages are re-stamped.  A stale
-//! stamp **is** the empty inbox — no per-node clearing pass ever runs, which
-//! is what makes a fully idle round O(1) in `n`.
+//! `(start, len)` range, and a rebuild touches only two sets of entries —
+//! last round's receivers are emptied, then this round's receivers get
+//! their fresh ranges.  A range is therefore non-empty only while it points
+//! into the current arena; no per-node clearing pass ever runs, which is
+//! what makes a fully idle round O(1) in `n`.  Sparse stepping reads only
+//! these ranges: the dense `offsets` index is not allocated.
 //!
 //! # Determinism contract
 //!
@@ -218,11 +220,9 @@ struct Pass<'a, M> {
     payloads: &'a PayloadArena<M>,
     /// Dense inbox index: node `v` reads `arena[offsets[v]..offsets[v + 1]]`.
     offsets: &'a [usize],
-    /// Sparse inbox index: node `v` reads `arena[inbox_ranges[v]]` only when
-    /// `inbox_epoch[v] == arena_epoch`; anything staler is an empty inbox.
-    inbox_epoch: &'a [u64],
+    /// Sparse inbox index: node `v` reads `arena[inbox_ranges[v]]`, which is
+    /// empty unless `v` received mail last round.
     inbox_ranges: &'a [(u32, u32)],
-    arena_epoch: u64,
     channels: &'a ChannelSet,
     /// The last resolved round's outcomes (slot winners as handles into
     /// `payloads`), as slices: read through the [`ChannelFold`] on every
@@ -250,13 +250,11 @@ impl<M> Pass<'_, M> {
         if !self.gate.admits(vi) {
             return;
         }
-        let entries = if !SPARSE {
-            &self.arena[self.offsets[vi]..self.offsets[vi + 1]]
-        } else if self.inbox_epoch[vi] == self.arena_epoch {
+        let entries = if SPARSE {
             let (start, len) = self.inbox_ranges[vi];
             &self.arena[start as usize..(start + len) as usize]
         } else {
-            &[]
+            &self.arena[self.offsets[vi]..self.offsets[vi + 1]]
         };
         let v = NodeId(vi);
         let was_done = node.is_done();
@@ -322,7 +320,8 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// the slot winners in `fold`.  Swaps roles with the staging
     /// arena inside `outbox` every round.
     payloads: PayloadArena<P::Msg>,
-    /// CSR index into `arena`; length `n + 1`.
+    /// CSR index into `arena` of dense stepping; length `n + 1` when dense,
+    /// empty under sparse stepping (which reads `inbox_ranges`).
     offsets: Vec<usize>,
     /// Pooled staging buffer of the current round: every stepped node's
     /// sends, channel writes, lane words and wakeups, in node-index order.
@@ -353,15 +352,12 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Activity frontier of the opt-in sparse stepping mode; `None` runs
     /// dense (every node steps every round).
     frontier: Option<Frontier>,
-    /// Per-node inbox epoch stamps of the sparse CSR (see the module docs);
-    /// length `n` under sparse stepping, empty when dense.
-    inbox_epoch: Vec<u64>,
-    /// Per-node `(start, len)` inbox ranges into `arena`, valid only when
-    /// the node's epoch stamp is current; length `n` under sparse stepping.
+    /// Per-node `(start, len)` inbox ranges into `arena` (see the module
+    /// docs): non-empty exactly for the receivers in `touched`; length `n`
+    /// under sparse stepping, empty when dense.
     inbox_ranges: Vec<(u32, u32)>,
-    /// Current arena epoch, bumped by every sparse rebuild.
-    arena_epoch: u64,
-    /// Pooled list of receivers touched by the current sparse rebuild.
+    /// Pooled list of the receivers of the last sparse rebuild: the only
+    /// nodes whose `inbox_ranges` entry is non-empty.
     touched: Vec<u32>,
     /// Node indices stepped in the last executed round, ascending; recorded
     /// only under sparse stepping (pooled).
@@ -404,7 +400,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             graph,
             arena: Vec::new(),
             payloads: PayloadArena::new(),
-            offsets: vec![0; n + 1],
+            offsets: if sparse { Vec::new() } else { vec![0; n + 1] },
             outbox: OutboxBuffer::new(),
             fold: ChannelFold::new(channels.channels()),
             heads: vec![NIL; n],
@@ -415,12 +411,8 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             round: 0,
             tally,
             faults,
-            // Epoch 0 stamps must all read stale until the first sparse
-            // rebuild, hence the arena starts at epoch 1.
             frontier: sparse.then(|| Frontier::new(n, &channels)),
-            inbox_epoch: if sparse { vec![0; n] } else { Vec::new() },
             inbox_ranges: if sparse { vec![(0, 0); n] } else { Vec::new() },
-            arena_epoch: u64::from(sparse),
             touched: Vec::new(),
             last_stepped: Vec::new(),
             stepped_last_round: 0,
@@ -535,9 +527,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             faults,
             tally,
             frontier,
-            inbox_epoch,
             inbox_ranges,
-            arena_epoch,
             last_stepped,
             ..
         } = self;
@@ -547,9 +537,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             arena,
             payloads,
             offsets,
-            inbox_epoch,
             inbox_ranges,
-            arena_epoch: *arena_epoch,
             channels,
             slots: fold.slots(),
             lanes: fold.lanes(),
@@ -761,11 +749,10 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     }
 
     /// Sparse counterpart of [`SyncEngine::rebuild_arena`]: O(messages), not
-    /// O(n).  Instead of rewriting the full `offsets` index, only the
-    /// receivers actually touched this round get a fresh `(start, len)`
-    /// range stamped with the new arena epoch — every other node's stale
-    /// stamp *is* its empty inbox, so idle nodes are never iterated.  Each
-    /// touched receiver is also woken onto the next frontier.
+    /// O(n).  Instead of rewriting a full `offsets` index, it empties the
+    /// ranges of last round's receivers (the only non-empty ones) and gives
+    /// this round's receivers a fresh `(start, len)` range, so idle nodes are
+    /// never iterated.  Each receiver is also woken onto the next frontier.
     ///
     /// Relies on (and restores) the all-`NIL` chain-head invariant: the
     /// dense paths re-fill `heads` wholesale, which a sparse round cannot
@@ -778,9 +765,7 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             links,
             heads,
             touched,
-            inbox_epoch,
             inbox_ranges,
-            arena_epoch,
             frontier,
             ..
         } = self;
@@ -792,7 +777,11 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         arena.reserve(k);
         links.clear();
         links.resize(k, NIL);
-        *arena_epoch += 1;
+        // Last round's receivers hold the only non-empty ranges, and the
+        // arena they point into is about to be refilled.
+        for &t in touched.iter() {
+            inbox_ranges[t as usize] = (0, 0);
+        }
         touched.clear();
 
         // Reverse chain build, as in the dense bucket; the first prepend to
@@ -822,7 +811,6 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 i = links[i as usize];
             }
             inbox_ranges[to] = (start, arena.len() as u32 - start);
-            inbox_epoch[to] = *arena_epoch;
             heads[to] = NIL;
             frontier.wake(to);
         }

@@ -232,7 +232,8 @@ impl Frontier {
 pub(crate) enum Active<'a> {
     /// Dense engine: every node, inboxes through the CSR `offsets`.
     Dense,
-    /// Sparse engine, all-active round: every node, epoch-stamped inboxes.
+    /// Sparse engine, all-active round: every node, inboxes through the
+    /// per-receiver ranges.
     All,
     /// Sparse engine: exactly the frontier members, ascending.
     Members(&'a BitLevels),

@@ -79,30 +79,26 @@ impl RootedForest {
                 }
             }
         }
-        // Cycle detection: walk with a visited-resolution memo.
+        // Cycle detection: a walk marks its path "on stack" up to a done
+        // vertex or a root, then a second walk over the same path marks it
+        // done.
         let mut state = vec![0u8; n]; // 0 unvisited, 1 on stack, 2 done
         for start in 0..n {
             if state[start] != 0 {
                 continue;
             }
-            let mut chain = Vec::new();
-            let mut cur = start;
-            loop {
-                if state[cur] == 2 {
-                    break;
-                }
-                if state[cur] == 1 {
+            let mut cur = Some(start);
+            while let Some(v) = cur.filter(|&v| state[v] != 2) {
+                if state[v] == 1 {
                     return Err(RootedForestError::Cycle { vertex: start });
                 }
-                state[cur] = 1;
-                chain.push(cur);
-                match parent[cur] {
-                    None => break,
-                    Some(p) => cur = p,
-                }
+                state[v] = 1;
+                cur = parent[v];
             }
-            for v in chain {
+            let mut cur = Some(start);
+            while let Some(v) = cur.filter(|&v| state[v] == 1) {
                 state[v] = 2;
+                cur = parent[v];
             }
         }
         // Flat CSR children via a counting pass (vertices ascend, so each

@@ -101,11 +101,8 @@ pub fn mis_with_roots(forest: &RootedForest, coloring: &[u8]) -> MisResult {
     for &promote in &[BLUE, GREEN] {
         let snapshot = colors.clone();
         for v in 0..n {
-            if snapshot[v] == promote {
-                let has_red_neighbor = forest.neighbors(v).iter().any(|&u| snapshot[u] == RED);
-                if !has_red_neighbor {
-                    colors[v] = RED;
-                }
+            if snapshot[v] == promote && !any_neighbor(forest, v, |u| snapshot[u] == RED) {
+                colors[v] = RED;
             }
         }
         rounds += 1;
@@ -132,7 +129,13 @@ pub fn is_independent(forest: &RootedForest, in_mis: &[bool]) -> bool {
 /// every non-member has a member neighbour.
 pub fn is_maximal_independent(forest: &RootedForest, in_mis: &[bool]) -> bool {
     is_independent(forest, in_mis)
-        && (0..forest.len()).all(|v| in_mis[v] || forest.neighbors(v).iter().any(|&u| in_mis[u]))
+        && (0..forest.len()).all(|v| in_mis[v] || any_neighbor(forest, v, |u| in_mis[u]))
+}
+
+/// `true` when `v`'s parent or one of its children satisfies `pred`, read in
+/// place ([`RootedForest::neighbors`] collects them into a `Vec`).
+fn any_neighbor(forest: &RootedForest, v: usize, mut pred: impl FnMut(usize) -> bool) -> bool {
+    forest.parent(v).is_some_and(&mut pred) || forest.children(v).iter().any(|&u| pred(u))
 }
 
 #[cfg(test)]
