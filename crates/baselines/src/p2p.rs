@@ -81,7 +81,7 @@ where
     let mut up = EngineBuilder::new(graph).build_flat(|v| {
         Convergecast::new(
             forest.parent(v),
-            forest.children(v).len(),
+            forest.children(v).count(),
             inputs[v.index()].clone(),
             combine,
         )
@@ -93,7 +93,7 @@ where
 
     // Stage 3: broadcast the value down the tree.
     let mut down = EngineBuilder::new(graph).build_flat(|v| {
-        let children: Vec<NodeId> = forest.children(v).to_vec();
+        let children: Vec<NodeId> = forest.children(v).collect();
         let val = if v == root { Some(value.clone()) } else { None };
         TreeBroadcast::new(children, val)
     });

@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use multimedia::MultimediaNetwork;
-use netsim_graph::{generators::Family, log_star, traversal};
+use netsim_graph::{generators::Family, traversal};
 use netsim_sim::CostAccount;
 
 /// One measured data point of an experiment sweep.
@@ -62,19 +62,6 @@ impl Record {
     pub fn with(mut self, key: &str, value: f64) -> Self {
         self.extra.push((key.to_string(), value));
         self
-    }
-
-    /// `rounds / (√n · log* n)` — the normalisation for the Õ(√n) time bounds.
-    pub fn rounds_over_sqrtn_logstar(&self) -> f64 {
-        let n = self.n.max(2) as f64;
-        self.rounds as f64 / (n.sqrt() * f64::from(log_star(self.n as u64).max(1)))
-    }
-
-    /// `messages / (m + n·log n·log* n)` — normalisation for the message bounds.
-    pub fn messages_over_bound(&self) -> f64 {
-        let n = self.n.max(2) as f64;
-        let denom = self.m as f64 + n * n.log2() * f64::from(log_star(self.n as u64).max(1));
-        self.messages as f64 / denom
     }
 }
 
@@ -215,8 +202,6 @@ mod tests {
         c.add_messages(500);
         let r = Record::new("E1", "ring", 1024, 1024, "det", &c).with("trees", 30.0);
         assert_eq!(r.rounds, 100);
-        assert!(r.rounds_over_sqrtn_logstar() > 0.0);
-        assert!(r.messages_over_bound() > 0.0);
         assert_eq!(r.extra.len(), 1);
         assert!(to_json(&[r]).contains("\"E1\""));
     }

@@ -122,7 +122,7 @@ pub fn local_aggregate<T: Semigroup>(
     let mut engine = EngineBuilder::new(g).build_flat(|v| {
         Convergecast::new(
             forest.parent(v),
-            forest.children(v).len(),
+            forest.children(v).count(),
             inputs[v.index()].clone(),
             |a: &T, b: &T| a.combine(b),
         )
@@ -545,18 +545,10 @@ where
         *r = group_size[c];
         group_size[c] += 1;
     }
-    // Every node attaches to its tree's channel.
-    let mut tree_of = vec![usize::MAX; n];
-    {
-        let mut core_index = vec![usize::MAX; n];
-        for (i, &(r, _)) in partials.iter().enumerate() {
-            core_index[r.index()] = i;
-        }
-        for v in g.nodes() {
-            tree_of[v.index()] = core_index[partition.forest.root_of(v).index()];
-        }
-    }
-    let chan_of = |v: NodeId| ChannelId((tree_of[v.index()] % k as usize) as u16);
+    // Every node attaches to its tree's channel (partials follow the roots,
+    // so tree `i` is partial `i`).
+    let tree_of = |v: NodeId| partition.forest.tree_of(v);
+    let chan_of = |v: NodeId| ChannelId((tree_of(v) % k as usize) as u16);
     let masks: Vec<u64> = g.nodes().map(|v| 1u64 << chan_of(v).index()).collect();
 
     // Group-phase broadcasters: the cores, with their roster slots and
@@ -617,7 +609,7 @@ where
         .collect();
     // Conformance: every member of a group folded the same group total.
     for v in g.nodes() {
-        let c = tree_of[v.index()] % k as usize;
+        let c = tree_of(v) % k as usize;
         let folded = engine
             .node(v)
             .value()
@@ -635,7 +627,7 @@ where
     let masks_combine = vec![1u64; n];
     engine.reattach(&masks_combine);
     engine.update_nodes(&mut |v, p| {
-        let c = tree_of[v.index()] % k as usize;
+        let c = tree_of(v) % k as usize;
         let mine = rep_of[c] == Some(v);
         *p = ShardedGlobalFn::new(
             LaneElectionSeries::new(None, bits, 0, 1, ChannelId(0)),

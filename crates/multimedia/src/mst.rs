@@ -62,17 +62,10 @@ use netsim_sim::{
 };
 
 /// Dense initial-fragment index per node: `init_of[v]` is the position of
-/// node `v`'s Stage-1 fragment in `cores` (the forest's root list).  Shared
-/// by the single-channel and the channel-sharded merge pipelines.
-fn initial_fragment_index(g: &Graph, forest: &SpanningForest, cores: &[NodeId]) -> Vec<usize> {
-    // Cores are a subset of nodes, so a plain scatter vector replaces a map.
-    let mut core_index = vec![u32::MAX; g.node_count()];
-    for (i, &c) in cores.iter().enumerate() {
-        core_index[c.index()] = i as u32;
-    }
-    g.nodes()
-        .map(|v| core_index[forest.root_of(v).index()] as usize)
-        .collect()
+/// node `v`'s Stage-1 fragment in the forest's root list (its tree index).
+/// Shared by the single-channel and the channel-sharded merge pipelines.
+fn initial_fragment_index(g: &Graph, forest: &SpanningForest) -> Vec<usize> {
+    g.nodes().map(|v| forest.tree_of(v)).collect()
 }
 
 /// Result of the distributed MST construction.
@@ -123,7 +116,7 @@ pub fn minimum_spanning_tree_from_partition(
     assert!(n > 0, "MST of an empty graph is undefined");
     let forest = &partition.forest;
     let cores: Vec<NodeId> = forest.roots().to_vec();
-    let init_of = initial_fragment_index(g, forest, &cores);
+    let init_of = initial_fragment_index(g, forest);
 
     // The MST starts with the tree edges of the initial fragments
     // (they are MST edges by property (1) of the partition).
@@ -778,7 +771,7 @@ where
     let cores: Vec<NodeId> = forest.roots().to_vec();
     let f = cores.len();
     assert_merge_msg_limits(g.edge_count(), f);
-    let init_of = initial_fragment_index(g, forest, &cores);
+    let init_of = initial_fragment_index(g, forest);
     let stations = WeightStations::new(g);
     let bits = stations.bits();
 
@@ -1033,7 +1026,7 @@ where
     assert_merge_msg_limits(g.edge_count(), n);
     let forest = &partition.forest;
     let cores: Vec<NodeId> = forest.roots().to_vec();
-    let init_of = initial_fragment_index(g, forest, &cores);
+    let init_of = initial_fragment_index(g, forest);
     let stations = WeightStations::new(g);
     let bits = stations.bits();
     let tree_edges: Vec<EdgeId> = forest.tree_edges(g);

@@ -24,7 +24,6 @@
 //! edges tested, colouring rounds); no cost is taken from a closed-form
 //! formula, so the measured growth rates in the experiments are informative.
 
-use super::fragments::{reroot_at, Fragments};
 use super::PartitionOutcome;
 use crate::model::MultimediaNetwork;
 use netsim_graph::{traversal, EdgeId, NodeId, SpanningForest};
@@ -61,13 +60,6 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
         "the multimedia network model assumes a connected point-to-point graph"
     );
     let mut cost = CostAccount::new();
-    if n == 0 {
-        return PartitionOutcome {
-            forest: SpanningForest::singletons(g),
-            cost,
-            phases: 0,
-        };
-    }
 
     // Phase 0 state: every node is a singleton fragment and its own core.
     let mut parent: Vec<Option<NodeId>> = vec![None; n];
@@ -76,37 +68,52 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
     // consideration; this is what bounds the edge-test messages by O(m).
     let mut rejected = vec![false; g.edge_count()];
     let mut phases = 0u32;
+    // The fragments of the current `parent` array: fragment `f` is tree `f`
+    // of the forest (cores ascend as roots do), its members are the tree's
+    // preorder slice.  Rebuilt only when a level merges fragments.
+    let mut frags = snapshot(&parent);
 
     for level in 0..target_level {
-        let frags = Fragments::gather(g, &parent, &core);
-        if frags.count() <= 1 {
+        debug_assert!(
+            g.nodes().all(|v| frags.root_of(v) == core[v.index()]),
+            "every node's core is the root of its fragment tree"
+        );
+        if frags.tree_count() <= 1 {
             break; // the whole graph is already one fragment
         }
+        let cores = frags.roots();
 
         // ---- Step 1: count fragment sizes (broadcast and respond). --------
-        cost.add_messages(2 * (n as u64 - frags.count() as u64));
+        cost.add_messages(2 * (n as u64 - cores.len() as u64));
         cost.add_idle_rounds(2 * u64::from(frags.max_radius()) + 1);
 
-        let active: Vec<usize> = (0..frags.count())
-            .filter(|&f| frags.level(f) == level)
+        let active: Vec<usize> = (0..cores.len())
+            .filter(|&f| level_of(frags.subtree_size(cores[f])) == level)
             .collect();
         if active.is_empty() {
             // Every fragment is already past this level; nothing to do.
             phases += 1;
             continue;
         }
-        let max_active_radius = active.iter().map(|&f| frags.radius(f)).max().unwrap_or(0);
+        let max_active_radius = active
+            .iter()
+            .map(|&f| frags.radius_of(cores[f]))
+            .max()
+            .unwrap_or(0);
 
         // ---- Step 2: minimum-weight outgoing link of every active fragment.
         // Indexed flat by fragment, like everything else in the phase.
-        let mut chosen: Vec<Option<EdgeId>> = vec![None; frags.count()];
+        // Members are visited in preorder: the message count and the strict
+        // minimum over distinct edge keys do not depend on the visit order.
+        let mut chosen: Vec<Option<EdgeId>> = vec![None; cores.len()];
         let mut chosen_count = 0u64;
         for &f in &active {
-            let members = frags.members_of(f);
+            let members = frags.subtree(cores[f]);
             // Broadcast "active" + convergecast of the minimum: 2(size-1) msgs.
             cost.add_messages(2 * (members.len() as u64 - 1));
             let mut best: Option<EdgeId> = None;
             for &u in members {
+                let u = NodeId(u as usize);
                 for (v, e) in g.neighbors(u) {
                     if rejected[e.index()] {
                         continue;
@@ -139,7 +146,6 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
         }
 
         // ---- Step 3 (setup): build the fragment forest F. ------------------
-        let cores = &frags.cores;
         let mut parent_f: Vec<Option<usize>> = vec![None; cores.len()];
         for (a, cand) in chosen.iter().enumerate() {
             let Some(e) = *cand else { continue };
@@ -152,7 +158,7 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
             };
             debug_assert_eq!(core[u.index()], c);
             let target_core = core[v.index()];
-            let b = frags.frag_of(v);
+            let b = frags.tree_of(v);
             // Two fragments may choose the same link (case (iii) of the
             // paper): root the pair at the higher-id core and drop its edge.
             let reciprocal = chosen[b] == Some(e);
@@ -172,7 +178,10 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
         // Every fragment-level exchange travels through the fragment trees:
         // O(radius) time and O(total fragment size) messages per exchange.
         cost.add_idle_rounds(comm_rounds * 2 * (u64::from(frags.max_radius()) + 1));
-        let active_size: u64 = active.iter().map(|&f| frags.size(f) as u64).sum();
+        let active_size: u64 = active
+            .iter()
+            .map(|&f| frags.subtree_size(cores[f]) as u64)
+            .sum();
         cost.add_messages(comm_rounds * (active_size + chosen_count));
 
         // ---- Step 6: cut below red internal vertices and merge subtrees. --
@@ -214,24 +223,49 @@ pub fn partition_to_level(net: &MultimediaNetwork, target_level: u32) -> Partiti
             new_core_of_fragment.push(cores[subtree_root_of(fidx)]);
         }
         for vtx in g.nodes() {
-            core[vtx.index()] = new_core_of_fragment[frags.frag_of(vtx)];
+            core[vtx.index()] = new_core_of_fragment[frags.tree_of(vtx)];
         }
         let _ = merges;
         cost.add_messages(n as u64);
 
         // Identity broadcast + phase wrap-up: proportional to the new radius.
-        let new_frags = Fragments::gather(g, &parent, &core);
-        cost.add_idle_rounds(2 * u64::from(new_frags.max_radius()) + 1);
+        // The next level starts from this snapshot.
+        frags = snapshot(&parent);
+        cost.add_idle_rounds(2 * u64::from(frags.max_radius()) + 1);
 
         phases += 1;
     }
 
-    let forest = SpanningForest::from_parents(g, parent)
-        .expect("partition maintains a valid spanning forest");
     PartitionOutcome {
-        forest,
+        forest: frags,
         cost,
         phases,
+    }
+}
+
+/// The fragment forest of the partition's parent pointers.  Parents are
+/// graph neighbours by construction (every merge follows a graph link).
+fn snapshot(parent: &[Option<NodeId>]) -> SpanningForest {
+    SpanningForest::from_fn(parent.len(), |v| parent[v.index()])
+        .expect("partition maintains a valid spanning forest")
+}
+
+/// Level of a fragment of `size` nodes: `⌊log₂ size⌋`.
+fn level_of(size: usize) -> u32 {
+    size.max(1).ilog2()
+}
+
+/// Re-roots the fragment tree containing `new_root` at `new_root` by
+/// reversing the parent pointers along the path from `new_root` to the old
+/// core.  Used when a fragment is merged into another one through one of its
+/// non-core nodes (Step 6).
+fn reroot_at(parent: &mut [Option<NodeId>], new_root: NodeId) {
+    // In-place list reversal: each node on the path takes the previous one
+    // as its parent, starting with `None` for `new_root`.
+    let (mut prev, mut cur) = (None, Some(new_root));
+    while let Some(v) = cur {
+        cur = std::mem::replace(&mut parent[v.index()], prev);
+        prev = Some(v);
     }
 }
 
@@ -376,6 +410,76 @@ mod tests {
         assert_eq!(outcome.forest.tree_count(), 1);
         let edges = outcome.forest.tree_edges(&g);
         assert!(mst::is_minimum_spanning_tree(&g, &edges));
+    }
+
+    #[test]
+    fn snapshot_of_singletons() {
+        let g = generators::ring(5);
+        let f = snapshot(&[None; 5]);
+        assert_eq!(f.tree_count(), 5);
+        assert_eq!(f.max_radius(), 0);
+        for v in g.nodes() {
+            let fi = f.tree_of(v);
+            assert_eq!(f.roots()[fi], v);
+            assert_eq!(f.tree_size(v), 1);
+            assert_eq!(level_of(f.tree_size(v)), 0);
+            assert_eq!(f.subtree(v), &[v.index() as u32]);
+        }
+    }
+
+    #[test]
+    fn snapshot_of_two_fragments_on_path() {
+        // {0,1,2} rooted at 0; {3,4,5} rooted at 5.
+        let parent = vec![
+            None,
+            Some(NodeId(0)),
+            Some(NodeId(1)),
+            Some(NodeId(4)),
+            Some(NodeId(5)),
+            None,
+        ];
+        let f = snapshot(&parent);
+        assert_eq!(f.tree_count(), 2);
+        assert_eq!(f.roots(), &[NodeId(0), NodeId(5)]);
+        assert_eq!(f.tree_of(NodeId(1)), 0);
+        assert_eq!(f.tree_of(NodeId(3)), 1);
+        assert_eq!(f.tree_size(NodeId(0)), 3);
+        assert_eq!(f.radius_of(NodeId(0)), 2);
+        assert_eq!(f.radius_of(NodeId(5)), 2);
+        assert_eq!(level_of(f.tree_size(NodeId(0))), 1);
+        // Members in preorder: the core first, then down the path.
+        assert_eq!(f.subtree(NodeId(5)), &[5, 4, 3]);
+        // The radius is the deepest member: node 2 sits two parent hops
+        // below core 0.
+        let hops = std::iter::successors(Some(NodeId(2)), |v| parent[v.index()]).count() - 1;
+        assert_eq!(hops as u32, f.radius_of(NodeId(0)));
+        assert_eq!(f.max_radius(), 2);
+    }
+
+    #[test]
+    fn level_is_floor_log2() {
+        let parent: Vec<Option<NodeId>> =
+            (0..9usize).map(|i| i.checked_sub(1).map(NodeId)).collect();
+        let f = snapshot(&parent);
+        assert_eq!(level_of(f.tree_size(NodeId(0))), 3); // floor(log2 9) = 3
+    }
+
+    #[test]
+    fn reroot_reverses_path() {
+        // Path fragment 0 <- 1 <- 2 <- 3 (core 0); re-root at 3.
+        let mut parent = vec![None, Some(NodeId(0)), Some(NodeId(1)), Some(NodeId(2))];
+        reroot_at(&mut parent, NodeId(3));
+        assert_eq!(parent[3], None);
+        assert_eq!(parent[2], Some(NodeId(3)));
+        assert_eq!(parent[1], Some(NodeId(2)));
+        assert_eq!(parent[0], Some(NodeId(1)));
+    }
+
+    #[test]
+    fn reroot_at_existing_root_is_noop() {
+        let mut parent = vec![None, Some(NodeId(0))];
+        reroot_at(&mut parent, NodeId(0));
+        assert_eq!(parent, vec![None, Some(NodeId(0))]);
     }
 
     #[test]

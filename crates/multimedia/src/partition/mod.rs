@@ -14,7 +14,6 @@
 //!   `O(m + n·log* n)` messages, with a Las-Vegas verification wrapper.
 
 pub mod deterministic;
-mod fragments;
 pub mod randomized;
 
 use netsim_graph::{partition_quality, PartitionQuality, SpanningForest};

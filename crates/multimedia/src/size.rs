@@ -50,7 +50,7 @@ pub fn deterministic_count(net: &MultimediaNetwork) -> SizeCount {
         // Attempt to schedule the cores for a budget of 2^level resolution
         // rounds, each of log|id| slots (the paper's budget).
         let budget = (1u64 << level) * id_bits.max(1);
-        let cores = partition.forest.roots().to_vec();
+        let cores = partition.forest.roots();
         let contenders: Vec<Contender> = cores
             .iter()
             .map(|&c| Contender::new(net.id_of(c)))

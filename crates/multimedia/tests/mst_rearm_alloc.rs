@@ -193,10 +193,12 @@ fn partition_allocs(n: usize) -> (u64, u32) {
 
 /// What one deterministic partition of a 2 048- or 8 192-node ring of
 /// cliques may allocate: a few per-phase vectors per phase (6 and 7 phases;
-/// 474 and 595 allocations measured in a debug build, 435 and 539 in
-/// release), nothing per node or per walk.  Building a per-node `Vec` in a
-/// tree walk took it to ≈ 8 000 and ≈ 31 000.
-const PARTITION_ALLOC_BUDGET: u64 = 800;
+/// 262 and 325 allocations measured in a debug build, 223 and 269 in
+/// release), nothing per node or per walk.  Gathering the fragments into a
+/// separate member/children index twice per level took it to 474 and 595
+/// (budget 800); building a per-node `Vec` in a tree walk took it to
+/// ≈ 8 000 and ≈ 31 000.
+const PARTITION_ALLOC_BUDGET: u64 = 450;
 
 #[test]
 fn partition_allocates_per_phase_not_per_node() {

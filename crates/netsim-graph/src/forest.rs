@@ -2,16 +2,55 @@
 //! of the paper, together with the quality measures the paper's Theorem 1 and
 //! Claims 1–2 speak about (number of trees, per-tree size and radius, and the
 //! MST-subtree property).
+//!
+//! A [`SpanningForest`] is stored as **one preorder** over all its trees:
+//! the trees follow each other in ascending root order, and inside a tree
+//! every node comes before its children, which ascend.  Each node keeps its
+//! parent, its tree index, its preorder position and its subtree size, so
+//! the subtree of `v` is the slice `order[pos[v] .. pos[v] + size[v]]` and a
+//! whole tree is the subtree of its root.  Tree size, root, tree index and
+//! radius are O(1) lookups.
+//!
+//! One routine builds every forest, [`SpanningForest::from_fn`] over a parent
+//! function; [`SpanningForest::from_parents`] adds the check that each parent
+//! is a graph neighbour.  A node that the build cannot reach from a root
+//! lies on a cycle or leads into one, and the smallest such node is the one
+//! [`ForestError::Cycle`] names.
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::mst::is_mst_subforest;
-use std::collections::VecDeque;
 
-/// A rooted spanning forest over the nodes of a graph.
+/// The stored parent of a root.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Per-node record of a [`SpanningForest`].
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Parent index, [`NO_PARENT`] for a root.
+    parent: u32,
+    /// Index of the node's tree (its root's rank among the roots).
+    tree: u32,
+    /// Position of the node in the preorder.
+    pos: u32,
+    /// Number of nodes in the node's subtree, itself included.
+    size: u32,
+}
+
+/// A rooted spanning forest over the nodes of a graph, stored as a preorder.
 ///
-/// Every node stores its parent (`None` for roots) and, redundantly for
-/// convenience, the id of the tree (root) it belongs to.  The forest is
-/// *spanning*: every node of the underlying graph belongs to exactly one tree.
+/// The forest is *spanning*: every node belongs to exactly one tree.  Trees
+/// are indexed `0..tree_count()` in ascending root order; the nodes of the
+/// subtree of `v` are the contiguous preorder slice [`subtree`](Self::subtree)
+/// (the whole tree for a root), starting with `v`.  [`tree_size`],
+/// [`root_of`], [`tree_of`] and [`radius_of`] are O(1), [`max_radius`] and
+/// [`min_tree_size`] are O(trees), and none of them allocates.
+///
+/// [`tree_size`]: Self::tree_size
+/// [`root_of`]: Self::root_of
+/// [`tree_of`]: Self::tree_of
+/// [`radius_of`]: Self::radius_of
+/// [`max_radius`]: Self::max_radius
+/// [`min_tree_size`]: Self::min_tree_size
 ///
 /// # Examples
 ///
@@ -26,40 +65,18 @@ use std::collections::VecDeque;
 /// assert_eq!(forest.tree_count(), 2);
 /// assert_eq!(forest.tree_size(NodeId(0)), 2);
 /// assert_eq!(forest.radius_of(NodeId(3)), 1);
+/// // The tree of v3 in preorder: the root, then its child.
+/// assert_eq!(forest.subtree(NodeId(3)), &[3, 2]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpanningForest {
-    parent: Vec<Option<NodeId>>,
-    root_of: Vec<NodeId>,
+    nodes: Vec<Slot>,
+    /// Node indices in preorder.
+    order: Vec<u32>,
+    /// Roots, ascending: `roots[t]` is the root of tree `t`.
     roots: Vec<NodeId>,
-    /// CSR children index: node `v`'s children are
-    /// `child_list[child_offsets[v]..child_offsets[v + 1]]`, ascending.
-    child_offsets: Vec<u32>,
-    child_list: Vec<NodeId>,
-}
-
-/// Builds the flat CSR children triple from parent pointers with a counting
-/// pass (no per-node `Vec`s): node order is ascending, so each child slice
-/// comes out in ascending node order.
-fn children_csr(parent: &[Option<NodeId>]) -> (Vec<u32>, Vec<NodeId>) {
-    let n = parent.len();
-    let mut offsets = vec![0u32; n + 1];
-    for p in parent.iter().flatten() {
-        offsets[p.index() + 1] += 1;
-    }
-    for i in 1..=n {
-        offsets[i] += offsets[i - 1];
-    }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut list = vec![NodeId(0); offsets[n] as usize];
-    for (v, p) in parent.iter().enumerate() {
-        if let Some(p) = p {
-            let pos = cursor[p.index()] as usize;
-            cursor[p.index()] += 1;
-            list[pos] = NodeId(v);
-        }
-    }
-    (offsets, list)
+    /// Radius (maximum depth below the root) of tree `t`.
+    radius: Vec<u32>,
 }
 
 /// Error returned when a parent vector does not describe a valid rooted
@@ -97,12 +114,14 @@ impl std::fmt::Display for ForestError {
 impl std::error::Error for ForestError {}
 
 impl SpanningForest {
-    /// Builds a forest from a parent vector (`parent[v] = None` ⇔ `v` is a root).
+    /// Builds a forest from a parent vector (`parent[v] = None` ⇔ `v` is a root)
+    /// whose every parent edge is an edge of `g`.
     ///
     /// # Errors
     ///
     /// Returns a [`ForestError`] if the vector length is wrong, a parent is
-    /// not a graph neighbour, or the parent pointers contain a cycle.
+    /// not a graph neighbour (the smallest such node is named), or the
+    /// parent pointers contain a cycle (see [`from_fn`](Self::from_fn)).
     pub fn from_parents(g: &Graph, parent: Vec<Option<NodeId>>) -> Result<Self, ForestError> {
         let n = g.node_count();
         if parent.len() != n {
@@ -118,62 +137,132 @@ impl SpanningForest {
                 }
             }
         }
-        // Resolve roots with two walks per unresolved start: the first
-        // marks its path up to a resolved node or a root (meeting its own
-        // mark again is a cycle), the second writes the root along it.
-        let mut root_of: Vec<Option<NodeId>> = vec![None; n];
-        let mut on_walk = vec![false; n];
-        for v in g.nodes() {
-            if root_of[v.index()].is_some() {
-                continue;
-            }
-            let mut cur = v;
-            let root = loop {
-                if let Some(r) = root_of[cur.index()] {
-                    break r;
-                }
-                if on_walk[cur.index()] {
-                    return Err(ForestError::Cycle(v));
-                }
-                on_walk[cur.index()] = true;
-                match parent[cur.index()] {
-                    None => break cur,
-                    Some(p) => cur = p,
-                }
+        Self::from_fn(n, |v| parent[v.index()])
+    }
+
+    /// Builds a forest over the nodes `0..n` from a parent function
+    /// (`parent(v) = None` ⇔ `v` is a root), without a graph.
+    ///
+    /// The build makes four allocations (the per-node records, the
+    /// preorder, the roots and the radii) and no others: child counts,
+    /// the leaf-first order that sums subtree sizes and heights, and the
+    /// sibling offsets all live in the storage they end up in.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ForestError::Cycle`] naming the smallest node whose parent
+    /// chain never reaches a root, i.e. the smallest node that lies on a
+    /// cycle or leads into one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parent is not below `n`, or if `n` does not fit the
+    /// 32-bit node records.
+    pub fn from_fn(
+        n: usize,
+        parent: impl Fn(NodeId) -> Option<NodeId>,
+    ) -> Result<Self, ForestError> {
+        assert!(n < NO_PARENT as usize, "{n} nodes exceed the 32-bit forest");
+        // Parents, and child counts held in `pos` until the positions are known.
+        let mut nodes = vec![
+            Slot {
+                parent: NO_PARENT,
+                tree: 0,
+                pos: 0,
+                size: 1,
             };
-            let mut cur = Some(v);
-            while let Some(x) = cur.filter(|x| root_of[x.index()].is_none()) {
-                root_of[x.index()] = Some(root);
-                cur = parent[x.index()];
+            n
+        ];
+        let mut tree_count = 0;
+        for v in 0..n {
+            match parent(NodeId(v)) {
+                None => tree_count += 1,
+                Some(p) => {
+                    assert!(p.index() < n, "parent {p} of v{v} is out of range");
+                    nodes[v].parent = p.index() as u32;
+                    nodes[p.index()].pos += 1;
+                }
             }
         }
-        let root_of: Vec<NodeId> = root_of.into_iter().map(|r| r.expect("resolved")).collect();
-        let mut roots: Vec<NodeId> = g.nodes().filter(|v| parent[v.index()].is_none()).collect();
-        roots.sort();
-        let (child_offsets, child_list) = children_csr(&parent);
+        // Leaves first: a node is queued once all its children have been
+        // taken, and taking it adds its size and height (held in `tree`)
+        // to its parent.  A node on a cycle is never queued.
+        let mut order: Vec<u32> = Vec::with_capacity(n);
+        order.extend((0..n as u32).filter(|&v| nodes[v as usize].pos == 0));
+        let mut next = 0;
+        while let Some(&v) = order.get(next) {
+            next += 1;
+            let s = nodes[v as usize];
+            if s.parent != NO_PARENT {
+                let p = &mut nodes[s.parent as usize];
+                p.size += s.size;
+                p.tree = p.tree.max(s.tree + 1);
+                p.pos -= 1;
+                if p.pos == 0 {
+                    order.push(s.parent);
+                }
+            }
+        }
+        if order.len() < n {
+            return Err(ForestError::Cycle(first_unrooted(&mut nodes, &order)));
+        }
+        // A root's height is its tree's radius; roots take their preorder
+        // offsets in ascending order, and every node resets its next-child
+        // offset (held in `tree`) to 1.
+        let mut roots = Vec::with_capacity(tree_count);
+        let mut radius = Vec::with_capacity(tree_count);
+        let mut offset = 0;
+        for (v, s) in nodes.iter_mut().enumerate() {
+            if s.parent == NO_PARENT {
+                roots.push(NodeId(v));
+                radius.push(s.tree);
+                s.pos = offset;
+                offset += s.size;
+            }
+            s.tree = 1;
+        }
+        // Children in ascending order take consecutive offsets inside their
+        // parent's range (`pos` holds the offset relative to the parent).
+        for v in 0..n {
+            let s = nodes[v];
+            if s.parent != NO_PARENT {
+                let p = s.parent as usize;
+                nodes[v].pos = nodes[p].tree;
+                nodes[p].tree += s.size;
+            }
+        }
+        for (t, r) in roots.iter().enumerate() {
+            nodes[r.index()].tree = t as u32;
+        }
+        // Parents before children (the leaf-first order reversed): absolute
+        // positions and tree indices flow down from the roots.
+        for &v in order.iter().rev() {
+            let s = nodes[v as usize];
+            if s.parent != NO_PARENT {
+                let p = nodes[s.parent as usize];
+                nodes[v as usize].pos += p.pos;
+                nodes[v as usize].tree = p.tree;
+            }
+        }
+        for (v, s) in nodes.iter().enumerate() {
+            order[s.pos as usize] = v as u32;
+        }
         Ok(SpanningForest {
-            parent,
-            root_of,
+            nodes,
+            order,
             roots,
-            child_offsets,
-            child_list,
+            radius,
         })
     }
 
     /// The trivial forest in which every node is the root of a singleton tree.
     pub fn singletons(g: &Graph) -> Self {
-        SpanningForest {
-            parent: vec![None; g.node_count()],
-            root_of: g.nodes().collect(),
-            roots: g.nodes().collect(),
-            child_offsets: vec![0; g.node_count() + 1],
-            child_list: Vec::new(),
-        }
+        Self::from_fn(g.node_count(), |_| None).expect("singletons have no cycle")
     }
 
     /// Number of nodes covered by the forest.
     pub fn node_count(&self) -> usize {
-        self.parent.len()
+        self.nodes.len()
     }
 
     /// Number of trees (roots).
@@ -181,93 +270,79 @@ impl SpanningForest {
         self.roots.len()
     }
 
-    /// The roots, in ascending node order.
+    /// The roots, in ascending node order: `roots()[t]` is the root of tree
+    /// `t`.
     pub fn roots(&self) -> &[NodeId] {
         &self.roots
     }
 
     /// Parent of `v` (`None` when `v` is a root).
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
-        self.parent[v.index()]
+        let p = self.nodes[v.index()].parent;
+        (p != NO_PARENT).then_some(NodeId(p as usize))
     }
 
-    /// Children of `v` in the forest (a slice of the flat CSR child array),
-    /// in ascending node order.
-    pub fn children(&self, v: NodeId) -> &[NodeId] {
-        let (a, b) = (
-            self.child_offsets[v.index()] as usize,
-            self.child_offsets[v.index() + 1] as usize,
-        );
-        &self.child_list[a..b]
+    /// Children of `v` in the forest, in ascending node order: the first
+    /// child follows `v` in the preorder, and each next sibling follows the
+    /// previous one's subtree.
+    pub fn children(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let s = self.nodes[v.index()];
+        let (mut next, end) = (s.pos + 1, s.pos + s.size);
+        std::iter::from_fn(move || {
+            (next < end).then(|| {
+                let c = self.order[next as usize];
+                next += self.nodes[c as usize].size;
+                NodeId(c as usize)
+            })
+        })
+    }
+
+    /// Index of the tree containing `v` (its root's rank among the roots).
+    pub fn tree_of(&self, v: NodeId) -> usize {
+        self.nodes[v.index()].tree as usize
     }
 
     /// Root (core) of the tree containing `v`.
     pub fn root_of(&self, v: NodeId) -> NodeId {
-        self.root_of[v.index()]
+        self.roots[self.tree_of(v)]
     }
 
-    /// Returns `true` when `u` and `v` are in the same tree.
-    pub fn same_tree(&self, u: NodeId, v: NodeId) -> bool {
-        self.root_of(u) == self.root_of(v)
+    /// The subtree of `v` as node indices in preorder, `v` first; for a
+    /// root, its whole tree.
+    pub fn subtree(&self, v: NodeId) -> &[u32] {
+        let s = self.nodes[v.index()];
+        &self.order[s.pos as usize..(s.pos + s.size) as usize]
     }
 
-    /// The members of the tree rooted at `root`, in ascending node order.
-    pub fn tree_members(&self, root: NodeId) -> Vec<NodeId> {
-        (0..self.parent.len())
-            .map(NodeId)
-            .filter(|&v| self.root_of(v) == root)
-            .collect()
+    /// Number of nodes in the subtree of `v`, `v` included.
+    pub fn subtree_size(&self, v: NodeId) -> usize {
+        self.nodes[v.index()].size as usize
     }
 
     /// Size (number of nodes) of the tree containing `v`.
     pub fn tree_size(&self, v: NodeId) -> usize {
-        let root = self.root_of(v);
-        self.root_of.iter().filter(|&&r| r == root).count()
+        self.subtree_size(self.root_of(v))
     }
 
-    /// Depth of `v` below its root (root has depth 0).
-    pub fn depth(&self, v: NodeId) -> u32 {
-        let mut d = 0;
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            d += 1;
-            cur = p;
-        }
-        d
-    }
-
-    /// Radius of the tree rooted at `root`: the maximum depth of any member.
+    /// Radius of the tree rooted at `root` (any member names its tree): the
+    /// maximum depth of any member.
     ///
     /// This is the quantity bounded by `8√n` (deterministic partition) and
     /// `4√n` (randomized partition) in the paper.
     pub fn radius_of(&self, root: NodeId) -> u32 {
-        // BFS down through children.
-        let mut best = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back((root, 0u32));
-        while let Some((v, d)) = queue.pop_front() {
-            best = best.max(d);
-            for &c in self.children(v) {
-                queue.push_back((c, d + 1));
-            }
-        }
-        best
+        self.radius[self.tree_of(root)]
     }
 
     /// Maximum radius over all trees of the forest.
     pub fn max_radius(&self) -> u32 {
-        self.roots
-            .iter()
-            .map(|&r| self.radius_of(r))
-            .max()
-            .unwrap_or(0)
+        self.radius.iter().copied().max().unwrap_or(0)
     }
 
     /// Minimum tree size over all trees of the forest.
     pub fn min_tree_size(&self) -> usize {
         self.roots
             .iter()
-            .map(|&r| self.tree_size(r))
+            .map(|&r| self.subtree_size(r))
             .min()
             .unwrap_or(0)
     }
@@ -276,7 +351,7 @@ impl SpanningForest {
     pub fn tree_edges(&self, g: &Graph) -> Vec<EdgeId> {
         let mut edges = Vec::new();
         for v in g.nodes() {
-            if let Some(p) = self.parent[v.index()] {
+            if let Some(p) = self.parent(v) {
                 let e = g
                     .find_edge(v, p)
                     .expect("forest parent edges exist in the graph");
@@ -292,29 +367,25 @@ impl SpanningForest {
     pub fn is_mst_subforest(&self, g: &Graph) -> bool {
         is_mst_subforest(g, &self.tree_edges(g))
     }
-
-    /// Per-tree summary statistics, keyed by root, sorted by root id.
-    pub fn tree_stats(&self) -> Vec<TreeStats> {
-        self.roots
-            .iter()
-            .map(|&r| TreeStats {
-                root: r,
-                size: self.tree_size(r),
-                radius: self.radius_of(r),
-            })
-            .collect()
-    }
 }
 
-/// Size and radius of a single tree of a [`SpanningForest`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TreeStats {
-    /// Root (core) of the tree.
-    pub root: NodeId,
-    /// Number of nodes in the tree.
-    pub size: usize,
-    /// Maximum depth of any node below the root.
-    pub radius: u32,
+/// The smallest node whose parent chain never reaches a root, given the
+/// leaf-first order of the nodes the build could take.  The nodes never
+/// taken lie on a cycle (their child count never fell to 0); a taken node
+/// leads into a cycle exactly when its parent does, and the reversed order
+/// visits parents first.
+fn first_unrooted(nodes: &mut [Slot], taken: &[u32]) -> NodeId {
+    for s in nodes.iter_mut() {
+        s.tree = u32::from(s.pos > 0);
+    }
+    for &v in taken.iter().rev() {
+        let s = nodes[v as usize];
+        if s.parent != NO_PARENT {
+            nodes[v as usize].tree = nodes[s.parent as usize].tree;
+        }
+    }
+    let v = nodes.iter().position(|s| s.tree == 1);
+    NodeId(v.expect("an untaken node lies on a cycle"))
 }
 
 /// Summary of partition quality, as reported by the experiments for
@@ -381,21 +452,14 @@ mod tests {
         assert_eq!(f.tree_size(NodeId(5)), 3);
         assert_eq!(f.radius_of(NodeId(0)), 2);
         assert_eq!(f.radius_of(NodeId(4)), 1);
-        assert_eq!(f.depth(NodeId(2)), 2);
         assert_eq!(f.root_of(NodeId(3)), NodeId(4));
-        assert!(f.same_tree(NodeId(3), NodeId(5)));
-        assert!(!f.same_tree(NodeId(0), NodeId(5)));
         assert_eq!(
-            f.tree_members(NodeId(0)),
-            vec![NodeId(0), NodeId(1), NodeId(2)]
+            f.children(NodeId(4)).collect::<Vec<_>>(),
+            [NodeId(3), NodeId(5)]
         );
-        assert_eq!(f.children(NodeId(4)), &[NodeId(3), NodeId(5)]);
         assert_eq!(f.tree_edges(&g).len(), 4);
         // A path's edges are all MST edges.
         assert!(f.is_mst_subforest(&g));
-        let stats = f.tree_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].size, 3);
     }
 
     #[test]

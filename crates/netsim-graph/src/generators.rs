@@ -390,11 +390,6 @@ pub(crate) fn ray_graph_builder(n: usize, d: usize) -> GraphBuilder {
     b
 }
 
-/// Returns the center node of a graph produced by [`ray_graph`].
-pub fn ray_center() -> NodeId {
-    NodeId(0)
-}
-
 /// A seeded random permutation of `1..=m`, indexed by edge id.
 fn random_weights(m: usize, seed: u64) -> Vec<Weight> {
     let mut perm: Vec<Weight> = (1..=m as Weight).collect();
@@ -499,7 +494,6 @@ mod tests {
         assert_eq!(g.node_count(), 17);
         assert_eq!(g.edge_count(), 16);
         assert!(is_connected(&g));
-        assert_eq!(g.degree(ray_center()), 4);
         let (d, _) = diameter_radius(&g);
         assert_eq!(d, 8);
     }

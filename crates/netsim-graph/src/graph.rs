@@ -673,11 +673,6 @@ impl Graph {
         self.neighbors(u).contains(v)
     }
 
-    /// Sum of all edge weights.
-    pub fn total_weight(&self) -> u128 {
-        self.edges.iter().map(|e| e.weight as u128).sum()
-    }
-
     /// Maximum degree Δ of the graph (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
         self.offsets
@@ -942,7 +937,6 @@ mod tests {
         let g = GraphBuilder::new(0).build();
         assert!(g.is_empty());
         assert_eq!(g.max_degree(), 0);
-        assert_eq!(g.total_weight(), 0);
         let d = Graph::default();
         assert!(d.is_empty());
         assert_eq!(d.node_count(), 0);
@@ -1075,14 +1069,12 @@ mod tests {
         let g2 = g.map_weights(|_, w| w * 10);
         assert_eq!(g2.node_count(), 3);
         assert_eq!(g2.edge_count(), 3);
-        assert_eq!(g2.total_weight(), 60);
         assert!(g2.has_edge(NodeId(0), NodeId(1)));
     }
 
     #[test]
     fn total_weight_and_max_degree() {
         let g = triangle();
-        assert_eq!(g.total_weight(), 6);
         assert_eq!(g.max_degree(), 2);
     }
 

@@ -18,8 +18,9 @@
 //! * reference sequential [`mst`] algorithms (Kruskal, Prim) used as ground
 //!   truth for the distributed MST of Section 6;
 //! * rooted [`SpanningForest`]s — the output type of the partitioning
-//!   algorithms of Sections 3–4 — with the size/radius/MST-subtree quality
-//!   measures the paper's theorems bound;
+//!   algorithms of Sections 3–4, stored as one preorder in which a subtree
+//!   is a slice — with the size/radius/MST-subtree quality measures the
+//!   paper's theorems bound;
 //! * a [`UnionFind`] used throughout.
 //!
 //! # Example
@@ -44,7 +45,7 @@ pub mod topologies;
 pub mod traversal;
 mod union_find;
 
-pub use forest::{partition_quality, ForestError, PartitionQuality, SpanningForest, TreeStats};
+pub use forest::{partition_quality, ForestError, PartitionQuality, SpanningForest};
 pub use graph::{Edge, EdgeId, Graph, GraphBuilder, Neighbors, NeighborsIter, NodeId, Weight};
 pub use traversal::{ComponentSet, DistanceMatrix};
 pub use union_find::UnionFind;

@@ -128,11 +128,6 @@ impl ComponentSet {
         self.comp_of[v.index()]
     }
 
-    /// Returns `true` when `u` and `v` are in the same component.
-    pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
-        self.component_of(u) == self.component_of(v)
-    }
-
     /// Iterator over the component slices, in component order.
     pub fn iter(&self) -> impl Iterator<Item = &[NodeId]> + '_ {
         (0..self.count()).map(|i| self.component(i))
@@ -346,8 +341,6 @@ mod tests {
         assert_eq!(comps.component(1), &[NodeId(2), NodeId(3)]);
         assert_eq!(comps.component(2), &[NodeId(4)]);
         assert_eq!(comps.component_of(NodeId(3)), 1);
-        assert!(comps.same_component(NodeId(2), NodeId(3)));
-        assert!(!comps.same_component(NodeId(0), NodeId(4)));
         assert_eq!(comps.max_size(), 2);
         let sizes: Vec<usize> = comps.iter().map(<[NodeId]>::len).collect();
         assert_eq!(sizes, vec![2, 2, 1]);

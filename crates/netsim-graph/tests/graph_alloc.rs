@@ -7,11 +7,14 @@
 //! The same allocator also books live and peak heap bytes, which bounds the
 //! transient memory of `build()` by the record sizes it sorts and scatters.
 //!
+//! The same counter pins the spanning forest: built in four allocations,
+//! its size and radius queries allocate nothing.
+//!
 //! Mirrors the engine's `alloc_steady_state` test; the counters are per
 //! thread, so tests running concurrently do not perturb each other.
 
 use netsim_graph::generators::{self, Family};
-use netsim_graph::{GraphBuilder, NodeId};
+use netsim_graph::{partition_quality, GraphBuilder, NodeId, SpanningForest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -215,4 +218,27 @@ fn csr_finalisation_peak_stays_within_two_key_buffers() {
         "GraphBuilder::build peaked {peak} bytes above the builder on n={n}, m={m} \
          (bound {bound} = 28·m + 4·(n + 1) + 64 KiB)"
     );
+}
+
+#[test]
+fn forest_builds_in_four_allocations_and_answers_queries_in_none() {
+    // 64 paths of 64 nodes each, every path hanging from its largest node.
+    let n = 4_096;
+    let parent = |v: NodeId| (v.index() % 64 != 63).then(|| NodeId(v.index() + 1));
+    let before = allocs();
+    let forest = SpanningForest::from_fn(n, parent).unwrap();
+    // Node records, preorder, roots and radii.
+    assert_eq!(allocs() - before, 4, "one allocation per stored array");
+
+    let before = allocs();
+    let mut sum = forest.max_radius() as usize + forest.min_tree_size();
+    for v in (0..n).map(NodeId) {
+        sum += forest.tree_size(v) + forest.radius_of(v) as usize;
+    }
+    let quality = partition_quality(&forest);
+    let spent = allocs() - before;
+    std::hint::black_box(sum);
+    assert_eq!(spent, 0, "forest queries allocated {spent} times");
+    assert_eq!(quality.trees, 64);
+    assert_eq!((quality.max_radius, quality.min_size), (63, 64));
 }

@@ -679,11 +679,6 @@ impl<'g, P: AsyncProtocol> AsyncEngine<'g, P> {
         self.frontier = Some(frontier);
     }
 
-    /// `true` when sparse boundary dispatch is enabled.
-    pub fn sparse_boundaries(&self) -> bool {
-        self.frontier.is_some()
-    }
-
     /// Installs a deterministic [`FaultPlan`]; must be called before the
     /// engine starts.  Fault rounds advance **once per tick** (under the
     /// lockstep configuration a tick is a round, which is what the

@@ -89,13 +89,6 @@ impl<P: Protocol> Lockstep<P> {
         &self.inner
     }
 
-    /// Mutable access to the wrapped protocol state, for between-phase
-    /// reseeding through
-    /// [`AsyncEngine::update_nodes`](crate::AsyncEngine::update_nodes).
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-
     /// Consumes the adapter, returning the wrapped protocol.
     pub fn into_inner(self) -> P {
         self.inner

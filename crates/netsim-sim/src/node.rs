@@ -146,11 +146,6 @@ impl<M> OutboxBuffer<M> {
         }
     }
 
-    /// Returns `true` when at least one channel write is staged.
-    pub fn has_channel_writes(&self) -> bool {
-        !self.chan_writes.is_empty()
-    }
-
     /// Moves every staged channel write out as `(channel, writer, message)`,
     /// in staging order, leaving the point-to-point sends untouched.
     ///
@@ -165,11 +160,6 @@ impl<M> OutboxBuffer<M> {
         for (chan, from, h) in chan_writes.drain(..) {
             f(chan, from, arena.take(h));
         }
-    }
-
-    /// Returns `true` when at least one lane write is staged.
-    pub fn has_lane_writes(&self) -> bool {
-        !self.lane_writes.is_empty()
     }
 
     /// Moves every staged lane write out as `(channel, writer, word)`, in
@@ -928,17 +918,6 @@ impl<'a, M: Clone> RoundIo<'a, M> {
     pub fn wake_me(&mut self) {
         self.outbox.wakes.push(self.node.index() as u32);
     }
-
-    /// Returns `true` if this node has staged a write on any channel this
-    /// round.
-    pub fn will_write_channel(&self) -> bool {
-        // This node's writes are the contiguous tail of the staging buffer,
-        // so it wrote something iff the last entry is its own.
-        self.outbox
-            .chan_writes
-            .last()
-            .is_some_and(|&(_, from, _)| from == self.node)
-    }
 }
 
 #[cfg(test)]
@@ -969,7 +948,6 @@ mod tests {
         assert_eq!(io.inbox().len(), 1);
         assert_eq!(io.inbox().first(), Some((NodeId(1), &9)));
         assert!(io.prev_slot().is_idle());
-        assert!(!io.will_write_channel());
         assert!(io.finish().is_none());
     }
 
@@ -982,9 +960,7 @@ mod tests {
         io.send_all(7);
         io.write_channel(1);
         io.write_channel(2);
-        assert!(io.will_write_channel());
         assert_eq!(io.finish(), Some(2));
-        assert!(!outbox.has_channel_writes(), "finish consumed the write");
         assert_eq!(outbox.len(), 3);
         // The broadcast interned one payload shared by both entries; the two
         // channel writes interned one payload each (the overwritten first
@@ -1208,7 +1184,6 @@ mod tests {
         io.write_channel_on(ChannelId(2), 7);
         io.write_channel_on(ChannelId(1), 5);
         io.write_channel_on(ChannelId(2), 9); // overwrites the first write
-        assert!(io.will_write_channel());
         assert!(io.finish().is_none(), "no default-channel write staged");
         let mut writes = Vec::new();
         outbox.take_channel_writes(|c, from, m| writes.push((c, from, m)));
@@ -1216,7 +1191,6 @@ mod tests {
             writes,
             vec![(ChannelId(2), NodeId(0), 9), (ChannelId(1), NodeId(0), 5)]
         );
-        assert!(!outbox.has_channel_writes());
     }
 
     #[test]
@@ -1247,7 +1221,6 @@ mod tests {
                 (ChannelId(1), NodeId(0), 1 << 7)
             ]
         );
-        assert!(!outbox.has_lane_writes());
     }
 
     #[test]

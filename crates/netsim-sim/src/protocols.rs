@@ -151,11 +151,6 @@ impl<V: Clone, F: Fn(&V, &V) -> V> Convergecast<V, F> {
     pub fn result(&self) -> &V {
         &self.value
     }
-
-    /// Returns `true` once every child's response has been absorbed.
-    pub fn subtree_complete(&self) -> bool {
-        self.pending_children == 0
-    }
 }
 
 impl<V: Clone, F: Fn(&V, &V) -> V> Protocol for Convergecast<V, F> {
@@ -472,7 +467,6 @@ mod tests {
         let out = eng.run(100);
         assert!(out.is_completed());
         assert_eq!(*eng.node(NodeId(0)).result(), (0..6).sum::<u64>());
-        assert!(eng.node(NodeId(0)).subtree_complete());
         // n - 1 responses, depth + O(1) rounds.
         assert_eq!(eng.cost().p2p_messages, (n - 1) as u64);
         assert!(out.rounds() <= n as u64 + 2);

@@ -69,7 +69,7 @@ use std::sync::Arc;
 use crate::channel::{ChannelId, LaneOutcome};
 use crate::metrics::CostAccount;
 use crate::node::{Protocol, RoundIo};
-use netsim_graph::NodeId;
+use netsim_graph::{NodeId, SpanningForest};
 use rand::FaultRng;
 
 /// Upper bound on the merged roster size: parent entries travel as 14-bit
@@ -241,31 +241,6 @@ pub fn wilson_parents(m: usize, seed: u64) -> Vec<u32> {
     parents
 }
 
-/// Subtree sizes of a parent array (root 0), computed by one BFS order and
-/// one reverse accumulation pass.
-fn subtree_sizes(parents: &[u32]) -> Vec<usize> {
-    let m = parents.len();
-    let (head, next) = child_lists(parents);
-    let mut order = Vec::with_capacity(m);
-    order.push(0usize);
-    let mut qi = 0;
-    while qi < order.len() {
-        let mut c = head[order[qi]];
-        qi += 1;
-        while c != usize::MAX {
-            order.push(c);
-            c = next[c];
-        }
-    }
-    let mut size = vec![1usize; m];
-    for &v in order.iter().rev() {
-        if v != 0 {
-            size[parents[v] as usize] += size[v];
-        }
-    }
-    size
-}
-
 /// Intrusive child lists of a parent array: `head[p]` is `p`'s first child,
 /// `next[c]` its next sibling (`usize::MAX` terminated).  Children appear in
 /// ascending index order.
@@ -286,20 +261,29 @@ fn child_lists(parents: &[u32]) -> (Vec<usize>, Vec<usize>) {
 /// smallest index).  Cutting the edge `(c, parent(c))` splits the tree into
 /// the most even two-coloring any single tree edge allows.  Returns
 /// `(cut_child, subtree_size)`.
+///
+/// # Panics
+///
+/// Panics if `m < 2` or if the parents of `1..m` do not form a tree
+/// rooted at 0 (a parent out of range, or a cycle).
 pub fn balance_cut(parents: &[u32]) -> (usize, usize) {
     let m = parents.len();
     assert!(m >= 2, "a single-vertex tree has no edge to cut");
-    let size = subtree_sizes(parents);
+    let tree = SpanningForest::from_fn(m, |v| {
+        (v.index() != 0).then(|| NodeId(parents[v.index()] as usize))
+    })
+    .expect("the parent array is a spanning tree rooted at 0");
+    let size = |i| tree.subtree_size(NodeId(i));
     let mut best = 1usize;
-    let mut best_score = (2 * size[1]).abs_diff(m);
-    for (i, &sz) in size.iter().enumerate().skip(2) {
-        let score = (2 * sz).abs_diff(m);
+    let mut best_score = (2 * size(1)).abs_diff(m);
+    for i in 2..m {
+        let score = (2 * size(i)).abs_diff(m);
         if score < best_score {
             best = i;
             best_score = score;
         }
     }
-    (best, size[best])
+    (best, size(best))
 }
 
 /// Membership of the subtree rooted at `cut`: `members[i]` is `true` iff

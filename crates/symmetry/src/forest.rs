@@ -180,11 +180,6 @@ impl RootedForest {
         d
     }
 
-    /// Maximum depth over all vertices (0 for an empty forest).
-    pub fn height(&self) -> usize {
-        (0..self.len()).map(|v| self.depth(v)).max().unwrap_or(0)
-    }
-
     /// Neighbours of `v` in the (undirected view of the) forest: its parent
     /// and children.
     pub fn neighbors(&self, v: usize) -> Vec<usize> {
@@ -195,19 +190,6 @@ impl RootedForest {
         }
         out.extend_from_slice(children);
         out
-    }
-
-    /// Vertices in breadth-first order from the roots (parents before children).
-    pub fn topological_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.len());
-        let mut queue: std::collections::VecDeque<usize> = self.roots().into();
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &c in self.children(v) {
-                queue.push_back(c);
-            }
-        }
-        order
     }
 }
 
@@ -234,19 +216,13 @@ mod tests {
         assert_eq!(f.root_of(2), 0);
         assert_eq!(f.root_of(5), 4);
         assert_eq!(f.depth(2), 2);
-        assert_eq!(f.height(), 2);
         assert_eq!(f.neighbors(1), vec![0, 2]);
-        let topo = f.topological_order();
-        assert_eq!(topo.len(), 6);
-        let pos = |v: usize| topo.iter().position(|&x| x == v).unwrap();
-        assert!(pos(0) < pos(1) && pos(1) < pos(2));
     }
 
     #[test]
     fn empty_forest() {
         let f = RootedForest::new(vec![]).unwrap();
         assert!(f.is_empty());
-        assert_eq!(f.height(), 0);
         assert!(f.roots().is_empty());
     }
 
@@ -280,7 +256,6 @@ mod tests {
             .map(|v| if v == 0 { None } else { Some(v - 1) })
             .collect();
         let f = RootedForest::new(parent).unwrap();
-        assert_eq!(f.height(), n - 1);
         assert_eq!(f.root_of(n - 1), 0);
     }
 }
