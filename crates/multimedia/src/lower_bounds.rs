@@ -9,8 +9,16 @@
 //! * the paper's adversary topology, the **ray graph** (a center with
 //!   `2(n−1)/d` vertex-disjoint paths of length `d/2`), packaged as a ready
 //!   workload ([`ray_network`]) for experiment E4, which sweeps the diameter
-//!   and shows the measured multimedia time tracking `Θ(min{d, √n})` while
-//!   the single-medium baselines track `Θ(d)` and `Θ(n)`.
+//!   and sets the measured times beside these bounds.
+//!
+//! The measured multimedia time does not yet track `Θ(min{d, √n})`.  In the
+//! E4 rows of `BENCH_paper.json`, `multimedia-det` loses to the executed
+//! `p2p-only` run on every grid and random graph with `n ≤ 4 096` (grid
+//! 4 096: 1 341 rounds against 382; random 4 096: 1 186 against 19).  It
+//! beats it on rings at every size where both ran (233 against 388 at
+//! n = 256, 603 against 1 540 at n = 1 024).  On the ray graph (n = 4 097)
+//! it rises with `d` and levels off past `d ≈ √n` (313 rounds at d = 8,
+//! 1 542 at d = 128, where [`multimedia_bound`] is 2 and 16).
 
 use crate::model::MultimediaNetwork;
 use netsim_graph::generators;

@@ -15,7 +15,7 @@
 //! `Vec<Vec<(NodeId, EdgeId)>>` this
 //!
 //! * performs **O(1) heap allocations** in [`GraphBuilder::build`] regardless
-//!   of `n` and `m` (at most six vectors, enforced by the `graph_alloc`
+//!   of `n` and `m` (four vectors, enforced by the `graph_alloc`
 //!   integration test), and
 //! * keeps every traversal cache-friendly: the hot BFS/scatter loops read
 //!   only the 4-byte `targets` entries instead of pulling the interleaved
@@ -326,18 +326,20 @@ impl DoubleEndedIterator for NeighborsIter<'_> {
 ///
 /// # Construction
 ///
-/// The triple is built in one streaming pass over the edge list, by
-/// [`GraphBuilder::build`] (or again by [`Graph::map_weights`]).  A stable
-/// least-significant-digit radix sort orders packed 12-byte `(weight, index)`
-/// keys by weight — as many 11-bit digit passes as the largest weight has
-/// digits, equal weights staying in index order because the input is
-/// index-ascending — and the rows are scattered from those keys front to
-/// back.  Each key's endpoints are read back from the edge list by index, so
-/// the random memory accesses are that one read per edge, the row cursors
-/// and the CSR writes themselves.  That takes a constant number of heap
-/// allocations (the offsets, the two CSR arrays, one or two key buffers),
-/// and the result is a pure function of the edge list: the same `add_edge`
-/// calls give byte-identical arrays.
+/// The triple is built from the edge list without a global sort, by
+/// [`GraphBuilder::build`] (or again by [`Graph::map_weights`]).  Degrees
+/// are counted into the offsets, and the edge ids are scattered into their
+/// rows in id order, so every row comes out id-ascending.  The rows are
+/// then ordered by weight one block of whole rows at a time (up to 4 096
+/// half-edges, or one wider row): one pass gathers each entry's weight, id
+/// and endpoint XOR from the edge list, so the random reads overlap, and
+/// each row is sorted in cache by `(weight, id)` — exactly the order a
+/// stable sort by weight gives id-ascending input — and written back as
+/// `edge_ids` plus `targets`.  The same pass checks each row for a
+/// neighbour listed twice, which is a duplicate edge.  That takes four heap
+/// allocations (the offsets, the two CSR arrays, one block buffer), and the
+/// result is a pure function of the edge list: the same `add_edge` calls
+/// give byte-identical arrays.
 ///
 /// The edge list itself is stored as 16-byte records with `u32` endpoints;
 /// [`Graph::edge`], [`Graph::get_edge`] and [`Graph::edges`] hand out the
@@ -397,93 +399,48 @@ impl StoredEdge {
     }
 }
 
-/// One edge as the ordering pass carries it: the sort key alone, the weight
-/// plus the edge's index.  The row scatter reads the endpoints back from the
-/// edge list by that index.  Packing to 4-byte alignment drops the padding a
-/// `u64` field would add (12 bytes, not 16, through every pass).
+/// One half-edge as the row pass orders it: the sort key `(weight, id)` and
+/// the XOR of the edge's endpoints, which the row's own index turns back
+/// into the neighbour.  16 bytes, gathered from the edge list a block at a
+/// time.
 #[derive(Clone, Copy, Default)]
-#[repr(C, packed(4))]
-struct KeyedEdge {
+struct RowEntry {
     weight: Weight,
-    index: u32,
+    id: u32,
+    ends: u32,
 }
 
-/// Width of one radix digit of the weight.
-const DIGIT_BITS: u32 = 11;
-const RADIX: usize = 1 << DIGIT_BITS;
+/// Half-edges gathered per block of whole rows: 4 096 entries of 16 bytes
+/// (64 KiB), which the row sorts then read from cache.
+const BLOCK: usize = 4096;
 
-/// Turns per-bucket counts into each bucket's first position.
-fn exclusive_prefix_sum(counts: &mut [u32]) {
-    let mut start = 0;
-    for slot in counts {
-        let count = *slot;
-        *slot = start;
-        start += count;
-    }
-}
-
-/// One stable counting-sort pass by the weight digit at `shift`: `src`
-/// (walked twice, count then move) lands in `dst`, equal digits keeping
-/// their `src` order.
-fn radix_pass(src: impl Iterator<Item = KeyedEdge> + Clone, dst: &mut [KeyedEdge], shift: u32) {
-    let digit = |r: &KeyedEdge| (r.weight >> shift) as usize & (RADIX - 1);
-    let mut next = [0u32; RADIX];
-    for r in src.clone() {
-        next[digit(&r)] += 1;
-    }
-    exclusive_prefix_sum(&mut next);
-    for r in src {
-        let d = digit(&r);
-        dst[next[d] as usize] = r;
-        next[d] += 1;
-    }
-}
-
-/// The edges in ascending `(weight, index)` order, as [`KeyedEdge`] keys.
-///
-/// Least-significant-digit radix sort over the weight alone: every pass is
-/// stable and the first one reads the edge list, which is index-ascending,
-/// so equal weights end in index order without the index ever being
-/// compared.  The number of passes is the number of [`DIGIT_BITS`]-wide
-/// digits in `max_weight` (at least one); a second buffer exists only when
-/// there is a second pass.  Both buffers hold 12-byte keys, not edges.
-fn key_order(edges: &[StoredEdge], max_weight: Weight) -> Vec<KeyedEdge> {
-    let passes = (Weight::BITS - max_weight.leading_zeros())
-        .div_ceil(DIGIT_BITS)
-        .max(1);
-    let keyed = edges.iter().enumerate().map(|(i, e)| KeyedEdge {
-        weight: e.weight,
-        index: i as u32,
-    });
-    let mut sorted = vec![KeyedEdge::default(); edges.len()];
-    radix_pass(keyed, &mut sorted, 0);
-    if passes > 1 {
-        let mut spare = vec![KeyedEdge::default(); edges.len()];
-        for pass in 1..passes {
-            radix_pass(sorted.iter().copied(), &mut spare, pass * DIGIT_BITS);
-            std::mem::swap(&mut sorted, &mut spare);
-        }
-    }
-    sorted
+/// Orders `row` by `(weight, id)` and reports whether two of its entries
+/// lead to the same neighbour.  Edge ids are unique, so the unstable sort
+/// (in place, allocation-free) yields the one key order.
+fn order_row(row: &mut [RowEntry]) -> bool {
+    row.sort_unstable_by_key(|e| e.ends);
+    let repeats = row.windows(2).any(|w| w[0].ends == w[1].ends);
+    row.sort_unstable_by_key(|e| (e.weight, e.id));
+    repeats
 }
 
 impl Graph {
     /// Builds the CSR triple from an edge list as described under
-    /// *Construction* on [`Graph`]: count degrees, order the edges by the
-    /// global edge key (`key_order`), scatter the ordered keys into
-    /// per-node rows.  The scatter preserves the visit order per row, so
-    /// every row comes out key-sorted without any per-row sorting, and the
-    /// total order is exactly `sort_by_key(|i| (weight[i], i))`.
+    /// *Construction* on [`Graph`]: count degrees, scatter the edge ids into
+    /// their rows in id order, then order each row by weight a block of rows
+    /// at a time, checking it for a repeated neighbour on the way.
     ///
     /// Allocates the offsets (which serve as the row cursors during the
     /// scatter and are shifted back afterwards), the two CSR arrays and one
-    /// or two key buffers (two when the largest weight needs more than one
-    /// radix digit) — nothing per node or per edge.  At most two key buffers
-    /// or one key buffer and the two row arrays are live at once: 24 or 28
-    /// bytes per edge on top of the edge list and the offsets.
+    /// block buffer of up to `BLOCK` entries, or the widest row — nothing per
+    /// node or per edge.
     ///
-    /// Endpoints must be in range; duplicate edges are the caller's concern
-    /// ([`GraphBuilder::build`] checks them).
+    /// Endpoints must be in range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two edges join the same pair of nodes, naming the later
+    /// one of the first row (in node order) that holds both.
     fn from_parts(n: usize, edges: Vec<StoredEdge>) -> Self {
         let half_edges = edges.len() * 2;
         assert!(
@@ -493,59 +450,71 @@ impl Graph {
         // Degree counting into the row index: after the prefix sum
         // `offsets[v]` is the write cursor of row `v` and `offsets[n]` = 2m.
         let mut offsets = vec![0u32; n + 1];
-        let mut max_weight = 0;
         for e in &edges {
             offsets[e.u as usize] += 1;
             offsets[e.v as usize] += 1;
-            max_weight = max_weight.max(e.weight);
         }
-        exclusive_prefix_sum(&mut offsets);
-        let order = key_order(&edges, max_weight);
-        // Scatter in edge-key order; each row fills in ascending key order
-        // because the scatter preserves the visit order per row.
-        let mut targets = vec![0u32; half_edges];
+        let (mut start, mut widest) = (0, 0);
+        for slot in &mut offsets {
+            let degree = *slot;
+            *slot = start;
+            start += degree;
+            widest = widest.max(degree as usize);
+        }
+        // Scatter in id order: every row comes out id-ascending.
         let mut edge_ids = vec![0u32; half_edges];
-        for r in order {
-            let id = r.index;
-            let StoredEdge { u, v, .. } = edges[id as usize];
-            let pu = offsets[u as usize] as usize;
-            offsets[u as usize] += 1;
-            targets[pu] = v;
-            edge_ids[pu] = id;
-            let pv = offsets[v as usize] as usize;
-            offsets[v as usize] += 1;
-            targets[pv] = u;
-            edge_ids[pv] = id;
+        for (id, e) in edges.iter().enumerate() {
+            for end in [e.u, e.v] {
+                let cursor = &mut offsets[end as usize];
+                edge_ids[*cursor as usize] = id as u32;
+                *cursor += 1;
+            }
         }
         // Every cursor now sits on the start of the next row.
         offsets.copy_within(0..n, 1);
         offsets[0] = 0;
+        let mut targets = vec![0u32; half_edges];
+        let mut block = vec![RowEntry::default(); BLOCK.min(half_edges).max(widest)];
+        let mut first = 0;
+        while first < n {
+            // Whole rows of at most BLOCK half-edges, or one wider row.
+            let base = offsets[first] as usize;
+            let mut last = first + 1;
+            while last < n && offsets[last + 1] as usize - base <= BLOCK {
+                last += 1;
+            }
+            let span = base..offsets[last] as usize;
+            let gathered = &mut block[..span.len()];
+            for (entry, &id) in gathered.iter_mut().zip(&edge_ids[span.clone()]) {
+                let e = edges[id as usize];
+                *entry = RowEntry {
+                    weight: e.weight,
+                    id,
+                    ends: e.u ^ e.v,
+                };
+            }
+            for v in first..last {
+                let row = offsets[v] as usize..offsets[v + 1] as usize;
+                let entries = &mut gathered[row.start - base..row.end - base];
+                if order_row(entries) {
+                    reject_repeated_neighbour(entries, &edges);
+                }
+                for ((entry, id), target) in entries
+                    .iter()
+                    .zip(&mut edge_ids[row.clone()])
+                    .zip(&mut targets[row])
+                {
+                    *id = entry.id;
+                    *target = entry.ends ^ v as u32;
+                }
+            }
+            first = last;
+        }
         Graph {
             edges,
             offsets,
             targets,
             edge_ids,
-        }
-    }
-
-    /// Panics if two edges join the same pair of nodes: one pass over the
-    /// finished rows, stamping each neighbour with the row that saw it last.
-    fn assert_no_parallel_edges(&self) {
-        // `n < u32::MAX`, so the initial stamp matches no row.
-        let mut seen_by = vec![u32::MAX; self.node_count()];
-        for v in self.nodes() {
-            let row = self.neighbors(v);
-            let stamp = v.index() as u32;
-            for &t in row.targets() {
-                if seen_by[t as usize] == stamp {
-                    // Report the later of the two, as the insert-time check does.
-                    let t = NodeId(t as usize);
-                    let later = row.iter().filter(|&(w, _)| w == t).map(|(_, e)| e).max();
-                    let e = self.edge(later.expect("the row holds the duplicate"));
-                    reject_edge(e.u, e.v);
-                }
-                seen_by[t as usize] = stamp;
-            }
         }
     }
 
@@ -712,18 +681,18 @@ impl Graph {
 /// builder that is only ever fed through [`add_edge`](GraphBuilder::add_edge)
 /// (a generator that cannot produce a duplicate by construction) never hashes
 /// anything: its duplicate check is discharged by
-/// [`build`](GraphBuilder::build) in one pass over the finished rows, with
-/// the same panic.
+/// [`build`](GraphBuilder::build), whose row pass finds a neighbour listed
+/// twice in one row, with the same panic.
 ///
 /// [`GraphBuilder::build`] finalises the accumulated edge list into the flat
-/// CSR `(offsets, targets, edge_ids)` triple described on [`Graph`]: one
-/// stable radix ordering of the edges by the global `(weight, edge id)` key
-/// and one row scatter (see *Construction* on [`Graph`]).  It performs a
-/// **constant number of heap allocations** (at most six vectors: offsets,
-/// two CSR arrays, one or two key buffers, and the stamp array of the
-/// deferred duplicate check) however large the graph is, and the resulting
-/// neighbour order is a deterministic function of the edge list: rebuilding
-/// from the same `add_edge` calls always yields byte-identical adjacency.
+/// CSR `(offsets, targets, edge_ids)` triple described on [`Graph`]: an
+/// id-order scatter into the rows, then each row ordered by the
+/// `(weight, edge id)` key a block of rows at a time (see *Construction* on
+/// [`Graph`]).  It performs a **constant number of heap allocations** (four
+/// vectors: offsets, two CSR arrays and one block buffer) however large the
+/// graph is, and the resulting neighbour order is a deterministic function
+/// of the edge list: rebuilding from the same `add_edge` calls always yields
+/// byte-identical adjacency.
 ///
 /// # Examples
 ///
@@ -758,6 +727,20 @@ fn edge_key(u: NodeId, v: NodeId) -> u64 {
 /// The panic of every rejected [`GraphBuilder::add_edge`], whenever detected.
 fn reject_edge(u: NodeId, v: NodeId) -> ! {
     panic!("invalid or duplicate edge ({u:?}, {v:?})")
+}
+
+/// The panic of a row, in key order, that lists a neighbour twice: it names
+/// the highest-id edge to the first neighbour that the row, read front to
+/// back, lists a second time.
+#[cold]
+fn reject_repeated_neighbour(row: &[RowEntry], edges: &[StoredEdge]) -> ! {
+    let ends = (1..row.len())
+        .find(|&j| row[..j].iter().any(|e| e.ends == row[j].ends))
+        .map(|j| row[j].ends)
+        .expect("the row repeats a neighbour");
+    let later = row.iter().filter(|e| e.ends == ends).map(|e| e.id).max();
+    let e = edges[later.expect("the row holds the repeat") as usize].edge();
+    reject_edge(e.u, e.v)
 }
 
 /// Hasher of the builder's duplicate-edge set: one multiply–xorshift round
@@ -901,12 +884,7 @@ impl GraphBuilder {
     /// Panics if [`add_edge`](GraphBuilder::add_edge) was handed a duplicate
     /// edge that no online check saw.
     pub fn build(self) -> Graph {
-        let checked_online = self.seen.into_inner().is_some();
-        let g = Graph::from_parts(self.n, self.edges);
-        if !checked_online {
-            g.assert_no_parallel_edges();
-        }
-        g
+        Graph::from_parts(self.n, self.edges)
     }
 }
 
@@ -1079,9 +1057,9 @@ mod tests {
     }
 
     #[test]
-    fn stored_and_sorted_records_are_16_and_12_bytes() {
+    fn stored_edges_and_row_entries_are_16_bytes() {
         assert_eq!(std::mem::size_of::<StoredEdge>(), 16);
-        assert_eq!(std::mem::size_of::<KeyedEdge>(), 12);
+        assert_eq!(std::mem::size_of::<RowEntry>(), 16);
     }
 
     #[test]

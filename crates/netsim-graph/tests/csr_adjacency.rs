@@ -8,10 +8,15 @@
 //! * rebuilding a graph from the same edge list reproduces the identical
 //!   neighbour iteration order (the order is a pure function of the edges,
 //!   never of allocator or hash state);
-//! * the radix-ordered finalisation equals its specification — a comparison
+//! * the row-by-row finalisation equals its specification — a comparison
 //!   sort by `(weight, index)` followed by a row scatter — array for array,
 //!   on edge lists built to stress it: heavy weight ties, weight 0,
-//!   `u64::MAX` (every digit pass), no edges at all, a single node.
+//!   `u64::MAX`, no edges at all, a single node, a hub row wider than the
+//!   small-sort cutoff, a row wider than one gather block, and edge lists
+//!   spanning many blocks, each also through `map_weights`;
+//! * a duplicate edge panics naming the edge that the old post-build stamp
+//!   pass named, whether it sits in a short row or in one wider than a
+//!   block.
 
 use netsim_graph::{generators, EdgeId, Graph, GraphBuilder, NodeId, Weight};
 use proptest::prelude::*;
@@ -51,15 +56,79 @@ fn spec_csr(n: usize, edges: &[(usize, usize, Weight)]) -> (Vec<u32>, Vec<u32>, 
     (offsets, targets, edge_ids)
 }
 
-/// Weights that tie heavily and sit on the radix digit boundaries: zero, the
-/// last one-digit and first two-digit values, a three-digit one, and the top
-/// of the range (which takes every digit pass).
+/// Builds `edges` through the builder, and again through `map_weights` with
+/// every weight flipped, and compares both with [`spec_csr`] array for array.
+fn finalisation_matches_spec(n: usize, edges: &[(usize, usize, Weight)]) -> Result<(), String> {
+    let mut b = GraphBuilder::new(n);
+    for &(u, v, w) in edges {
+        b.add_edge(NodeId(u), NodeId(v), w);
+    }
+    let g = b.build();
+    let (offsets, targets, edge_ids) = g.csr();
+    let spec = spec_csr(n, edges);
+    prop_assert_eq!(offsets, &spec.0[..]);
+    prop_assert_eq!(targets, &spec.1[..]);
+    prop_assert_eq!(edge_ids, &spec.2[..]);
+    let listed: Vec<_> = g
+        .edges()
+        .map(|e| (e.u.index(), e.v.index(), e.weight))
+        .collect();
+    prop_assert_eq!(&listed, &edges);
+    // The re-weighting path finalises through the same routine.
+    let flipped: Vec<_> = edges.iter().map(|&(u, v, w)| (u, v, !w)).collect();
+    let g2 = g.map_weights(|_, w| !w);
+    let (offsets, targets, edge_ids) = g2.csr();
+    let spec = spec_csr(n, &flipped);
+    prop_assert_eq!(offsets, &spec.0[..]);
+    prop_assert_eq!(targets, &spec.1[..]);
+    prop_assert_eq!(edge_ids, &spec.2[..]);
+    Ok(())
+}
+
+/// The panic message the old post-build duplicate check gave: walk the spec
+/// rows in node order, stamping each neighbour with the row that saw it
+/// last; at the first neighbour seen twice in one row, name the later
+/// (higher-id) of that row's edges to it.  `None` for a simple graph.
+fn stamp_pass_rejection(n: usize, edges: &[(usize, usize, Weight)]) -> Option<String> {
+    let (offsets, targets, edge_ids) = spec_csr(n, edges);
+    let mut seen_by = vec![usize::MAX; n];
+    for v in 0..n {
+        let row = offsets[v] as usize..offsets[v + 1] as usize;
+        for &t in &targets[row.clone()] {
+            if seen_by[t as usize] == v {
+                let later = row
+                    .filter(|&i| targets[i] == t)
+                    .map(|i| edge_ids[i] as usize)
+                    .max()?;
+                let (u, w, _) = edges[later];
+                return Some(format!(
+                    "invalid or duplicate edge ({:?}, {:?})",
+                    NodeId(u),
+                    NodeId(w)
+                ));
+            }
+            seen_by[t as usize] = v;
+        }
+    }
+    None
+}
+
+/// Weights that tie heavily and sit on the old radix digit boundaries: zero,
+/// the last one-digit and first two-digit values of an 11-bit digit, a
+/// three-digit one, and the top of the range.
 const TIED_WEIGHTS: [Weight; 8] = [0, 0, 1, 2047, 2048, 1 << 22, u64::MAX - 1, u64::MAX];
 
+/// A weight from a prefix of [`TIED_WEIGHTS`] (its length `prefix`; 2 makes
+/// every weight 0), or from the full range when the prefix is empty.
+fn pick_weight(prefix: usize, pick: usize, raw: Weight) -> Weight {
+    let tied = TIED_WEIGHTS[..prefix].get(pick % prefix.max(1));
+    tied.copied().unwrap_or(raw)
+}
+
 /// A simple graph's edge list on `n ≥ 1` nodes (possibly empty; always empty
-/// at `n = 1`).  Weights come from a prefix of [`TIED_WEIGHTS`], so the
-/// largest weight — which picks the number of digit passes — lands on every
-/// boundary, or (prefix length 0) from the full range.
+/// at `n = 1`).  Weights come from a prefix of [`TIED_WEIGHTS`], or (prefix
+/// length 0) from the full range.  Every row is short and the whole list
+/// fits one gather block.
 fn random_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize, Weight)>)> {
     let draw = (0usize..1000, 0usize..1000, 0usize..8, 0u64..=u64::MAX);
     (
@@ -71,14 +140,49 @@ fn random_edge_list() -> impl Strategy<Value = (usize, Vec<(usize, usize, Weight
             let mut taken = HashSet::new();
             let edges = draws
                 .into_iter()
-                .map(|(u, v, pick, raw)| {
-                    let weight = TIED_WEIGHTS[..prefix].get(pick % prefix.max(1));
-                    (u % n, v % n, weight.copied().unwrap_or(raw))
-                })
+                .map(|(u, v, pick, raw)| (u % n, v % n, pick_weight(prefix, pick, raw)))
                 .filter(|&(u, v, _)| u != v && taken.insert((u.min(v), u.max(v))))
                 .collect();
             (n, edges)
         })
+}
+
+/// A simple graph on `n` nodes: node `n / 2` joined to `hub` others, plus
+/// up to `chords` random edges, in shuffled id order so that the hub's
+/// edge ids are scattered; weights as in [`random_edge_list`].
+fn hub_and_chords(
+    n: usize,
+    hub: usize,
+    chords: usize,
+    prefix: usize,
+    seed: &mut u64,
+) -> Vec<(usize, usize, Weight)> {
+    // splitmix64
+    let mut next = || {
+        *seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (*seed ^ (*seed >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let centre = n / 2;
+    let mut taken = HashSet::new();
+    let mut pairs: Vec<(usize, usize)> = (0..n)
+        .filter(|&t| t != centre)
+        .take(hub)
+        .map(|t| (t, centre))
+        .collect();
+    for _ in 0..chords {
+        let (u, v) = (next() as usize % n, next() as usize % n);
+        pairs.push((u, v));
+    }
+    for i in (1..pairs.len()).rev() {
+        pairs.swap(i, next() as usize % (i + 1));
+    }
+    pairs
+        .into_iter()
+        .filter(|&(u, v)| u != v && taken.insert((u.min(v), u.max(v))))
+        .map(|(u, v)| (u, v, pick_weight(prefix, next() as usize, next())))
+        .collect()
 }
 
 fn random_graph() -> impl Strategy<Value = Graph> {
@@ -133,26 +237,7 @@ proptest! {
 
     #[test]
     fn finalisation_equals_the_comparison_sort_spec((n, edges) in random_edge_list()) {
-        let mut b = GraphBuilder::new(n);
-        for &(u, v, w) in &edges {
-            b.add_edge(NodeId(u), NodeId(v), w);
-        }
-        let g = b.build();
-        let (offsets, targets, edge_ids) = g.csr();
-        let spec = spec_csr(n, &edges);
-        prop_assert_eq!(offsets, &spec.0[..]);
-        prop_assert_eq!(targets, &spec.1[..]);
-        prop_assert_eq!(edge_ids, &spec.2[..]);
-        let listed: Vec<_> = g.edges().map(|e| (e.u.index(), e.v.index(), e.weight)).collect();
-        prop_assert_eq!(&listed, &edges);
-        // The re-weighting path finalises through the same routine.
-        let flipped: Vec<_> = edges.iter().map(|&(u, v, w)| (u, v, !w)).collect();
-        let g2 = g.map_weights(|_, w| !w);
-        let (offsets, targets, edge_ids) = g2.csr();
-        let spec = spec_csr(n, &flipped);
-        prop_assert_eq!(offsets, &spec.0[..]);
-        prop_assert_eq!(targets, &spec.1[..]);
-        prop_assert_eq!(edge_ids, &spec.2[..]);
+        finalisation_matches_spec(n, &edges)?;
     }
 
     #[test]
@@ -173,6 +258,26 @@ proptest! {
     }
 }
 
+proptest! {
+    // Each case builds nine graphs of up to 5 500 edges.
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn wide_rows_and_many_blocks_equal_the_comparison_sort_spec(seed in 0u64..=u64::MAX) {
+        let mut state = seed;
+        // (n, hub degree, chords): a hub row past the small-sort cutoff in
+        // one block; a hub row wider than a 4 096-entry block between
+        // blocks of short rows; 12 000 half-edges of short rows in several
+        // blocks.  Weights: the full range, all tied at 0, every tied value
+        // up to `u64::MAX`.
+        for (n, hub, chords) in [(200, 150, 300), (6_000, 4_500, 1_000), (3_000, 0, 6_000)] {
+            for prefix in [0, 2, 8] {
+                finalisation_matches_spec(n, &hub_and_chords(n, hub, chords, prefix, &mut state))?;
+            }
+        }
+    }
+}
+
 /// The degenerate shapes the property test only meets by chance.
 #[test]
 fn finalisation_of_degenerate_edge_lists() {
@@ -182,7 +287,7 @@ fn finalisation_of_degenerate_edge_lists() {
         assert_eq!(offsets, &vec![0u32; n + 1][..], "m = 0 on n = {n}");
         assert!(targets.is_empty() && edge_ids.is_empty());
     }
-    // Every weight the maximum: all digit passes run and all of them tie.
+    // Every weight the maximum: all of them tie.
     let edges: Vec<_> = (1..6).map(|i| (0, i, u64::MAX)).collect();
     let mut b = GraphBuilder::new(6);
     for &(u, v, w) in &edges {
@@ -191,4 +296,47 @@ fn finalisation_of_degenerate_edge_lists() {
     let g = b.build();
     let spec = spec_csr(6, &edges);
     assert_eq!(g.csr(), (&spec.0[..], &spec.1[..], &spec.2[..]));
+}
+
+/// A builder fed only through `add_edge` checks for duplicates while it
+/// orders the rows.  Whichever row holds the repeat, short or wider than a
+/// gather block, and however many repeats it holds, the panic names the
+/// edge the old post-build stamp pass named.
+#[test]
+fn duplicate_edges_panic_as_the_stamp_pass_named_them() {
+    let hub: Vec<_> = (1..5_001).map(|t| (0, t, (t % 7) as Weight)).collect();
+    let lists = [
+        (3, vec![(0, 1, 5), (1, 2, 3), (2, 1, 7)]),
+        // Row 0 in key order reads 1, 2, 1, 2: neighbour 1 repeats first.
+        (3, vec![(0, 1, 1), (0, 2, 2), (0, 2, 4), (0, 1, 3)]),
+        // Row 0 reads 1, 2, 2, 1: neighbour 2 repeats first.
+        (3, vec![(0, 1, 1), (0, 2, 2), (0, 2, 3), (0, 1, 4)]),
+        // Three copies: the latest one is named.
+        (2, vec![(0, 1, 9), (1, 0, 2), (0, 1, 5)]),
+        // The hub's row (wider than a block) is the first to repeat.
+        (
+            5_001,
+            [hub.clone(), vec![(4_321, 0, 3), (17, 0, 3)]].concat(),
+        ),
+        // The hub's row holds no repeat; two short rows after it do.
+        (
+            5_003,
+            [vec![(5_002, 5_001, 1)], hub, vec![(5_001, 5_002, 0)]].concat(),
+        ),
+    ];
+    for (n, edges) in lists {
+        let expected = stamp_pass_rejection(n, &edges).expect("the list repeats an edge");
+        let caught = std::panic::catch_unwind(|| {
+            let mut b = GraphBuilder::new(n);
+            for &(u, v, w) in &edges {
+                b.add_edge(NodeId(u), NodeId(v), w);
+            }
+            b.build()
+        });
+        let payload = caught.expect_err("build() must reject the duplicate");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert_eq!(message, &expected, "on n = {n}, m = {}", edges.len());
+    }
 }

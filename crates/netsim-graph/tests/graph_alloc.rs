@@ -5,7 +5,8 @@
 //! `Family::generate` of a generator that knows its edge count up front.
 //!
 //! The same allocator also books live and peak heap bytes, which bounds the
-//! transient memory of `build()` by the record sizes it sorts and scatters.
+//! transient memory of `build()` by what it keeps: the two row arrays, the
+//! offsets and one block buffer of the row pass.
 //!
 //! The same counter pins the spanning forest: built in four allocations,
 //! its size and radius queries allocate nothing.
@@ -88,11 +89,11 @@ fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK_BYTES.with(Cell::get) - start)
 }
 
-/// `build()` may allocate six vectors — the offsets (which double as the row
-/// cursors), one or two radix record buffers, targets, edge ids, and the
-/// stamp array of the deferred duplicate check — and nothing that scales
-/// with `n` or `m`.
-const BUILD_ALLOC_BUDGET: u64 = 6;
+/// `build()` may allocate four vectors — the offsets (which double as the
+/// row cursors), edge ids, targets and the block buffer of the row pass,
+/// which also checks for duplicates — and nothing that scales with `n` or
+/// `m`.
+const BUILD_ALLOC_BUDGET: u64 = 4;
 
 #[test]
 fn csr_finalisation_allocates_o1() {
@@ -121,14 +122,14 @@ fn csr_finalisation_allocates_o1() {
          (budget {BUILD_ALLOC_BUDGET}); the CSR finalisation must be O(1)"
     );
 
-    // The map_weights rebuild path re-runs from_parts with one edge-list
-    // collect in place of the duplicate check: still O(1).
+    // The map_weights rebuild path collects a re-weighted edge list and
+    // re-runs the same finalisation: still O(1).
     let before = allocs();
     let g2 = g.map_weights(|_, w| w + 1);
     let rebuild_allocs = allocs() - before;
     assert_eq!(g2.edge_count(), m);
     assert!(
-        rebuild_allocs <= BUILD_ALLOC_BUDGET,
+        rebuild_allocs <= BUILD_ALLOC_BUDGET + 1,
         "map_weights allocated {rebuild_allocs} times; the CSR rebuild must be O(1)"
     );
 
@@ -148,7 +149,7 @@ fn generators_build_through_csr() {
     let ring_allocs = allocs() - before;
     assert_eq!(g.edge_count(), 10_000);
     // Builder pushes (edge vec growth; `add_edge` alone hashes nothing) are
-    // amortised-logarithmic; the CSR finalisation adds its constant six.  A
+    // amortised-logarithmic; the CSR finalisation adds its constant four.  A
     // full ring build must stay far below one allocation per node.
     assert!(
         ring_allocs < 100,
@@ -159,7 +160,7 @@ fn generators_build_through_csr() {
 #[test]
 fn preferential_attachment_generates_in_constant_allocations() {
     // Edge list and degree pool are sized up front, the weight permutation
-    // is one vector, and the single finalisation adds its six: the count
+    // is one vector, and the single finalisation adds its four: the count
     // does not depend on n (it was 55 at n = 2^20 when the builder hashed
     // every edge and the vectors grew by doubling).
     let count = |n: usize| {
@@ -176,15 +177,14 @@ fn preferential_attachment_generates_in_constant_allocations() {
     );
     assert!(
         large <= BUILD_ALLOC_BUDGET + 3,
-        "generate() allocated {large} times; expected edges + pool + weights + the build's six"
+        "generate() allocated {large} times; expected edges + pool + weights + the build's four"
     );
 }
 
 #[test]
-fn csr_finalisation_peak_stays_within_two_key_buffers() {
-    // The n = 50 000 tree-plus-chords workload of the allocation-count test:
-    // weights up to 2n need two radix digits, so the sort runs with both key
-    // buffers.
+fn csr_finalisation_peak_stays_within_the_rows_and_one_block() {
+    // The n = 50 000 tree-plus-chords workload of the allocation-count test;
+    // no row is wider than a block.
     let n = 50_000;
     let mut builder = GraphBuilder::new(n);
     for i in 1..n {
@@ -195,8 +195,8 @@ fn csr_finalisation_peak_stays_within_two_key_buffers() {
         let _ = builder.try_add_edge(NodeId(i), NodeId((i + n / 2) % n), (n + i) as u64);
     }
     // `try_add_edge` made the builder hash its edges, and `build()` frees
-    // that set before it sorts, which would hide the peak under the freed
-    // bytes.  Re-feed the same edge list through `add_edge` (as the
+    // that set before it finalises, which would hide the peak under the
+    // freed bytes.  Re-feed the same edge list through `add_edge` (as the
     // generators do), so the builder holds the edge list alone.
     let g = builder.build();
     let m = g.edge_count();
@@ -208,15 +208,15 @@ fn csr_finalisation_peak_stays_within_two_key_buffers() {
 
     let (g, peak) = peak_bytes_during(|| builder.build());
     assert_eq!(g.edge_count(), m);
-    // The offsets, plus the larger of the sort phase (two 12-byte key
-    // buffers) and the scatter phase (one key buffer and the two `u32` row
-    // arrays): 28 bytes per edge.  With 20-byte keys carrying the endpoints
-    // it was 40.
-    let bound = 28 * m + 4 * (n + 1) + 64 * 1024;
+    // The two `u32` row arrays (16 bytes per edge), the offsets and one
+    // block of 4 096 16-byte row entries, and nothing else: no sort keys
+    // (12 more bytes per edge while the whole edge list was sorted at once)
+    // and no n-sized stamp array.
+    let bound = 16 * m + 4 * (n + 1) + 16 * 4096;
     assert!(
         peak <= bound,
         "GraphBuilder::build peaked {peak} bytes above the builder on n={n}, m={m} \
-         (bound {bound} = 28·m + 4·(n + 1) + 64 KiB)"
+         (bound {bound} = 16·m + 4·(n + 1) + 64 KiB)"
     );
 }
 
