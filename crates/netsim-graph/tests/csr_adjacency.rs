@@ -113,9 +113,7 @@ fn stamp_pass_rejection(n: usize, edges: &[(usize, usize, Weight)]) -> Option<St
     None
 }
 
-/// Weights that tie heavily and sit on the old radix digit boundaries: zero,
-/// the last one-digit and first two-digit values of an 11-bit digit, a
-/// three-digit one, and the top of the range.
+/// Weights that tie heavily, from zero to the top of the range.
 const TIED_WEIGHTS: [Weight; 8] = [0, 0, 1, 2047, 2048, 1 << 22, u64::MAX - 1, u64::MAX];
 
 /// A weight from a prefix of [`TIED_WEIGHTS`] (its length `prefix`; 2 makes
