@@ -1,6 +1,5 @@
-//! Pins the heap diet of the sharded drivers' per-node phase state with a
-//! counting global allocator (the pattern of
-//! `netsim-sim/tests/alloc_steady_state.rs`; per-thread counter, so the
+//! Pins the heap diet of the sharded drivers' per-node phase state with
+//! `testkit`'s counting global allocator (per-thread counter, so the
 //! libtest harness threads stay out of the measurement): constructing a
 //! [`MergePhase`] or a [`ShardedGlobalFn`] allocates nothing at all, and
 //! after the first phase, `reattach` + an `update_nodes` re-arm + a whole
@@ -16,54 +15,10 @@ use multimedia::{MultimediaNetwork, WeightStations};
 use netsim_graph::generators::{self, Family};
 use netsim_graph::Graph;
 use netsim_sim::{ChannelId, ChannelSet, EngineBuilder, EngineControl};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-// Const-initialised and drop-free, so reading it inside the allocator cannot
-// recurse into lazy TLS initialisation.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // TLS may be unavailable during thread teardown; those allocations
-    // belong to the runtime, not the measured loop.
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Counts every allocation entry point on the current thread and delegates
-/// to the system allocator.
-struct CountingAllocator;
-
-// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter updates have no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+use testkit::allocs;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static GLOBAL: testkit::CountingAllocator = testkit::CountingAllocator;
 
 const K: u16 = 4;
 

@@ -11,83 +11,15 @@
 //! The same counter pins the spanning forest: built in four allocations,
 //! its size and radius queries allocate nothing.
 //!
-//! Mirrors the engine's `alloc_steady_state` test; the counters are per
-//! thread, so tests running concurrently do not perturb each other.
+//! The allocator is `testkit`'s; its counters are per thread, so tests
+//! running concurrently do not perturb each other.
 
 use netsim_graph::generators::{self, Family};
 use netsim_graph::{partition_quality, GraphBuilder, NodeId, SpanningForest};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static LIVE_BYTES: Cell<usize> = const { Cell::new(0) };
-    static PEAK_BYTES: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Books `grown` bytes allocated and `freed` bytes released on this thread
-/// and raises the peak.  A block freed here but allocated on another thread
-/// saturates at zero rather than wrapping.
-fn track(grown: usize, freed: usize) {
-    let _ = LIVE_BYTES.try_with(|live| {
-        let now = (live.get() + grown).saturating_sub(freed);
-        live.set(now);
-        let _ = PEAK_BYTES.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-/// Counts every allocation entry point on the current thread, books the
-/// live bytes, and delegates to the system allocator.
-struct CountingAllocator;
-
-// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter updates have no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        track(layout.size(), 0);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        track(0, layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        // A moved block is briefly both: book the new size before the old.
-        track(new_size, 0);
-        track(0, layout.size());
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        track(layout.size(), 0);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+use testkit::{allocs, peak_bytes_during};
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
-
-/// Runs `f` and returns its result with the peak of this thread's live heap
-/// bytes during the call, above what was live when it started.
-fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let start = LIVE_BYTES.with(Cell::get);
-    PEAK_BYTES.with(|peak| peak.set(start));
-    let out = f();
-    (out, PEAK_BYTES.with(Cell::get) - start)
-}
+static GLOBAL: testkit::CountingAllocator = testkit::CountingAllocator;
 
 /// `build()` may allocate four vectors — the offsets (which double as the
 /// row cursors), edge ids, targets and the block buffer of the row pass,

@@ -1,7 +1,6 @@
-//! Verifies the wire substrate's allocation contract with a counting global
-//! allocator (the pattern of `netsim-sim/tests/alloc_steady_state.rs`; one
-//! `#[test]`, per-thread counter, so the libtest harness threads stay out
-//! of the measurement):
+//! Verifies the wire substrate's allocation contract with `testkit`'s
+//! counting global allocator (one `#[test]`, per-thread counter, so the
+//! libtest harness threads stay out of the measurement):
 //!
 //! 1. building a net (bind + handshake) allocates the same number of times
 //!    whatever `n` — a host keeps flat pooled buffers, not per-node ones
@@ -20,54 +19,10 @@ use netsim_sim::{
     protocols::ChannelShardedSum, ChannelId, ChannelSet, EngineBuilder, EngineControl, Protocol,
     RoundIo,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-// Const-initialised and drop-free, so reading it inside the allocator cannot
-// recurse into lazy TLS initialisation.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // TLS may be unavailable during thread teardown; those allocations
-    // belong to the runtime, not the measured loop.
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Counts every allocation entry point on the current thread and delegates
-/// to the system allocator.
-struct CountingAllocator;
-
-// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter updates have no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+use testkit::allocs;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
-}
+static GLOBAL: testkit::CountingAllocator = testkit::CountingAllocator;
 
 /// Allocations of `rounds` wire rounds.
 fn wire_rounds<P: Protocol>(net: &mut WireNet<'_, P>, rounds: u64) -> u64

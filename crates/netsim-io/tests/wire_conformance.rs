@@ -1,18 +1,21 @@
 //! Wire ≡ simulation conformance: the fourth execution substrate.
 //!
 //! Every test runs the same protocol twice — once on the flat in-process
-//! [`SyncEngine`], once on [`WireNet`] over real loopback UDP sockets — and
-//! asserts **bit-for-bit identical** observable behavior:
+//! [`SyncEngine`](netsim_sim::SyncEngine), once on [`WireNet`] over real
+//! loopback UDP sockets — through `testkit`'s conformance harness
+//! ([`run_on`] + [`assert_runs_identical`], the same comparison the three
+//! in-process substrates are held to) and asserts **bit-for-bit identical**
+//! observable behavior:
 //!
 //! * per-node event traces: every p2p delivery (round, sender, payload
-//!   digest) and every non-idle slot outcome heard on every channel, in
-//!   order, recorded by a tracing protocol wrapper that runs identically on
-//!   both substrates;
-//! * final protocol states (compared by `Debug` representation);
+//!   digest), every non-idle slot outcome heard on every channel and every
+//!   `on_recover`, in order, recorded by `testkit::Traced`, which also
+//!   asserts that each inbox arrives in sender order;
+//! * final protocol states;
 //! * the full [`CostAccount`](netsim_sim::CostAccount), including dropped/erased/crashed counters —
 //!   the wire backend reconstructs the engine's *global* account from
 //!   barrier frames;
-//! * final fault lifecycles and the run outcome (rounds executed).
+//! * final fault lifecycles, the run outcome and the rounds executed.
 //!
 //! Matrix: `ChannelShardedSum` at K ∈ {1, 4} across three topology
 //! families × {2, 3} hosts, a p2p-heavy chaos gossip under a seeded
@@ -21,118 +24,15 @@
 //! a heavy round whose `Vec<u8>` frames push every destination batch
 //! through the mid-round flush three times (1–3 hosts, plain and faulted).
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 use netsim_graph::{generators, topologies, Graph, NodeId};
 use netsim_io::WireNet;
 use netsim_sim::{
     protocols::ChannelShardedSum, wire::WireMsg, ChannelId, ChannelSet, CostAccount, EngineBuilder,
-    EngineControl, FaultPlan, LaneOutcome, NodeLifecycle, Protocol, RoundIo, SlotOutcome,
+    EngineControl, FaultPlan, LaneOutcome, Protocol, RoundIo, SlotOutcome,
 };
-
-fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------------
-// Tracing wrapper: records every observable event as a digest.  Reads are
-// side-effect-free on both substrates, so wrapping cannot perturb the run.
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct Traced<P> {
-    inner: P,
-    trace: Vec<u64>,
-}
-
-impl<P> Traced<P> {
-    fn new(inner: P) -> Self {
-        Traced {
-            inner,
-            trace: Vec::new(),
-        }
-    }
-}
-
-impl<P: Protocol> Protocol for Traced<P>
-where
-    P::Msg: Hash,
-{
-    type Msg = P::Msg;
-
-    fn step(&mut self, io: &mut RoundIo<'_, Self::Msg>) {
-        let round = io.round();
-        for (from, msg) in io.inbox() {
-            self.trace
-                .push(digest(&(0u8, round, from.index(), digest(msg))));
-        }
-        for c in 0..io.channels() {
-            let chan = ChannelId(c);
-            let d = match io.prev_slot_on(chan) {
-                SlotOutcome::Idle => continue,
-                SlotOutcome::Success { from, msg } => digest(&(1u8, from.index(), digest(msg))),
-                SlotOutcome::Collision => digest(&2u8),
-                SlotOutcome::Erased => digest(&3u8),
-            };
-            self.trace.push(digest(&(1u8, round, c, d)));
-        }
-        self.inner.step(io);
-    }
-
-    fn is_done(&self) -> bool {
-        self.inner.is_done()
-    }
-
-    fn on_recover(&mut self) {
-        self.trace.push(digest(&(2u8,)));
-        self.inner.on_recover();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Harness: run on both substrates, compare everything.
-// ---------------------------------------------------------------------------
-
-struct Run {
-    states: Vec<String>,
-    traces: Vec<Vec<u64>>,
-    cost: CostAccount,
-    lifecycles: Vec<NodeLifecycle>,
-    rounds: u64,
-    completed: bool,
-}
-
-/// Runs `eng` — any substrate — for at most `max_rounds` and reads the
-/// whole run back through the trait.
-fn run_on<P, E>(eng: &mut E, n: usize, max_rounds: u64) -> Run
-where
-    P: Protocol + std::fmt::Debug,
-    P::Msg: Hash,
-    E: EngineControl<Traced<P>>,
-{
-    let out = eng.run(max_rounds);
-    let (states, traces) = (0..n)
-        .map(|v| eng.node(NodeId(v)))
-        .map(|w| (format!("{:?}", w.inner), w.trace.clone()))
-        .unzip();
-    Run {
-        states,
-        traces,
-        cost: eng.cost(),
-        lifecycles: (0..n).map(|v| eng.lifecycle(NodeId(v))).collect(),
-        rounds: out.rounds(),
-        completed: out.is_completed(),
-    }
-}
+use testkit::{assert_runs_identical, mix, run_on, Traced};
 
 fn assert_wire_conformant<P, F>(
     label: &str,
@@ -143,9 +43,9 @@ fn assert_wire_conformant<P, F>(
     mut init: F,
     max_rounds: u64,
 ) where
-    P: Protocol + std::fmt::Debug,
+    P: Protocol + Clone + PartialEq + std::fmt::Debug,
     P::Msg: Hash + WireMsg,
-    F: FnMut(NodeId) -> P + Clone,
+    F: FnMut(NodeId) -> P,
 {
     let mut builder = EngineBuilder::new(g).channels(channels.clone());
     if let Some(plan) = plan {
@@ -153,33 +53,15 @@ fn assert_wire_conformant<P, F>(
     }
     let n = g.node_count();
     let mut traced = |v| Traced::new(init(v));
-    let flat = run_on(&mut builder.build_flat(&mut traced), n, max_rounds);
+    let mut flat = builder.build_flat(&mut traced);
+    let flat = run_on(label, &mut flat, n, &[], max_rounds);
     let mut net = WireNet::from_builder(&builder, hosts, &mut traced);
-    let wire = run_on(&mut net, n, max_rounds);
+    let wire = run_on(label, &mut net, n, &[], max_rounds);
     assert!(
         net.bytes_sent() > 0,
         "a wire run must put bytes on the wire"
     );
-    assert_eq!(
-        flat.completed, wire.completed,
-        "{label}: run outcomes disagree"
-    );
-    assert_eq!(flat.rounds, wire.rounds, "{label}: round counts disagree");
-    assert_eq!(flat.cost, wire.cost, "{label}: cost accounts disagree");
-    assert_eq!(
-        flat.lifecycles, wire.lifecycles,
-        "{label}: final lifecycles disagree"
-    );
-    for v in 0..flat.states.len() {
-        assert_eq!(
-            flat.traces[v], wire.traces[v],
-            "{label}: node v{v} traces disagree"
-        );
-        assert_eq!(
-            flat.states[v], wire.states[v],
-            "{label}: node v{v} final states disagree"
-        );
-    }
+    assert_runs_identical(label, "flat vs wire", &flat, &wire);
 }
 
 /// Two topology families (plus a third for luck) at conformance-friendly
@@ -201,7 +83,7 @@ fn wire_topologies(seed: u64) -> Vec<(&'static str, Graph)> {
 // recover on the wire.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct ChaosGossip {
     id: NodeId,
     acc: u64,
@@ -287,7 +169,7 @@ impl Protocol for ChaosGossip {
 // whole round before it polls — hence only the talkers talk.
 // ---------------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct HeavyRound {
     id: NodeId,
     acc: u64,

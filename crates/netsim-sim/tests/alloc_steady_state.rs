@@ -1,5 +1,5 @@
-//! Verifies the engines' zero-allocation steady-state guarantee with a
-//! counting global allocator.
+//! Verifies the engines' zero-allocation steady-state guarantee with
+//! `testkit`'s counting global allocator.
 //!
 //! The whole check lives in a single `#[test]` (per-thread counters keep the
 //! libtest harness threads out of the measurement).  Phases:
@@ -38,55 +38,14 @@ use netsim_sim::{
     AsyncConfig, AsyncCtx, AsyncEngine, AsyncProtocol, ChannelId, ChannelSet, EngineBuilder,
     EngineControl, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-
-// Per-thread counter so allocations by the libtest harness threads cannot
-// perturb the measurement.  Const-initialised and droppable-free, so reading
-// it inside the allocator cannot recurse into lazy TLS initialisation.
-thread_local! {
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static FRAME_CLONES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    // TLS may be unavailable during thread teardown; those allocations
-    // belong to the runtime, not the measured engine loop.
-    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Counts every allocation entry point (alloc, realloc, alloc_zeroed) on the
-/// current thread and delegates to the system allocator.
-struct CountingAllocator;
-
-// SAFETY: delegates directly to `System`, which upholds the `GlobalAlloc`
-// contract; the counter updates have no effect on allocation behaviour.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
+use testkit::allocs;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: testkit::CountingAllocator = testkit::CountingAllocator;
 
-fn allocs() -> u64 {
-    THREAD_ALLOCS.with(Cell::get)
+thread_local! {
+    static FRAME_CLONES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A `Vec<u8>` frame that counts its clones on the current thread, so a

@@ -23,12 +23,7 @@ use netsim_sim::{
     SlotOutcome,
 };
 use proptest::prelude::*;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^ (z >> 31)
-}
+use testkit::mix;
 
 /// Deterministic Fisher–Yates permutation driven by a splitmix stream.
 fn shuffle<T>(items: &mut [T], seed: u64) {

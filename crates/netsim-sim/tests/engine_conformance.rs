@@ -6,8 +6,8 @@
 //! [`AsyncEngine`](netsim_sim::AsyncEngine) in lockstep configuration — over
 //! the full topology matrix (grid, random, ring-of-cliques, geometric,
 //! preferential attachment, expander) and asserts bit-for-bit identical
-//! delivery traces and final states.  See `tests/common/mod.rs` for the
-//! harness.
+//! delivery traces and final states.  The harness is `testkit`'s
+//! conformance module.
 //!
 //! The protocols are chosen to pin down every delivery feature:
 //!
@@ -20,23 +20,15 @@
 //! * [`BfsBuild`] — a real algorithmic building block;
 //! * [`SlotDance`] — channel-only traffic, pinning slot resolution.
 
-mod common;
-
-use common::{
-    assert_conformant, assert_conformant_faulted, assert_conformant_on, assert_conformant_reattach,
-    run_sync_faulted, topology_matrix, ReattachSchedule,
-};
 use netsim_graph::NodeId;
 use netsim_sim::{
     protocols::{BfsBuild, ChannelShardedSum},
     ChannelId, ChannelSet, FaultEvent, FaultPlan, Protocol, RoundIo, SlotOutcome,
 };
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^ (z >> 31)
-}
+use testkit::{
+    assert_conformant, assert_conformant_faulted, assert_conformant_on, assert_conformant_reattach,
+    mix, run_sync_faulted, topology_matrix, ReattachSchedule,
+};
 
 // ---------------------------------------------------------------------------
 // MixGossip: Copy payloads, unicast + broadcast + channel writes.
@@ -835,7 +827,7 @@ fn orphaned_slot_scenario_fires() {
 // the matrix, run dense AND sparse on all three substrates, bit-identical.
 // ---------------------------------------------------------------------------
 
-use common::{
+use testkit::{
     assert_sparse_conformant, assert_sparse_conformant_faulted, assert_sparse_conformant_on,
 };
 

@@ -20,12 +20,7 @@ use netsim_sim::{
     NodeLifecycle, Protocol, RoundIo, SlotOutcome,
 };
 use proptest::prelude::*;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^ (z >> 31)
-}
+use testkit::mix;
 
 /// Fixed-horizon chaos probe: folds every observable (inbox, all channel
 /// outcomes, recoveries) into `state` and emits pseudo-random p2p and

@@ -28,12 +28,7 @@ use netsim_sim::{
     RoundIo,
 };
 use proptest::prelude::*;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z ^ (z >> 31)
-}
+use testkit::mix;
 
 /// Runs one re-sharding attempt over `roster` (a sorted subset of the
 /// ring's nodes) and returns `(cut, checksum, migrating indices)`.

@@ -1,10 +1,8 @@
-//! Shared cross-engine protocol-conformance harness.
+//! The cross-substrate protocol-conformance harness.
 //!
-//! The simulator has three in-process execution substrates for the same
-//! [`Protocol`] semantics, all built by [`EngineBuilder`] and driven through
-//! [`EngineControl`] (the fourth, the loopback-UDP `WireNet`, lives in
-//! `netsim-io` and is pinned against the flat engine by its own
-//! `wire_conformance` suite):
+//! The simulator has four execution substrates for the same [`Protocol`]
+//! semantics, all built by [`EngineBuilder`] and driven through
+//! [`EngineControl`]:
 //!
 //! 1. `build_flat` — the flat, arena-backed synchronous engine (payloads
 //!    travel as [`PayloadArena`](netsim_sim::PayloadArena) handles, and slot
@@ -16,48 +14,45 @@
 //! 3. `build_lockstep` — the async engine driven in **lockstep** (slot =
 //!    1 tick, every delay = 1 tick) through the `Lockstep` adapter, which
 //!    replays the synchronous round structure on the event-driven substrate
-//!    — payloads travel through the async engine's refcounted slab.
+//!    — payloads travel through the async engine's refcounted slab;
+//! 4. `netsim-io`'s `WireNet` — hosts exchanging real loopback UDP
+//!    datagrams.  It lives downstream of this crate, so its
+//!    `wire_conformance` suite builds it and hands it to [`run_on`].
 //!
-//! The harness runs one protocol on all three — over any
-//! [`ChannelSet`], so multi-channel protocols are covered — with **one**
-//! generic runner ([`run_on`]) and asserts **bit-for-bit identical delivery
-//! traces, final states, lifecycles and cost accounts**
-//! ([`assert_runs_identical`]): every protocol instance is wrapped in
-//! [`Traced`], which records `(round, sender, payload digest)` for each
-//! delivery and `(round, channel, outcome digest)` for each non-idle channel
-//! slot it observes, and additionally asserts the engine's inbox-ordering
-//! contract (senders ascending) with a pooled scratch vector.
+//! The `assert_conformant*` family runs one protocol on the first three —
+//! over any [`ChannelSet`], so multi-channel protocols are covered — with
+//! **one** generic runner ([`run_on`]) and asserts **bit-for-bit identical
+//! delivery traces, final states, lifecycles, cost accounts and run
+//! outcomes** ([`assert_runs_identical`]): every protocol instance is
+//! wrapped in [`Traced`], which records `(round, sender, payload digest)`
+//! for each delivery, `(round, channel, outcome digest)` for each non-idle
+//! channel slot it observes and each `on_recover` it receives, and
+//! additionally asserts the engine's inbox-ordering contract (senders
+//! ascending) with a pooled scratch vector.
 //!
 //! # Cost parity
 //!
 //! The [`CostAccount`]s — `rounds`, `p2p_messages`, `channel_writes`, the
 //! per-outcome slot counters, and under a plan the dropped / erased /
-//! crashed counters — must be bit-identical across all three engines at
+//! crashed counters — must be bit-identical across the substrates at
 //! quiescence.  The one structural difference (the lockstep run's `on_start`
 //! round observes the axiomatic all-idle slots *preceding* time 0 without
 //! counting them, the synchronous engines count a final all-idle round no
 //! step observes) is reconciled by the lockstep `EngineControl` impl, not
 //! here: the harness compares `cost()` as the trait reports it.
 //!
-//! Used by the `engine_conformance` integration test over the full topology
-//! matrix (grid, random, ring-of-cliques, geometric, preferential
-//! attachment, expander).
+//! [`topology_matrix`] is the family matrix of `netsim-sim`'s
+//! `engine_conformance` suite (grid, random, ring-of-cliques, geometric,
+//! preferential attachment, expander).
 
 use netsim_graph::{generators, topologies, Graph, NodeId};
 use netsim_sim::{
     ChannelId, ChannelSet, CostAccount, EngineBuilder, EngineControl, FaultPlan, NodeLifecycle,
     Protocol, RoundIo, SlotOutcome,
 };
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-/// Stable 64-bit digest of any hashable value (used to compare payloads and
-/// slot outcomes across engines without requiring `PartialEq` on messages).
-pub fn digest<T: Hash + ?Sized>(value: &T) -> u64 {
-    let mut h = DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
-}
+use crate::digest;
 
 /// One observable event of a protocol execution, as seen by a single node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,10 +75,14 @@ pub enum TraceEvent {
         /// Digest of the outcome (collision, or success with writer + payload).
         digest: u64,
     },
+    /// The node's [`Protocol::on_recover`] hook ran: a fault plan's
+    /// crash-recover event, in order between the node's steps.
+    Recover,
 }
 
 /// Protocol wrapper that records the node's observable events and asserts
-/// the inbox-ordering contract every step.
+/// the inbox-ordering contract every step.  Reads are side-effect-free on
+/// every substrate, so wrapping cannot perturb the run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Traced<P: Protocol> {
     inner: P,
@@ -165,13 +164,14 @@ where
     }
 
     fn on_recover(&mut self) {
+        self.trace.push(TraceEvent::Recover);
         self.inner.on_recover();
     }
 }
 
 /// Result of one engine execution: final inner states, per-node traces, the
-/// cost account, and the final fault lifecycles (all `Operational` when no
-/// fault plan was installed).
+/// cost account, the final fault lifecycles (all `Operational` when no
+/// fault plan was installed), and the run's outcome.
 pub struct EngineRun<P> {
     /// Final per-node protocol states (inner, unwrapped).
     pub nodes: Vec<P>,
@@ -181,6 +181,10 @@ pub struct EngineRun<P> {
     pub cost: CostAccount,
     /// Final per-node lifecycles.
     pub lifecycles: Vec<NodeLifecycle>,
+    /// The engine's round counter at the end of the run.
+    pub rounds: u64,
+    /// Whether the run quiesced within its round limit.
+    pub completed: bool,
 }
 
 /// A scripted re-attachment schedule: `(round, masks)` entries, ascending by
@@ -191,15 +195,16 @@ pub struct EngineRun<P> {
 /// `channels` argument instead.
 pub type ReattachSchedule = Vec<(u64, Vec<u64>)>;
 
-/// The one runner: drives `eng` to quiescence within `max_rounds`, replaying
+/// The one runner: drives `eng` for at most `max_rounds`, replaying
 /// `schedule` through `reattach` between rounds, and reads the whole run —
-/// states, traces, cost, lifecycles — back through the trait.
+/// states, traces, cost, lifecycles, outcome — back through the trait.
+/// Whether the run had to quiesce is [`assert_runs_identical`]'s call.
 ///
 /// The protocol must stay non-quiescent until the last schedule entry has
 /// been applied.
 pub fn run_on<P, E>(
     label: &str,
-    mut eng: E,
+    eng: &mut E,
     n: usize,
     schedule: &[(u64, Vec<u64>)],
     max_rounds: u64,
@@ -216,10 +221,7 @@ where
         );
         eng.reattach(masks);
     }
-    assert!(
-        eng.run(max_rounds).is_completed(),
-        "[{label}] engine must quiesce within {max_rounds} rounds"
-    );
+    let completed = eng.run(max_rounds).is_completed();
     let (nodes, traces) = (0..n)
         .map(|v| eng.node(NodeId(v)))
         .map(|t| (t.inner.clone(), t.trace.clone()))
@@ -229,6 +231,8 @@ where
         traces,
         cost: eng.cost(),
         lifecycles: (0..n).map(|v| eng.lifecycle(NodeId(v))).collect(),
+        rounds: eng.round(),
+        completed,
     }
 }
 
@@ -248,37 +252,34 @@ where
 {
     let n = builder.graph().node_count();
     let mut traced = |v| Traced::new(init(v));
-    let flat = run_on(
-        label,
-        builder.build_flat(&mut traced),
-        n,
-        schedule,
-        max_rounds,
-    );
-    let reference = run_on(
-        label,
-        builder.build_reference(&mut traced),
-        n,
-        schedule,
-        max_rounds,
-    );
-    let lockstep = run_on(
-        label,
-        builder.build_lockstep(&mut traced),
-        n,
-        schedule,
-        max_rounds,
-    );
+    let mut flat = builder.build_flat(&mut traced);
+    let flat = run_on(label, &mut flat, n, schedule, max_rounds);
+    let mut reference = builder.build_reference(&mut traced);
+    let reference = run_on(label, &mut reference, n, schedule, max_rounds);
+    let mut lockstep = builder.build_lockstep(&mut traced);
+    let lockstep = run_on(label, &mut lockstep, n, schedule, max_rounds);
     [flat, reference, lockstep]
 }
 
-/// Asserts two [`EngineRun`]s are bit-identical in every observable
-/// dimension: final states, per-node traces, cost account, and final
-/// lifecycles.
+/// Asserts that the pivot run `a` quiesced and that `b` is bit-identical to
+/// it in every observable dimension: run outcome and round count, cost
+/// account, final lifecycles, per-node traces and final states.
 pub fn assert_runs_identical<P>(label: &str, what: &str, a: &EngineRun<P>, b: &EngineRun<P>)
 where
     P: PartialEq + std::fmt::Debug,
 {
+    assert!(
+        a.completed,
+        "[{label}] engine must quiesce within its round limit"
+    );
+    assert_eq!(
+        a.completed, b.completed,
+        "[{label}] {what}: run outcomes diverged"
+    );
+    assert_eq!(
+        a.rounds, b.rounds,
+        "[{label}] {what}: round counts diverged"
+    );
     assert_eq!(a.cost, b.cost, "[{label}] {what}: cost accounts diverged");
     assert_eq!(
         a.lifecycles, b.lifecycles,
@@ -331,8 +332,13 @@ where
     let builder = EngineBuilder::new(g)
         .channels(channels.clone())
         .fault_plan(plan.clone());
-    let eng = builder.build_flat(|v| Traced::new(init(v)));
-    run_on("flat", eng, g.node_count(), &[], max_rounds)
+    let mut eng = builder.build_flat(|v| Traced::new(init(v)));
+    let run = run_on("flat", &mut eng, g.node_count(), &[], max_rounds);
+    assert!(
+        run.completed,
+        "[flat] engine must quiesce within {max_rounds} rounds"
+    );
+    run
 }
 
 /// The conformance topology matrix: every family named by the issue, at
@@ -565,6 +571,8 @@ mod tests {
             traces: vec![vec![], vec![delivery]],
             cost,
             lifecycles: vec![NodeLifecycle::Operational; 2],
+            rounds: 3,
+            completed: true,
         }
     }
 
@@ -574,8 +582,11 @@ mod tests {
     fn every_observable_dimension_is_compared() {
         assert_runs_identical("pin", "self", &sample(), &sample());
         type Perturb = fn(&mut EngineRun<u32>);
-        let perturbations: [(&str, Perturb); 4] = [
+        let perturbations: [(&str, Perturb); 7] = [
+            ("run outcomes diverged", |r| r.completed = false),
+            ("round counts diverged", |r| r.rounds += 1),
             ("traces diverged", |r| r.traces[1].extend_from_within(..1)),
+            ("traces diverged", |r| r.traces[0].push(TraceEvent::Recover)),
             ("cost accounts diverged", |r| r.cost.add_messages(1)),
             ("final lifecycles diverged", |r| {
                 r.lifecycles[1] = NodeLifecycle::Crashed
@@ -592,5 +603,11 @@ mod tests {
             let message = payload.downcast_ref::<String>().expect("formatted panic");
             assert!(message.contains(expected), "{expected}: got {message}");
         }
+        let mut stuck = sample();
+        stuck.completed = false;
+        let caught = std::panic::catch_unwind(|| {
+            assert_runs_identical("pin", "stuck pivot", &stuck, &stuck)
+        });
+        assert!(caught.is_err(), "a pivot that never quiesced must fail");
     }
 }

@@ -15,12 +15,7 @@ use multimedia_net::symmetry::{
     is_maximal_independent, is_proper_coloring, mis_with_roots, three_color, RootedForest,
 };
 use proptest::prelude::*;
-
-fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z ^ (z >> 31)
-}
+use testkit::mix;
 
 /// Pseudo-random protocol for engine-equivalence testing: folds every
 /// observation (inbox contents **in delivery order**, slot outcomes) into a
