@@ -159,6 +159,10 @@ impl Edge {
     }
 }
 
+/// Row entries [`Neighbors`]' membership scan compares per step: eight
+/// `u32`s (256 bits: two SSE2 vector compares, or one AVX2 compare).
+const SCAN_LANES: usize = 8;
+
 /// Borrowed view of one node's CSR adjacency row: the parallel `targets` /
 /// `edge_ids` slices of its incident links, in ascending edge-key order.
 ///
@@ -256,11 +260,28 @@ impl<'a> Neighbors<'a> {
         self.position(v).is_some()
     }
 
-    /// Row position of neighbour `v`, if present.
+    /// Row position of neighbour `v`, if present: the one membership scan.
+    ///
+    /// The row is compared [`SCAN_LANES`] entries at a time into a hit mask
+    /// with no branch per entry (which the compiler turns into one vector
+    /// compare), exiting at the first chunk that holds `v`; the short tail
+    /// is scanned entry by entry.
     #[inline]
     fn position(&self, v: NodeId) -> Option<usize> {
         let v = u32::try_from(v.index()).ok()?;
-        self.targets.iter().position(|&t| t == v)
+        let mut chunks = self.targets.chunks_exact(SCAN_LANES);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            let hits = chunk
+                .iter()
+                .enumerate()
+                .fold(0u32, |hits, (i, &t)| hits | u32::from(t == v) << i);
+            if hits != 0 {
+                return Some(c * SCAN_LANES + hits.trailing_zeros() as usize);
+            }
+        }
+        let tail = self.targets.len() - chunks.remainder().len();
+        let at = chunks.remainder().iter().position(|&t| t == v)?;
+        Some(tail + at)
     }
 
     /// Iterator over `(neighbour, edge id)` pairs.
@@ -891,6 +912,7 @@ impl GraphBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn triangle() -> Graph {
         let mut b = GraphBuilder::new(3);
@@ -981,6 +1003,65 @@ mod tests {
         assert_eq!(g.find_edge(NodeId(0), alias), None);
         assert!(g.find_edge(NodeId(0), NodeId(1)).is_some());
         assert!(!g.has_edge(NodeId(0), NodeId(usize::MAX)));
+    }
+
+    /// The membership scan's oracle: the plain linear scan it replaced.
+    fn linear_position(targets: &[u32], v: NodeId) -> Option<usize> {
+        let v = u32::try_from(v.index()).ok()?;
+        targets.iter().position(|&t| t == v)
+    }
+
+    /// Asserts `position` and `contains` agree with the oracle on `row` for
+    /// every probe, and for each probe's alias beyond the 32-bit row space.
+    fn assert_scan_matches_oracle(
+        row: &[u32],
+        probes: impl Iterator<Item = u32>,
+    ) -> Result<(), String> {
+        let edge_ids = vec![0; row.len()];
+        let nbrs = Neighbors::new(row, &edge_ids);
+        for p in probes {
+            for v in [NodeId(p as usize), NodeId(1 << 32 | p as usize)] {
+                let expected = linear_position(row, v);
+                prop_assert_eq!(nbrs.position(v), expected, "row {:?}, probe {:?}", row, v);
+                prop_assert_eq!(nbrs.contains(v), expected.is_some());
+            }
+        }
+        prop_assert_eq!(nbrs.position(NodeId(usize::MAX)), None);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The chunked scan equals a linear scan on every row length from 0
+        /// to 70 (every remainder of the chunk width, repeats included), on
+        /// present, absent and beyond-`u32` ids, and on a 3 441-wide row —
+        /// the widest hub of the 2^20-node preferential-attachment graph.
+        #[test]
+        fn membership_scan_matches_a_linear_scan(
+            pool in collection::vec(0u32..150, 70..71),
+            top in 0u32..150,
+            hub_base in 0u32..u32::MAX,
+            hub_step in 1u32..1000,
+            picks in collection::vec(0usize..3441, 64..65),
+        ) {
+            // Values near `u32::MAX` too: `top` moves the pool's upper half.
+            let pool: Vec<u32> = pool
+                .iter()
+                .map(|&x| if x >= top { u32::MAX - (x - top) } else { x })
+                .collect();
+            for len in 0..=pool.len() {
+                let probes = (0..150).chain((0..150).map(|x| u32::MAX - x));
+                assert_scan_matches_oracle(&pool[..len], probes)?;
+            }
+            // Distinct entries, as in a real row: the step never wraps past
+            // an earlier entry (3 441 · 999 < 2^32).
+            let hub: Vec<u32> = (0..3441)
+                .map(|i| hub_base.wrapping_add(i * hub_step))
+                .collect();
+            let probes = picks.iter().chain(&[0, 3433, 3440]).map(|&i| hub[i]);
+            assert_scan_matches_oracle(&hub, probes.chain([hub_base.wrapping_sub(1)]))?;
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * the **inbox arena** — a CSR-style layout: one flat
 //!   `Vec<(from, handle)>` of 8-byte entries plus an `offsets` index such
 //!   that node `v`'s inbox for the current round is
-//!   `arena[offsets[v]..offsets[v + 1]]`;
+//!   `arena[offsets[v]..offsets[v + 1]]` (sparse stepping delivers through
+//!   per-receiver chains instead; see below);
 //! * the **staging buffer** — sends of the current round, appended in
 //!   sender order as 12-byte `(to, from, handle)` triples through the pooled
 //!   [`OutboxBuffer`] (a broadcast copies its `u32` CSR row straight in).
@@ -85,13 +86,17 @@
 //! [`reattach`](EngineControl::reattach)) into the next set; under uniform
 //! attachment it wakes everyone.  The bitsets cost `(2 + K) · n / 8` bytes.
 //!
-//! Idle nodes are skipped *lazily*: the sparse inbox index is a per-node
-//! `(start, len)` range, and a rebuild touches only two sets of entries —
-//! last round's receivers are emptied, then this round's receivers get
-//! their fresh ranges.  A range is therefore non-empty only while it points
-//! into the current arena; no per-node clearing pass ever runs, which is
-//! what makes a fully idle round O(1) in `n`.  Sparse stepping reads only
-//! these ranges: the dense `offsets` index is not allocated.
+//! Mail is not copied: the round's staged sends are swapped whole into a
+//! *delivered* buffer, each receiver's chain is linked over it (a 4-byte
+//! head per node, a link per message) and each receiver is woken.  A step
+//! takes its node's head and resets it to `NIL` before the lifecycle gate
+//! (mail to a gated node expires with the round, as in the dense arena),
+//! then walks the chain into one pooled inbox buffer.  Every receiver is on
+//! the next frontier, so all heads are `NIL` again after the pass and no
+//! per-node clearing ever runs: a fully idle round is O(1) in `n`.  The
+//! dense `arena` and `offsets` are not allocated, and
+//! [`SyncEngine::last_stepped`] is built on demand from the active set minus
+//! the members the gate turned away.
 //!
 //! # Determinism contract
 //!
@@ -101,7 +106,7 @@
 //! channel writes and lane words are all staged in node-index order and a
 //! run is a pure function of the graph, the protocol states and the fault
 //! plan.  Quiescence is tracked in O(1) with the shared [`Tally`] and the
-//! in-flight arena length.
+//! in-flight message count.
 
 use crate::channel::{ChannelId, ChannelSet, LaneOutcome, SlotOutcome, SlotState};
 use crate::control::{EngineBuilder, EngineControl};
@@ -112,9 +117,33 @@ use crate::node::{Delivery, Inbox, OutboxBuffer, Protocol, RoundIo, Slots, Stage
 use crate::payload::{PayloadArena, PayloadHandle};
 use crate::round::{self, boot_wakes, ChannelFold, Gate, Tally};
 use netsim_graph::{Graph, NodeId};
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Chain terminator for the receiver-bucketing pass.
 const NIL: u32 = u32::MAX;
+
+/// Prepends each of `entries[span]`, last first, to its receiver's chain
+/// (`heads` by receiver, `links` parallel to `entries`), which leaves every
+/// chain in staging order.
+#[inline(always)]
+fn link(entries: &[Staged], span: Range<usize>, heads: &mut [u32], links: &mut [u32]) {
+    for i in span.rev() {
+        let to = entries[i].0 as usize;
+        links[i] = heads[to];
+        heads[to] = i as u32;
+    }
+}
+
+/// Appends the chain that starts at `i` to `out` as inbox entries.
+#[inline(always)]
+fn gather(entries: &[Staged], links: &[u32], mut i: u32, out: &mut Vec<Delivery>) {
+    while i != NIL {
+        let (_, from, handle) = entries[i as usize];
+        out.push((from, handle));
+        i = links[i as usize];
+    }
+}
 
 /// Fallback log₂ of the receiver-block width of the radix scatter when the
 /// cache probe fails: each block covers `2^11 = 2048` consecutive node
@@ -216,13 +245,17 @@ impl RunOutcome {
 /// every step writes into, and the pass's [`Gate`] and step count.
 struct Pass<'a, M> {
     graph: &'a Graph,
-    arena: &'a [Delivery],
     payloads: &'a PayloadArena<M>,
     /// Dense inbox index: node `v` reads `arena[offsets[v]..offsets[v + 1]]`.
+    arena: &'a [Delivery],
     offsets: &'a [usize],
-    /// Sparse inbox index: node `v` reads `arena[inbox_ranges[v]]`, which is
-    /// empty unless `v` received mail last round.
-    inbox_ranges: &'a [(u32, u32)],
+    /// Sparse mail: node `v`'s chain starts at `heads[v]` (`NIL` unless `v`
+    /// received mail last round) and runs through `links` over `delivered`.
+    delivered: &'a [Staged],
+    links: &'a [u32],
+    heads: &'a mut [u32],
+    /// Pooled buffer a sparse step gathers its node's chain into.
+    inbox: &'a mut Vec<Delivery>,
     channels: &'a ChannelSet,
     /// The last resolved round's outcomes (slot winners as handles into
     /// `payloads`), as slices: read through the [`ChannelFold`] on every
@@ -232,27 +265,38 @@ struct Pass<'a, M> {
     round: u64,
     gate: Gate<'a>,
     outbox: &'a mut OutboxBuffer<M>,
-    /// Node indices stepped, ascending; recorded only under sparse stepping.
-    stepped_list: &'a mut Vec<u32>,
+    /// Frontier members the gate turned away, ascending; recorded only
+    /// under sparse stepping.
+    refused: &'a mut Vec<u32>,
     stepped: u64,
 }
 
 impl<M> Pass<'_, M> {
     /// Steps node `vi` once inside the pass's [`Gate`], staging its outputs
-    /// into the outbox; `SPARSE` selects the inbox index and records the
-    /// node in the stepped list.  The one step body of the engine: forced
-    /// inline so each loop of [`SyncEngine::step_active`] compiles to a
-    /// straight-line body around `P::step`.  A node that crashed while on
-    /// the frontier is gated exactly like the dense path gates it, and its
-    /// frontier slot simply expires with this round.
+    /// into the outbox; `SPARSE` selects the inbox index.  The one step body
+    /// of the engine: forced inline so each loop of
+    /// [`SyncEngine::step_active`] compiles to a straight-line body around
+    /// `P::step`.  A node that crashed while on the frontier is gated
+    /// exactly like the dense path gates it: its chain is taken first, so
+    /// its mail expires with this round as the dense arena's does, and its
+    /// frontier slot simply expires too.
     #[inline(always)]
     fn step<P: Protocol<Msg = M>, const SPARSE: bool>(&mut self, vi: usize, node: &mut P) {
+        let head = if SPARSE {
+            std::mem::replace(&mut self.heads[vi], NIL)
+        } else {
+            NIL
+        };
         if !self.gate.admits(vi) {
+            if SPARSE {
+                self.refused.push(vi as u32);
+            }
             return;
         }
         let entries = if SPARSE {
-            let (start, len) = self.inbox_ranges[vi];
-            &self.arena[start as usize..(start + len) as usize]
+            self.inbox.clear();
+            gather(self.delivered, self.links, head, self.inbox);
+            self.inbox.as_slice()
         } else {
             &self.arena[self.offsets[vi]..self.offsets[vi + 1]]
         };
@@ -273,10 +317,16 @@ impl<M> Pass<'_, M> {
         });
         self.gate.book(was_done, node.is_done());
         self.stepped += 1;
-        if SPARSE {
-            self.stepped_list.push(vi as u32);
-        }
     }
+}
+
+/// The ascending `members` without the ascending `refused` (a subset).
+fn except(members: impl Iterator<Item = usize>, refused: &[u32]) -> Vec<u32> {
+    let mut refused = refused.iter().peekable();
+    members
+        .map(|v| v as u32)
+        .filter(|v| refused.next_if_eq(&v).is_none())
+        .collect()
 }
 
 /// Synchronous executor of a [`Protocol`] over a multimedia network.
@@ -311,17 +361,17 @@ pub struct SyncEngine<'g, P: Protocol> {
     nodes: Vec<P>,
     /// The multiaccess channel substrate: `K` channels + per-node attachment.
     channels: ChannelSet,
-    /// Flat inbox arena for the current round: node `v` receives
-    /// `arena[offsets[v]..offsets[v + 1]]`, ordered by sender index.  Each
-    /// entry is `(from index, payload handle)`; the payload lives in
-    /// `payloads`.
+    /// Dense stepping's flat inbox arena for the current round: node `v`
+    /// receives `arena[offsets[v]..offsets[v + 1]]`, ordered by sender
+    /// index.  Each entry is `(from index, payload handle)`; the payload
+    /// lives in `payloads`.  Empty under sparse stepping.
     arena: Vec<Delivery>,
     /// Delivery-side payload arena: resolves the handles in `arena` **and**
     /// the slot winners in `fold`.  Swaps roles with the staging
     /// arena inside `outbox` every round.
     payloads: PayloadArena<P::Msg>,
     /// CSR index into `arena` of dense stepping; length `n + 1` when dense,
-    /// empty under sparse stepping (which reads `inbox_ranges`).
+    /// empty under sparse stepping (which reads the mail chains).
     offsets: Vec<usize>,
     /// Pooled staging buffer of the current round: every stepped node's
     /// sends, channel writes, lane words and wakeups, in node-index order.
@@ -332,10 +382,16 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// contention signal [`reshard::ContentionMonitor`](crate::reshard)
     /// consumes as deltas.
     fold: ChannelFold<PayloadHandle>,
-    /// Pooled per-receiver chain heads for the bucketing pass; length `n`.
+    /// Per-receiver chain heads; length `n`.  The dense bucketing refills
+    /// them each round; a sparse step resets the head it reads.
     heads: Vec<u32>,
-    /// Pooled chain links, parallel to the staging buffer.
+    /// Pooled chain links, parallel to the bucketed buffer.
     links: Vec<u32>,
+    /// Sparse stepping's mail in flight: last round's staged sends after
+    /// drops, in staging order, chained by receiver.
+    delivered: Vec<Staged>,
+    /// Pooled buffer a sparse step gathers its node's chain into.
+    inbox: Vec<Delivery>,
     /// Pooled radix-partitioned copy of the staging buffer (large graphs
     /// only; empty below [`RADIX_MIN_NODES`]).
     scratch: Vec<Staged>,
@@ -352,16 +408,12 @@ pub struct SyncEngine<'g, P: Protocol> {
     /// Activity frontier of the opt-in sparse stepping mode; `None` runs
     /// dense (every node steps every round).
     frontier: Option<Frontier>,
-    /// Per-node `(start, len)` inbox ranges into `arena` (see the module
-    /// docs): non-empty exactly for the receivers in `touched`; length `n`
-    /// under sparse stepping, empty when dense.
-    inbox_ranges: Vec<(u32, u32)>,
-    /// Pooled list of the receivers of the last sparse rebuild: the only
-    /// nodes whose `inbox_ranges` entry is non-empty.
-    touched: Vec<u32>,
-    /// Node indices stepped in the last executed round, ascending; recorded
-    /// only under sparse stepping (pooled).
-    last_stepped: Vec<u32>,
+    /// Frontier members the gate turned away in the last sparse round
+    /// (crashed or off), ascending; pooled.
+    refused: Vec<u32>,
+    /// [`SyncEngine::last_stepped`]'s answer, built on the first ask after
+    /// a round from the frontier's active set minus `refused`.
+    last_stepped: OnceLock<Vec<u32>>,
     /// Nodes stepped in the last executed round (dense: the operational
     /// count; sparse: the frontier members actually stepped).
     stepped_last_round: u64,
@@ -405,6 +457,8 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             fold: ChannelFold::new(channels.channels()),
             heads: vec![NIL; n],
             links: Vec::new(),
+            delivered: Vec::new(),
+            inbox: Vec::new(),
             scratch: Vec::new(),
             block_cursors: Vec::new(),
             cost: CostAccount::new(),
@@ -412,9 +466,8 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             tally,
             faults,
             frontier: sparse.then(|| Frontier::new(n, &channels)),
-            inbox_ranges: if sparse { vec![(0, 0); n] } else { Vec::new() },
-            touched: Vec::new(),
-            last_stepped: Vec::new(),
+            refused: Vec::new(),
+            last_stepped: OnceLock::new(),
             stepped_last_round: 0,
             total_stepped: 0,
             block_shift: tuned_block_shift(),
@@ -446,7 +499,12 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// The `frontier_properties` proptests compare this against the
     /// reference engine's brute-force active set.
     pub fn last_stepped(&self) -> Option<&[u32]> {
-        self.frontier.as_ref().map(|_| self.last_stepped.as_slice())
+        let frontier = self.frontier.as_ref()?;
+        let stepped = self.last_stepped.get_or_init(|| match frontier.current() {
+            Active::Members(set) => except(set.ones(), &self.refused),
+            _ => except(0..self.nodes.len(), &self.refused),
+        });
+        Some(stepped)
     }
 
     /// The underlying graph.
@@ -489,7 +547,9 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// Number of point-to-point messages currently in flight (sent last
     /// round, delivered at the next step).
     pub fn in_flight(&self) -> usize {
-        self.arena.len()
+        // Dense stepping delivers through `arena`, sparse stepping through
+        // `delivered`; the other one stays empty.
+        self.arena.len() + self.delivered.len()
     }
 
     /// The delivery-side [`PayloadArena`]: the payloads that will be (or
@@ -523,28 +583,36 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             outbox,
             channels,
             fold,
+            heads,
+            links,
+            delivered,
+            inbox,
             round,
             faults,
             tally,
             frontier,
-            inbox_ranges,
+            refused,
             last_stepped,
             ..
         } = self;
-        last_stepped.clear();
+        refused.clear();
+        last_stepped.take();
         let mut pass = Pass {
             graph,
-            arena,
             payloads,
+            arena,
             offsets,
-            inbox_ranges,
+            delivered,
+            links,
+            heads,
+            inbox,
             channels,
             slots: fold.slots(),
             lanes: fold.lanes(),
             round: *round,
             gate: Gate::new(faults.as_ref(), tally),
             outbox,
-            stepped_list: last_stepped,
+            refused,
             stepped: 0,
         };
         match frontier.as_mut().map_or(Active::Dense, Frontier::advance) {
@@ -569,8 +637,9 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     }
 
     /// Post-step bookkeeping: fold the pass's step count and `wake_me`
-    /// requests, rebuild the inbox arena for the next round, resolve every
-    /// channel's slot, and advance the clock.
+    /// requests, deliver the staged sends for the next round (the dense
+    /// arena, or the sparse receiver chains), resolve every channel's slot,
+    /// and advance the clock.
     fn finish_round(&mut self, stepped: u64) {
         self.stepped_last_round = stepped;
         self.total_stepped += stepped;
@@ -579,12 +648,24 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             None => self.outbox.wakes.clear(),
         }
 
-        let messages = if self.frontier.is_some() {
-            self.rebuild_arena_sparse()
-        } else {
-            self.rebuild_arena()
-        };
+        let messages = self.rotate_epoch();
         self.cost.add_messages(messages);
+        if let Some(frontier) = &mut self.frontier {
+            // Sparse delivery, O(messages) and copy-free: the staged sends
+            // become the delivered buffer whole, chained by receiver, and
+            // each receiver is woken.  Every head is `NIL` here: this
+            // round's pass stepped or gated each receiver of the last
+            // delivery and took its chain.
+            std::mem::swap(&mut self.delivered, &mut self.outbox.entries);
+            self.outbox.entries.clear();
+            let k = self.delivered.len();
+            link(&self.delivered, 0..k, &mut self.heads, &mut self.links);
+            for &(to, ..) in &self.delivered {
+                frontier.wake(to as usize);
+            }
+        } else {
+            self.rebuild_arena();
+        }
         // The channel writes, read in place from the outbox: their handles
         // resolve in the delivery arena `rotate_epoch` has just rotated in,
         // so a `Success` carries the winner's handle and no message is
@@ -603,9 +684,10 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
         self.round += 1;
     }
 
-    /// Shared prologue of the dense and sparse arena rebuilds: rotates the
-    /// payload epoch, then applies message drops at the delivery boundary.
-    /// Returns the pre-drop staged count.
+    /// Shared prologue of the dense and sparse deliveries: rotates the
+    /// payload epoch, applies message drops at the delivery boundary and
+    /// sizes the chain links to the staged sends that remain.  Returns the
+    /// pre-drop staged count.
     fn rotate_epoch(&mut self) -> u64 {
         // The payloads delivered this round expire (heap payloads move to
         // the graveyard for recycling); the staging arena, with this round's
@@ -633,11 +715,14 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
                 self.cost.add_dropped_messages(dropped as u64);
             }
         }
+        let k = stage.len();
+        assert!(k < NIL as usize, "more than 2^32 - 1 messages in one round");
+        self.links.clear();
+        self.links.resize(k, NIL);
         staged as u64
     }
 
-    /// Buckets the staged sends by receiver into the inbox arena (CSR form)
-    /// and returns how many messages were staged.
+    /// Buckets the staged sends by receiver into the inbox arena (CSR form).
     ///
     /// Stable counting bucket via per-receiver chains: iterating a staging
     /// slice in reverse while prepending to each receiver's chain leaves
@@ -646,18 +731,22 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
     /// using only pooled buffers.  Large graphs first radix-partition the
     /// staging buffer into contiguous receiver blocks so the chain pass
     /// works on cache-resident slices (see the module docs).
-    fn rebuild_arena(&mut self) -> u64 {
-        let staged = self.rotate_epoch();
-        let stage = &mut self.outbox.entries;
-        let k = stage.len();
-        let n = self.heads.len();
-        assert!(k < NIL as usize, "more than 2^32 - 1 messages in one round");
-        let shift = self.block_shift;
-
-        self.arena.clear();
-        self.arena.reserve(k);
-        self.links.clear();
-        self.links.resize(k, NIL);
+    fn rebuild_arena(&mut self) {
+        let SyncEngine {
+            outbox,
+            arena,
+            offsets,
+            heads,
+            links,
+            scratch,
+            block_cursors,
+            block_shift,
+            ..
+        } = self;
+        let stage = &mut outbox.entries;
+        let (k, n, shift) = (stage.len(), heads.len(), *block_shift);
+        arena.clear();
+        arena.reserve(k);
 
         // Locality probe: one streaming pass counting block-level backward
         // jumps in the receiver sequence.  Local topologies (ring, grid,
@@ -676,146 +765,48 @@ impl<'g, P: Protocol> SyncEngine<'g, P> {
             jumps * 8 >= k
         };
 
-        if disordered {
+        // Without the radix pass, all of `stage` is one block of `n` nodes.
+        let one_block = [k as u32];
+        let (entries, ends, width): (&[Staged], &[u32], usize) = if disordered {
             // ---- Pass 1: stable scatter into receiver blocks. -------------
             let blocks = n.div_ceil(1 << shift);
-            self.block_cursors.clear();
-            self.block_cursors.resize(blocks + 1, 0);
+            block_cursors.clear();
+            block_cursors.resize(blocks + 1, 0);
             for entry in stage.iter() {
-                self.block_cursors[(entry.0 as usize >> shift) + 1] += 1;
+                block_cursors[(entry.0 as usize >> shift) + 1] += 1;
             }
             for b in 1..=blocks {
-                self.block_cursors[b] += self.block_cursors[b - 1];
+                block_cursors[b] += block_cursors[b - 1];
             }
-            if self.scratch.len() < k {
-                self.scratch.resize(k, (0, 0, PayloadHandle::DANGLING));
+            if scratch.len() < k {
+                scratch.resize(k, (0, 0, PayloadHandle::DANGLING));
             }
             for entry in stage.iter() {
                 let b = entry.0 as usize >> shift;
-                let pos = self.block_cursors[b] as usize;
-                self.block_cursors[b] += 1;
-                self.scratch[pos] = *entry;
+                let pos = block_cursors[b] as usize;
+                block_cursors[b] += 1;
+                scratch[pos] = *entry;
             }
             // After the scatter, `block_cursors[b]` is the end of block `b`
             // (and hence the start of block `b + 1`).
-
-            // ---- Pass 2: chain-bucket each block (cache-resident). --------
-            for b in 0..blocks {
-                let start = if b == 0 {
-                    0
-                } else {
-                    self.block_cursors[b - 1] as usize
-                };
-                let end = self.block_cursors[b] as usize;
-                let lo = b << shift;
-                let hi = (lo + (1 << shift)).min(n);
-                self.heads[lo..hi].fill(NIL);
-                for i in (start..end).rev() {
-                    let to = self.scratch[i].0 as usize;
-                    self.links[i] = self.heads[to];
-                    self.heads[to] = i as u32;
-                }
-                for v in lo..hi {
-                    self.offsets[v] = self.arena.len();
-                    let mut i = self.heads[v];
-                    while i != NIL {
-                        let (_, from, handle) = self.scratch[i as usize];
-                        self.arena.push((from, handle));
-                        i = self.links[i as usize];
-                    }
-                }
-            }
+            (scratch, &block_cursors[..blocks], 1 << shift)
         } else {
-            // ---- Small graphs / block-local traffic: single-pass bucket. --
-            self.heads.fill(NIL);
-            for i in (0..k).rev() {
-                let to = stage[i].0 as usize;
-                self.links[i] = self.heads[to];
-                self.heads[to] = i as u32;
-            }
-            for v in 0..n {
-                self.offsets[v] = self.arena.len();
-                let mut i = self.heads[v];
-                while i != NIL {
-                    let (_, from, handle) = stage[i as usize];
-                    self.arena.push((from, handle));
-                    i = self.links[i as usize];
-                }
+            (stage, &one_block, n)
+        };
+
+        // ---- Pass 2: chain-bucket each block (cache-resident). ------------
+        for (b, &end) in ends.iter().enumerate() {
+            let start = if b == 0 { 0 } else { ends[b - 1] as usize };
+            let nodes = b * width..((b + 1) * width).min(n);
+            heads[nodes.clone()].fill(NIL);
+            link(entries, start..end as usize, heads, links);
+            for (offset, &head) in offsets[nodes.clone()].iter_mut().zip(&heads[nodes]) {
+                *offset = arena.len();
+                gather(entries, links, head, arena);
             }
         }
-        self.offsets[n] = self.arena.len();
+        offsets[n] = arena.len();
         stage.clear();
-        staged
-    }
-
-    /// Sparse counterpart of [`SyncEngine::rebuild_arena`]: O(messages), not
-    /// O(n).  Instead of rewriting a full `offsets` index, it empties the
-    /// ranges of last round's receivers (the only non-empty ones) and gives
-    /// this round's receivers a fresh `(start, len)` range, so idle nodes are
-    /// never iterated.  Each receiver is also woken onto the next frontier.
-    ///
-    /// Relies on (and restores) the all-`NIL` chain-head invariant: the
-    /// dense paths re-fill `heads` wholesale, which a sparse round cannot
-    /// afford.
-    fn rebuild_arena_sparse(&mut self) -> u64 {
-        let staged = self.rotate_epoch();
-        let SyncEngine {
-            outbox,
-            arena,
-            links,
-            heads,
-            touched,
-            inbox_ranges,
-            frontier,
-            ..
-        } = self;
-        let stage = &mut outbox.entries;
-        let k = stage.len();
-        assert!(k < NIL as usize, "more than 2^32 - 1 messages in one round");
-
-        arena.clear();
-        arena.reserve(k);
-        links.clear();
-        links.resize(k, NIL);
-        // Last round's receivers hold the only non-empty ranges, and the
-        // arena they point into is about to be refilled.
-        for &t in touched.iter() {
-            inbox_ranges[t as usize] = (0, 0);
-        }
-        touched.clear();
-
-        // Reverse chain build, as in the dense bucket; the first prepend to
-        // an empty chain is what discovers a touched receiver, so the pass
-        // is O(messages) with no per-node scan.
-        for i in (0..k).rev() {
-            let to = stage[i].0 as usize;
-            if heads[to] == NIL {
-                touched.push(to as u32);
-            }
-            links[i] = heads[to];
-            heads[to] = i as u32;
-        }
-
-        // Walk each touched receiver's chain (forward = sender-index order,
-        // because sparse stepping visits senders ascending).  Receiver walk
-        // order is irrelevant: the ranges are independent and the frontier
-        // dedups through its bitset.
-        let frontier = frontier.as_mut().expect("sparse mode");
-        for &t in touched.iter() {
-            let to = t as usize;
-            let start = arena.len() as u32;
-            let mut i = heads[to];
-            while i != NIL {
-                let (_, from, handle) = stage[i as usize];
-                arena.push((from, handle));
-                i = links[i as usize];
-            }
-            inbox_ranges[to] = (start, arena.len() as u32 - start);
-            heads[to] = NIL;
-            frontier.wake(to);
-        }
-        stage.clear();
-        staged
     }
 
     /// Consumes the engine, returning the node states and the cost account.
@@ -844,9 +835,9 @@ impl<'g, P: Protocol> EngineControl<P> for SyncEngine<'g, P> {
     }
 
     /// O(1): the [`Tally`] tracks done and exempt nodes, the in-flight count
-    /// is the arena length, and the busy channels are cached at resolution.
+    /// is a buffer length, and the busy channels are cached at resolution.
     fn is_quiescent(&self) -> bool {
-        self.tally.settled() == self.nodes.len() && self.arena.is_empty() && self.fold.busy() == 0
+        self.tally.settled() == self.nodes.len() && self.in_flight() == 0 && self.fold.busy() == 0
     }
 
     fn cost(&self) -> CostAccount {

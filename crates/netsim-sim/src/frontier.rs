@@ -134,6 +134,8 @@ pub(crate) struct Frontier {
     all: bool,
     /// Members consumed by the **current** round's sparse step.
     active: BitLevels,
+    /// The current round steps every node (`active` is then not read).
+    active_all: bool,
     /// Per-channel attached-node bitsets; empty under uniform attachment,
     /// where every node hears every channel.
     listeners: Vec<BitLevels>,
@@ -145,6 +147,7 @@ impl Frontier {
             next: BitLevels::new(n),
             all: true,
             active: BitLevels::new(n),
+            active_all: false,
             listeners: Vec::new(),
         };
         if let Some(masks) = channels.masks_table() {
@@ -219,7 +222,14 @@ impl Frontier {
     pub(crate) fn advance(&mut self) -> Active<'_> {
         std::mem::swap(&mut self.active, &mut self.next);
         self.next.clear();
-        if std::mem::take(&mut self.all) {
+        self.active_all = std::mem::take(&mut self.all);
+        self.current()
+    }
+
+    /// The nodes the last [`advance`](Frontier::advance) handed out (no
+    /// member before the first).
+    pub(crate) fn current(&self) -> Active<'_> {
+        if self.active_all {
             Active::All
         } else {
             Active::Members(&self.active)
@@ -233,7 +243,7 @@ pub(crate) enum Active<'a> {
     /// Dense engine: every node, inboxes through the CSR `offsets`.
     Dense,
     /// Sparse engine, all-active round: every node, inboxes through the
-    /// per-receiver ranges.
+    /// per-receiver chains.
     All,
     /// Sparse engine: exactly the frontier members, ascending.
     Members(&'a BitLevels),

@@ -68,8 +68,9 @@
 //!   frontier — nodes with a non-empty inbox, a non-idle outcome on an
 //!   attached channel, a lifecycle transition, or an explicit
 //!   [`RoundIo::wake_me`] / [`AsyncCtx::wake_me`] self-wakeup — and steps
-//!   only its members, with epoch-versioned inbox ranges so idle nodes are
-//!   never touched, cloned, or iterated.  Sparse runs are bit-identical to
+//!   only its members, each reading its mail from a per-receiver chain
+//!   over the round's delivered sends, so idle nodes are never touched,
+//!   cloned, or iterated.  Sparse runs are bit-identical to
 //!   dense runs for *frontier-safe* protocols (see the [`RoundIo::wake_me`]
 //!   contract); a run on a million-node graph with a thousand active nodes
 //!   pays for a thousand steps per round.

@@ -29,7 +29,9 @@
 //!
 //! A re-sharding attempt over a 2 048-member roster is pinned too: one
 //! stream mirror per member to build, a constant number of allocations to
-//! run to the verdict.
+//! run to the verdict.  So is the heap a sparse flat engine takes per node
+//! when it is built: its protocol state, one chain head and the frontier's
+//! bits.
 
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
@@ -39,7 +41,7 @@ use netsim_sim::{
     EngineControl, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
 };
 use std::cell::Cell;
-use testkit::allocs;
+use testkit::{allocs, peak_bytes_during};
 
 #[global_allocator]
 static GLOBAL: testkit::CountingAllocator = testkit::CountingAllocator;
@@ -783,6 +785,39 @@ fn sparse_million_node_idle_rounds_are_allocation_free_and_o_frontier() {
         "sparse idle rounds allocated {idle_allocs} times over 10 rounds"
     );
     assert!(eng.is_quiescent());
+}
+
+/// A protocol state of one `u64`.
+struct Word(u64);
+
+impl Protocol for Word {
+    type Msg = u64;
+    fn step(&mut self, _io: &mut RoundIo<'_, u64>) {}
+    fn is_done(&self) -> bool {
+        self.0 > 0
+    }
+}
+
+/// Building a sparse flat engine allocates, per node, the protocol state
+/// and one 4-byte chain head, plus the frontier's `(2 + K)` bits (next,
+/// active and one listener set per channel); the slack covers the bitsets'
+/// summaries and the fixed-size buffers.  A per-node inbox index of any
+/// size breaks the bound at this `n`.
+#[test]
+fn sparse_engine_build_takes_the_state_a_chain_head_and_the_frontier_bits_per_node() {
+    let n = 1usize << 16;
+    let g = generators::ring(n);
+    let (eng, peak) = peak_bytes_during(|| {
+        EngineBuilder::new(&g)
+            .sparse(true)
+            .build_flat(|v| Word(v.index() as u64))
+    });
+    let k = usize::from(eng.channels().channels());
+    let bound = n * (std::mem::size_of::<Word>() + 4) + (2 + k) * n / 8 + 64 * 1024;
+    assert!(
+        peak <= bound,
+        "sparse build at n = {n} peaked at {peak} B, bound {bound} B"
+    );
 }
 
 /// One re-sharding attempt over a ring with every node on the roster.

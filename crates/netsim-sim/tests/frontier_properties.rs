@@ -19,7 +19,7 @@
 use netsim_graph::{generators, NodeId};
 use netsim_sim::{
     lockstep_config, AsyncEngine, ChannelId, ChannelSet, EngineBuilder, EngineControl, FaultEvent,
-    FaultPlan, Lockstep, Protocol, RoundIo, SlotOutcome,
+    FaultPlan, Lockstep, Protocol, ReferenceEngine, RoundIo, SlotOutcome, SyncEngine,
 };
 use proptest::prelude::*;
 use testkit::mix;
@@ -356,5 +356,114 @@ proptest! {
             (nodes, cost, lifecycles)
         };
         prop_assert_eq!(run_async(true), run_async(false));
+    }
+}
+
+/// Hop tokens whose nodes are always done: only mail in flight keeps a run
+/// from quiescing.  Frontier-safe: after round 0 a step with an empty inbox
+/// does nothing.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Relay {
+    id: u64,
+    acc: u64,
+}
+
+impl Protocol for Relay {
+    type Msg = u64;
+
+    fn step(&mut self, io: &mut RoundIo<'_, u64>) {
+        for (from, &t) in io.inbox() {
+            self.acc = mix(self.acc, mix(from.index() as u64, t));
+            let hops = t >> 32;
+            if hops > 0 && io.degree() > 0 {
+                let v = io.neighbors().target(self.acc as usize % io.degree());
+                io.send(v, (hops - 1) << 32 | (self.acc & 0xffff_ffff));
+            }
+        }
+        if io.round() == 0 && self.id.is_multiple_of(3) && io.degree() > 0 {
+            io.send(io.neighbors().target(0), 9 << 32 | self.id);
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        true
+    }
+}
+
+/// Steps `eng` to round `at`, re-attaches, steps once, replaces the node
+/// states, then runs out; returns `look` read after every round and right
+/// after each of the two all-active re-schedulings, which must each find
+/// mail pending.
+fn relay_with_all_active_rounds<E: EngineControl<Relay>>(
+    eng: &mut E,
+    at: u64,
+    masks: &[u64],
+    look: impl Fn(&E) -> (bool, usize),
+) -> Vec<(bool, usize)> {
+    let mut seen = Vec::new();
+    while eng.round() < at {
+        eng.step_round();
+        seen.push(look(eng));
+    }
+    eng.reattach(masks);
+    seen.push(look(eng));
+    assert!(
+        !eng.is_quiescent(),
+        "quiescent with mail pending at re-attachment"
+    );
+    eng.step_round();
+    seen.push(look(eng));
+    eng.update_nodes(&mut |v, node| node.acc ^= v.index() as u64);
+    seen.push(look(eng));
+    assert!(
+        !eng.is_quiescent(),
+        "quiescent with mail pending at update_nodes"
+    );
+    while !eng.is_quiescent() && eng.round() < 100 {
+        eng.step_round();
+        seen.push(look(eng));
+    }
+    assert!(eng.is_quiescent(), "relay run did not quiesce");
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `in_flight()` and quiescence count the mail pending across a
+    /// `reattach` and an `update_nodes` (each schedules an all-active round),
+    /// and that round delivers it: sparse ≡ dense on the flat engine, and
+    /// both agree with the reference engine round by round.
+    #[test]
+    fn pending_mail_is_counted_across_all_active_rounds(
+        n in 4usize..32,
+        seed in 0u64..10_000,
+        at in 1u64..6,
+    ) {
+        let g = generators::random_connected(n, 0.15, seed);
+        let masks: Vec<u64> = (0..n).map(|v| 1 << (v % 2)).collect();
+        let builder = EngineBuilder::new(&g).channels(ChannelSet::uniform(2));
+        let init = |v: NodeId| Relay { id: v.index() as u64, acc: mix(seed, v.index() as u64) };
+        let flat = |sparse: bool| {
+            let mut eng = builder.clone().sparse(sparse).build_flat(init);
+            let look = |e: &SyncEngine<'_, Relay>| (e.is_quiescent(), e.in_flight());
+            let seen = relay_with_all_active_rounds(&mut eng, at, &masks, look);
+            (seen, eng.cost(), eng.into_parts().0)
+        };
+        let reference = |sparse: bool| {
+            let mut eng = builder.clone().sparse(sparse).build_reference(init);
+            let look = |e: &ReferenceEngine<'_, Relay>| (e.is_quiescent(), 0);
+            let seen = relay_with_all_active_rounds(&mut eng, at, &masks, look);
+            (seen, eng.cost(), eng.into_parts().0)
+        };
+        let sparse = flat(true);
+        prop_assert!(sparse.0.iter().any(|&(_, pending)| pending > 0));
+        prop_assert_eq!(&sparse, &flat(false));
+        for run in [reference(true), reference(false)] {
+            let quiescence = |seen: &[(bool, usize)]| seen.iter().map(|p| p.0).collect::<Vec<_>>();
+            prop_assert_eq!(quiescence(&run.0), quiescence(&sparse.0));
+            prop_assert_eq!(run.1, sparse.1);
+            prop_assert_eq!(&run.2, &sparse.2);
+        }
     }
 }
